@@ -3,13 +3,14 @@
 //! against these attacks in the simulated environment, measuring their
 //! effectiveness in mitigating or preventing exploits" (§I).
 //!
-//! Two network-level defenses are provided as [`IngressFilter`] builders:
+//! Two network-level defenses are provided:
 //!
 //! * [`RateLimiter`] — a per-source token bucket (the classic volumetric
-//!   mitigation);
+//!   mitigation), deployed as a structured [`netsim::FilterRule`];
 //! * [`ModelFilter`] — drops traffic from sources a trained
 //!   [`LogisticRegression`] detector flags, re-scoring each source every
-//!   window (an ML-in-the-loop defense).
+//!   window (an ML-in-the-loop defense), deployed as an [`IngressFilter`]
+//!   closure.
 
 use crate::classify::LogisticRegression;
 use crate::features::{FeatureExtractor, FlowFeatures};
@@ -36,47 +37,16 @@ impl Default for RateLimiter {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    tokens: f64,
-    last: SimTime,
-}
-
 impl RateLimiter {
-    /// Builds the structured (forkable, digestible) form of this limiter:
-    /// a [`netsim::FilterRule::RateLimit`] with the same refill and cost
-    /// semantics as [`RateLimiter::into_filter`]. Scenario-scheduled
-    /// defenses deploy this via [`netsim::Simulator::push_node_filter`]
-    /// because closure filters cannot survive a fork or checkpoint.
+    /// Builds the deployable rule: a [`netsim::FilterRule::RateLimit`]
+    /// for [`netsim::Simulator::push_node_filter`]. Structured rules are
+    /// plain data, so the deployed limiter survives a fork or checkpoint.
     pub fn into_rule(self) -> netsim::FilterRule {
         netsim::FilterRule::RateLimit {
             rate_bps: self.rate_bps,
             burst_bytes: self.burst_bytes,
             buckets: std::collections::BTreeMap::new(),
         }
-    }
-
-    /// Builds the deployable filter.
-    pub fn into_filter(self) -> IngressFilter {
-        let mut buckets: HashMap<IpAddr, Bucket> = HashMap::new();
-        let rate = self.rate_bps as f64 / 8.0; // bytes per second
-        let burst = self.burst_bytes as f64;
-        Box::new(move |packet: &Packet, now: SimTime| {
-            let bucket = buckets.entry(packet.src.ip()).or_insert(Bucket {
-                tokens: burst,
-                last: now,
-            });
-            let elapsed = now.saturating_since(bucket.last).as_secs_f64();
-            bucket.last = now;
-            bucket.tokens = (bucket.tokens + elapsed * rate).min(burst);
-            let cost = f64::from(packet.wire_bytes());
-            if bucket.tokens >= cost {
-                bucket.tokens -= cost;
-                FilterVerdict::Allow
-            } else {
-                FilterVerdict::Drop
-            }
-        })
     }
 }
 
@@ -172,13 +142,21 @@ mod tests {
         )
     }
 
+    /// Deploys the limiter on a filter stack and returns its verdict
+    /// function.
+    fn deploy(limiter: RateLimiter) -> impl FnMut(&Packet, SimTime) -> FilterVerdict {
+        let mut stack = netsim::FilterStack::default();
+        stack.push(limiter.into_rule());
+        let blocklist = std::collections::BTreeSet::new();
+        move |p, t| stack.verdict(p, t, &blocklist)
+    }
+
     #[test]
     fn rate_limiter_allows_within_budget() {
-        let mut f = RateLimiter {
+        let mut f = deploy(RateLimiter {
             rate_bps: 80_000, // 10 kB/s
             burst_bytes: 1_000,
-        }
-        .into_filter();
+        });
         // One 540-byte packet per second is well under budget.
         for s in 0..10 {
             let verdict = f(&pkt(1, 540), SimTime::from_secs(s));
@@ -188,11 +166,10 @@ mod tests {
 
     #[test]
     fn rate_limiter_drops_floods_but_not_other_sources() {
-        let mut f = RateLimiter {
+        let mut f = deploy(RateLimiter {
             rate_bps: 80_000,
             burst_bytes: 1_000,
-        }
-        .into_filter();
+        });
         // Source 1 floods within one instant: burst exhausts quickly.
         let mut dropped = 0;
         for _ in 0..50 {
@@ -207,11 +184,10 @@ mod tests {
 
     #[test]
     fn rate_limiter_refills_over_time() {
-        let mut f = RateLimiter {
+        let mut f = deploy(RateLimiter {
             rate_bps: 80_000,
             burst_bytes: 600,
-        }
-        .into_filter();
+        });
         assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Allow);
         assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Drop);
         // After a second, 10 kB of tokens accrued (capped at burst 600).
@@ -222,11 +198,10 @@ mod tests {
     fn zero_rate_admits_only_the_initial_burst() {
         // rate_bps = 0: the bucket never refills, so exactly the initial
         // burst passes and everything after is dropped forever.
-        let mut f = RateLimiter {
+        let mut f = deploy(RateLimiter {
             rate_bps: 0,
             burst_bytes: 1_080, // two 540-byte packets
-        }
-        .into_filter();
+        });
         assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Allow);
         assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Allow);
         assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Drop);
@@ -239,11 +214,10 @@ mod tests {
         // The burst is an exact byte budget: a packet that fits passes,
         // the first packet that would overdraw is dropped, and the budget
         // does not leak across the drop (tokens are only spent on Allow).
-        let mut f = RateLimiter {
+        let mut f = deploy(RateLimiter {
             rate_bps: 0,
             burst_bytes: 1_000,
-        }
-        .into_filter();
+        });
         let t = SimTime::from_secs(0);
         assert_eq!(f(&pkt(1, 600), t), FilterVerdict::Allow, "600 spent, 400 left");
         assert_eq!(f(&pkt(1, 600), t), FilterVerdict::Drop, "600 > 400 remaining");
@@ -258,11 +232,10 @@ mod tests {
         // schedule (the same-seed case: deterministic sims present the
         // same arrival sequence) must agree on every verdict.
         let run = || -> Vec<FilterVerdict> {
-            let mut f = RateLimiter {
+            let mut f = deploy(RateLimiter {
                 rate_bps: 24_000, // 3 kB/s — under the ~4.9 kB/s offered per source
                 burst_bytes: 2_000,
-            }
-            .into_filter();
+            });
             let mut verdicts = Vec::new();
             for i in 0..200u64 {
                 let t = SimTime::from_millis(i * 37);
@@ -276,29 +249,6 @@ mod tests {
         assert_eq!(a, b, "same schedule, same verdicts");
         assert!(a.contains(&FilterVerdict::Drop), "schedule exercises drops");
         assert!(a.contains(&FilterVerdict::Allow), "schedule exercises allows");
-    }
-
-    #[test]
-    fn structured_rule_matches_closure_filter_verdicts() {
-        // into_rule() must be semantically identical to into_filter(): run
-        // the same packet schedule through both and compare verdicts.
-        let limiter = RateLimiter {
-            rate_bps: 24_000,
-            burst_bytes: 2_000,
-        };
-        let mut closure = limiter.into_filter();
-        let mut stack = netsim::FilterStack::default();
-        stack.push(limiter.into_rule());
-        let blocklist = std::collections::BTreeSet::new();
-        for i in 0..200u64 {
-            let t = SimTime::from_millis(i * 37);
-            let p = pkt((i % 3) as u8 + 1, 540);
-            assert_eq!(
-                closure(&p, t),
-                stack.verdict(&p, t, &blocklist),
-                "packet {i} diverged"
-            );
-        }
     }
 
     #[test]

@@ -124,12 +124,16 @@ fn dns_static_chain_crashloops_aslr_daemon() {
         .install_app(n.attacker_node, Box::new(MaliciousDnsServer::new(forge)));
     // The attacker operator retries when no compromise is observed.
     for t in (10..60).step_by(10) {
-        let server_id = server;
-        n.sim.schedule_call(SimTime::from_secs(t), move |sim| {
-            if let Some(s) = sim.app_mut::<MaliciousDnsServer>(server_id) {
-                s.forget("10.0.0.3".parse().expect("dev v4"));
-            }
-        });
+        n.sim.schedule_forkable_call(
+            SimTime::from_secs(t),
+            "test.forget_victim",
+            server,
+            |sim, server| {
+                if let Some(s) = sim.app_mut::<MaliciousDnsServer>(server) {
+                    s.forget("10.0.0.3".parse().expect("dev v4"));
+                }
+            },
+        );
     }
     n.sim.run_until(SimTime::from_secs(60));
     let d = n.sim.app_ref::<NetMgrDaemon>(daemon).expect("daemon alive");

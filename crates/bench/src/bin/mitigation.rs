@@ -20,6 +20,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::net::{IpAddr, SocketAddr};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 struct Outcome {
@@ -78,22 +79,30 @@ fn run(
     match defense {
         Defense::None => {}
         Defense::RateLimiter => {
-            instance.sim_mut().schedule_call(SimTime::from_secs(39), move |sim| {
-                sim.set_ingress_filter(fabric, RateLimiter::default().into_filter());
-            });
+            instance.sim_mut().schedule_forkable_call(
+                SimTime::from_secs(39),
+                "bench.rate_limit",
+                fabric,
+                |sim, fabric| sim.push_node_filter(fabric, RateLimiter::default().into_rule()),
+            );
         }
         Defense::Model(model) => {
-            instance.sim_mut().schedule_call(SimTime::from_secs(39), move |sim| {
-                sim.set_ingress_filter(
-                    fabric,
-                    ModelFilter {
-                        model,
-                        window: Duration::from_secs(2),
-                        threshold: 0.5,
-                    }
-                    .into_filter(),
-                );
-            });
+            instance.sim_mut().schedule_forkable_call(
+                SimTime::from_secs(39),
+                "bench.model_filter",
+                (fabric, Arc::new(model)),
+                |sim, (fabric, model)| {
+                    sim.set_ingress_filter(
+                        fabric,
+                        ModelFilter {
+                            model: Arc::unwrap_or_clone(model),
+                            window: Duration::from_secs(2),
+                            threshold: 0.5,
+                        }
+                        .into_filter(),
+                    );
+                },
+            );
         }
     }
     let records: Rc<RefCell<Vec<TraceRecord>>> = Rc::new(RefCell::new(Vec::new()));

@@ -33,6 +33,25 @@ pub enum ChurnMode {
     Dynamic,
 }
 
+impl ChurnMode {
+    /// The mode's spec name (`none`, `static`, `dynamic`) — the spelling
+    /// the `--churn` flag, scenario plans and checkpoints share.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ChurnMode::None => "none",
+            ChurnMode::Static => "static",
+            ChurnMode::Dynamic => "dynamic",
+        }
+    }
+
+    /// Parses a spec name written by [`ChurnMode::as_str`].
+    pub fn parse(s: &str) -> Option<Self> {
+        [ChurnMode::None, ChurnMode::Static, ChurnMode::Dynamic]
+            .into_iter()
+            .find(|m| m.as_str() == s)
+    }
+}
+
 impl std::fmt::Display for ChurnMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

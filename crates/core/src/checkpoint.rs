@@ -85,22 +85,12 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a message describing exactly what is wrong: invalid JSON
+    /// The typed [`PlanError`] shared by every schema-tagged plan document
+    /// in the workspace, describing exactly what is wrong: invalid JSON
     /// (with the byte offset), a missing or mistyped field, an unknown
     /// schema tag, an unknown top-level field, or an unrepresentable
     /// configuration. Never panics on corrupted or truncated input.
-    pub fn parse(text: &str) -> Result<Checkpoint, String> {
-        Self::parse_plan(text).map_err(String::from)
-    }
-
-    /// Like [`Checkpoint::parse`], but surfaces the typed [`PlanError`]
-    /// shared by every schema-tagged plan document in the workspace.
-    ///
-    /// # Errors
-    ///
-    /// A [`PlanError`] naming the first syntax, schema, unknown-field, or
-    /// shape problem.
-    pub fn parse_plan(text: &str) -> Result<Checkpoint, PlanError> {
+    pub fn parse(text: &str) -> Result<Checkpoint, PlanError> {
         const DOC: &str = "checkpoint";
         let json = Json::parse(text)
             .map_err(|e| PlanError::syntax(DOC, format!("is not valid JSON ({e})")))?;
@@ -142,12 +132,12 @@ impl Checkpoint {
 
 // ---- generic field accessors with named errors ----
 
-fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
+pub(crate) fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
     json.get(key)
         .ok_or_else(|| format!("missing field '{key}'"))
 }
 
-fn u64_field(json: &Json, key: &str) -> Result<u64, String> {
+pub(crate) fn u64_field(json: &Json, key: &str) -> Result<u64, String> {
     field(json, key)?
         .as_u64()
         .ok_or_else(|| format!("field '{key}' is not an unsigned integer"))
@@ -165,18 +155,53 @@ fn bool_field(json: &Json, key: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("field '{key}' is not a boolean"))
 }
 
-fn str_field<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
+pub(crate) fn str_field<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
     field(json, key)?
         .as_str()
         .ok_or_else(|| format!("field '{key}' is not a string"))
 }
 
-fn nanos_field(json: &Json, key: &str) -> Result<Duration, String> {
+pub(crate) fn nanos_field(json: &Json, key: &str) -> Result<Duration, String> {
     Ok(Duration::from_nanos(u64_field(json, key)?))
 }
 
-fn nanos(d: Duration) -> Json {
+/// Reads a field that is `null` or a nanosecond count.
+pub(crate) fn opt_nanos_field(json: &Json, key: &str) -> Result<Option<Duration>, String> {
+    let value = field(json, key)?;
+    if value.is_null() {
+        return Ok(None);
+    }
+    let nanos = value
+        .as_u64()
+        .ok_or_else(|| format!("field '{key}' is not an unsigned integer"))?;
+    Ok(Some(Duration::from_nanos(nanos)))
+}
+
+pub(crate) fn nanos(d: Duration) -> Json {
     Json::U64(d.as_nanos() as u64)
+}
+
+pub(crate) fn opt_nanos(d: Option<Duration>) -> Json {
+    d.map_or(Json::Null, nanos)
+}
+
+/// Serializes a timed console script (`admin_script`, a suffix's
+/// `admin_lines`) as `[{at_nanos, line}]`.
+pub(crate) fn timed_lines_to_json(lines: &[(Duration, String)]) -> Json {
+    let entry = |(at, line): &(Duration, String)| {
+        Json::obj([("at_nanos", nanos(*at)), ("line", Json::Str(line.clone()))])
+    };
+    Json::Arr(lines.iter().map(entry).collect())
+}
+
+/// Parses what [`timed_lines_to_json`] writes from `json[key]`.
+pub(crate) fn timed_lines_field(json: &Json, key: &str) -> Result<Vec<(Duration, String)>, String> {
+    field(json, key)?
+        .as_array()
+        .ok_or_else(|| format!("field '{key}' is not an array"))?
+        .iter()
+        .map(|entry| Ok((nanos_field(entry, "at_nanos")?, str_field(entry, "line")?.to_owned())))
+        .collect()
 }
 
 // ---- foreign-enum <-> JSON helpers (free functions: the enums live in
@@ -196,23 +221,6 @@ fn arch_from_str(s: &str) -> Result<Arch, String> {
         "arm7" => Ok(Arch::Arm7),
         "mips" => Ok(Arch::Mips),
         other => Err(format!("unknown arch '{other}'")),
-    }
-}
-
-fn churn_to_str(mode: ChurnMode) -> &'static str {
-    match mode {
-        ChurnMode::None => "none",
-        ChurnMode::Static => "static",
-        ChurnMode::Dynamic => "dynamic",
-    }
-}
-
-fn churn_from_str(s: &str) -> Result<ChurnMode, String> {
-    match s {
-        "none" => Ok(ChurnMode::None),
-        "static" => Ok(ChurnMode::Static),
-        "dynamic" => Ok(ChurnMode::Dynamic),
-        other => Err(format!("unknown churn mode '{other}'")),
     }
 }
 
@@ -381,18 +389,11 @@ fn telemetry_to_json(t: &netsim::TelemetryConfig) -> Json {
             Json::Str(capture_filter_expr(&t.capture_filter)),
         ),
         ("capture_capacity", Json::U64(t.capture_capacity as u64)),
-        (
-            "metrics_interval_nanos",
-            match t.metrics_interval {
-                None => Json::Null,
-                Some(iv) => nanos(iv),
-            },
-        ),
+        ("metrics_interval_nanos", opt_nanos(t.metrics_interval)),
     ])
 }
 
 fn telemetry_from_json(json: &Json) -> Result<netsim::TelemetryConfig, String> {
-    let metrics = field(json, "metrics_interval_nanos")?;
     Ok(netsim::TelemetryConfig {
         record: bool_field(json, "record")?,
         recorder_capacity: u64_field(json, "recorder_capacity")? as usize,
@@ -400,13 +401,7 @@ fn telemetry_from_json(json: &Json) -> Result<netsim::TelemetryConfig, String> {
         capture_filter: CaptureFilter::parse(str_field(json, "capture_filter")?)
             .map_err(|e| format!("capture filter: {e}"))?,
         capture_capacity: u64_field(json, "capture_capacity")? as usize,
-        metrics_interval: if metrics.is_null() {
-            None
-        } else {
-            Some(Duration::from_nanos(metrics.as_u64().ok_or(
-                "field 'metrics_interval_nanos' is not an unsigned integer",
-            )?))
-        },
+        metrics_interval: opt_nanos_field(json, "metrics_interval_nanos")?,
     })
 }
 
@@ -427,7 +422,7 @@ pub fn config_to_json(c: &SimulationConfig) -> Json {
         ("tserver_link_bps", Json::U64(c.tserver_link_bps)),
         ("tserver_queue_bytes", Json::U64(c.tserver_queue_bytes)),
         ("access_delay_nanos", nanos(c.access_delay)),
-        ("churn", Json::Str(churn_to_str(c.churn).into())),
+        ("churn", Json::Str(c.churn.as_str().into())),
         (
             "attack",
             Json::obj([
@@ -456,20 +451,7 @@ pub fn config_to_json(c: &SimulationConfig) -> Json {
         ("attack_over_ipv6", Json::Bool(c.attack_over_ipv6)),
         ("reboot_rate_per_min", Json::F64(c.reboot_rate_per_min)),
         ("topology", topology_to_json(c.topology)),
-        (
-            "admin_script",
-            Json::Arr(
-                c.admin_script
-                    .iter()
-                    .map(|(at, line)| {
-                        Json::obj([
-                            ("at_nanos", nanos(*at)),
-                            ("line", Json::Str(line.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("admin_script", timed_lines_to_json(&c.admin_script)),
         ("telemetry", telemetry_to_json(&c.telemetry)),
         ("faults", c.faults.to_json()),
         ("honeypots", Json::U64(u64::from(c.honeypots))),
@@ -517,16 +499,6 @@ pub fn config_from_json(json: &Json) -> Result<SimulationConfig, String> {
     let vector = AttackVector::parse(vector_str)
         .ok_or_else(|| format!("unknown attack vector '{vector_str}'"))?;
     let payload = field(attack_json, "payload_bytes")?;
-    let admin_json = field(json, "admin_script")?
-        .as_array()
-        .ok_or("field 'admin_script' is not an array")?;
-    let mut admin_script = Vec::with_capacity(admin_json.len());
-    for entry in admin_json {
-        admin_script.push((
-            nanos_field(entry, "at_nanos")?,
-            str_field(entry, "line")?.to_owned(),
-        ));
-    }
     let commands_json = field(json, "commands")?
         .as_array()
         .ok_or("field 'commands' is not an array")?;
@@ -549,7 +521,10 @@ pub fn config_from_json(json: &Json) -> Result<SimulationConfig, String> {
         tserver_link_bps: u64_field(json, "tserver_link_bps")?,
         tserver_queue_bytes: u64_field(json, "tserver_queue_bytes")?,
         access_delay: nanos_field(json, "access_delay_nanos")?,
-        churn: churn_from_str(str_field(json, "churn")?)?,
+        churn: {
+            let mode = str_field(json, "churn")?;
+            ChurnMode::parse(mode).ok_or_else(|| format!("unknown churn mode '{mode}'"))?
+        },
         attack: AttackSpec {
             vector,
             duration: nanos_field(attack_json, "duration_nanos")?,
@@ -575,7 +550,7 @@ pub fn config_from_json(json: &Json) -> Result<SimulationConfig, String> {
         attack_over_ipv6: bool_field(json, "attack_over_ipv6")?,
         reboot_rate_per_min: f64_field(json, "reboot_rate_per_min")?,
         topology: topology_from_json(field(json, "topology")?)?,
-        admin_script,
+        admin_script: timed_lines_field(json, "admin_script")?,
         telemetry: telemetry_from_json(field(json, "telemetry")?)?,
         faults,
         honeypots: u64_field(json, "honeypots")? as u16,
@@ -767,17 +742,17 @@ mod tests {
     #[test]
     fn corrupted_input_gives_clear_errors() {
         // Truncated JSON.
-        let err = Checkpoint::parse("{\"schema\": \"ddosim.ch").unwrap_err();
+        let parse_err = |text: &str| Checkpoint::parse(text).unwrap_err().to_string();
+        let err = parse_err("{\"schema\": \"ddosim.ch");
         assert!(err.contains("not valid JSON"), "{err}");
         // Wrong schema.
-        let err = Checkpoint::parse("{\"schema\": \"something/9\"}").unwrap_err();
+        let err = parse_err("{\"schema\": \"something/9\"}");
         assert!(err.contains("schema"), "{err}");
         // Missing field.
-        let err =
-            Checkpoint::parse(&format!("{{\"schema\": \"{CHECKPOINT_SCHEMA}\"}}")).unwrap_err();
+        let err = parse_err(&format!("{{\"schema\": \"{CHECKPOINT_SCHEMA}\"}}"));
         assert!(err.contains("missing field"), "{err}");
         // Not JSON at all.
-        let err = Checkpoint::parse("not json").unwrap_err();
+        let err = parse_err("not json");
         assert!(err.contains("not valid JSON"), "{err}");
     }
 

@@ -83,6 +83,34 @@ pub enum Recruitment {
     },
 }
 
+impl Recruitment {
+    /// Parses the spec string the `--recruitment` flag and scenario plans
+    /// share: `memory-error`, `scanner:<cred-fraction>`, or
+    /// `worm:<cred-fraction>:<seeds>`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the part of `spec` that does not parse.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let fraction = |mode: &str, f: &str| {
+            f.parse::<f64>()
+                .map_err(|e| format!("{mode}: bad credential fraction in '{spec}': {e}"))
+        };
+        match spec.split(':').collect::<Vec<_>>()[..] {
+            ["memory-error"] => Ok(Recruitment::MemoryError),
+            ["scanner", f] => Ok(Recruitment::CredentialScanner {
+                default_credential_fraction: fraction("scanner", f)?,
+            }),
+            ["worm", f, s] => Ok(Recruitment::SelfPropagating {
+                default_credential_fraction: fraction("worm", f)?,
+                seeds: s
+                    .parse()
+                    .map_err(|e| format!("worm: bad seed count in '{spec}': {e}"))?,
+            }),
+            _ => Err(format!("unknown recruitment spec: {spec}")),
+        }
+    }
+}
 
 /// Shape of the simulated Internet joining the components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,6 +133,30 @@ pub enum TopologyKind {
     /// shaped to their IoT access rates; the Attacker and TServer connect
     /// to the router over wired links.
     Wifi,
+}
+
+impl TopologyKind {
+    /// Parses the spec string the `--topology` flag and scenario plans
+    /// share: `star`, `wifi`, or `tiered:<regions>:<uplink-bps>`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the part of `spec` that does not parse.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        match spec.split(':').collect::<Vec<_>>()[..] {
+            ["star"] => Ok(TopologyKind::Star),
+            ["wifi"] => Ok(TopologyKind::Wifi),
+            ["tiered", r, bps] => Ok(TopologyKind::Tiered {
+                regions: r
+                    .parse()
+                    .map_err(|e| format!("tiered: bad region count in '{spec}': {e}"))?,
+                region_uplink_bps: bps
+                    .parse()
+                    .map_err(|e| format!("tiered: bad uplink rate in '{spec}': {e}"))?,
+            }),
+            _ => Err(format!("unknown topology spec: {spec}")),
+        }
+    }
 }
 
 /// Per-subsystem RNG stream plan — the first-class handle on the seed

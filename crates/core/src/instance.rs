@@ -1319,8 +1319,7 @@ impl Ddosim {
     /// # Errors
     ///
     /// Returns a message when the world holds unforkable state (a deployed
-    /// ingress filter, a pending opaque [`Simulator::schedule_call`]), when
-    /// this run still has an unreached resume point (fork after the
+    /// closure ingress filter), when this run still has an unreached resume point (fork after the
     /// splice), or when the fork's digests diverge from the parent's (a
     /// bug in some layer's fork path).
     pub fn fork_with_seed(&self, fork_seed: u64) -> Result<Ddosim, String> {

@@ -46,12 +46,11 @@ pub use config::{
     SimulationConfig, TopologyKind,
 };
 pub use experiment::{
-    crn_compare, install_location_hook, panic_message, run_configs, run_suffixes,
-    run_suffixes_streamed, run_suffixes_traced, take_panic_location, try_run_configs,
-    try_run_configs_streamed, CrnComparison, SuffixOutcome,
+    crn_compare, install_location_hook, panic_message, run_configs, run_suffixes_streamed,
+    take_panic_location, try_run_configs_streamed, CrnComparison, SuffixOutcome,
 };
 pub use honeypot::Honeypot;
-pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanError, FAULT_PLAN_SCHEMA};
+pub use faults::{checked_secs, FaultEvent, FaultKind, FaultPlan, PlanError, FAULT_PLAN_SCHEMA};
 pub use instance::{Ddosim, DevInfo, ATTACKER_IMAGE_BYTES, DEV_IMAGE_BASE_BYTES};
 pub use metrics::{bytes_to_gb, MemoryModel, TServerSink};
 pub use reboot::RebootController;

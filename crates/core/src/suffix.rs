@@ -8,6 +8,10 @@
 //! prefix-sharing analogue of KV-cache reuse. A [`SuffixPlan`] is the
 //! serialized form: the fork point plus one [`SuffixSpec`] per branch.
 
+use crate::checkpoint::{
+    field, nanos, nanos_field, opt_nanos, opt_nanos_field, str_field, timed_lines_field,
+    timed_lines_to_json, u64_field,
+};
 use crate::config::SimulationConfig;
 use djson::{FromJson, Json, ToJson};
 use faults::{check_schema, reject_unknown_fields, PlanError};
@@ -53,55 +57,19 @@ impl SuffixSpec {
             ("name", Json::Str(self.name.clone())),
             ("fork_seed", Json::U64(self.fork_seed)),
             ("faults", self.faults.to_json()),
-            (
-                "admin_lines",
-                Json::Arr(
-                    self.admin_lines
-                        .iter()
-                        .map(|(at, line)| {
-                            Json::obj([
-                                ("at_nanos", Json::U64(at.as_nanos() as u64)),
-                                ("line", Json::Str(line.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "horizon_nanos",
-                match self.horizon {
-                    None => Json::Null,
-                    Some(h) => Json::U64(h.as_nanos() as u64),
-                },
-            ),
+            ("admin_lines", timed_lines_to_json(&self.admin_lines)),
+            ("horizon_nanos", opt_nanos(self.horizon)),
         ])
     }
 
     fn from_json(json: &Json) -> Result<SuffixSpec, String> {
-        let admin_json = field(json, "admin_lines")?
-            .as_array()
-            .ok_or("field 'admin_lines' is not an array")?;
-        let mut admin_lines = Vec::with_capacity(admin_json.len());
-        for entry in admin_json {
-            admin_lines.push((
-                Duration::from_nanos(u64_field(entry, "at_nanos")?),
-                str_field(entry, "line")?.to_owned(),
-            ));
-        }
-        let horizon = field(json, "horizon_nanos")?;
         Ok(SuffixSpec {
             name: str_field(json, "name")?.to_owned(),
             fork_seed: u64_field(json, "fork_seed")?,
             faults: faults::FaultPlan::from_json(field(json, "faults")?)
                 .map_err(|e| format!("fault plan: {e}"))?,
-            admin_lines,
-            horizon: if horizon.is_null() {
-                None
-            } else {
-                Some(Duration::from_nanos(horizon.as_u64().ok_or(
-                    "field 'horizon_nanos' is not an unsigned integer",
-                )?))
-            },
+            admin_lines: timed_lines_field(json, "admin_lines")?,
+            horizon: opt_nanos_field(json, "horizon_nanos")?,
         })
     }
 }
@@ -124,7 +92,7 @@ impl SuffixPlan {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("schema", Json::Str(SUFFIX_SCHEMA.into())),
-            ("fork_at_nanos", Json::U64(self.fork_at.as_nanos() as u64)),
+            ("fork_at_nanos", nanos(self.fork_at)),
             (
                 "suffixes",
                 Json::Arr(self.suffixes.iter().map(SuffixSpec::to_json).collect()),
@@ -143,21 +111,11 @@ impl SuffixPlan {
     ///
     /// # Errors
     ///
-    /// Returns a message describing exactly what is wrong: invalid JSON,
-    /// a missing, mistyped, or unknown field, or an unknown schema tag.
+    /// The typed [`PlanError`] shared by every schema-tagged plan document
+    /// in the workspace, describing exactly what is wrong: invalid JSON, a
+    /// missing, mistyped, or unknown field, or an unknown schema tag.
     /// Never panics on corrupted or truncated input.
-    pub fn parse(text: &str) -> Result<SuffixPlan, String> {
-        Self::parse_plan(text).map_err(String::from)
-    }
-
-    /// Like [`SuffixPlan::parse`], but surfaces the typed [`PlanError`]
-    /// shared by every schema-tagged plan document in the workspace.
-    ///
-    /// # Errors
-    ///
-    /// A [`PlanError`] naming the first syntax, schema, unknown-field, or
-    /// shape problem.
-    pub fn parse_plan(text: &str) -> Result<SuffixPlan, PlanError> {
+    pub fn parse(text: &str) -> Result<SuffixPlan, PlanError> {
         const DOC: &str = "suffix plan";
         let json = Json::parse(text)
             .map_err(|e| PlanError::syntax(DOC, format!("is not valid JSON ({e})")))?;
@@ -169,7 +127,7 @@ impl SuffixPlan {
             &["schema", "fork_at_nanos", "suffixes", "config"],
         )?;
         let invalid = |m: String| PlanError::invalid(DOC, m);
-        let fork_at = Duration::from_nanos(u64_field(&json, "fork_at_nanos").map_err(invalid)?);
+        let fork_at = nanos_field(&json, "fork_at_nanos").map_err(invalid)?;
         let suffixes_json = field(&json, "suffixes")
             .map_err(invalid)?
             .as_array()
@@ -201,25 +159,6 @@ impl SuffixPlan {
     pub fn to_string_pretty(&self) -> String {
         self.to_json().to_string_pretty()
     }
-}
-
-// ---- generic field accessors with named errors ----
-
-fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
-    json.get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn u64_field(json: &Json, key: &str) -> Result<u64, String> {
-    field(json, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an unsigned integer"))
-}
-
-fn str_field<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
-    field(json, key)?
-        .as_str()
-        .ok_or_else(|| format!("field '{key}' is not a string"))
 }
 
 #[cfg(test)]
@@ -277,12 +216,12 @@ mod tests {
 
     #[test]
     fn corrupted_input_gives_clear_errors() {
-        let err = SuffixPlan::parse("{\"schema\": \"ddosim.suf").unwrap_err();
+        let parse_err = |text: &str| SuffixPlan::parse(text).unwrap_err().to_string();
+        let err = parse_err("{\"schema\": \"ddosim.suf");
         assert!(err.contains("not valid JSON"), "{err}");
-        let err = SuffixPlan::parse("{\"schema\": \"something/9\"}").unwrap_err();
+        let err = parse_err("{\"schema\": \"something/9\"}");
         assert!(err.contains("schema"), "{err}");
-        let err =
-            SuffixPlan::parse(&format!("{{\"schema\": \"{SUFFIX_SCHEMA}\"}}")).unwrap_err();
+        let err = parse_err(&format!("{{\"schema\": \"{SUFFIX_SCHEMA}\"}}"));
         assert!(err.contains("missing field"), "{err}");
     }
 

@@ -18,7 +18,7 @@
 
 pub mod plan;
 
-pub use plan::{check_schema, reject_unknown_fields, PlanError};
+pub use plan::{check_schema, checked_secs, reject_unknown_fields, PlanError};
 
 use djson::{FromJson, Json, JsonError, ToJson};
 use std::time::Duration;
@@ -173,10 +173,7 @@ impl FromJson for FaultEvent {
                 let secs = s
                     .as_f64()
                     .ok_or_else(|| JsonError::conversion("fault 'at_secs' must be a number"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(JsonError::conversion("fault 'at_secs' must be finite and >= 0"));
-                }
-                Duration::from_secs_f64(secs)
+                checked_secs("fault 'at_secs'", secs, true).map_err(JsonError::conversion)?
             }
             (Some(_), Some(_)) => {
                 return Err(JsonError::conversion("fault has both 'at_nanos' and 'at_secs'"))
@@ -217,12 +214,10 @@ impl FromJson for FaultEvent {
                         let secs = v.as_f64().ok_or_else(|| {
                             JsonError::conversion("cnc_outage 'duration_secs' must be a number")
                         })?;
-                        if !secs.is_finite() || secs < 0.0 {
-                            return Err(JsonError::conversion(
-                                "cnc_outage 'duration_secs' must be finite and >= 0",
-                            ));
-                        }
-                        Some(Duration::from_secs_f64(secs))
+                        Some(
+                            checked_secs("cnc_outage 'duration_secs'", secs, true)
+                                .map_err(JsonError::conversion)?,
+                        )
                     }
                 };
                 FaultKind::CncOutage { duration }

@@ -10,6 +10,7 @@
 
 use djson::Json;
 use std::fmt;
+use std::time::Duration;
 
 /// A plan-document rejection. `doc` names the document kind in messages
 /// ("fault plan", "checkpoint", "suffix plan", "scenario").
@@ -147,9 +148,49 @@ pub fn reject_unknown_fields(
     Ok(())
 }
 
+/// Converts a number of seconds that arrived from outside the program (a
+/// plan field, a command-line flag, a wire request) into a [`Duration`].
+/// `name` is the field or flag, quoted back in the error. The simulation
+/// clock counts `u64` nanoseconds, so anything beyond that is refused
+/// here rather than wrapping when the duration is serialised.
+///
+/// # Errors
+///
+/// A message naming `name` when `secs` is NaN, negative, too large for
+/// the simulation clock, or — unless `zero_ok` — rounds to zero.
+pub fn checked_secs(name: &str, secs: f64, zero_ok: bool) -> Result<Duration, String> {
+    match Duration::try_from_secs_f64(secs) {
+        Ok(d) if d.as_nanos() <= u128::from(u64::MAX) && (zero_ok || !d.is_zero()) => Ok(d),
+        _ => Err(format!(
+            "{name} must be a {} number of seconds the simulation clock can hold, got {secs}",
+            if zero_ok { "non-negative" } else { "positive" }
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_secs_table() {
+        assert_eq!(checked_secs("t", 2.5, false), Ok(Duration::from_millis(2500)));
+        assert_eq!(checked_secs("t", 0.0, true), Ok(Duration::ZERO));
+        assert_eq!(checked_secs("t", 1.8e10, true), Ok(Duration::from_secs(18_000_000_000)));
+        for (secs, zero_ok, fragment) in [
+            (1e20, true, "non-negative"),
+            (1.9e10, true, "simulation clock can hold"),
+            (f64::NAN, true, "got NaN"),
+            (f64::INFINITY, false, "got inf"),
+            (-1.0, true, "got -1"),
+            (0.0, false, "positive"),
+            (1e-12, false, "positive"),
+        ] {
+            let err = checked_secs("--flag", secs, zero_ok).expect_err("must be refused");
+            assert!(err.starts_with("--flag must be"), "{err}");
+            assert!(err.contains(fragment), "{secs}: {err}");
+        }
+    }
 
     #[test]
     fn display_formats_each_variant() {

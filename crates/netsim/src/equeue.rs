@@ -182,48 +182,29 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Structural clone: maps every pending item through `f` (as
-    /// `(time_nanos, seq, &item)`), preserving the cursor and counter
-    /// state exactly — `head`, `bucket_base`, per-bucket placement,
-    /// `peak_len`, and `overflow_sweeps`. Forking must not re-push into a
-    /// fresh queue: that would reset the cursor and the sweep counter,
-    /// changing both future overflow-sweep telemetry and the stats digest
-    /// relative to the parent. Fails on the first item `f` rejects.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error returned by `f`.
-    pub fn try_clone_with<E>(
-        &self,
-        mut f: impl FnMut(u64, u64, &T) -> Result<T, E>,
-    ) -> Result<Self, E> {
-        let mut clone_keyed = |e: &Keyed<T>| -> Result<Keyed<T>, E> {
-            Ok(Keyed {
-                time_nanos: e.time_nanos,
-                seq: e.seq,
-                item: f(e.time_nanos, e.seq, &e.item)?,
-            })
+    /// Structural clone: maps every pending item through `f`, preserving
+    /// the cursor and counter state exactly — `head`, `bucket_base`,
+    /// per-bucket placement, `peak_len`, and `overflow_sweeps`. Forking
+    /// must not re-push into a fresh queue: that would reset the cursor and
+    /// the sweep counter, changing both future overflow-sweep telemetry and
+    /// the stats digest relative to the parent.
+    pub fn clone_with(&self, mut f: impl FnMut(&T) -> T) -> Self {
+        let mut clone_keyed = |e: &Keyed<T>| Keyed {
+            time_nanos: e.time_nanos,
+            seq: e.seq,
+            item: f(&e.item),
         };
         // Heap-internal arrangement after re-pushing may differ from the
         // parent's, but keys are unique (the simulator never reuses a
         // seq), so pop order — the only observable — is identical.
-        let mut active = BinaryHeap::with_capacity(self.active.len());
-        for Reverse(e) in &self.active {
-            active.push(Reverse(clone_keyed(e)?));
-        }
-        let mut buckets = Vec::with_capacity(self.buckets.len());
-        for bucket in &self.buckets {
-            let mut b = Vec::with_capacity(bucket.len());
-            for e in bucket {
-                b.push(clone_keyed(e)?);
-            }
-            buckets.push(b);
-        }
-        let mut overflow = BinaryHeap::with_capacity(self.overflow.len());
-        for Reverse(e) in &self.overflow {
-            overflow.push(Reverse(clone_keyed(e)?));
-        }
-        Ok(EventQueue {
+        let active = self.active.iter().map(|Reverse(e)| Reverse(clone_keyed(e))).collect();
+        let buckets = self
+            .buckets
+            .iter()
+            .map(|bucket| bucket.iter().map(&mut clone_keyed).collect())
+            .collect();
+        let overflow = self.overflow.iter().map(|Reverse(e)| Reverse(clone_keyed(e))).collect();
+        EventQueue {
             active,
             buckets,
             head: self.head,
@@ -233,7 +214,7 @@ impl<T> EventQueue<T> {
             len: self.len,
             peak_len: self.peak_len,
             overflow_sweeps: self.overflow_sweeps,
-        })
+        }
     }
 
     fn push_keyed(&mut self, e: Keyed<T>) {
@@ -542,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn try_clone_with_preserves_order_and_counters() {
+    fn clone_with_preserves_order_and_counters() {
         let mut q = EventQueue::new();
         let far = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64 * 2;
         for (seq, t) in [far, 5, BUCKET_SPAN_NANOS * 3, far + 9, 1].iter().enumerate() {
@@ -555,18 +536,11 @@ mod tests {
         q.push(SimTime::from_nanos(2), 10, 10);
         q.push(SimTime::from_nanos(far * 3), 11, 11);
 
-        let mut cloned = q
-            .try_clone_with(|_, _, v| Ok::<u32, ()>(*v))
-            .expect("infallible mapper");
+        let mut cloned = q.clone_with(|v| *v);
         assert_eq!(cloned.len(), q.len());
         assert_eq!(cloned.peak_len(), q.peak_len());
         assert_eq!(cloned.overflow_sweeps(), q.overflow_sweeps());
         assert_eq!(drain(&mut cloned), drain(&mut q));
-
-        // A failing mapper surfaces its error.
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(1), 0, 1u32);
-        assert_eq!(q.try_clone_with(|_, _, _| Err::<u32, &str>("nope")).err(), Some("nope"));
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   alias the parent's state, which is exactly the bug a fork must avoid.
 //!   Plain-data types implement it as `Clone`; handle types implement it as
 //!   a [`ForkMap`] lookup.
-//! * [`ForkableCall`] / [`ForkableFn`] — the forkable replacement for
-//!   `Event::Call` closures. A boxed `FnOnce` cannot be cloned, so any
-//!   self-scheduled work that must survive a fork is expressed as plain
-//!   data plus a `fn` pointer; forking clones the data through the map.
+//! * [`ForkableCall`] / [`ForkableFn`] — scheduled simulator callbacks. A
+//!   boxed `FnOnce` cannot be cloned, so scheduled work is expressed as
+//!   plain data plus a `fn` pointer; forking clones the data through the
+//!   map.
 
 use crate::fastmap::FastMap;
 use crate::ids::{AppId, ChannelId, IfaceId, LinkId, NodeId};
@@ -174,9 +174,8 @@ impl<A: ForkClone, B: ForkClone, C: ForkClone, D: ForkClone> ForkClone for (A, B
 
 /// A pending simulator callback that can be deep-cloned into a fork.
 ///
-/// The forkable counterpart of `Event::Call`'s boxed `FnOnce`: state is
-/// explicit data, behaviour is a plain `fn` pointer, and [`fork`] clones
-/// the data through the [`ForkMap`].
+/// State is explicit data, behaviour is a plain `fn` pointer, and
+/// [`fork`] clones the data through the [`ForkMap`].
 ///
 /// [`fork`]: ForkableCall::fork
 pub trait ForkableCall: Any {

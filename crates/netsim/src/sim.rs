@@ -63,9 +63,8 @@ pub enum FilterVerdict {
 pub type IngressFilter = Box<dyn FnMut(&Packet, SimTime) -> FilterVerdict>;
 
 /// Folds one pending event into a checkpoint digest. Every variant gets a
-/// distinct tag; `Call` closures are opaque (their effects are pinned down
-/// by the deterministic state they mutate once executed), so only their
-/// presence and queue position are digested.
+/// distinct tag; 8 is unused, and renumbering 9 would change the digest
+/// of every stored checkpoint.
 fn digest_event(h: &mut StateHasher, event: &Event) {
     match event {
         Event::AppStart(app) => {
@@ -120,9 +119,6 @@ fn digest_event(h: &mut StateHasher, event: &Event) {
             h.write_usize(node.index());
             h.write_bool(*up);
         }
-        Event::Call(_) => {
-            h.write_bytes(&[8]);
-        }
         Event::Forkable(call) => {
             h.write_bytes(&[9]);
             h.write_str(call.digest_label());
@@ -143,18 +139,17 @@ enum Event {
     WifiTxComplete { chan: ChannelId, station: usize, gen: u64 },
     TcpRto { node: NodeId, conn: u64, seq: u64 },
     SetNode { node: NodeId, up: bool },
-    Call(Box<dyn FnOnce(&mut Simulator)>),
-    /// Like `Call`, but with explicit captured data so a pending callback
-    /// can be deep-cloned into a fork (see [`crate::fork`]).
+    /// A scheduled callback: explicit captured data plus a `fn` pointer,
+    /// so a pending call can be deep-cloned into a fork (see
+    /// [`crate::fork`]).
     Forkable(Box<dyn ForkableCall>),
 }
 
 impl Event {
-    /// Deep-clones a pending event into a forked world. Everything except
-    /// `Call` is plain data; an opaque `Call` closure cannot be cloned and
-    /// returns `None` (the fork fails loudly rather than dropping work).
-    fn fork(&self, map: &ForkMap) -> Option<Event> {
-        Some(match self {
+    /// Deep-clones a pending event into a forked world: every variant is
+    /// plain data except `Forkable`, which clones through the map.
+    fn fork(&self, map: &ForkMap) -> Event {
+        match self {
             Event::AppStart(app) => Event::AppStart(*app),
             Event::Timer { app, token } => Event::Timer { app: *app, token: *token },
             Event::TxComplete { link, side, gen } => {
@@ -173,9 +168,8 @@ impl Event {
                 Event::TcpRto { node: *node, conn: *conn, seq: *seq }
             }
             Event::SetNode { node, up } => Event::SetNode { node: *node, up: *up },
-            Event::Call(_) => return None,
             Event::Forkable(call) => Event::Forkable(call.fork(map)),
-        })
+        }
     }
 }
 
@@ -822,22 +816,8 @@ impl Simulator {
             .collect()
     }
 
-    /// Schedules an arbitrary closure to run over the simulator at `at`.
-    pub fn schedule_call(&mut self, at: SimTime, f: impl FnOnce(&mut Simulator) + 'static) {
-        self.schedule(at, Event::Call(Box::new(f)));
-    }
-
-    /// Schedules a closure `after` from now.
-    pub fn schedule_call_after(
-        &mut self,
-        after: Duration,
-        f: impl FnOnce(&mut Simulator) + 'static,
-    ) {
-        self.schedule_call(self.now + after, f);
-    }
-
-    /// Schedules a *forkable* callback at `at`: `data` plus a plain `fn`
-    /// pointer instead of an opaque closure, so the pending call can be
+    /// Schedules a callback at `at`: `data` plus a plain `fn` pointer
+    /// rather than an opaque closure, so the pending call can be
     /// deep-cloned by [`Simulator::fork`]. `label` is a stable name folded
     /// into event-queue digests (and shown in debug output).
     pub fn schedule_forkable_call<T: ForkClone + 'static>(
@@ -1074,10 +1054,8 @@ impl Simulator {
     /// # Errors
     ///
     /// Fails — naming the obstacle — when the world holds state that
-    /// cannot be cloned: a deployed ingress filter (an opaque `FnMut`), a
-    /// pending [`Simulator::schedule_call`] closure (use
-    /// [`Simulator::schedule_forkable_call`] for calls that must survive a
-    /// fork), or an application whose [`Application::fork`] returns `None`.
+    /// cannot be cloned: a deployed ingress filter (an opaque `FnMut`) or
+    /// an application whose [`Application::fork`] returns `None`.
     pub fn fork(&self, map: &ForkMap) -> Result<Simulator, String> {
         if !self.filters.is_empty() {
             return Err(
@@ -1086,14 +1064,7 @@ impl Simulator {
                     .into(),
             );
         }
-        let queue = self.queue.try_clone_with(|time, seq, event| {
-            event.fork(map).ok_or_else(|| {
-                format!(
-                    "cannot fork: opaque Call closure pending at t={time}ns (seq {seq}); \
-                     schedule it with schedule_forkable_call instead"
-                )
-            })
-        })?;
+        let queue = self.queue.clone_with(|event| event.fork(map));
         let mut apps: Vec<Vec<Option<Box<dyn Application>>>> = Vec::with_capacity(self.apps.len());
         for (node_idx, slots) in self.apps.iter().enumerate() {
             let mut forked = Vec::with_capacity(slots.len());
@@ -1170,7 +1141,6 @@ impl Simulator {
                 self.process_tcp_actions(node, actions);
             }
             Event::SetNode { node, up } => self.set_node_admin(node, up),
-            Event::Call(f) => f(self),
             Event::Forkable(call) => call.call(self),
         }
     }
@@ -2107,12 +2077,14 @@ mod tests {
             }),
         );
         let b = h.b;
-        h.sim.schedule_call(SimTime::from_millis(500), move |sim| {
-            sim.set_node_admin(b, false);
-        });
-        h.sim.schedule_call(SimTime::from_millis(1200), move |sim| {
-            sim.set_node_admin(b, true);
-        });
+        for (at_ms, up) in [(500, false), (1200, true)] {
+            h.sim.schedule_forkable_call(
+                SimTime::from_millis(at_ms),
+                "test.set_node_admin",
+                (b, up),
+                |sim, (node, up)| sim.set_node_admin(node, up),
+            );
+        }
         h.sim.run_until(SimTime::from_secs(3));
         let s = h.sim.app_ref::<Sink>(sink).expect("sink");
         assert!(s.packets < 100, "some packets must be lost while down");

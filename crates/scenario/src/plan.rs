@@ -9,7 +9,7 @@
 use churn::ChurnMode;
 use ddosim_core::{AttackSpec, Recruitment, SimulationConfig, TopologyKind};
 use djson::Json;
-use faults::{check_schema, reject_unknown_fields, FaultPlan, PlanError};
+use faults::{check_schema, checked_secs, reject_unknown_fields, FaultPlan, PlanError};
 use protocols::AttackVector;
 use std::time::Duration;
 
@@ -180,48 +180,12 @@ fn opt_str<'a>(json: &'a Json, ctx: &str, field: &str) -> Result<Option<&'a str>
 
 /// Reads an optional `*_secs` field as a [`Duration`] (fractional ok).
 fn opt_secs(json: &Json, ctx: &str, field: &str) -> Result<Option<Duration>, PlanError> {
-    match opt_f64(json, ctx, field)? {
-        None => Ok(None),
-        Some(secs) if secs.is_finite() && secs >= 0.0 => Ok(Some(Duration::from_secs_f64(secs))),
-        Some(secs) => Err(PlanError::invalid(
-            DOC,
-            format!("{ctx}.{field} must be a non-negative number of seconds, got {secs}"),
-        )),
-    }
-}
-
-/// Parses the CLI-style recruitment spec (`memory-error`,
-/// `scanner:<fraction>`, `worm:<fraction>:<seeds>`).
-fn parse_recruitment(spec: &str) -> Result<Recruitment, PlanError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = |what: &str| PlanError::invalid(DOC, format!("world.recruitment: {what} in '{spec}'"));
-    match parts.as_slice() {
-        ["memory-error"] => Ok(Recruitment::MemoryError),
-        ["scanner", f] => Ok(Recruitment::CredentialScanner {
-            default_credential_fraction: f.parse().map_err(|_| bad("bad credential fraction"))?,
-        }),
-        ["worm", f, s] => Ok(Recruitment::SelfPropagating {
-            default_credential_fraction: f.parse().map_err(|_| bad("bad credential fraction"))?,
-            seeds: s.parse().map_err(|_| bad("bad seed count"))?,
-        }),
-        _ => Err(bad("unknown recruitment mode")),
-    }
-}
-
-/// Parses the CLI-style topology spec (`star`, `wifi`,
-/// `tiered:<regions>:<uplink_bps>`).
-fn parse_topology(spec: &str) -> Result<TopologyKind, PlanError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = || PlanError::invalid(DOC, format!("world.topology: unknown spec '{spec}'"));
-    match parts.as_slice() {
-        ["star"] => Ok(TopologyKind::Star),
-        ["wifi"] => Ok(TopologyKind::Wifi),
-        ["tiered", r, bps] => Ok(TopologyKind::Tiered {
-            regions: r.parse().map_err(|_| bad())?,
-            region_uplink_bps: bps.parse().map_err(|_| bad())?,
-        }),
-        _ => Err(bad()),
-    }
+    opt_f64(json, ctx, field)?
+        .map(|secs| {
+            checked_secs(&format!("{ctx}.{field}"), secs, true)
+                .map_err(|m| PlanError::invalid(DOC, m))
+        })
+        .transpose()
 }
 
 /// Applies `scenario.world` overrides onto the default configuration.
@@ -240,23 +204,17 @@ fn apply_world(config: &mut SimulationConfig, world: &Json) -> Result<(), PlanEr
         config.attack_at = t;
     }
     if let Some(spec) = opt_str(world, "world", "recruitment")? {
-        config.recruitment = parse_recruitment(spec)?;
+        config.recruitment = Recruitment::parse(spec)
+            .map_err(|m| PlanError::invalid(DOC, format!("world.recruitment: {m}")))?;
     }
     if let Some(mode) = opt_str(world, "world", "churn")? {
-        config.churn = match mode {
-            "none" => ChurnMode::None,
-            "static" => ChurnMode::Static,
-            "dynamic" => ChurnMode::Dynamic,
-            other => {
-                return Err(PlanError::invalid(
-                    DOC,
-                    format!("world.churn: unknown mode '{other}'"),
-                ))
-            }
-        };
+        config.churn = ChurnMode::parse(mode).ok_or_else(|| {
+            PlanError::invalid(DOC, format!("world.churn: unknown churn mode '{mode}'"))
+        })?;
     }
     if let Some(spec) = opt_str(world, "world", "topology")? {
-        config.topology = parse_topology(spec)?;
+        config.topology = TopologyKind::parse(spec)
+            .map_err(|m| PlanError::invalid(DOC, format!("world.topology: {m}")))?;
     }
     if let Some(rate) = opt_f64(world, "world", "reboot_rate_per_min")? {
         if !rate.is_finite() || rate < 0.0 {
@@ -674,9 +632,11 @@ mod tests {
                 "missing 'name'",
             ),
             (minimal(r#","world":{"devz":5}"#), "unknown field 'devz' in scenario.world"),
-            (minimal(r#","world":{"churn":"sometimes"}"#), "unknown mode"),
-            (minimal(r#","world":{"recruitment":"worm:0.5"}"#), "unknown recruitment mode"),
-            (minimal(r#","world":{"topology":"mesh"}"#), "unknown spec"),
+            (minimal(r#","world":{"churn":"sometimes"}"#), "unknown churn mode"),
+            (minimal(r#","world":{"recruitment":"worm:0.5"}"#), "unknown recruitment spec"),
+            (minimal(r#","world":{"topology":"mesh"}"#), "unknown topology spec"),
+            (minimal(r#","world":{"sim_time_secs":1e20}"#), "world.sim_time_secs"),
+            (minimal(r#","attack":{"duration_secs":1e20}"#), "attack.duration_secs"),
             (minimal(r#","attack":{"vector":"teardrop"}"#), "unknown vector"),
             (minimal(r#","attack":{"port":70000}"#), "exceeds 65535"),
             (minimal(r#","defenses":[{"at_secs":1}]"#), "missing 'kind'"),

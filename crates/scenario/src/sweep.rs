@@ -7,16 +7,14 @@
 //! count), and every cell of a replicate runs under the same pinned
 //! [`RngPlan`] — identical world, event, and fault streams — so
 //! cell-to-cell differences are the defense's effect, not reseeded noise.
-//! Rows stream back as workers finish, like
-//! [`ddosim_core::try_run_configs_streamed`].
+//! Rows run on the workspace's one sweep pool
+//! ([`ddosim_core::experiment::run_rows`]) and stream back as workers
+//! finish, like [`ddosim_core::try_run_configs_streamed`].
 
 use crate::plan::{DefenseSpec, ScenarioPlan};
-use ddosim_core::{
-    install_location_hook, panic_message, take_panic_location, Ddosim, RngPlan, RunResult,
-};
+use ddosim_core::{experiment::run_rows, Ddosim, RngPlan, RunResult};
 use djson::Json;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use faults::{check_schema, reject_unknown_fields, PlanError};
 use std::time::Duration;
 
 /// One cell of a defense-parameter grid: a label naming the parameters
@@ -191,62 +189,29 @@ pub fn run_grid_streamed(
     mut on_row: impl FnMut(usize, u64, &Result<RunResult, String>),
 ) -> Vec<CellOutcome> {
     let reps = replicates.max(1) as usize;
-    let jobs: Vec<(usize, u64)> = (0..cells.len())
-        .flat_map(|c| (0..reps as u64).map(move |r| (c, r)))
-        .collect();
-    let n = jobs.len();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n.max(1));
-    install_location_hook();
-    let next = AtomicUsize::new(0);
-    let mut rows: Vec<Option<Result<RunResult, String>>> = (0..n).map(|_| None).collect();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<RunResult, String>)>();
-    std::thread::scope(|scope| {
-        let jobs = &jobs;
-        let next = &next;
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= n {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let mut plan = cells[c].plan.clone();
-                plan.pin_noise(base_seed + r, RngPlan::pinned(base_seed + r));
-                let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                    plan.build().map(Ddosim::run_to_completion)
-                })) {
-                    Ok(Ok(result)) => Ok(result),
-                    Ok(Err(msg)) => {
-                        Err(format!("cell {c} replicate {r} invalid: {msg}"))
-                    }
-                    Err(payload) => Err(format!(
-                        "cell {c} replicate {r} panicked{}: {}",
-                        take_panic_location(),
-                        panic_message(&*payload)
-                    )),
-                };
-                if tx.send((j, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (j, outcome) in rx {
-            let (c, r) = jobs[j];
-            on_row(c, r, &outcome);
-            rows[j] = Some(outcome);
-        }
-    });
-    let mut rows = rows.into_iter().map(|r| r.expect("every job produced"));
+    // Row j is replicate `j % reps` of cell `j / reps`.
+    let name = |j: usize| format!("cell {} replicate {}", j / reps, j % reps);
+    let mut rows = run_rows(
+        cells.len() * reps,
+        name,
+        |j| {
+            let noise = base_seed + (j % reps) as u64;
+            let mut plan = cells[j / reps].plan.clone();
+            plan.pin_noise(noise, RngPlan::pinned(noise));
+            Ok(plan)
+        },
+        |j, plan| {
+            plan.build()
+                .map(Ddosim::run_to_completion)
+                .map_err(|msg| format!("{} invalid: {msg}", name(j)))
+        },
+        |j, outcome| on_row(j / reps, (j % reps) as u64, outcome),
+    )
+    .into_iter();
     cells
         .iter()
         .map(|cell| {
-            let cell_rows: Vec<Result<RunResult, String>> =
-                (&mut rows).take(reps).collect();
+            let cell_rows: Vec<Result<RunResult, String>> = rows.by_ref().take(reps).collect();
             let mean = |f: fn(&RunResult) -> f64| {
                 let ok: Vec<f64> = cell_rows.iter().flatten().map(f).collect();
                 if ok.is_empty() {
@@ -297,81 +262,67 @@ impl SweepGridPlan {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending field.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| format!("sweep grid plan: {e}"))?;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != SWEEPGRID_SCHEMA {
-            return Err(format!(
-                "sweep grid plan: schema must be '{SWEEPGRID_SCHEMA}', got '{schema}'"
-            ));
-        }
-        let axis = doc
-            .get("axis")
-            .and_then(Json::as_str)
-            .ok_or("sweep grid plan: missing 'axis'")?
-            .to_owned();
-        let (axis_a, axis_b) = match axis.as_str() {
-            "rate_limit" => ("rates_bps", "deploy_at_secs"),
-            "patch_rollout" => ("waves", "wave_interval_secs"),
-            "cnc_takedown" => ("at_secs", "backups"),
+    /// A typed [`PlanError`] naming the offending field.
+    pub fn parse(text: &str) -> Result<Self, PlanError> {
+        const DOC: &str = "sweep grid plan";
+        let invalid = |m: String| PlanError::invalid(DOC, m);
+        let doc = Json::parse(text).map_err(|e| PlanError::syntax(DOC, e))?;
+        check_schema(&doc, DOC, SWEEPGRID_SCHEMA)?;
+        let str_field = |field: &str| {
+            doc.get(field)
+                .and_then(Json::as_str)
+                .ok_or_else(|| invalid(format!("missing '{field}'")))
+        };
+        let axis = str_field("axis")?;
+        type Expand = fn(&ScenarioPlan, &[u64], &[u64]) -> Result<Vec<GridCell>, String>;
+        let (axis_a, axis_b, expand): (_, _, Expand) = match axis {
+            "rate_limit" => ("rates_bps", "deploy_at_secs", rate_limit_grid),
+            "patch_rollout" => ("waves", "wave_interval_secs", |base, waves, secs| {
+                let waves: Vec<u32> = waves.iter().map(|&w| w as u32).collect();
+                patch_rollout_grid(base, &waves, secs)
+            }),
+            "cnc_takedown" => ("at_secs", "backups", |base, at, backups| {
+                let backups: Vec<u16> = backups.iter().map(|&n| n as u16).collect();
+                takedown_grid(base, at, &backups)
+            }),
             other => {
-                return Err(format!(
-                    "sweep grid plan: unknown axis '{other}' \
-                     (rate_limit | patch_rollout | cnc_takedown)"
-                ))
+                return Err(invalid(format!(
+                    "unknown axis '{other}' (rate_limit | patch_rollout | cnc_takedown)"
+                )))
             }
         };
-        let known =
-            ["schema", "name", "axis", "replicates", "base_seed", "base", axis_a, axis_b];
-        if let Json::Obj(members) = &doc {
-            for (key, _) in members {
-                if !known.contains(&key.as_str()) {
-                    return Err(format!("sweep grid plan: unknown field '{key}'"));
-                }
-            }
-        }
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("sweep grid plan: missing 'name'")?
-            .to_owned();
-        let u64s = |field: &str| -> Result<Vec<u64>, String> {
+        reject_unknown_fields(
+            &doc,
+            DOC,
+            DOC,
+            &["schema", "name", "axis", "replicates", "base_seed", "base", axis_a, axis_b],
+        )?;
+        let u64s = |field: &str| -> Result<Vec<u64>, PlanError> {
             let arr = doc
                 .get(field)
                 .and_then(Json::as_array)
-                .ok_or_else(|| format!("sweep grid plan: '{field}' must be an array"))?;
+                .ok_or_else(|| invalid(format!("'{field}' must be an array")))?;
             if arr.is_empty() {
-                return Err(format!("sweep grid plan: '{field}' must not be empty"));
+                return Err(invalid(format!("'{field}' must not be empty")));
             }
             arr.iter()
                 .map(|v| {
-                    v.as_u64().ok_or_else(|| {
-                        format!("sweep grid plan: '{field}' entries must be unsigned integers")
-                    })
+                    v.as_u64()
+                        .ok_or_else(|| invalid(format!("'{field}' entries must be unsigned integers")))
                 })
                 .collect()
         };
-        let base_json = doc.get("base").ok_or("sweep grid plan: missing 'base'")?;
+        let base_json = doc.get("base").ok_or_else(|| invalid("missing 'base'".to_owned()))?;
         let base = ScenarioPlan::parse(&base_json.to_string_compact())
-            .map_err(|e| format!("sweep grid plan: base: {}", String::from(e)))?;
-        let a = u64s(axis_a)?;
-        let b = u64s(axis_b)?;
-        let cells = match axis.as_str() {
-            "rate_limit" => rate_limit_grid(&base, &a, &b)?,
-            "patch_rollout" => {
-                let waves: Vec<u32> = a.iter().map(|&w| w as u32).collect();
-                patch_rollout_grid(&base, &waves, &b)?
-            }
-            "cnc_takedown" => {
-                let backups: Vec<u16> = b.iter().map(|&n| n as u16).collect();
-                takedown_grid(&base, &a, &backups)?
-            }
-            _ => unreachable!("axis validated above"),
-        };
-        let replicates = doc.get("replicates").and_then(Json::as_u64).unwrap_or(1).max(1);
-        let base_seed = doc.get("base_seed").and_then(Json::as_u64).unwrap_or(42);
-        Ok(SweepGridPlan { name, base, cells, replicates, base_seed })
+            .map_err(|e| invalid(format!("base: {e}")))?;
+        let cells = expand(&base, &u64s(axis_a)?, &u64s(axis_b)?).map_err(invalid)?;
+        Ok(SweepGridPlan {
+            name: str_field("name")?.to_owned(),
+            base,
+            cells,
+            replicates: doc.get("replicates").and_then(Json::as_u64).unwrap_or(1).max(1),
+            base_seed: doc.get("base_seed").and_then(Json::as_u64).unwrap_or(42),
+        })
     }
 }
 
@@ -484,9 +435,56 @@ mod tests {
             (grid_doc("").replace("[16000, 64000]", "[\"fast\"]"), "unsigned"),
             (grid_doc("").replace("ddosim.scenario/1", "nope/1"), "base"),
         ] {
-            let err = SweepGridPlan::parse(&doc).expect_err("must reject");
+            let err = SweepGridPlan::parse(&doc).expect_err("must reject").to_string();
             assert!(err.contains(fragment), "error {err:?} does not mention {fragment:?}");
         }
+    }
+
+    fn repr(row: &Result<RunResult, String>) -> String {
+        match row {
+            Ok(res) => res.to_deterministic_json().to_string_compact(),
+            Err(e) => e.clone(),
+        }
+    }
+
+    #[test]
+    fn defenseless_grid_cell_equals_the_config_sweep_row() {
+        // The grid path (plan → build → run) and the configuration path
+        // (config → Ddosim::new → run) share the pool; with no defenses to
+        // install they must also share every result byte.
+        let plan = small_plan("");
+        let cells = [GridCell { label: "plain".to_owned(), plan: plan.clone() }];
+        let grid = run_grid_streamed(&cells, 2, 7, |_, _, _| {});
+        let configs = (7..9)
+            .map(|noise| ddosim_core::SimulationConfig {
+                seed: noise,
+                rng: RngPlan::pinned(noise),
+                ..plan.config()
+            })
+            .collect();
+        let rows = ddosim_core::try_run_configs_streamed(configs, |_, _| {});
+        assert_eq!(grid[0].rows.len(), rows.len());
+        for (r, (cell_row, config_row)) in grid[0].rows.iter().zip(&rows).enumerate() {
+            assert!(cell_row.is_ok(), "replicate {r}: {}", repr(cell_row));
+            assert_eq!(repr(cell_row), repr(config_row), "replicate {r}");
+        }
+    }
+
+    #[test]
+    fn wide_grid_reports_every_row_within_the_pool_bound() {
+        // Many more rows than threads: the pool's live-job assertion
+        // (2 × threads + 2) holds for this caller too.
+        let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        let reps = (threads * 4 + 2) as u64;
+        let cells = [GridCell { label: "plain".to_owned(), plan: small_plan("") }];
+        let mut reported = vec![false; reps as usize];
+        let outcomes = run_grid_streamed(&cells, reps, 7, |c, r, outcome| {
+            assert_eq!(c, 0);
+            assert!(outcome.is_ok(), "replicate {r}: {}", repr(outcome));
+            assert!(!std::mem::replace(&mut reported[r as usize], true), "replicate {r} twice");
+        });
+        assert_eq!(outcomes[0].rows.len(), reps as usize);
+        assert!(reported.iter().all(|&seen| seen));
     }
 
     #[test]
@@ -501,17 +499,10 @@ mod tests {
         let a = run_grid_streamed(&cells, 2, 7, |c, r, outcome| {
             let slot = &mut streamed[c * 2 + r as usize];
             assert!(slot.is_none(), "cell {c} rep {r} delivered twice");
-            *slot = Some(match outcome {
-                Ok(res) => res.to_deterministic_json().to_string_compact(),
-                Err(e) => e.clone(),
-            });
+            *slot = Some(repr(outcome));
         });
         let b = run_grid_streamed(&cells, 2, 7, |_, _, _| {});
         assert_eq!(a.len(), 2);
-        let repr = |row: &Result<RunResult, String>| match row {
-            Ok(res) => res.to_deterministic_json().to_string_compact(),
-            Err(e) => e.clone(),
-        };
         for (cell_a, cell_b) in a.iter().zip(&b) {
             for (ra, rb) in cell_a.rows.iter().zip(&cell_b.rows) {
                 assert_eq!(repr(ra), repr(rb), "re-run must reproduce the sweep");

@@ -122,10 +122,7 @@ pub fn parse_request(line: &str) -> Result<Action, String> {
                 Some(v) => {
                     let secs =
                         v.as_f64().ok_or("field 'metrics_interval_secs' is not a number")?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("field 'metrics_interval_secs' must be positive".to_owned());
-                    }
-                    Some(Duration::from_secs_f64(secs))
+                    Some(ddosim_core::checked_secs("field 'metrics_interval_secs'", secs, false)?)
                 }
             };
             let spec = match (json.get("scenario"), json.get("config")) {
@@ -331,7 +328,8 @@ mod tests {
             (submit_line(r#","frobnicate":1"#), "unknown field 'frobnicate'"),
             (submit_line(r#","id":"""#), "1..=128 characters"),
             (submit_line(r#","record":"yes""#), "'record' is not a boolean"),
-            (submit_line(r#","metrics_interval_secs":0"#), "must be positive"),
+            (submit_line(r#","metrics_interval_secs":0"#), "'metrics_interval_secs' must be a positive"),
+            (submit_line(r#","metrics_interval_secs":1e20"#), "'metrics_interval_secs' must be a positive"),
             (submit_line(r#","metrics_interval_secs":"soon""#), "is not a number"),
             (
                 r#"{"schema":"ddosim.serve/1","action":"submit","scenario":{"schema":"nope"}}"#

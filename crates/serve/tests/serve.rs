@@ -188,15 +188,23 @@ fn malformed_and_oversized_lines_get_error_frames_then_service_resumes() {
     let (addr, handle) = start_server(1);
     let mut stream = TcpStream::connect(addr).expect("connect");
     // 1: not JSON at all. 2: an oversized line (beyond the 4 MiB frame
-    // limit). 3: a JSON document that is not a valid request. 4: a real
-    // submission — the connection must still work.
+    // limit). 3: a JSON document that is not a valid request. 4: a
+    // submission whose sampling interval overflows a Duration (it used to
+    // panic the connection thread, outside any per-job isolation). 5: a
+    // real submission — the connection must still work.
     let oversized = "x".repeat(serve::MAX_LINE_BYTES + 16);
     let submit_line = format!(
         r#"{{"schema":"ddosim.serve/1","action":"submit","id":"ok","scenario":{}}}"#,
         PLAN.replace('\n', " ")
     );
+    let overflowing = submit_line.replace(r#""id":"ok""#, r#""metrics_interval_secs":1e20"#);
     stream
-        .write_all(format!("this is not json\n{oversized}\n{{\"schema\":1}}\n{submit_line}\n").as_bytes())
+        .write_all(
+            format!(
+                "this is not json\n{oversized}\n{{\"schema\":1}}\n{overflowing}\n{submit_line}\n"
+            )
+            .as_bytes(),
+        )
         .and_then(|()| stream.flush())
         .expect("write");
 
@@ -205,11 +213,11 @@ fn malformed_and_oversized_lines_get_error_frames_then_service_resumes() {
     });
     let kinds: Vec<&str> = frames.iter().map(kind).collect();
     assert_eq!(
-        kinds[..3],
-        ["error", "error", "error"],
+        kinds[..4],
+        ["error", "error", "error", "error"],
         "each bad line answers with an error frame; got {kinds:?}"
     );
-    let messages: Vec<&str> = frames[..3]
+    let messages: Vec<&str> = frames[..4]
         .iter()
         .map(|f| f.get("error").and_then(Json::as_str).unwrap_or("?"))
         .collect();
@@ -217,7 +225,11 @@ fn malformed_and_oversized_lines_get_error_frames_then_service_resumes() {
         messages[1].contains("byte frame limit"),
         "the oversized line names the limit; errors: {messages:?}"
     );
-    for f in &frames[..3] {
+    assert!(
+        messages[3].contains("metrics_interval_secs"),
+        "the overflowing interval names its field; errors: {messages:?}"
+    );
+    for f in &frames[..4] {
         assert!(f.get("job").expect("error frames carry a job field").is_null());
     }
     // The real submission then runs to completion on the same connection.

@@ -25,6 +25,9 @@
 #                --record (trace diff + cmp); malformed submissions must
 #                exit non-zero without taking the server down, and a
 #                protocol shutdown must drain to a clean exit
+#   bench        the repo benchmark package (bench/, its own workspace,
+#                invisible to `cargo test` at the root) still compiles
+#                against the product API and passes its own tests
 #
 #   usage: scripts/ci.sh [stage ...]    (no args = all stages, in order)
 #
@@ -327,7 +330,11 @@ stage_serve() {
     wait "$serve_pid"
 }
 
-ALL_STAGES="build test perf determinism checkpoint serve"
+stage_bench() {
+    cargo test --release --offline --manifest-path bench/Cargo.toml
+}
+
+ALL_STAGES="build test perf determinism checkpoint serve bench"
 summary=""
 
 run_stage() {
@@ -359,6 +366,7 @@ fi
 
 echo "==> summary"
 printf '%s' "$summary"
+scripts/size.sh
 if [ -n "${CI_ARTIFACT_DIR:-}" ]; then
     mkdir -p "$CI_ARTIFACT_DIR"
     printf '%s' "$summary" > "$CI_ARTIFACT_DIR/stage-timings.txt"

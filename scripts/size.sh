@@ -1,0 +1,20 @@
+#!/usr/bin/env sh
+# Tracked size numbers (ROADMAP: "Net LoC and public-API size are tracked
+# numbers"): non-test Rust lines and `pub fn` count over crates/*/src and
+# src/. A file's test code is everything from its first unindented
+# `#[cfg(test)]` line on (unit-test modules close their files throughout
+# this workspace); tests/, benches/ and examples/ directories are not counted.
+#
+#   usage: scripts/size.sh [checkout-root]
+set -eu
+
+cd "${1:-$(dirname "$0")/..}"
+
+find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests { next }
+    { lines++ }
+    /^[[:space:]]*pub fn / { fns++ }
+    END { printf "non-test Rust lines: %d\npub fn: %d\n", lines, fns }
+'

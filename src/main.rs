@@ -182,6 +182,13 @@ const WORLD_FLAGS: &[&str] = &[
     "--reboot-rate", "--faults", "--seed", "--capture-filter", "--metrics-interval",
 ];
 
+/// Parses a `<SECS>` flag value (fractional ok) into a checked duration;
+/// errors name `flag`.
+fn secs_flag(flag: &str, text: &str, zero_ok: bool) -> Result<Duration, String> {
+    let secs: f64 = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    ddosim::checked_secs(flag, secs, zero_ok)
+}
+
 /// Parses `ddosim serve ...` (everything after the subcommand word).
 fn parse_serve(args: &[String]) -> Result<Cli, String> {
     let mut opts = ddosim::serve::ServeOptions::default();
@@ -195,13 +202,8 @@ fn parse_serve(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--listen" => opts.listen = value("--listen")?,
             "--idle-timeout" => {
-                let secs: f64 = value("--idle-timeout")?
-                    .parse()
-                    .map_err(|e| format!("serve: --idle-timeout: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("serve: --idle-timeout: must be positive".to_owned());
-                }
-                opts.idle_timeout = Some(Duration::from_secs_f64(secs));
+                opts.idle_timeout =
+                    Some(secs_flag("serve: --idle-timeout", &value("--idle-timeout")?, false)?);
             }
             "--workers" => {
                 let n: usize = value("--workers")?
@@ -255,13 +257,9 @@ fn parse_submit(args: &[String]) -> Result<Cli, String> {
             "--id" => cli.id = Some(value("--id")?),
             "--record" => cli.record_out = Some(value("--record")?),
             "--metrics-interval" => {
-                let secs: f64 = value("--metrics-interval")?
-                    .parse()
-                    .map_err(|e| format!("submit: --metrics-interval: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("submit: --metrics-interval: must be positive".to_owned());
-                }
-                cli.metrics_interval_secs = Some(secs);
+                let interval =
+                    secs_flag("submit: --metrics-interval", &value("--metrics-interval")?, false)?;
+                cli.metrics_interval_secs = Some(interval.as_secs_f64());
             }
             "--follow" => cli.follow = true,
             "--json" => cli.json = true,
@@ -349,12 +347,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--devs" => builder = builder.devs(value("--devs")?.parse().map_err(|e| format!("--devs: {e}"))?),
             "--churn" => {
-                builder = builder.churn(match value("--churn")?.as_str() {
-                    "none" => ChurnMode::None,
-                    "static" => ChurnMode::Static,
-                    "dynamic" => ChurnMode::Dynamic,
-                    other => return Err(format!("unknown churn mode: {other}")),
-                })
+                let v = value("--churn")?;
+                builder = builder
+                    .churn(ChurnMode::parse(&v).ok_or(format!("unknown churn mode: {v}"))?);
             }
             "--vector" => {
                 let v = value("--vector")?;
@@ -388,23 +383,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 builder = builder.access_rate_kbps(lo..=hi);
             }
             "--recruitment" => {
-                let v = value("--recruitment")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                let r = match parts.as_slice() {
-                    ["memory-error"] => Recruitment::MemoryError,
-                    ["scanner", f] => Recruitment::CredentialScanner {
-                        default_credential_fraction: f
-                            .parse()
-                            .map_err(|e| format!("--recruitment scanner: {e}"))?,
-                    },
-                    ["worm", f, s] => Recruitment::SelfPropagating {
-                        default_credential_fraction: f
-                            .parse()
-                            .map_err(|e| format!("--recruitment worm: {e}"))?,
-                        seeds: s.parse().map_err(|e| format!("--recruitment worm: {e}"))?,
-                    },
-                    _ => return Err(format!("unknown recruitment spec: {v}")),
-                };
+                let r = Recruitment::parse(&value("--recruitment")?)
+                    .map_err(|e| format!("--recruitment {e}"))?;
                 builder = builder.recruitment(r);
             }
             "--strategy" => {
@@ -416,17 +396,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 })
             }
             "--topology" => {
-                let v = value("--topology")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                let t = match parts.as_slice() {
-                    ["star"] => ddosim::TopologyKind::Star,
-                    ["wifi"] => ddosim::TopologyKind::Wifi,
-                    ["tiered", r, bps] => ddosim::TopologyKind::Tiered {
-                        regions: r.parse().map_err(|e| format!("--topology: {e}"))?,
-                        region_uplink_bps: bps.parse().map_err(|e| format!("--topology: {e}"))?,
-                    },
-                    _ => return Err(format!("unknown topology spec: {v}")),
-                };
+                let t = ddosim::TopologyKind::parse(&value("--topology")?)
+                    .map_err(|e| format!("--topology {e}"))?;
                 builder = builder.topology(t);
             }
             "--reboot-rate" => {
@@ -450,37 +421,19 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .map_err(|e| format!("--capture-filter: {e}"))?;
             }
             "--metrics-interval" => {
-                let secs: f64 = value("--metrics-interval")?
-                    .parse()
-                    .map_err(|e| format!("--metrics-interval: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--metrics-interval: must be positive".to_owned());
-                }
-                telemetry.metrics_interval = Some(Duration::from_secs_f64(secs));
+                telemetry.metrics_interval =
+                    Some(secs_flag("--metrics-interval", &value("--metrics-interval")?, false)?);
             }
             "--metrics-out" => metrics_out = Some(value("--metrics-out")?),
             "--checkpoint-at" => {
-                let secs: f64 = value("--checkpoint-at")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-at: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--checkpoint-at: must be non-negative".to_owned());
-                }
-                checkpoint_at = Some(Duration::from_secs_f64(secs));
+                checkpoint_at =
+                    Some(secs_flag("--checkpoint-at", &value("--checkpoint-at")?, true)?);
             }
             "--checkpoint-out" => checkpoint_out = Some(value("--checkpoint-out")?),
             "--resume" => resume_path = Some(value("--resume")?),
             "--scenario" => scenario_path = Some(value("--scenario")?),
             "--suffixes" => suffixes_path = Some(value("--suffixes")?),
-            "--fork-at" => {
-                let secs: f64 = value("--fork-at")?
-                    .parse()
-                    .map_err(|e| format!("--fork-at: {e}"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--fork-at: must be non-negative".to_owned());
-                }
-                fork_at = Some(Duration::from_secs_f64(secs));
-            }
+            "--fork-at" => fork_at = Some(secs_flag("--fork-at", &value("--fork-at")?, true)?),
             "--sweep-seeds" => {
                 let n: u32 = value("--sweep-seeds")?
                     .parse()
@@ -686,7 +639,7 @@ fn run_scenario_tree(opts: RunOpts) -> Result<(), String> {
         }
     };
     world.run_prefix(plan.fork_at)?;
-    let outcomes = ddosim::run_suffixes_traced(&world, &plan.suffixes);
+    let outcomes = ddosim::run_suffixes_streamed(&world, &plan.suffixes, |_, _| {});
     let mut failures = 0usize;
     let mut rows = Vec::with_capacity(outcomes.len());
     for (spec, outcome) in plan.suffixes.iter().zip(&outcomes) {
@@ -1067,6 +1020,15 @@ mod tests {
             (&["--metrics-interval", "0"], "positive"),
             (&["--metrics-interval", "-3"], "positive"),
             (&["--metrics-interval", "soon"], "--metrics-interval"),
+            (&["--metrics-interval", "1e20"], "--metrics-interval must be"),
+            (&["--metrics-interval", "NaN"], "--metrics-interval must be"),
+            (&["--checkpoint-at", "1e20"], "--checkpoint-at must be"),
+            (&["--fork-at", "1e20", "--suffixes", "p.json"], "--fork-at must be"),
+            (&["serve", "--idle-timeout", "1e20"], "--idle-timeout must be"),
+            (
+                &["submit", "127.0.0.1:1", "--scenario", "p.json", "--metrics-interval", "1e20"],
+                "--metrics-interval must be",
+            ),
             (&["--faults"], "requires a value"),
             (&["--frobnicate"], "unknown option"),
             (&["trace", "diff", "only-one.json"], "trace diff"),

@@ -145,25 +145,27 @@ fn corrupted_checkpoint_fails_with_a_clear_error() {
     let (_, cp) = run_with_checkpoint(base(42, TopologyKind::Star), CHECKPOINT_AT);
     let text = cp.to_string_pretty();
 
+    let parse_err = |text: &str, why: &str| Checkpoint::parse(text).expect_err(why).to_string();
+
     // Truncated file (half the bytes): parse error, not a panic.
     let truncated = &text[..text.len() / 2];
-    let err = Checkpoint::parse(truncated).expect_err("truncated input accepted");
+    let err = parse_err(truncated, "truncated input accepted");
     assert!(err.contains("JSON"), "unhelpful truncation error: {err}");
 
     // Arbitrary corruption of the schema tag.
     let wrong_schema = text.replace("ddosim.checkpoint/1", "ddosim.checkpoint/9");
-    let err = Checkpoint::parse(&wrong_schema).expect_err("wrong schema accepted");
+    let err = parse_err(&wrong_schema, "wrong schema accepted");
     assert!(err.contains("schema"), "unhelpful schema error: {err}");
 
     // A renamed field: the strict parser reports the unknown name (and a
     // field deleted outright is reported as missing — either way the
     // message points at the offending key).
     let no_count = text.replace("\"events_recorded\"", "\"events\"");
-    let err = Checkpoint::parse(&no_count).expect_err("renamed field accepted");
+    let err = parse_err(&no_count, "renamed field accepted");
     assert!(err.contains("events"), "unhelpful field error: {err}");
 
     // Not JSON at all.
-    let err = Checkpoint::parse("not json").expect_err("garbage accepted");
+    let err = parse_err("not json", "garbage accepted");
     assert!(err.contains("JSON"), "unhelpful garbage error: {err}");
 }
 

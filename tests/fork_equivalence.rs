@@ -107,7 +107,7 @@ fn fault_plan_fork_is_byte_identical_to_straight_through() {
 }
 
 /// The worker-pool path must preserve equivalence too: an identity suffix
-/// fanned out through `run_suffixes_traced` returns the straight-through
+/// fanned out through `run_suffixes_streamed` returns the straight-through
 /// trace, while a reseeded sibling in the same sweep diverges.
 #[test]
 fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
@@ -116,9 +116,10 @@ fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
     parent.run_prefix(FORK_AT).expect("prefix runs");
     let mut diverged = SuffixSpec::identity("diverged");
     diverged.fork_seed = 7;
-    let rows = ddosim::run_suffixes_traced(
+    let rows = ddosim::run_suffixes_streamed(
         &parent,
         &[SuffixSpec::identity("baseline"), diverged],
+        |_, _| {},
     );
     let trace = |i: usize| {
         rows[i]

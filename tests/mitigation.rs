@@ -29,10 +29,10 @@ fn rate_limiter_at_the_upstream_router_mitigates_the_flood() {
     // itself a defense result this framework can surface).
     let mut defended = scenario();
     let fabric = defended.fabric_node();
-    defended.sim_mut().schedule_call(
-        netsim::SimTime::from_secs(29),
-        move |sim| sim.set_ingress_filter(fabric, RateLimiter::default().into_filter()),
-    );
+    defended.run_prefix(Duration::from_secs(29)).expect("prefix runs");
+    defended
+        .sim_mut()
+        .push_node_filter(fabric, RateLimiter::default().into_rule());
     let defended = defended.run_to_completion();
 
     assert_eq!(defended.infected, undefended.infected, "recruitment unaffected");
@@ -54,16 +54,15 @@ fn rate_limiter_at_the_upstream_router_mitigates_the_flood() {
 fn filter_drops_are_accounted() {
     let mut defended = scenario();
     let fabric = defended.fabric_node();
-    defended.sim_mut().schedule_call(netsim::SimTime::from_secs(29), move |sim| {
-        sim.set_ingress_filter(
-            fabric,
-            RateLimiter {
-                rate_bps: 32_000,
-                burst_bytes: 8 * 1024,
-            }
-            .into_filter(),
-        );
-    });
+    defended.run_prefix(Duration::from_secs(29)).expect("prefix runs");
+    defended.sim_mut().push_node_filter(
+        fabric,
+        RateLimiter {
+            rate_bps: 32_000,
+            burst_bytes: 8 * 1024,
+        }
+        .into_rule(),
+    );
     defended.run_until(Duration::from_secs(62));
     let filtered = defended.sim_mut().stats().dropped_filtered;
     assert!(filtered > 1000, "flood packets must be filtered, got {filtered}");
