@@ -159,6 +159,16 @@ impl LogisticRegression {
     pub fn predict(&self, features: &[f64]) -> bool {
         self.predict_probability(features) >= 0.5
     }
+
+    /// Folds the trained parameters into a checkpoint digest.
+    pub(crate) fn state_digest(&self, h: &mut netsim::StateHasher) {
+        let Standardizer { mean, std } = &self.standardizer;
+        h.write_usize(self.weights.len());
+        for v in self.weights.iter().chain(mean).chain(std) {
+            h.write_f64(*v);
+        }
+        h.write_f64(self.bias);
+    }
 }
 
 use rand::SeedableRng;

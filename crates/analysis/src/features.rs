@@ -52,13 +52,13 @@ impl FlowFeatures {
 }
 
 /// Aggregates delivered-packet trace records into per-source windows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     window: Duration,
     acc: BTreeMap<(IpAddr, u64), Acc>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Acc {
     sizes: Vec<f64>,
     times: Vec<f64>,
@@ -93,6 +93,25 @@ impl FeatureExtractor {
         acc.ports.insert(record.dst.port());
         if record.proto == TransportProto::Udp {
             acc.udp += 1;
+        }
+    }
+
+    /// Folds the accumulated observations into a checkpoint digest.
+    pub(crate) fn state_digest(&self, h: &mut netsim::StateHasher) {
+        h.write_usize(self.acc.len());
+        for ((src, window), acc) in &self.acc {
+            h.write_ip(*src);
+            h.write_u64(*window);
+            h.write_usize(acc.sizes.len());
+            for (size, time) in acc.sizes.iter().zip(&acc.times) {
+                h.write_f64(*size);
+                h.write_f64(*time);
+            }
+            h.write_usize(acc.ports.len());
+            for port in &acc.ports {
+                h.write_u32(u32::from(*port));
+            }
+            h.write_u64(acc.udp);
         }
     }
 

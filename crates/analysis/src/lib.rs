@@ -10,7 +10,7 @@
 //! * **Benign traffic generation**: [`BenignClient`] produces the "normal
 //!   traffic to TServer" the defense use case mixes with attack traffic.
 //! * **Deployable mitigations**: [`RateLimiter`] and [`ModelFilter`]
-//!   build `netsim` ingress filters so defenses can be *deployed inside*
+//!   build `netsim` filter rules so defenses can be *deployed inside*
 //!   the simulation and their effectiveness measured (§I).
 //! * **Epidemic models of botnet spread** (§V-A2): SI/SIR ODE integrators
 //!   ([`epidemic`]), plus fitting of the contact rate β to DDoSim's

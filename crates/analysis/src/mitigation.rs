@@ -9,13 +9,15 @@
 //!   mitigation), deployed as a structured [`netsim::FilterRule`];
 //! * [`ModelFilter`] — drops traffic from sources a trained
 //!   [`LogisticRegression`] detector flags, re-scoring each source every
-//!   window (an ML-in-the-loop defense), deployed as an [`IngressFilter`]
-//!   closure.
+//!   window (an ML-in-the-loop defense), deployed as a
+//!   [`netsim::FilterRule::Custom`].
 
 use crate::classify::LogisticRegression;
 use crate::features::{FeatureExtractor, FlowFeatures};
-use netsim::{FilterVerdict, IngressFilter, Packet, SimTime, TraceKind, TraceRecord};
-use std::collections::HashMap;
+use netsim::{
+    FilterVerdict, Packet, PacketFilter, SimTime, StateHasher, TraceKind, TraceRecord,
+};
+use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::time::Duration;
 
@@ -53,61 +55,88 @@ impl RateLimiter {
 /// An ML-in-the-loop filter: accumulates per-source flow features over a
 /// window, scores each source with the trained detector at the window
 /// boundary, and drops packets from flagged sources in the next window.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ModelFilter {
     /// The trained detector.
-    pub model: LogisticRegression,
-    /// Scoring window.
-    pub window: Duration,
+    model: LogisticRegression,
+    window: Duration,
     /// Probability threshold above which a source is blocked.
-    pub threshold: f64,
+    threshold: f64,
+    /// What the current window has seen so far.
+    extractor: FeatureExtractor,
+    /// Sources flagged at the last window boundary.
+    blocked: BTreeSet<IpAddr>,
+    current_window: u64,
 }
 
 impl ModelFilter {
-    /// Builds the deployable filter.
-    pub fn into_filter(self) -> IngressFilter {
-        let ModelFilter {
+    /// A filter that scores sources every `window` and blocks those the
+    /// model rates at or above `threshold`.
+    pub fn new(model: LogisticRegression, window: Duration, threshold: f64) -> Self {
+        ModelFilter {
             model,
             window,
             threshold,
-        } = self;
-        let mut extractor = FeatureExtractor::new(window);
-        let mut blocked: HashMap<IpAddr, bool> = HashMap::new();
-        let mut current_window: u64 = 0;
-        let window_secs = window.as_secs_f64();
-        Box::new(move |packet: &Packet, now: SimTime| {
-            let w = (now.as_secs_f64() / window_secs) as u64;
-            if w > current_window {
-                // Window rolled over: score what we saw and reset.
-                let features = std::mem::replace(&mut extractor, FeatureExtractor::new(window))
-                    .finish();
-                blocked.clear();
-                for f in features {
-                    let p = model.predict_probability(&f.vector());
-                    if p >= threshold {
-                        blocked.insert(f.src, true);
-                    }
-                }
-                current_window = w;
-            }
-            // Record this packet for the next scoring round (as a
-            // delivered-at-this-node observation).
-            extractor.push(&TraceRecord {
-                time: now,
-                kind: TraceKind::Delivered,
-                node: netsim::NodeId::from_index(0),
-                packet_id: packet.id,
-                src: packet.src,
-                dst: packet.dst,
-                proto: packet.proto,
-                wire_bytes: packet.wire_bytes(),
-            });
-            if blocked.contains_key(&packet.src.ip()) {
-                FilterVerdict::Drop
-            } else {
-                FilterVerdict::Allow
-            }
-        })
+            extractor: FeatureExtractor::new(window),
+            blocked: BTreeSet::new(),
+            current_window: 0,
+        }
+    }
+
+    /// Builds the deployable rule for
+    /// [`netsim::Simulator::push_node_filter`].
+    pub fn into_rule(self) -> netsim::FilterRule {
+        netsim::FilterRule::Custom(Box::new(self))
+    }
+}
+
+impl PacketFilter for ModelFilter {
+    fn verdict(&mut self, packet: &Packet, now: SimTime) -> FilterVerdict {
+        let w = (now.as_secs_f64() / self.window.as_secs_f64()) as u64;
+        if w > self.current_window {
+            // Window rolled over: score what we saw and reset.
+            let seen = std::mem::replace(&mut self.extractor, FeatureExtractor::new(self.window));
+            self.blocked = seen
+                .finish()
+                .into_iter()
+                .filter(|f| self.model.predict_probability(&f.vector()) >= self.threshold)
+                .map(|f| f.src)
+                .collect();
+            self.current_window = w;
+        }
+        // Record this packet for the next scoring round (as a
+        // delivered-at-this-node observation).
+        self.extractor.push(&TraceRecord {
+            time: now,
+            kind: TraceKind::Delivered,
+            node: netsim::NodeId::from_index(0),
+            packet_id: packet.id,
+            src: packet.src,
+            dst: packet.dst,
+            proto: packet.proto,
+            wire_bytes: packet.wire_bytes(),
+        });
+        if self.blocked.contains(&packet.src.ip()) {
+            FilterVerdict::Drop
+        } else {
+            FilterVerdict::Allow
+        }
+    }
+
+    fn fork(&self) -> Box<dyn PacketFilter> {
+        Box::new(self.clone())
+    }
+
+    fn state_digest(&self, h: &mut StateHasher) {
+        self.model.state_digest(h);
+        h.write_u64(self.window.as_nanos() as u64);
+        h.write_f64(self.threshold);
+        self.extractor.state_digest(h);
+        h.write_usize(self.blocked.len());
+        for src in &self.blocked {
+            h.write_ip(*src);
+        }
+        h.write_u64(self.current_window);
     }
 }
 
@@ -258,12 +287,10 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
         let model =
             LogisticRegression::train(&synthetic_dataset(200, &mut rng), TrainConfig::default());
-        let mut f = ModelFilter {
-            model,
-            window: Duration::from_secs(1),
-            threshold: 0.5,
-        }
-        .into_filter();
+        let mut stack = netsim::FilterStack::default();
+        stack.push(ModelFilter::new(model, Duration::from_secs(1), 0.5).into_rule());
+        let blocklist = std::collections::BTreeSet::new();
+        let mut f = |p: &Packet, t| stack.verdict(p, t, &blocklist);
         // Window 0: a flood from source 1 (100 × 540B constant-size).
         for i in 0..100 {
             let t = SimTime::from_millis(i * 10);

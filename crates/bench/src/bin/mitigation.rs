@@ -92,15 +92,9 @@ fn run(
                 "bench.model_filter",
                 (fabric, Arc::new(model)),
                 |sim, (fabric, model)| {
-                    sim.set_ingress_filter(
-                        fabric,
-                        ModelFilter {
-                            model: Arc::unwrap_or_clone(model),
-                            window: Duration::from_secs(2),
-                            threshold: 0.5,
-                        }
-                        .into_filter(),
-                    );
+                    let filter =
+                        ModelFilter::new(Arc::unwrap_or_clone(model), Duration::from_secs(2), 0.5);
+                    sim.push_node_filter(fabric, filter.into_rule());
                 },
             );
         }

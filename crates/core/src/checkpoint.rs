@@ -1,27 +1,23 @@
 //! Checkpoint/restore: the `ddosim.checkpoint/1` snapshot format.
 //!
-//! A DDoSim world cannot be serialized directly — the event queue holds
-//! boxed closures, applications are trait objects, and packets carry
-//! opaque payloads. Instead a checkpoint is a *replay recipe*: the full
-//! resolved configuration, the seed, the checkpoint time `T`, per-layer
-//! state digests of the world at `T`, and the flight-recorder event
-//! count at `T`.
+//! A DDoSim world is not serialized directly — applications are trait
+//! objects, handles are `Rc`-shared, and packets carry opaque payloads.
+//! Instead a checkpoint is a *recipe plus an attestation*: the full
+//! resolved configuration (seed included) and the checkpoint time `T`
+//! say how to get the world back; per-layer state digests and the
+//! flight-recorder event count, taken of the world as
+//! [`Ddosim::run_prefix`](crate::Ddosim::run_prefix)`(T)` leaves it, say
+//! what it must look like when it gets there.
 //!
-//! Resume rebuilds the world from the embedded configuration, silently
-//! replays `0 → T` with telemetry collectors suppressed (the simulation
-//! behaves exactly as the original run — the suppression is invisible to
-//! it), verifies the per-layer digests (a mismatch names the diverging
-//! layer), splices the flight recorder's sequence counter to the saved
-//! count, unsuppresses, and continues. Because the simulator is
-//! deterministic, the continuation is byte-identical to the original run
-//! from `T` onward: filtering the original trace to events with
-//! `seq >= events_recorded` yields exactly the resumed run's trace.
-//!
-//! Known limitations, by design: packet-capture records and metric
-//! samples from before `T` are not replayed into a resumed run's
-//! collectors (the flight recorder is the identity-checked artifact),
-//! and the telemetry configuration is pinned from the checkpoint so the
-//! replay cannot diverge from the original.
+//! Resume ([`Ddosim::resume_from`](crate::Ddosim::resume_from)) is a
+//! verified re-run: build from the embedded configuration with telemetry
+//! live, `run_prefix(T)`, compare the digests and the recorder count (a
+//! mismatch names the diverging layer), and hand back a live world at
+//! `T`. Because the simulator is deterministic, everything the resumed
+//! run writes — trace, capture, metrics — is byte-identical to the
+//! uninterrupted run's whole documents. The telemetry configuration is
+//! pinned from the checkpoint so the re-run cannot diverge from the
+//! original.
 
 use crate::config::{
     AttackSpec, BinaryMix, Recruitment, SimulationConfig, TopologyKind,
@@ -51,8 +47,8 @@ pub struct Checkpoint {
     /// Per-layer state digests of the world at [`Checkpoint::at`], in a
     /// fixed layer order (`netsim.queue`, `netsim.nodes`, …, `firmware`).
     pub digests: Vec<(String, u64)>,
-    /// Flight-recorder events recorded up to [`Checkpoint::at`]; the
-    /// resumed run's recorder is spliced to continue numbering here.
+    /// Flight-recorder events recorded up to [`Checkpoint::at`]; a
+    /// resumed run must have recorded exactly as many when it gets there.
     pub events_recorded: u64,
 }
 

@@ -642,11 +642,13 @@ impl SimulationBuilder {
         &self.config
     }
 
-    /// Builds the simulation instance.
+    /// Builds the simulation instance; a resumed one is re-run to its
+    /// checkpoint and verified here ([`crate::Ddosim::resume_from`]).
     ///
     /// # Errors
     ///
-    /// Returns a message if the configuration is invalid.
+    /// Returns a message if the configuration is invalid or the
+    /// checkpoint does not verify.
     pub fn build(self) -> Result<crate::Ddosim, String> {
         let mut instance = match self.resume {
             Some(cp) => crate::Ddosim::resume_from(cp)?,

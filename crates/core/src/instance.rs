@@ -224,6 +224,25 @@ fn reconcile_tick(
     }
 }
 
+/// Compares two [`Ddosim::state_digests`] lists layer by layer and
+/// describes the first difference, naming the layer — the one check
+/// behind fork ≡ parent and resume ≡ checkpoint.
+fn first_digest_mismatch(expected: &[(String, u64)], got: &[(String, u64)]) -> Option<String> {
+    for (i, (layer, want)) in expected.iter().enumerate() {
+        match got.get(i) {
+            Some((l, have)) if l == layer && have == want => {}
+            Some((l, have)) if l == layer => {
+                return Some(format!(
+                    "layer '{layer}' digests {have:#018x}, expected {want:#018x}"
+                ))
+            }
+            _ => return Some(format!("layer '{layer}' is expected but not digested here")),
+        }
+    }
+    (got.len() > expected.len())
+        .then(|| format!("layer '{}' is digested here but not expected", got[expected.len()].0))
+}
+
 /// The simulated-Internet fabric a run was built on.
 #[derive(Debug, Clone)]
 enum Fabric {
@@ -326,57 +345,61 @@ pub struct Ddosim {
     memory_model: MemoryModel,
     fabric: Fabric,
     checkpoint_at: Option<Duration>,
-    resume: Option<Checkpoint>,
     saved_checkpoint: Option<Checkpoint>,
     progress: PhaseProgress,
 }
 
 impl Ddosim {
+    /// Rebuilds a checkpointed run as a live world at the snapshot time:
+    /// a verified re-run. The world is built from the configuration
+    /// embedded in the checkpoint (telemetry live, so its collectors fill
+    /// exactly as the original run's did), walked to `cp.at` with
+    /// [`Ddosim::run_prefix`], and every layer's state digest and the
+    /// flight-recorder count are compared against the checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the embedded configuration fails validation
+    /// or the re-run diverges from the checkpoint (naming the layer).
+    pub fn resume_from(cp: Checkpoint) -> Result<Self, String> {
+        let mut instance = Self::new(cp.config)?;
+        instance.run_prefix(cp.at)?;
+        let diverged = |what: String| {
+            format!(
+                "resume diverged from the checkpoint at {:.3}s: {what} (was the \
+                 world rebuilt from the same configuration and binary?)",
+                cp.at.as_secs_f64()
+            )
+        };
+        if let Some(mismatch) = first_digest_mismatch(&cp.digests, &instance.state_digests()) {
+            return Err(diverged(mismatch));
+        }
+        let recorded = instance.telemetry().events_recorded();
+        if recorded != cp.events_recorded {
+            return Err(diverged(format!(
+                "{recorded} flight-recorder events != checkpointed {}",
+                cp.events_recorded
+            )));
+        }
+        Ok(instance)
+    }
+
+    /// Arms a checkpoint: the next run call that reaches `at` stops the
+    /// phase walk there ([`Ddosim::run_prefix`]), digests the full world
+    /// state, and produces a [`Checkpoint`] alongside the run result.
+    pub fn set_checkpoint_at(&mut self, at: Duration) {
+        self.checkpoint_at = Some(at);
+    }
+
     /// Builds the instance from a validated configuration.
     ///
     /// # Errors
     ///
     /// Returns a message if the configuration is invalid.
     pub fn new(config: SimulationConfig) -> Result<Self, String> {
-        Self::build(config, false)
-    }
-
-    /// Rebuilds a checkpointed run so it can continue from the snapshot.
-    ///
-    /// The world is reconstructed from the configuration embedded in the
-    /// checkpoint and silently replayed up to the snapshot time on the
-    /// next [`Ddosim::try_run_to_completion`] (telemetry suppressed, so
-    /// the flight recorder splices cleanly onto the prefix the original
-    /// run already wrote). At the snapshot time every layer's state digest
-    /// is verified against the checkpoint before the run continues.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the embedded configuration fails validation.
-    pub fn resume_from(cp: Checkpoint) -> Result<Self, String> {
-        let mut instance = Self::build(cp.config.clone(), true)?;
-        instance.resume = Some(cp);
-        Ok(instance)
-    }
-
-    /// Arms a checkpoint: when the run next crosses `at` (clamped forward
-    /// to the enclosing phase boundary's `advance` call), the full world
-    /// state is digested and a [`Checkpoint`] is produced alongside the
-    /// run result.
-    pub fn set_checkpoint_at(&mut self, at: Duration) {
-        self.checkpoint_at = Some(at);
-    }
-
-    /// Builds the world. `suppressed` arms telemetry suppression *before*
-    /// construction records anything (container starts are recorded at
-    /// t = 0), which is what a resumed run needs for its silent replay.
-    fn build(config: SimulationConfig, suppressed: bool) -> Result<Self, String> {
         config.validate()?;
         let mut sim = Simulator::new(config.rng.event_seed(config.seed));
         let telemetry = Telemetry::from_config(&config.telemetry);
-        if suppressed {
-            telemetry.set_suppressed(true);
-        }
         sim.set_telemetry(telemetry.clone());
         if telemetry.captures_packets() {
             let hook = telemetry.clone();
@@ -795,7 +818,6 @@ impl Ddosim {
             memory_model: MemoryModel::default(),
             fabric,
             checkpoint_at: None,
-            resume: None,
             saved_checkpoint: None,
             progress: PhaseProgress::default(),
         };
@@ -1090,112 +1112,30 @@ impl Ddosim {
         digests
     }
 
-    /// Advances to `to`, honouring any armed resume/checkpoint marks that
-    /// fall inside the window. The resume mark (digest verification +
-    /// recorder splice + unsuppression) is handled *before* the save mark,
-    /// so save→restore→save at the same instant is byte-stable.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a checkpoint is requested before the resume
-    /// point (the suppressed replay's recorder count is unknown there),
-    /// or when the replayed world's digests diverge from the checkpoint.
-    fn advance(&mut self, to: Duration) -> Result<(), String> {
-        if let (Some(at), Some(cp)) = (self.checkpoint_at, &self.resume) {
-            if at < cp.at {
-                return Err(format!(
-                    "cannot checkpoint at {:.3}s: this run resumes from a \
-                     checkpoint taken at {:.3}s, and the replayed prefix \
-                     records no telemetry (its recorder count is unknown); \
-                     pick a checkpoint time at or after the resume point",
-                    at.as_secs_f64(),
-                    cp.at.as_secs_f64()
-                ));
-            }
-        }
-        if self.resume.as_ref().is_some_and(|cp| cp.at <= to) {
-            let cp = self.resume.take().expect("checked above");
-            self.run_until(cp.at);
-            let here = self.state_digests();
-            for (layer, expected) in &cp.digests {
-                match here.iter().find(|(l, _)| l == layer) {
-                    Some((_, got)) if got == expected => {}
-                    Some((_, got)) => {
-                        return Err(format!(
-                            "resume diverged from the checkpoint in layer \
-                             '{layer}' at {:.3}s: digest {got:#018x} != \
-                             checkpointed {expected:#018x} (was the world \
-                             rebuilt from the same configuration and binary?)",
-                            cp.at.as_secs_f64()
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "resume verification failed: checkpoint layer \
-                             '{layer}' is unknown to this build"
-                        ))
-                    }
-                }
-            }
-            if here.len() != cp.digests.len() {
-                return Err(format!(
-                    "resume verification failed: this build digests {} \
-                     layers but the checkpoint holds {}",
-                    here.len(),
-                    cp.digests.len()
-                ));
-            }
-            let telemetry = self.sim.telemetry();
-            telemetry.splice_recorder(cp.events_recorded);
-            telemetry.set_suppressed(false);
-        }
-        if self.resume.is_none() && self.checkpoint_at.is_some_and(|at| at <= to) {
-            let at = self.checkpoint_at.take().expect("checked above");
-            self.run_until(at);
-            self.saved_checkpoint = Some(Checkpoint {
-                at,
-                config: self.config.clone(),
-                digests: self.state_digests(),
-                events_recorded: self.sim.telemetry().events_recorded(),
-            });
-        }
-        self.run_until(to);
-        Ok(())
-    }
-
     /// Runs the full scenario (initialization → infection → attack →
     /// drain) and collects the result, measuring per-phase wall-clock and
     /// memory as the paper's Table I does.
     ///
-    /// Panics on checkpoint/resume failure; use
-    /// [`Ddosim::try_run_to_completion`] when either is armed.
+    /// Panics if an armed checkpoint cannot be taken; use
+    /// [`Ddosim::try_run_to_completion`] when one is armed.
     pub fn run_to_completion(self) -> RunResult {
         let (result, _) = self
             .try_run_to_completion()
-            .expect("no checkpoint/resume armed, so advancing cannot fail");
+            .expect("no checkpoint armed, so the run cannot fail");
         result
     }
 
     /// Runs the full scenario like [`Ddosim::run_to_completion`], honouring
-    /// an armed checkpoint ([`Ddosim::set_checkpoint_at`]) and/or resume
-    /// ([`Ddosim::resume_from`]); returns the saved checkpoint (if one was
-    /// armed) alongside the result.
+    /// an armed checkpoint ([`Ddosim::set_checkpoint_at`]); returns the
+    /// saved checkpoint (if one was armed) alongside the result.
     ///
     /// # Errors
     ///
-    /// Returns a message if resume verification fails or the
-    /// checkpoint/resume marks are inconsistent.
+    /// Returns a message if the armed checkpoint time is already in the
+    /// past or lies beyond the horizon.
     pub fn try_run_to_completion(mut self) -> Result<(RunResult, Option<Checkpoint>), String> {
         let sim_end = self.config.sim_time;
-        self.advance_phases(sim_end)?;
-        if let Some(cp) = &self.resume {
-            return Err(format!(
-                "resume point {:.3}s lies beyond the simulation horizon \
-                 {:.3}s (nothing would ever be recorded)",
-                cp.at.as_secs_f64(),
-                sim_end.as_secs_f64()
-            ));
-        }
+        self.run_prefix(sim_end)?;
         if let Some(at) = self.checkpoint_at {
             return Err(format!(
                 "checkpoint time {:.3}s lies beyond the simulation horizon \
@@ -1232,12 +1172,37 @@ impl Ddosim {
     /// each fork to completion; a seed-0 fork's trace is byte-identical to
     /// running this world straight through.
     ///
+    /// An armed checkpoint ([`Ddosim::set_checkpoint_at`]) inside the
+    /// window is taken on the way: a checkpoint at `at` *is* the world as
+    /// `run_prefix(at)` leaves it, which is what lets
+    /// [`Ddosim::resume_from`] verify one by walking there again.
+    ///
     /// # Errors
     ///
-    /// Returns a message if an armed resume/checkpoint inside the window
-    /// fails (see [`Ddosim::try_run_to_completion`]).
+    /// Returns a message if the armed checkpoint time is already in the
+    /// past.
     pub fn run_prefix(&mut self, upto: Duration) -> Result<(), String> {
-        self.advance_phases(upto)
+        let upto = upto.min(self.config.sim_time);
+        if let Some(at) = self.checkpoint_at.filter(|&at| at <= upto) {
+            let now = self.sim.now();
+            if SimTime::ZERO + at < now {
+                return Err(format!(
+                    "checkpoint time {:.3}s is already in the past (world is at {:.3}s)",
+                    at.as_secs_f64(),
+                    now.as_secs_f64()
+                ));
+            }
+            self.checkpoint_at = None;
+            self.advance_phases(at);
+            self.saved_checkpoint = Some(Checkpoint {
+                at,
+                config: self.config.clone(),
+                digests: self.state_digests(),
+                events_recorded: self.sim.telemetry().events_recorded(),
+            });
+        }
+        self.advance_phases(upto);
+        Ok(())
     }
 
     /// The resumable phase walk: advances to `upto`, crossing (at most
@@ -1245,7 +1210,7 @@ impl Ddosim {
     /// boundaries, each with its phase mark and measurements. Progress
     /// lives in [`PhaseProgress`], so the walk can stop anywhere and be
     /// continued — by this instance or by a fork of it.
-    fn advance_phases(&mut self, upto: Duration) -> Result<(), String> {
+    fn advance_phases(&mut self, upto: Duration) {
         let attack_start = self.config.attack_at;
         let attack_end = attack_start + self.config.attack.duration;
         let sim_end = self.config.sim_time;
@@ -1256,9 +1221,9 @@ impl Ddosim {
         }
         if self.progress.pre_attack.is_none() {
             if upto < attack_start {
-                return self.advance(upto);
+                return self.run_until(upto);
             }
-            self.advance(attack_start)?;
+            self.run_until(attack_start);
             self.progress.pre_attack = Some(PreAttackSnapshot {
                 container_bytes: self.runtime.total_memory_bytes(),
                 packets: self.sim.stats().packets_sent,
@@ -1271,10 +1236,10 @@ impl Ddosim {
             // The attack window's wall-clock (Table I's Attack Time)
             // accumulates across partial advances.
             let wall = Instant::now();
-            self.advance(upto.min(attack_end))?;
+            self.run_until(upto.min(attack_end));
             self.progress.attack_wall += wall.elapsed();
             if upto < attack_end {
-                return Ok(());
+                return;
             }
             let pre = self.progress.pre_attack.expect("set above");
             self.progress.attack = Some(AttackSnapshot {
@@ -1283,12 +1248,11 @@ impl Ddosim {
             });
             self.mark_phase("phase: drain");
         }
-        self.advance(upto)?;
+        self.run_until(upto);
         if upto >= sim_end && !self.progress.complete {
             self.mark_phase("phase: run complete");
             self.progress.complete = true;
         }
-        Ok(())
     }
 
     /// Forks the live world without any divergence: every RNG stream keeps
@@ -1318,19 +1282,10 @@ impl Ddosim {
     ///
     /// # Errors
     ///
-    /// Returns a message when the world holds unforkable state (a deployed
-    /// closure ingress filter), when this run still has an unreached resume point (fork after the
-    /// splice), or when the fork's digests diverge from the parent's (a
-    /// bug in some layer's fork path).
+    /// Returns a message when the world holds unforkable state (an
+    /// application without a fork path) or when the fork's digests diverge
+    /// from the parent's (a bug in some layer's fork path).
     pub fn fork_with_seed(&self, fork_seed: u64) -> Result<Ddosim, String> {
-        if self.resume.is_some() {
-            return Err(
-                "cannot fork a resumed run before its resume point: the \
-                 suppressed replay prefix has no recorder state to share; \
-                 run past the resume point first"
-                    .into(),
-            );
-        }
         let mut map = ForkMap::new();
         let runtime = self.runtime.fork(&mut map);
         let mut sim = self.sim.fork(&map)?;
@@ -1377,22 +1332,17 @@ impl Ddosim {
             memory_model: self.memory_model,
             fabric: self.fabric.clone(),
             checkpoint_at: self.checkpoint_at,
-            resume: None,
             saved_checkpoint: None,
             progress: self.progress,
         };
         // fork ≡ parent at T, layer by layer, before any reseed diverges
         // the streams.
-        let parent = self.state_digests();
-        let child = fork.state_digests();
-        for ((layer, p), (_, c)) in parent.iter().zip(child.iter()) {
-            if p != c {
-                return Err(format!(
-                    "fork diverged from its parent in layer '{layer}' at \
-                     {:.3}s: digest {c:#018x} != parent {p:#018x}",
-                    self.sim.now().as_secs_f64()
-                ));
-            }
+        if let Some(mismatch) = first_digest_mismatch(&self.state_digests(), &fork.state_digests())
+        {
+            return Err(format!(
+                "fork diverged from its parent at {:.3}s: {mismatch}",
+                self.sim.now().as_secs_f64()
+            ));
         }
         if fork_seed != 0 {
             fork.sim

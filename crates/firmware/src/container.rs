@@ -80,11 +80,6 @@ impl CommandSet {
     {
         CommandSet(Arc::new(commands.into_iter().map(Into::into).collect()))
     }
-
-    /// Whether two sets share one stored command list (flyweight check).
-    pub fn shares_storage_with(&self, other: &CommandSet) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 impl Default for CommandSet {

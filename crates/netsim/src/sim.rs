@@ -56,12 +56,6 @@ pub enum FilterVerdict {
     Drop,
 }
 
-/// An ingress filter: a deployed defense inspecting every packet arriving
-/// at a node (both locally-addressed and transit traffic). Stateful
-/// defenses (rate limiters, ML detectors) capture their state in the
-/// closure.
-pub type IngressFilter = Box<dyn FnMut(&Packet, SimTime) -> FilterVerdict>;
-
 /// Folds one pending event into a checkpoint digest. Every variant gets a
 /// distinct tag; 8 is unused, and renumbering 9 would change the digest
 /// of every stored checkpoint.
@@ -226,10 +220,9 @@ pub struct Simulator {
     reported_sweeps: u64,
     stop_requested: bool,
     buffered_now: u64,
-    filters: FastMap<NodeId, IngressFilter>,
-    /// Structured (forkable, digestible) defense rules per node, applied
-    /// after any opaque ingress filter. Kept ordered so the
-    /// `netsim.filters` digest layer walks nodes deterministically.
+    /// Deployed defense rules per node; each stack sees every packet
+    /// arriving at its node, transit traffic included. Kept ordered so
+    /// the `netsim.filters` digest layer walks nodes deterministically.
     node_filters: BTreeMap<NodeId, FilterStack>,
     /// Simulator-global source blocklist enforced by
     /// [`FilterRule::Blocklist`] rules; honeypot applications feed it.
@@ -272,7 +265,6 @@ impl Simulator {
             reported_sweeps: 0,
             stop_requested: false,
             buffered_now: 0,
-            filters: FastMap::default(),
             node_filters: BTreeMap::new(),
             blocklist: BTreeSet::new(),
         }
@@ -286,33 +278,19 @@ impl Simulator {
         self.route_cache_enabled = enabled;
     }
 
-    /// Deploys an ingress filter (defense) on a node; replaces any
-    /// previous filter. The filter sees every packet arriving at the node,
-    /// including transit traffic it would forward.
-    pub fn set_ingress_filter(&mut self, node: NodeId, filter: IngressFilter) {
-        self.filters.insert(node, filter);
-    }
-
-    /// Removes the node's ingress filter.
-    pub fn clear_ingress_filter(&mut self, node: NodeId) {
-        self.filters.remove(&node);
-    }
-
-    /// Appends a structured filter rule to the node's defense stack.
-    /// Unlike [`Simulator::set_ingress_filter`] closures, structured rules
-    /// are plain data: they survive [`Simulator::fork`] and fold into the
-    /// `netsim.filters` checkpoint digest layer. Rules run in push order
-    /// after any opaque filter; the first drop wins.
+    /// Appends a filter rule to the node's defense stack. Rules survive
+    /// [`Simulator::fork`] and fold into the `netsim.filters` checkpoint
+    /// digest layer; they run in push order and the first drop wins.
     pub fn push_node_filter(&mut self, node: NodeId, rule: FilterRule) {
         self.node_filters.entry(node).or_default().push(rule);
     }
 
-    /// Removes every structured filter rule from the node.
+    /// Removes every filter rule from the node.
     pub fn clear_node_filters(&mut self, node: NodeId) {
         self.node_filters.remove(&node);
     }
 
-    /// Number of structured filter rules deployed on the node.
+    /// Number of filter rules deployed on the node.
     pub fn node_filter_count(&self, node: NodeId) -> usize {
         self.node_filters.get(&node).map_or(0, FilterStack::len)
     }
@@ -322,11 +300,6 @@ impl Simulator {
     /// was newly inserted.
     pub fn blocklist_insert(&mut self, addr: IpAddr) -> bool {
         self.blocklist.insert(addr)
-    }
-
-    /// Whether an address is on the global blocklist.
-    pub fn blocklist_contains(&self, addr: IpAddr) -> bool {
-        self.blocklist.contains(&addr)
     }
 
     /// Number of addresses on the global blocklist.
@@ -369,11 +342,6 @@ impl Simulator {
         self.trace = Some(hook);
     }
 
-    /// Removes the trace hook.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// Installs the telemetry handle; the simulator emits flight-recorder
     /// events (drops, Wi-Fi contention, retransmits, queue sweeps, admin
     /// transitions) through it. The default handle is disabled and the
@@ -412,11 +380,6 @@ impl Simulator {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of live tcp-lite connections on a node (diagnostics).
-    pub fn tcp_conn_count(&self, node: NodeId) -> usize {
-        self.tcp[node.index()].as_ref().map_or(0, |s| s.conn_count())
     }
 
     /// The node's TCP stack, allocated on first touch. A freshly
@@ -585,14 +548,6 @@ impl Simulator {
         } else {
             self.nodes.first_v4[node.index()]
         }
-    }
-
-    /// The node's primary (first) address.
-    pub fn primary_addr(&self, node: NodeId) -> Option<IpAddr> {
-        self.nodes.ifaces[node.index()]
-            .first()
-            .and_then(|i| self.ifaces[i.index()].addrs.first())
-            .copied()
     }
 
     /// Resolves which node owns `addr`, if any.
@@ -786,11 +741,6 @@ impl Simulator {
         );
     }
 
-    /// Whether a point-to-point link is administratively up.
-    pub fn link_admin_up(&self, link: LinkId) -> bool {
-        self.links[link.index()].admin_up
-    }
-
     /// Sets the per-frame corruption/loss probability of a point-to-point
     /// link at runtime (fault injection). Clamped to `[0, 1]` at draw time;
     /// the loss RNG is only consulted while the probability is nonzero.
@@ -879,11 +829,6 @@ impl Simulator {
         if self.now < horizon {
             self.now = horizon;
         }
-    }
-
-    /// Runs for `d` of simulated time from now.
-    pub fn run_for(&mut self, d: Duration) {
-        self.run_until(self.now + d);
     }
 
     /// Requests the run loop to stop after the current event.
@@ -1023,9 +968,7 @@ impl Simulator {
         }
         layers.push(("apps", h.finish()));
 
-        // Structured defense rules and the global blocklist. Opaque
-        // closure filters are intentionally absent: worlds that must
-        // checkpoint or fork use structured rules only.
+        // Defense rules and the global blocklist.
         let mut h = StateHasher::new();
         h.write_usize(self.node_filters.len());
         for (node, stack) in &self.node_filters {
@@ -1048,22 +991,15 @@ impl Simulator {
     /// every pending event are duplicated; applications are cloned through
     /// their own [`Application::fork`], translating shared handles via
     /// `map`. The fork starts with tracing and telemetry disabled — the
-    /// caller installs fresh handles (a forked recorder splices at the
+    /// caller installs fresh handles (a forked recorder continues at the
     /// parent's event count).
     ///
     /// # Errors
     ///
     /// Fails — naming the obstacle — when the world holds state that
-    /// cannot be cloned: a deployed ingress filter (an opaque `FnMut`) or
-    /// an application whose [`Application::fork`] returns `None`.
+    /// cannot be cloned: an application whose [`Application::fork`]
+    /// returns `None`.
     pub fn fork(&self, map: &ForkMap) -> Result<Simulator, String> {
-        if !self.filters.is_empty() {
-            return Err(
-                "cannot fork: an ingress filter (opaque closure) is deployed; \
-                 remove filters before forking"
-                    .into(),
-            );
-        }
         let queue = self.queue.clone_with(|event| event.fork(map));
         let mut apps: Vec<Vec<Option<Box<dyn Application>>>> = Vec::with_capacity(self.apps.len());
         for (node_idx, slots) in self.apps.iter().enumerate() {
@@ -1108,7 +1044,6 @@ impl Simulator {
             reported_sweeps: self.reported_sweeps,
             stop_requested: self.stop_requested,
             buffered_now: self.buffered_now,
-            filters: FastMap::default(),
             node_filters: self.node_filters.clone(),
             blocklist: self.blocklist.clone(),
         })
@@ -1606,12 +1541,6 @@ impl Simulator {
             self.drop_packet(DropReason::NodeDown, node, &packet);
             return;
         }
-        if let Some(filter) = self.filters.get_mut(&node) {
-            if filter(&packet, self.now) == FilterVerdict::Drop {
-                self.drop_packet(DropReason::Filtered, node, &packet);
-                return;
-            }
-        }
         if let Some(stack) = self.node_filters.get_mut(&node) {
             if stack.verdict(&packet, self.now, &self.blocklist) == FilterVerdict::Drop {
                 self.drop_packet(DropReason::Filtered, node, &packet);
@@ -1765,14 +1694,6 @@ impl Ctx<'_> {
         port
     }
 
-    /// Releases a UDP port bound by this application.
-    pub fn udp_unbind(&mut self, port: u16) {
-        let binds = &mut self.sim.nodes.udp_binds[self.app_id.node.index()];
-        if binds.get(&port) == Some(&self.app_id) {
-            binds.remove(&port);
-        }
-    }
-
     /// Sends a UDP datagram from `src_port` to `dst`. The source address is
     /// chosen to match the destination family.
     ///
@@ -1885,13 +1806,6 @@ impl Ctx<'_> {
         self.sim.tcp[self.app_id.node.index()]
             .as_ref()
             .is_some_and(|s| s.is_established(conn))
-    }
-
-    /// Stops listening on a port previously passed to [`Ctx::tcp_listen`].
-    pub fn tcp_unlisten(&mut self, port: u16) {
-        if let Some(stack) = self.sim.tcp[self.app_id.node.index()].as_mut() {
-            stack.unlisten(port);
-        }
     }
 
     // ----- process / node management -----
@@ -2428,5 +2342,92 @@ mod tests {
         sim.install_app(r1, Box::new(LoopSender));
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.stats().dropped_ttl, 1);
+    }
+
+    /// Sends `count` UDP packets a → b and lets them arrive.
+    fn send_to_b(sim: &mut Simulator, a: NodeId, count: usize) {
+        for _ in 0..count {
+            let packet = Packet::new(
+                SocketAddr::new(v4(1), 1000),
+                SocketAddr::new(v4(2), 9),
+                TransportProto::Udp,
+                Payload::empty(),
+                28,
+                100,
+            );
+            sim.send_from_node(a, packet);
+        }
+        sim.run_until(sim.now() + Duration::from_secs(1));
+    }
+
+    fn filters_digest(sim: &Simulator) -> u64 {
+        let layers = sim.state_digests();
+        layers.iter().find(|(layer, _)| *layer == "netsim.filters").expect("layer").1
+    }
+
+    /// Drops every second arrival: the count is state a verdict depends on.
+    #[derive(Debug, Clone, Default)]
+    struct EveryOther {
+        seen: u64,
+    }
+
+    impl crate::filter::PacketFilter for EveryOther {
+        fn verdict(&mut self, _packet: &Packet, _now: SimTime) -> FilterVerdict {
+            self.seen += 1;
+            if self.seen.is_multiple_of(2) {
+                FilterVerdict::Drop
+            } else {
+                FilterVerdict::Allow
+            }
+        }
+        fn fork(&self) -> Box<dyn crate::filter::PacketFilter> {
+            Box::new(self.clone())
+        }
+        fn state_digest(&self, h: &mut StateHasher) {
+            h.write_u64(self.seen);
+        }
+    }
+
+    #[test]
+    fn custom_filter_state_is_digested_and_forks_independently() {
+        let Harness { mut sim, a, b } = two_hosts(1_000_000);
+        sim.push_node_filter(b, FilterRule::Custom(Box::new(EveryOther::default())));
+        let fresh = filters_digest(&sim);
+        send_to_b(&mut sim, a, 3);
+        assert_eq!(sim.stats().dropped_filtered, 1, "second of three arrivals dropped");
+        assert_ne!(filters_digest(&sim), fresh, "the filter's count is in the digest");
+
+        let mut fork = sim.fork(&ForkMap::new()).expect("a world with a custom filter forks");
+        assert_eq!(filters_digest(&fork), filters_digest(&sim));
+        // The parent's fourth arrival is dropped; the fork's copy has not
+        // seen it, and drops its own fourth arrival the same way.
+        send_to_b(&mut sim, a, 1);
+        assert_eq!(sim.stats().dropped_filtered, 2);
+        assert_eq!(fork.stats().dropped_filtered, 1);
+        assert_ne!(filters_digest(&fork), filters_digest(&sim));
+        send_to_b(&mut fork, a, 1);
+        assert_eq!(fork.stats().dropped_filtered, 2);
+        assert_eq!(filters_digest(&fork), filters_digest(&sim));
+    }
+
+    /// Adding the `Custom` rule kind must not move the digest of worlds
+    /// that deploy none: stored checkpoints keep verifying.
+    #[test]
+    fn filters_digest_of_plain_rules_is_pinned() {
+        let Harness { mut sim, a, b } = two_hosts(1_000_000);
+        sim.push_node_filter(
+            b,
+            FilterRule::RateLimit {
+                rate_bps: 8_000,
+                burst_bytes: 200,
+                buckets: BTreeMap::new(),
+            },
+        );
+        sim.push_node_filter(b, FilterRule::EgressBlock { dst: v4(9), port: Some(80) });
+        sim.push_node_filter(a, FilterRule::Blocklist);
+        sim.blocklist_insert(v4(7));
+        send_to_b(&mut sim, a, 2);
+        assert_eq!(sim.stats().dropped_filtered, 1, "burst admits one 128-byte packet");
+        assert_eq!(filters_digest(&sim), 6028806669543305158);
     }
 }

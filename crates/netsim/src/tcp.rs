@@ -308,10 +308,6 @@ impl TcpStack {
         Ok(())
     }
 
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     fn alloc_port(&mut self) -> u16 {
         // One full wrap of the ephemeral range, then give up loudly: an
         // unbounded loop here spins forever once every port is taken.
@@ -707,6 +703,7 @@ impl TcpStack {
     }
 
     /// Number of live connections (any state).
+    #[cfg(test)]
     pub fn conn_count(&self) -> usize {
         self.conns.len()
     }

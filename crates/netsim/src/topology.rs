@@ -181,11 +181,6 @@ impl TieredTopology {
         self.backbone
     }
 
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Members attached so far (backbone and regional).
     pub fn members(&self) -> &[StarMember] {
         &self.members

@@ -3,8 +3,8 @@
 
 use netsim::topology::StarTopology;
 use netsim::{
-    Application, Ctx, FilterVerdict, LinkConfig, NodeId, Packet, Payload, SimTime, Simulator,
-    WifiConfig,
+    Application, Ctx, FilterRule, FilterVerdict, LinkConfig, NodeId, Packet, PacketFilter, Payload,
+    SimTime, Simulator, StateHasher, WifiConfig,
 };
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -206,18 +206,25 @@ fn ingress_filter_sees_transit_traffic() {
         }),
     );
     // Drop every other packet at the fabric.
-    let mut flip = false;
-    sim.set_ingress_filter(
-        star.fabric(),
-        Box::new(move |_pkt, _now| {
-            flip = !flip;
-            if flip {
+    #[derive(Debug, Clone)]
+    struct Flip(bool);
+    impl PacketFilter for Flip {
+        fn verdict(&mut self, _pkt: &Packet, _now: SimTime) -> FilterVerdict {
+            self.0 = !self.0;
+            if self.0 {
                 FilterVerdict::Drop
             } else {
                 FilterVerdict::Allow
             }
-        }),
-    );
+        }
+        fn fork(&self) -> Box<dyn PacketFilter> {
+            Box::new(self.clone())
+        }
+        fn state_digest(&self, h: &mut StateHasher) {
+            h.write_bool(self.0);
+        }
+    }
+    sim.push_node_filter(star.fabric(), FilterRule::Custom(Box::new(Flip(false))));
     sim.run_until(SimTime::from_secs(2));
     let delivered = sim.app_ref::<Sink>(sink).expect("sink").packets;
     assert_eq!(delivered, 5, "alternate packets filtered in transit");

@@ -106,18 +106,6 @@ struct Inner {
     recorder: Option<FlightRecorder>,
     capture: Option<PacketCapture>,
     metrics: Option<SeriesSet>,
-    /// While set, collectors silently discard everything offered to them.
-    ///
-    /// Checkpoint resume replays the prefix of a run to rebuild simulator
-    /// state; the replayed events must not re-enter the collectors (the
-    /// resumed trace starts at the checkpoint's spliced sequence number).
-    /// The flag lives *here*, behind the `RefCell`, rather than in the
-    /// hot-path `records`/`captures` booleans on [`Telemetry`]: those
-    /// booleans are observable by the simulator (`records_events()` gates
-    /// sweep-report bookkeeping), so flipping them during replay would make
-    /// the replayed simulation diverge from the original. Suppression must
-    /// be invisible to everything except the collectors.
-    suppressed: bool,
     /// Streaming event sink, if attached (serve mode). Shared by plain
     /// handle clones (they share this whole `Inner`), but deliberately
     /// *not* inherited by [`Telemetry::deep_fork`]: the sink belongs to
@@ -132,7 +120,6 @@ impl Clone for Inner {
             recorder: self.recorder.clone(),
             capture: self.capture.clone(),
             metrics: self.metrics.clone(),
-            suppressed: self.suppressed,
             sink: None,
         }
     }
@@ -144,7 +131,6 @@ impl std::fmt::Debug for Inner {
             .field("recorder", &self.recorder)
             .field("capture", &self.capture)
             .field("metrics", &self.metrics)
-            .field("suppressed", &self.suppressed)
             .field("sink", &self.sink.is_some())
             .finish()
     }
@@ -181,7 +167,6 @@ impl Telemetry {
             metrics: config
                 .metrics_interval
                 .map(|iv| SeriesSet::new(iv.as_nanos().max(1) as u64)),
-            suppressed: false,
             sink: None,
         };
         Telemetry {
@@ -226,9 +211,6 @@ impl Telemetry {
             // Reborrow so the recorder and the sink can be used together
             // (disjoint field borrows through the `RefMut`).
             let inner = &mut *inner;
-            if inner.suppressed {
-                return;
-            }
             if let Some(rec) = inner.recorder.as_mut() {
                 let mut event =
                     Event { time_nanos, seq: 0, node, category, detail: detail() };
@@ -256,11 +238,7 @@ impl Telemetry {
             return;
         }
         if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if inner.suppressed {
-                return;
-            }
-            if let Some(cap) = inner.capture.as_mut() {
+            if let Some(cap) = inner.borrow_mut().capture.as_mut() {
                 cap.offer(make());
             }
         }
@@ -269,42 +247,8 @@ impl Telemetry {
     /// Runs `f` against the metric series when sampling is on.
     pub fn with_metrics(&self, f: impl FnOnce(&mut SeriesSet)) {
         if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            if inner.suppressed {
-                return;
-            }
-            if let Some(set) = inner.metrics.as_mut() {
+            if let Some(set) = inner.borrow_mut().metrics.as_mut() {
                 f(set);
-            }
-        }
-    }
-
-    /// Turns collector suppression on or off (checkpoint-resume replay).
-    ///
-    /// While suppressed, events, packets, and metric samples offered to
-    /// the handle are silently discarded; the enablement flags visible to
-    /// the simulator (`records_events()` / `captures_packets()`) are
-    /// unchanged, so the simulation itself behaves exactly as if the
-    /// collectors were live. No-op on the disabled handle.
-    pub fn set_suppressed(&self, on: bool) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().suppressed = on;
-        }
-    }
-
-    /// Splices the flight recorder's sequence counters to `seq`, so the
-    /// next recorded event is numbered `seq` (checkpoint resume: the
-    /// replayed prefix was suppressed, and the continuation must number
-    /// events exactly as the uninterrupted run did).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorder already holds events (splicing is only
-    /// meaningful right after a suppressed replay).
-    pub fn splice_recorder(&self, seq: u64) {
-        if let Some(inner) = &self.inner {
-            if let Some(rec) = inner.borrow_mut().recorder.as_mut() {
-                rec.splice(seq);
             }
         }
     }
@@ -337,7 +281,7 @@ impl Telemetry {
     /// land in a separate trace while the parent's handle keeps recording
     /// the parent. The forked recorder keeps the parent's sequence
     /// counter, so a fork's first event is numbered exactly where the
-    /// parent left off — the recorder-splice analogue for forks.
+    /// parent left off.
     pub fn deep_fork(&self) -> Telemetry {
         match &self.inner {
             None => Telemetry::disabled(),
@@ -353,7 +297,7 @@ impl Telemetry {
     /// event the flight recorder accepts, the moment it is recorded, on
     /// the thread doing the recording. Replaces any previously attached
     /// sink. No-op when the handle is disabled (and the sink never fires
-    /// unless the recorder is live — suppressed events skip it too).
+    /// unless the recorder is live).
     ///
     /// The sink must not call back into this handle (the collectors are
     /// borrowed while it runs). Plain clones share the sink; `deep_fork`
@@ -452,12 +396,6 @@ mod tests {
         let stored = t.recorder_json().expect("recording");
         let ring = FlightRecorder::events_from_json(&stored).expect("parse");
         assert_eq!(streamed, ring);
-
-        // Suppressed events are invisible to the sink, like the ring.
-        t.set_suppressed(true);
-        t.record_event(10, None, Category::Phase, || "suppressed".into());
-        t.set_suppressed(false);
-        assert_eq!(seen.borrow().len(), 2);
 
         // Detaching stops the stream but not the ring.
         t.clear_event_sink();

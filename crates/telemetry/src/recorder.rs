@@ -19,8 +19,8 @@ pub struct FlightRecorder {
     /// the buffer is full.
     buf: Vec<Event>,
     head: usize,
+    /// Events recorded so far — also the next event's sequence number.
     total: u64,
-    next_seq: u64,
 }
 
 impl FlightRecorder {
@@ -32,7 +32,6 @@ impl FlightRecorder {
             buf: Vec::new(),
             head: 0,
             total: 0,
-            next_seq: 0,
         }
     }
 
@@ -62,9 +61,8 @@ impl FlightRecorder {
     /// number the event was stamped with, so a live tap (serve mode's
     /// streaming sink) can forward the exact stored entry.
     pub fn record(&mut self, mut event: Event) -> u64 {
-        let seq = self.next_seq;
+        let seq = self.total;
         event.seq = seq;
-        self.next_seq += 1;
         self.total += 1;
         if self.buf.len() < self.capacity {
             self.buf.push(event);
@@ -73,29 +71,6 @@ impl FlightRecorder {
             self.head = (self.head + 1) % self.capacity;
         }
         seq
-    }
-
-    /// Fast-forwards the sequence and total counters to `seq` without
-    /// recording anything, so the next [`record`](Self::record) call is
-    /// numbered `seq`.
-    ///
-    /// Checkpoint resume replays the run's prefix with collectors
-    /// suppressed, then splices the recorder to the checkpoint's
-    /// `events_recorded` count; the continuation thereby numbers events
-    /// exactly as the uninterrupted run did, making the resumed trace's
-    /// suffix byte-comparable to the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events were already recorded — splicing is only valid on
-    /// a recorder that has recorded nothing.
-    pub fn splice(&mut self, seq: u64) {
-        assert!(
-            self.buf.is_empty() && self.total == 0,
-            "FlightRecorder::splice on a non-empty recorder"
-        );
-        self.next_seq = seq;
-        self.total = seq;
     }
 
     /// Retained events in chronological (sequence) order.

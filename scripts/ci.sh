@@ -3,7 +3,8 @@
 #
 #   build        release + example builds under -D warnings, hot-path
 #                hashing gate (no bare HashMap on forwarding paths)
-#   test         full workspace test suite
+#   test         every package's tests (`cargo test --workspace`; the
+#                bare root command runs the root package only)
 #   perf         perfsnap smoke run gated +/-25% against the committed
 #                baseline (results/BENCH_netsim.json), checkpoint gauge
 #                included
@@ -12,8 +13,9 @@
 #                streamed NDJSON rows == batch rows byte for byte, and
 #                a repeated sweep reproduces itself
 #   checkpoint   resume == straight-through: snapshot mid-attack, resume,
-#                and diff the resumed trace against the original's suffix
-#                (trace suffix + trace diff), plain and under a fault plan;
+#                and compare the resumed run's whole trace, capture and
+#                metrics documents against the original's (trace diff +
+#                cmp), plain and under a fault plan;
 #                fork == straight-through: run a scenario tree forked
 #                mid-attack and diff the identity branch's full trace
 #                against the uninterrupted run (a reseeded sibling must
@@ -86,7 +88,7 @@ stage_build() {
 }
 
 stage_test() {
-    cargo test -q --offline
+    cargo test -q --offline --workspace
 }
 
 stage_perf() {
@@ -231,19 +233,28 @@ PLAN
 }
 
 stage_checkpoint() {
-    full=$work/ck-full.json
+    full=$work/ck-full
     cp_file=$work/ck.json
-    resumed=$work/ck-resumed.json
-    suffix=$work/ck-suffix.json
+    resumed=$work/ck-resumed
     plan=$work/ck-plan.json
 
-    # Resume == straight-through: a full run records its trace and
-    # snapshots mid-attack; resuming from the snapshot must reproduce the
-    # trace from the snapshot time on, byte for byte.
-    run_traced "$full" --checkpoint-at 28 --checkpoint-out "$cp_file"
-    $DDOSIM --resume "$cp_file" --record "$resumed" > /dev/null
-    $DDOSIM trace suffix "$full" "$cp_file" > "$suffix"
-    $DDOSIM trace diff "$suffix" "$resumed"
+    # Resume == straight-through: a full run writes its trace, capture and
+    # metrics documents and snapshots mid-attack; resuming from the
+    # snapshot re-runs to it, verifies every layer digest, and must
+    # reproduce all three documents whole, byte for byte. Extra flags go
+    # to the straight-through run only (the checkpoint carries the world).
+    check_resume() {
+        run_traced "$full.trace.json" --capture "$full.capture.json" \
+            --metrics-interval 1 --metrics-out "$full.metrics.json" \
+            --checkpoint-at 28 --checkpoint-out "$cp_file" "$@"
+        $DDOSIM --resume "$cp_file" --record "$resumed.trace.json" \
+            --capture "$resumed.capture.json" --metrics-out "$resumed.metrics.json" > /dev/null
+        for doc in trace capture metrics; do
+            $DDOSIM trace diff "$full.$doc.json" "$resumed.$doc.json"
+            cmp "$full.$doc.json" "$resumed.$doc.json"
+        done
+    }
+    check_resume
 
     # The same guarantee under fault injection: pending plan events beyond
     # the snapshot must fire identically in the resumed run.
@@ -259,10 +270,7 @@ stage_checkpoint() {
   ]
 }
 PLAN
-    run_traced "$full" --faults "$plan" --checkpoint-at 28 --checkpoint-out "$cp_file"
-    $DDOSIM --resume "$cp_file" --record "$resumed" > /dev/null
-    $DDOSIM trace suffix "$full" "$cp_file" > "$suffix"
-    $DDOSIM trace diff "$suffix" "$resumed"
+    check_resume --faults "$plan"
 
     # Fork smoke: a scenario tree forked mid-attack runs its branches on
     # in-memory deep clones of the live world (no replay). The identity
@@ -286,10 +294,10 @@ PLAN
   "config": null
 }
 PLAN
-    run_traced "$full"
+    run_traced "$full.trace.json"
     run_traced "$forked" --suffixes "$splan"
-    $DDOSIM trace diff "$full" "$work/fork.baseline.json"
-    ! $DDOSIM trace diff "$full" "$work/fork.reseeded.json" > /dev/null
+    $DDOSIM trace diff "$full.trace.json" "$work/fork.baseline.json"
+    ! $DDOSIM trace diff "$full.trace.json" "$work/fork.reseeded.json" > /dev/null
 }
 
 stage_serve() {

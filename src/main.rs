@@ -20,7 +20,6 @@ ddosim — memory-error IoT botnet DDoS simulation (DSN'23 reproduction)
 USAGE:
     ddosim [OPTIONS]
     ddosim trace diff <A.json> <B.json>
-    ddosim trace suffix <TRACE.json> <CHECKPOINT.json>
     ddosim serve [--listen <ADDR>] [--idle-timeout <SECS>] [--workers <N>]
     ddosim submit <ADDR> (--scenario <F> | --config <F> | --shutdown) [OPTIONS]
 
@@ -53,9 +52,10 @@ OPTIONS:
                               crosses SECS (schema ddosim.checkpoint/1)
     --checkpoint-out <FILE>   checkpoint output file (default ddosim-checkpoint.json)
     --resume <FILE>           continue a checkpointed run: the world is rebuilt
-                              from the checkpoint's embedded configuration and
-                              silently replayed to the snapshot time, then the
-                              flight recorder splices onto the original prefix;
+                              from the checkpoint's embedded configuration,
+                              re-run to the snapshot time and verified against
+                              the checkpoint's digests, so its outputs equal
+                              the uninterrupted run's whole documents;
                               world-shaping flags (--devs, --seed, ...) are
                               rejected, output paths (--record, ...) are not
     --scenario <FILE>         run a declarative adversary-vs-defense scenario
@@ -90,10 +90,6 @@ SUBCOMMANDS:
     trace diff <A> <B>        compare two telemetry JSON files entry by entry;
                               exit 0 if identical, print the first diverging
                               entry and exit 1 otherwise
-    trace suffix <T> <CP>     print trace T restricted to events recorded at or
-                              after checkpoint CP's snapshot (seq >= the
-                              checkpoint's recorder count); diffing that against
-                              a resumed run's trace proves resume = straight-through
     serve                     long-running scenario server: accepts
                               ddosim.serve/1 NDJSON requests over TCP and
                               streams per-job frames (accepted/started, live
@@ -127,8 +123,6 @@ enum Cli {
     Run(Box<RunOpts>),
     /// Compare two telemetry JSON files.
     TraceDiff { a: String, b: String },
-    /// Restrict a trace to the events at or after a checkpoint.
-    TraceSuffix { trace: String, checkpoint: String },
     /// Run the long-running scenario server.
     Serve(ddosim::serve::ServeOptions),
     /// Submit one job (or a shutdown) to a running server.
@@ -304,15 +298,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             [ref sub, ref a, ref b] if sub == "diff" => {
                 Ok(Cli::TraceDiff { a: a.clone(), b: b.clone() })
             }
-            [ref sub, ref t, ref cp] if sub == "suffix" => Ok(Cli::TraceSuffix {
-                trace: t.clone(),
-                checkpoint: cp.clone(),
-            }),
-            _ => Err(
-                "usage: ddosim trace diff <A.json> <B.json> | trace suffix \
-                 <TRACE.json> <CHECKPOINT.json>"
-                    .to_owned(),
-            ),
+            _ => Err("usage: ddosim trace diff <A.json> <B.json>".to_owned()),
         };
     }
     let mut builder = SimulationBuilder::new().devs(25);
@@ -552,6 +538,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     })))
 }
 
+/// Reads a whole input file; errors name the path.
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
 /// Writes one telemetry document, reporting where it went.
 fn write_doc(path: &str, doc: Option<djson::Json>, what: &str) -> Result<(), String> {
     let doc = doc.ok_or_else(|| format!("{what} was not collected"))?;
@@ -590,8 +581,7 @@ fn suffix_record_path(base: &str, name: &str) -> String {
 
 /// Reads and strictly parses a `ddosim.scenario/1` plan file.
 fn load_scenario(path: &str) -> Result<ddosim::scenario::ScenarioPlan, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    Ok(ddosim::scenario::ScenarioPlan::parse(&text)?)
+    Ok(ddosim::scenario::ScenarioPlan::parse(&read_file(path)?)?)
 }
 
 /// Runs a scenario tree: one shared prefix to the fork point, then every
@@ -602,8 +592,7 @@ fn run_scenario_tree(opts: RunOpts) -> Result<(), String> {
         fork_at, world_flag, ..
     } = opts;
     let path = suffixes_path.expect("checked by the caller");
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut plan = ddosim::SuffixPlan::parse(&text)?;
+    let mut plan = ddosim::SuffixPlan::parse(&read_file(&path)?)?;
     if let Some(at) = fork_at {
         plan.fork_at = at;
     }
@@ -631,9 +620,7 @@ fn run_scenario_tree(opts: RunOpts) -> Result<(), String> {
         (None, Some(sp)) => load_scenario(sp)?.build_with_telemetry(telemetry)?,
         (None, None) => {
             if let Some(p) = faults_path {
-                let t =
-                    std::fs::read_to_string(&p).map_err(|e| format!("reading {p}: {e}"))?;
-                builder = builder.faults(ddosim::FaultPlan::parse_str(&t)?);
+                builder = builder.faults(ddosim::FaultPlan::parse_str(&read_file(&p)?)?);
             }
             builder.telemetry(telemetry).build()?
         }
@@ -691,8 +678,7 @@ fn run_sweep(opts: RunOpts) -> Result<(), String> {
         opts;
     let n = sweep_seeds.expect("checked by the caller");
     if let Some(path) = faults_path {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        builder = builder.faults(ddosim::FaultPlan::parse_str(&text)?);
+        builder = builder.faults(ddosim::FaultPlan::parse_str(&read_file(&path)?)?);
     }
     let base = builder.telemetry(telemetry).config().clone();
     let configs: Vec<_> = (0..u64::from(n))
@@ -756,14 +742,11 @@ fn run(opts: RunOpts) -> Result<(), String> {
         load_scenario(path)?.build_with_telemetry(telemetry)?
     } else {
         if let Some(path) = faults_path {
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-            builder = builder.faults(ddosim::FaultPlan::parse_str(&text)?);
+            builder = builder.faults(ddosim::FaultPlan::parse_str(&read_file(&path)?)?);
         }
         builder = builder.telemetry(telemetry);
         if let Some(path) = &resume_path {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            builder = builder.resume_from(ddosim::Checkpoint::parse(&text)?);
+            builder = builder.resume_from(ddosim::Checkpoint::parse(&read_file(path)?)?);
         }
         if let Some(at) = checkpoint_at {
             builder = builder.checkpoint_at(at);
@@ -797,60 +780,10 @@ fn run(opts: RunOpts) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the suffix document: `trace` with its event list restricted to
-/// events recorded at or after the checkpoint's snapshot. Diffing the
-/// result against a resumed run's full trace proves (or refutes) that
-/// resume reproduced the straight-through run byte for byte.
-fn suffix_doc(trace_text: &str, checkpoint_text: &str) -> Result<djson::Json, String> {
-    let cp = ddosim::Checkpoint::parse(checkpoint_text)?;
-    let mut doc =
-        djson::Json::parse(trace_text).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-    let djson::Json::Obj(members) = &mut doc else {
-        return Err("trace is not a JSON object".to_owned());
-    };
-    let events = members
-        .iter_mut()
-        .find(|(k, _)| k == "events")
-        .ok_or_else(|| "trace has no 'events' array".to_owned())?;
-    let djson::Json::Arr(list) = &mut events.1 else {
-        return Err("trace 'events' is not an array".to_owned());
-    };
-    list.retain(|e| {
-        e.get("seq")
-            .and_then(djson::Json::as_u64)
-            .is_some_and(|seq| seq >= cp.events_recorded)
-    });
-    Ok(doc)
-}
-
-/// Prints a trace restricted to the events at or after a checkpoint
-/// (exit code 0, or 2 if either file is unreadable).
-fn trace_suffix(trace_path: &str, checkpoint_path: &str) -> ExitCode {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
-    };
-    let result = read(trace_path)
-        .and_then(|t| read(checkpoint_path).map(|c| (t, c)))
-        .and_then(|(t, c)| suffix_doc(&t, &c));
-    match result {
-        Ok(doc) => {
-            println!("{}", doc.to_string_compact());
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// Compares two telemetry JSON files; the process exit code reports the
 /// verdict (0 identical, 1 diverged, 2 unreadable).
 fn trace_diff(a_path: &str, b_path: &str) -> ExitCode {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
-    };
-    let (a, b) = match (read(a_path), read(b_path)) {
+    let (a, b) = match (read_file(a_path), read_file(b_path)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("error: {e}");
@@ -885,13 +818,10 @@ fn run_serve(opts: ddosim::serve::ServeOptions) -> Result<(), String> {
 
 /// Submits one job (or a shutdown) and reports its outcome.
 fn run_submit(cli: SubmitCli) -> Result<(), String> {
-    let read = |path: &String| {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
-    };
     let opts = ddosim::serve::SubmitOptions {
         addr: cli.addr,
-        scenario: cli.scenario_path.as_ref().map(read).transpose()?,
-        config: cli.config_path.as_ref().map(read).transpose()?,
+        scenario: cli.scenario_path.as_deref().map(read_file).transpose()?,
+        config: cli.config_path.as_deref().map(read_file).transpose()?,
         shutdown: cli.shutdown,
         id: cli.id,
         record: cli.record_out.is_some(),
@@ -940,36 +870,21 @@ fn run_submit(cli: SubmitCli) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
+    let outcome = match parse_args(&args) {
         Ok(Cli::Help) => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(Cli::TraceDiff { a, b }) => trace_diff(&a, &b),
-        Ok(Cli::TraceSuffix { trace, checkpoint }) => trace_suffix(&trace, &checkpoint),
-        Ok(Cli::Serve(opts)) => match run_serve(opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Cli::Submit(cli)) => match run_submit(*cli) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Cli::Run(opts)) => match run(*opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
+        Ok(Cli::TraceDiff { a, b }) => return trace_diff(&a, &b),
+        Ok(Cli::Serve(opts)) => run_serve(opts),
+        Ok(Cli::Submit(cli)) => run_submit(*cli),
+        Ok(Cli::Run(opts)) => run(*opts),
+        Err(msg) => Err(format!("{msg}\n\n{USAGE}")),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -992,7 +907,6 @@ mod tests {
                 match other {
                     Ok(Cli::Help) => "help".to_owned(),
                     Ok(Cli::TraceDiff { .. }) => "trace diff".to_owned(),
-                    Ok(Cli::TraceSuffix { .. }) => "trace suffix".to_owned(),
                     Ok(Cli::Serve(_)) => "serve".to_owned(),
                     Ok(Cli::Submit(_)) => "submit".to_owned(),
                     Ok(Cli::Run(_)) => unreachable!(),
@@ -1033,7 +947,7 @@ mod tests {
             (&["--frobnicate"], "unknown option"),
             (&["trace", "diff", "only-one.json"], "trace diff"),
             (&["trace", "merge", "a.json", "b.json"], "trace diff"),
-            (&["trace", "suffix", "only-one.json"], "trace suffix"),
+            (&["trace", "suffix", "t.json", "cp.json"], "trace diff"),
             (&["--checkpoint-at", "-5"], "non-negative"),
             (&["--checkpoint-at", "soon"], "--checkpoint-at"),
             (&["--checkpoint-out", "cp.json"], "--checkpoint-at"),
@@ -1187,7 +1101,7 @@ mod tests {
         assert_eq!(opts.record_out.as_deref(), Some("out.json"));
         assert!(opts.json);
         // A resumed run may also re-checkpoint (at or after the resume
-        // point; the run itself enforces the ordering).
+        // point; the run itself refuses a checkpoint time in the past).
         let opts = run_opts(&["--resume", "cp.json", "--checkpoint-at", "80"]);
         assert_eq!(opts.checkpoint_at, Some(Duration::from_secs(80)));
     }
@@ -1243,34 +1157,6 @@ mod tests {
     fn wifi_topology_parses() {
         let opts = run_opts(&["--topology", "wifi"]);
         assert_eq!(opts.builder.config().topology, ddosim::TopologyKind::Wifi);
-    }
-
-    #[test]
-    fn trace_suffix_subcommand_parses() {
-        match parse(&["trace", "suffix", "t.json", "cp.json"]) {
-            Ok(Cli::TraceSuffix { trace, checkpoint }) => {
-                assert_eq!(trace, "t.json");
-                assert_eq!(checkpoint, "cp.json");
-            }
-            _ => panic!("trace suffix did not parse"),
-        }
-    }
-
-    #[test]
-    fn suffix_doc_filters_events_below_the_checkpoint_count() {
-        let cp = ddosim::Checkpoint {
-            at: Duration::from_secs(10),
-            config: ddosim::SimulationConfig::default(),
-            digests: Vec::new(),
-            events_recorded: 2,
-        };
-        let trace = r#"{"schema":"s","capacity":4,"total_recorded":4,
-            "events":[{"seq":0},{"seq":1},{"seq":2},{"seq":3}]}"#;
-        let doc = suffix_doc(trace, &cp.to_string_pretty()).expect("valid inputs");
-        let events = doc.get("events").and_then(djson::Json::as_array).unwrap();
-        let seqs: Vec<u64> = events.iter().filter_map(|e| e.get("seq")?.as_u64()).collect();
-        assert_eq!(seqs, [2, 3]);
-        assert_eq!(doc.get("total_recorded").and_then(djson::Json::as_u64), Some(4));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Checkpoint/restore equivalence: checkpoint-at-T-then-resume must
-//! produce a flight-recorder trace byte-identical to the uninterrupted
-//! run's trace from T onward — across every fabric shape and under fault
-//! injection — and the snapshot format must be byte-stable and fail
-//! loudly (never panic) on corrupted input.
+//! produce flight-recorder, capture and metrics documents byte-identical
+//! to the uninterrupted run's whole documents — across every fabric shape
+//! and under fault injection — and the snapshot format must be
+//! byte-stable and fail loudly (never panic) on corrupted input.
 
 use ddosim::{AttackSpec, Checkpoint, SimulationBuilder, TelemetryConfig, TopologyKind};
 use proptest::prelude::*;
@@ -12,9 +12,12 @@ use std::time::Duration;
 /// in-flight floods, live C&C connections, and armed timers.
 const CHECKPOINT_AT: Duration = Duration::from_secs(30);
 
+/// Every collector on, so all three output documents are compared.
 fn recording() -> TelemetryConfig {
     TelemetryConfig {
         record: true,
+        capture: true,
+        metrics_interval: Some(Duration::from_secs(1)),
         ..TelemetryConfig::default()
     }
 }
@@ -31,63 +34,51 @@ fn base(seed: u64, topology: TopologyKind) -> SimulationBuilder {
         .telemetry(recording())
 }
 
+/// The recorder, capture and metrics documents of a finished run.
+fn documents(handle: &ddosim::Telemetry) -> [String; 3] {
+    [
+        handle.recorder_json().expect("recording"),
+        handle.capture_json().expect("capturing"),
+        handle.metrics_json().expect("sampling"),
+    ]
+    .map(|doc| doc.to_string_compact())
+}
+
 /// Runs straight through with a checkpoint armed at `at`; returns the
-/// full trace and the snapshot.
-fn run_with_checkpoint(builder: SimulationBuilder, at: Duration) -> (String, Checkpoint) {
+/// run's documents and the snapshot.
+fn run_with_checkpoint(builder: SimulationBuilder, at: Duration) -> ([String; 3], Checkpoint) {
     let instance = builder.checkpoint_at(at).build().expect("valid configuration");
     let handle = instance.telemetry().clone();
     let (_, saved) = instance.try_run_to_completion().expect("run succeeds");
-    let trace = handle.recorder_json().expect("recording").to_string_compact();
-    (trace, saved.expect("checkpoint was armed"))
+    (documents(&handle), saved.expect("checkpoint was armed"))
 }
 
-/// Resumes from `cp` and returns the continuation's trace (and any
+/// Resumes from `cp` and returns the resumed run's documents (and any
 /// re-saved checkpoint).
-fn run_resumed(cp: Checkpoint, re_checkpoint_at: Option<Duration>) -> (String, Option<Checkpoint>) {
+fn run_resumed(
+    cp: Checkpoint,
+    re_checkpoint_at: Option<Duration>,
+) -> ([String; 3], Option<Checkpoint>) {
     let mut builder = SimulationBuilder::new().resume_from(cp);
     if let Some(at) = re_checkpoint_at {
         builder = builder.checkpoint_at(at);
     }
-    let instance = builder.build().expect("checkpoint config is valid");
+    let instance = builder.build().expect("checkpoint verifies");
     let handle = instance.telemetry().clone();
     let (_, saved) = instance.try_run_to_completion().expect("resume succeeds");
-    let trace = handle.recorder_json().expect("recording").to_string_compact();
-    (trace, saved)
+    (documents(&handle), saved)
 }
 
-/// The straight-through trace restricted to events recorded at or after
-/// the snapshot (what `ddosim trace suffix` computes).
-fn suffix(trace: &str, cp: &Checkpoint) -> String {
-    let mut doc = djson::Json::parse(trace).expect("trace parses");
-    let djson::Json::Obj(members) = &mut doc else {
-        panic!("trace is not an object")
-    };
-    let (_, events) = members
-        .iter_mut()
-        .find(|(k, _)| k == "events")
-        .expect("events array");
-    let djson::Json::Arr(list) = events else {
-        panic!("events is not an array")
-    };
-    list.retain(|e| {
-        e.get("seq")
-            .and_then(djson::Json::as_u64)
-            .is_some_and(|seq| seq >= cp.events_recorded)
-    });
-    doc.to_string_compact()
-}
-
-fn assert_resume_equals_straight_through(builder: SimulationBuilder) {
+/// Returns the recorder count at the snapshot.
+fn assert_resume_equals_straight_through(builder: SimulationBuilder) -> u64 {
     let (straight, cp) = run_with_checkpoint(builder, CHECKPOINT_AT);
-    assert!(cp.events_recorded > 0, "nothing recorded before the snapshot");
-    let expected = suffix(&straight, &cp);
+    let recorded_at_snapshot = cp.events_recorded;
+    assert!(recorded_at_snapshot > 0, "nothing recorded before the snapshot");
     let (resumed, _) = run_resumed(cp, None);
-    assert_eq!(
-        expected, resumed,
-        "resumed trace differs from the straight-through run's suffix"
-    );
-    // And the events the resumed run did record are genuinely post-T.
-    assert_ne!(expected, straight, "suffix filtered nothing");
+    for (what, (a, b)) in ["trace", "capture", "metrics"].iter().zip(straight.iter().zip(&resumed)) {
+        assert!(a == b, "resumed {what} differs from the straight-through run's");
+    }
+    recorded_at_snapshot
 }
 
 #[test]
@@ -122,15 +113,24 @@ fn fault_plan_resume_is_byte_identical_from_the_snapshot_on() {
     assert_resume_equals_straight_through(base(42, TopologyKind::Star).faults(plan));
 }
 
+/// A ring small enough to wrap long before T: the resumed ring must hold
+/// the same window, not just the same tail.
+#[test]
+fn resume_is_byte_identical_when_the_recorder_ring_wraps_before_the_snapshot() {
+    let telemetry = TelemetryConfig { recorder_capacity: 64, ..recording() };
+    let recorded_at_snapshot =
+        assert_resume_equals_straight_through(base(42, TopologyKind::Star).telemetry(telemetry));
+    assert!(recorded_at_snapshot > 64, "ring did not wrap before the snapshot");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// save → restore → save at the same instant is byte-stable: the
-    /// re-saved checkpoint renders identically to the original (verify
-    /// runs before save, so the spliced recorder count and the digests
-    /// match exactly).
+    /// re-saved checkpoint renders identically to the original, phase
+    /// boundaries (25 s, 35 s) included.
     #[test]
-    fn save_restore_save_is_byte_stable(seed in 0u64..1000, at_secs in 26u64..40) {
+    fn save_restore_save_is_byte_stable(seed in 0u64..1000, at_secs in 25u64..40) {
         let at = Duration::from_secs(at_secs);
         let (_, cp) = run_with_checkpoint(base(seed, TopologyKind::Star), at);
         let original = cp.to_string_pretty();
@@ -178,12 +178,9 @@ fn tampered_digest_is_rejected_naming_the_layer() {
         .find(|(layer, _)| layer == "netsim.tcp")
         .expect("tcp layer digested");
     tcp.1 ^= 1;
-    let instance = SimulationBuilder::new()
+    let err = SimulationBuilder::new()
         .resume_from(cp)
         .build()
-        .expect("config itself is valid");
-    let err = instance
-        .try_run_to_completion()
         .expect_err("tampered digest accepted");
     assert!(
         err.contains("netsim.tcp"),
@@ -192,18 +189,41 @@ fn tampered_digest_is_rejected_naming_the_layer() {
 }
 
 #[test]
+fn tampered_recorder_count_is_rejected() {
+    let (_, mut cp) = run_with_checkpoint(base(42, TopologyKind::Star), CHECKPOINT_AT);
+    cp.events_recorded += 1;
+    let err = SimulationBuilder::new()
+        .resume_from(cp)
+        .build()
+        .expect_err("tampered recorder count accepted");
+    assert!(
+        err.contains("flight-recorder events"),
+        "divergence error does not name the recorder count: {err}"
+    );
+}
+
+/// A checkpoint armed behind the world's clock can never be taken — on a
+/// resumed world or any other world already past it.
+#[test]
 fn checkpoint_before_the_resume_point_is_rejected() {
     let (_, cp) = run_with_checkpoint(base(42, TopologyKind::Star), CHECKPOINT_AT);
-    let instance = SimulationBuilder::new()
+    let resumed = SimulationBuilder::new()
         .resume_from(cp)
         .checkpoint_at(Duration::from_secs(10))
         .build()
-        .expect("config itself is valid");
-    let err = instance
-        .try_run_to_completion()
-        .expect_err("pre-resume checkpoint accepted");
-    assert!(
-        err.contains("resume"),
-        "error does not explain the ordering constraint: {err}"
-    );
+        .expect("checkpoint verifies");
+    let mut parent = base(42, TopologyKind::Star).build().expect("valid configuration");
+    parent.run_prefix(Duration::from_secs(28)).expect("prefix runs");
+    let mut fork = parent.fork().expect("world forks");
+    fork.set_checkpoint_at(Duration::from_secs(10));
+    for (world, now) in [(resumed, "30.000s"), (fork, "28.000s")] {
+        let err = world
+            .try_run_to_completion()
+            .expect_err("checkpoint in the past accepted");
+        assert!(
+            err.contains("checkpoint time 10.000s is already in the past")
+                && err.contains(now),
+            "error does not name both times: {err}"
+        );
+    }
 }

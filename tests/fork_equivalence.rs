@@ -134,6 +134,32 @@ fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
     assert_ne!(straight, trace(1), "reseeded suffix failed to diverge");
 }
 
+/// A resumed world is an ordinary live world: forked past its snapshot it
+/// yields the fork the straight-through world yields, reseeded or not.
+#[test]
+fn fork_of_a_resumed_world_equals_fork_of_the_straight_through_world() {
+    let straight = base(42, TopologyKind::Star)
+        .checkpoint_at(Duration::from_secs(28))
+        .build()
+        .expect("valid configuration");
+    let (_, saved) = straight.try_run_to_completion().expect("run succeeds");
+    let mut resumed = SimulationBuilder::new()
+        .resume_from(saved.expect("checkpoint was armed"))
+        .build()
+        .expect("checkpoint verifies");
+    resumed.run_prefix(FORK_AT).expect("resumed world runs on");
+    for fork_seed in [0, 7] {
+        let fork = resumed.fork_with_seed(fork_seed).expect("resumed world forks");
+        let handle = fork.telemetry().clone();
+        fork.try_run_to_completion().expect("fork runs");
+        assert_eq!(
+            handle.recorder_json().expect("recording").to_string_compact(),
+            forked_trace(base(42, TopologyKind::Star), FORK_AT, fork_seed),
+            "fork (seed {fork_seed}) of a resumed world differs from the straight-through fork"
+        );
+    }
+}
+
 /// A five-figure world built on the struct-of-arrays arena and flyweight
 /// firmware: forking it must reproduce every layer digest exactly
 /// (`fork_with_seed` itself re-verifies layer by layer and errors on the

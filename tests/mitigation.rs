@@ -5,7 +5,7 @@ use analysis::RateLimiter;
 use ddosim::{AttackSpec, SimulationBuilder};
 use std::time::Duration;
 
-fn scenario() -> ddosim::Ddosim {
+fn world() -> SimulationBuilder {
     SimulationBuilder::new()
         .devs(15)
         .attack(AttackSpec::udp_plain(Duration::from_secs(30)))
@@ -13,8 +13,10 @@ fn scenario() -> ddosim::Ddosim {
         .sim_time(Duration::from_secs(80))
         .attack_ramp(Duration::from_secs(3))
         .seed(21)
-        .build()
-        .expect("valid configuration")
+}
+
+fn scenario() -> ddosim::Ddosim {
+    world().build().expect("valid configuration")
 }
 
 #[test]
@@ -72,14 +74,50 @@ fn filter_drops_are_accounted() {
 fn clearing_the_filter_restores_traffic() {
     let mut instance = scenario();
     let fabric = instance.fabric_node();
-    instance.sim_mut().set_ingress_filter(
-        fabric,
-        Box::new(|_pkt, _now| netsim::FilterVerdict::Drop),
-    );
+    // A limiter with no burst and no refill admits nothing.
+    let drop_all = RateLimiter { rate_bps: 0, burst_bytes: 0 };
+    instance.sim_mut().push_node_filter(fabric, drop_all.into_rule());
     instance.run_until(Duration::from_secs(5));
     // Under drop-all even the exploit exchange is blocked.
     assert_eq!(instance.infected_count(), 0);
-    instance.sim_mut().clear_ingress_filter(fabric);
+    instance.sim_mut().clear_node_filters(fabric);
     instance.run_until(Duration::from_secs(25));
     assert_eq!(instance.infected_count(), 15, "infection resumes once the filter lifts");
+}
+
+/// A deployed `ModelFilter` carries mid-window state (the features seen
+/// so far, the sources flagged at the last boundary); a seed-0 fork taken
+/// mid-window must replay the parent's verdicts exactly.
+#[test]
+fn model_filter_world_forks_mid_window_onto_the_same_trace() {
+    use analysis::{synthetic_dataset, LogisticRegression, ModelFilter, TrainConfig};
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+    let model = LogisticRegression::train(&synthetic_dataset(200, &mut rng), TrainConfig::default());
+    let defended = || {
+        let mut instance = world()
+            .telemetry(ddosim::TelemetryConfig { record: true, ..Default::default() })
+            .build()
+            .expect("valid configuration");
+        let fabric = instance.fabric_node();
+        instance.run_prefix(Duration::from_secs(29)).expect("prefix runs");
+        let filter = ModelFilter::new(model.clone(), Duration::from_secs(2), 0.5);
+        instance.sim_mut().push_node_filter(fabric, filter.into_rule());
+        instance
+    };
+    let trace_of = |instance: ddosim::Ddosim| {
+        let handle = instance.telemetry().clone();
+        instance.run_to_completion();
+        handle.recorder_json().expect("recording").to_string_compact()
+    };
+    let straight = trace_of(defended());
+    assert!(
+        straight.matches("\"filtered pkt").count() > 1000,
+        "the model never flagged the flood"
+    );
+
+    let mut parent = defended();
+    parent.run_prefix(Duration::from_secs(45)).expect("prefix runs");
+    let forked = trace_of(parent.fork().expect("a world with a ModelFilter forks"));
+    assert!(forked == straight, "seed-0 fork trace differs from the straight-through run");
 }
