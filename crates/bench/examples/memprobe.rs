@@ -74,6 +74,7 @@ fn main() {
     };
     stage("baseline", devices);
 
+    let build_start = std::time::Instant::now();
     let mut sim = Simulator::new(17);
     let mut net = TieredTopology::new(
         &mut sim,
@@ -117,6 +118,7 @@ fn main() {
         );
     }
     stage("apps", devices);
+    let build = build_start.elapsed().as_secs_f64();
 
     let start = std::time::Instant::now();
     sim.run_until(SimTime::from_secs(2));
@@ -125,7 +127,7 @@ fn main() {
     let s = sim.stats();
     let packets = s.packets_sent + s.packets_delivered + s.total_dropped();
     println!(
-        "packets: {packets} | {:.0} packets/s | peak {} B/dev",
+        "built in {build:.3}s | packets: {packets} | {:.0} packets/s | peak {} B/dev",
         packets as f64 / wall,
         status_kb("VmHWM:") * 1024 / devices as u64
     );

@@ -51,7 +51,7 @@ impl NameInterner {
         Self::default()
     }
 
-    fn hash(name: &str) -> u64 {
+    pub(crate) fn hash(name: &str) -> u64 {
         let mut h = FastHasher::default();
         h.write(name.as_bytes());
         h.finish()

@@ -409,11 +409,10 @@ impl Simulator {
         for addr in &addrs {
             // The local-delivery fast path resolves ownership through this
             // index, so an address must belong to exactly one interface.
-            debug_assert!(
-                !self.addr_index.contains_key(addr),
+            assert!(
+                self.addr_index.insert(*addr, id).is_none(),
                 "address {addr} assigned to two interfaces"
             );
-            self.addr_index.insert(*addr, id);
             self.nodes.note_addr(node.index(), *addr);
         }
         self.ifaces.push(Iface {
@@ -1892,6 +1891,15 @@ mod tests {
         sim.add_default_route(a, ia);
         sim.add_default_route(b, ib);
         Harness { sim, a, b }
+    }
+
+    #[test]
+    #[should_panic(expected = "address 10.0.0.1 assigned to two interfaces")]
+    fn one_address_cannot_sit_on_two_interfaces() {
+        // Checked in release builds too (`cargo test --release`): the
+        // local-delivery probe trusts `addr_index` to be one-to-one.
+        let mut h = two_hosts(1_000_000);
+        h.sim.add_iface(h.b, vec![v4(1)]);
     }
 
     #[derive(Default)]

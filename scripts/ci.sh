@@ -2,12 +2,14 @@
 # Tier-1 gate, split into named stages:
 #
 #   build        release + example builds under -D warnings, hot-path
-#                hashing gate (no bare HashMap on forwarding paths)
+#                hashing gate (no bare HashMap on forwarding paths, no
+#                hasher built outside netsim::fastmap)
 #   test         every package's tests (`cargo test --workspace`; the
 #                bare root command runs the root package only)
 #   perf         perfsnap smoke run gated +/-25% against the committed
 #                baseline (results/BENCH_netsim.json), checkpoint gauge
-#                included
+#                and world-build rate included, plus a same-run scale
+#                flatness floor (huge_topology / large_topology >= 0.5)
 #   determinism  same seed -> byte-identical traces (star, multi-hop
 #                tiered, fault plan, zero-fault no-op); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
@@ -70,12 +72,14 @@ stage_build() {
     cargo build --examples --offline
 
     # Hot-path hashing gate: the forwarding fast path (addr index, route
-    # tables, TCP demux) must stay on the deterministic FastMap wrappers; a
-    # bare std HashMap would quietly reintroduce per-process RandomState.
+    # tables, TCP demux, fork map, name interner) must stay on the
+    # deterministic FastMap wrappers; a bare std HashMap would quietly
+    # reintroduce per-process RandomState.
     # Node names are likewise interned (NameId) so the arena stays
     # struct-of-arrays; a `name: String` field would silently reintroduce a
     # heap allocation per node and blow the 2 KiB/device memory budget.
-    for hot in crates/netsim/src/sim.rs crates/netsim/src/node.rs crates/netsim/src/tcp.rs; do
+    for hot in sim.rs node.rs tcp.rs fork.rs intern.rs; do
+        hot=crates/netsim/src/$hot
         if grep -n 'HashMap' "$hot"; then
             echo "error: $hot mentions HashMap; hot paths use netsim::fastmap::FastMap" >&2
             exit 1
@@ -85,6 +89,13 @@ stage_build() {
             exit 1
         fi
     done
+    # One hasher, defined once: a second BuildHasher in netsim would dodge
+    # fastmap.rs's distribution tests (the scale cliff was one such hasher).
+    if grep -rnE 'BuildHasherDefault|RandomState' crates/netsim/src --include='*.rs' \
+        | grep -v '^crates/netsim/src/fastmap.rs:'; then
+        echo "error: netsim builds its hashers in fastmap.rs only; use FastMap/FastSet" >&2
+        exit 1
+    fi
 }
 
 stage_test() {
@@ -95,8 +106,11 @@ stage_perf() {
     # Performance regression gate: a fresh smoke snapshot must stay within
     # 25% of the committed baseline on every throughput gauge (event queue,
     # link saturation, whole-sim, large topology, checkpoint snapshots,
-    # fork branches). The compare output lands in CI_ARTIFACT_DIR (when
-    # set) so the workflow can upload it.
+    # fork branches, huge-topology packets/s and world-build devices/s),
+    # and its own huge_topology.flatness (10k-device packets/s over
+    # 500-device packets/s, same process) must reach 0.5. The compare
+    # output lands in CI_ARTIFACT_DIR (when set) so the workflow can
+    # upload it.
     $PERFSNAP --smoke --out "$work/fresh-snap.json"
     compare_log=${CI_ARTIFACT_DIR:+$CI_ARTIFACT_DIR/perf-compare.txt}
     compare_log=${compare_log:-$work/perf-compare.txt}
