@@ -256,10 +256,10 @@ fn whole_sim(spokes: usize, sim_secs: u64) -> djson::Json {
 /// backbone. Every device gets dual-stack host routes on the backbone
 /// (exactly how [`netsim::topology::TieredTopology`] provisions members),
 /// so at 2,000 devices the backbone's route table holds ~4,000 entries —
-/// the table the naive per-packet linear scan has to walk on every
-/// forwarded packet, and the route cache reduces to one hash probe.
-fn build_large_topology(cells: usize, devs_per_cell: usize, route_cache: bool) -> Simulator {
-    build_large_topology_with_nodes(cells, devs_per_cell, route_cache).0
+/// the table a per-packet linear scan would walk on every forwarded
+/// packet, and the route cache reduces to one hash probe.
+fn build_large_topology(cells: usize, devs_per_cell: usize) -> Simulator {
+    build_large_topology_with_nodes(cells, devs_per_cell).0
 }
 
 /// [`build_large_topology`], also returning the backbone and target-server
@@ -268,13 +268,11 @@ fn build_large_topology(cells: usize, devs_per_cell: usize, route_cache: bool) -
 fn build_large_topology_with_nodes(
     cells: usize,
     devs_per_cell: usize,
-    route_cache: bool,
 ) -> (Simulator, netsim::NodeId, netsim::NodeId, SocketAddr) {
     use netsim::topology::AddrAllocator;
     use netsim::WifiConfig;
 
     let mut sim = Simulator::new(11);
-    sim.set_route_cache(route_cache);
     let mut alloc = AddrAllocator::new();
 
     let backbone = sim.add_node("backbone");
@@ -346,13 +344,8 @@ fn build_large_topology_with_nodes(
 
 /// Builds the large topology and runs it under load; returns packet count,
 /// packets per wall-clock second, and wall seconds.
-fn large_topology_run(
-    cells: usize,
-    devs_per_cell: usize,
-    sim_secs: u64,
-    route_cache: bool,
-) -> (u64, f64, f64) {
-    let mut sim = build_large_topology(cells, devs_per_cell, route_cache);
+fn large_topology_run(cells: usize, devs_per_cell: usize, sim_secs: u64) -> (u64, f64, f64) {
+    let mut sim = build_large_topology(cells, devs_per_cell);
     let start = Instant::now();
     sim.run_until(SimTime::from_secs(sim_secs));
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
@@ -368,7 +361,7 @@ fn large_topology_run(
 fn checkpoint_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64, reps: usize) -> djson::Json {
     const SNAPSHOTS_PER_REP: u64 = 8;
     let devices = cells * devs_per_cell;
-    let mut sim = build_large_topology(cells, devs_per_cell, true);
+    let mut sim = build_large_topology(cells, devs_per_cell);
     sim.run_until(SimTime::from_secs(sim_secs));
     let layers = sim.state_digests().len() as u64; // also warms caches
     let (_, snapshots_per_sec) = best_rate(reps, || {
@@ -392,25 +385,14 @@ fn checkpoint_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64, reps: usi
     ])
 }
 
-/// The scale scenario: the same large topology measured twice — once with
-/// the route cache off (reference linear scans) and once with it on — so
-/// the snapshot records the fast path's speedup, not just its absolute
-/// rate. Packet counts must match exactly: the cache is an optimization,
-/// never a behavior change.
+/// The scale scenario: the large multi-hop topology under load, every
+/// forwarded packet resolved through the per-node route cache.
 fn large_topology(cells: usize, devs_per_cell: usize, sim_secs: u64) -> djson::Json {
     let devices = cells * devs_per_cell;
-    let (naive_packets, naive_pps, naive_wall) =
-        large_topology_run(cells, devs_per_cell, sim_secs, false);
-    let (packets, pps, wall) = large_topology_run(cells, devs_per_cell, sim_secs, true);
-    assert_eq!(
-        packets, naive_packets,
-        "route cache must not change simulation behavior"
-    );
-    let speedup = pps / naive_pps;
+    let (packets, pps, wall) = large_topology_run(cells, devs_per_cell, sim_secs);
     println!(
         "large-topology: {devices} devices in {cells} cells x {sim_secs}s sim | \
-         cached {pps:.0} packets/s ({wall:.2}s wall) | naive {naive_pps:.0} packets/s \
-         ({naive_wall:.2}s wall) | speedup {speedup:.2}x"
+         {pps:.0} packets/s ({wall:.2}s wall)"
     );
     djson::Json::obj([
         ("cells", djson::Json::U64(cells as u64)),
@@ -419,9 +401,6 @@ fn large_topology(cells: usize, devs_per_cell: usize, sim_secs: u64) -> djson::J
         ("packets", djson::Json::U64(packets)),
         ("packets_per_sec", djson::Json::F64(pps)),
         ("wall_seconds", djson::Json::F64(wall)),
-        ("packets_per_sec_naive", djson::Json::F64(naive_pps)),
-        ("wall_seconds_naive", djson::Json::F64(naive_wall)),
-        ("speedup_vs_naive", djson::Json::F64(speedup)),
         ("peak_rss_kb", peak_rss_json()),
     ])
 }
@@ -438,7 +417,7 @@ fn large_topology(cells: usize, devs_per_cell: usize, sim_secs: u64) -> djson::J
 fn fork_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64, branches: usize) -> djson::Json {
     let devices = cells * devs_per_cell;
     let fork_at = sim_secs / 2;
-    let mut parent = build_large_topology(cells, devs_per_cell, true);
+    let mut parent = build_large_topology(cells, devs_per_cell);
     parent.run_until(SimTime::from_secs(fork_at));
 
     let map = netsim::ForkMap::new();
@@ -455,7 +434,7 @@ fn fork_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64, branches: usize
     let start = Instant::now();
     let mut replays: Vec<Simulator> = (0..branches)
         .map(|_| {
-            let mut world = build_large_topology(cells, devs_per_cell, true);
+            let mut world = build_large_topology(cells, devs_per_cell);
             world.run_until(SimTime::from_secs(fork_at));
             world
         })
@@ -516,9 +495,9 @@ fn fork_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64, branches: usize
 /// recorded alongside.
 fn scenario_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64) -> djson::Json {
     let devices = cells * devs_per_cell;
-    let (_, clean_pps, _) = large_topology_run(cells, devs_per_cell, sim_secs, true);
+    let (_, clean_pps, _) = large_topology_run(cells, devs_per_cell, sim_secs);
     let (mut sim, backbone, tserver, target) =
-        build_large_topology_with_nodes(cells, devs_per_cell, true);
+        build_large_topology_with_nodes(cells, devs_per_cell);
     // Generous per-source budget: the gauge measures filter evaluation
     // cost, not drop behavior, so the buckets rarely run dry.
     sim.push_node_filter(

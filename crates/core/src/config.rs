@@ -391,7 +391,8 @@ impl SimulationConfig {
         if *self.access_rate_kbps.start() == 0 {
             return Err("access rate must be positive".into());
         }
-        if self.attack_at + self.attack.duration > self.sim_time {
+        let window_end = self.attack_at.checked_add(self.attack.duration);
+        if window_end.is_none_or(|end| end > self.sim_time) {
             return Err(format!(
                 "attack window ({}s at {}s) exceeds the simulation horizon ({}s)",
                 self.attack.duration.as_secs(),
@@ -696,6 +697,10 @@ mod tests {
         };
         c.attack.duration = Duration::from_secs(100);
         assert!(c.validate().is_err());
+        // A window whose end overflows `Duration` is the same error, not a
+        // panic.
+        c.attack.duration = Duration::MAX;
+        assert!(c.validate().expect_err("overflowing window").contains("exceeds"));
     }
 
     #[test]

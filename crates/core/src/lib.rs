@@ -35,7 +35,6 @@ pub mod honeypot;
 pub mod instance;
 pub mod metrics;
 pub mod reboot;
-pub mod record;
 pub mod report;
 pub mod result;
 pub mod suffix;
@@ -55,6 +54,5 @@ pub use instance::{Ddosim, DevInfo, ATTACKER_IMAGE_BYTES, DEV_IMAGE_BASE_BYTES};
 pub use metrics::{bytes_to_gb, MemoryModel, TServerSink};
 pub use reboot::RebootController;
 pub use netsim::{Telemetry, TelemetryConfig};
-pub use record::{compare, load_results, save_results, Drift};
 pub use result::{ChurnSummary, RunResult};
 pub use suffix::{SuffixPlan, SuffixSpec, SUFFIX_SCHEMA};

@@ -202,11 +202,6 @@ pub struct Simulator {
     /// of an inline stack of map headers.
     tcp: Vec<Option<Box<TcpStack>>>,
     addr_index: FastMap<IpAddr, IfaceId>,
-    /// Whether forwarding resolves destinations through the per-node route
-    /// cache (the default) or the reference linear scan. The naive path
-    /// exists for A/B measurement (`perfsnap large_topology`) and as the
-    /// oracle in equivalence tests.
-    route_cache_enabled: bool,
     rng: SmallRng,
     /// Separate stream for injected wired-link loss draws: loss faults
     /// perturb only this RNG, so enabling them never shifts the jitter /
@@ -256,7 +251,6 @@ impl Simulator {
             apps: Vec::new(),
             tcp: Vec::new(),
             addr_index: FastMap::default(),
-            route_cache_enabled: true,
             rng: SmallRng::seed_from_u64(seed),
             fault_rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
             stats: Stats::default(),
@@ -268,14 +262,6 @@ impl Simulator {
             node_filters: BTreeMap::new(),
             blocklist: BTreeSet::new(),
         }
-    }
-
-    /// Enables or disables the per-node route cache. Forwarding behavior is
-    /// identical either way (the naive linear scan is the oracle); the
-    /// toggle exists so benchmarks can measure the cached fast path against
-    /// the reference path on the same topology.
-    pub fn set_route_cache(&mut self, enabled: bool) {
-        self.route_cache_enabled = enabled;
     }
 
     /// Appends a filter rule to the node's defense stack. Rules survive
@@ -528,14 +514,10 @@ impl Simulator {
 
     /// Resolves the egress route for `dst` on `node` exactly as the
     /// forwarding hot path does: through the epoch-invalidated route cache
-    /// when enabled (the default), otherwise the reference linear scan
-    /// ([`NodeRef::route_for`]).
+    /// ([`NodeRef::route_for`] is the reference linear scan tests compare
+    /// it with).
     pub fn resolve_route(&mut self, node: NodeId, dst: IpAddr) -> Option<Route> {
-        if self.route_cache_enabled {
-            self.nodes.routes[node.index()].lookup(dst)
-        } else {
-            self.nodes.routes[node.index()].lookup_naive(dst)
-        }
+        self.nodes.routes[node.index()].lookup(dst)
     }
 
     /// First address of the given family on any of the node's interfaces
@@ -1032,7 +1014,6 @@ impl Simulator {
             apps,
             tcp: self.tcp.clone(),
             addr_index: self.addr_index.clone(),
-            route_cache_enabled: self.route_cache_enabled,
             // SmallRng is plain state; Clone resumes the exact stream
             // position, so a seed-0 fork draws identically to the parent.
             rng: self.rng.clone(),

@@ -20,7 +20,7 @@
 //! workspace: the version is pinned, unknown fields are rejected, and
 //! exactly one of `scenario` / `config` must own the world.
 
-use ddosim_core::SimulationConfig;
+use ddosim_core::{Ddosim, SimulationConfig, TelemetryConfig};
 use djson::Json;
 use scenario::ScenarioPlan;
 use std::time::Duration;
@@ -38,6 +38,36 @@ pub enum JobSpec {
     Scenario(ScenarioPlan),
     /// A resolved configuration document (`config_to_json` shape).
     Config(SimulationConfig),
+}
+
+impl JobSpec {
+    /// Builds the world this spec owns, with `telemetry` layered on top —
+    /// the one call behind `ddosim --scenario`, a suffix plan's embedded
+    /// configuration and every `serve` job, which is what makes "serve
+    /// builds exactly what offline builds" hold by construction.
+    ///
+    /// A plan carries no telemetry of its own and takes `telemetry`
+    /// whole. An embedded configuration owns its telemetry
+    /// (checkpoint-style); `telemetry` can only add to it: the recorder
+    /// is ORed in and a metrics interval, when given, replaces the
+    /// embedded one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message if the plan or configuration fails validation.
+    pub fn build(&self, telemetry: TelemetryConfig) -> Result<Ddosim, String> {
+        match self {
+            JobSpec::Scenario(plan) => plan.build_with_telemetry(telemetry),
+            JobSpec::Config(config) => {
+                let mut config = config.clone();
+                config.telemetry.record |= telemetry.record;
+                if telemetry.metrics_interval.is_some() {
+                    config.telemetry.metrics_interval = telemetry.metrics_interval;
+                }
+                Ddosim::new(config)
+            }
+        }
+    }
 }
 
 /// A validated submission.
@@ -296,6 +326,31 @@ mod tests {
         assert_eq!(req.metrics_interval, Some(Duration::from_secs_f64(2.5)));
         let JobSpec::Config(c) = req.spec else { panic!("expected config") };
         assert_eq!((c.devs, c.seed), (4, 9));
+    }
+
+    /// `build` layers telemetry the same way for every caller: a plan
+    /// takes it whole, an embedded configuration only gains from it.
+    #[test]
+    fn build_layers_telemetry_per_spec() {
+        let asked = TelemetryConfig {
+            record: true,
+            metrics_interval: Some(Duration::from_secs(2)),
+            ..TelemetryConfig::default()
+        };
+        let plan = ScenarioPlan::parse(&plan_json()).expect("valid plan");
+        let world = JobSpec::Scenario(plan).build(asked.clone()).expect("plan builds");
+        assert_eq!(world.config().telemetry, asked);
+
+        let mut config = ddosim_core::SimulationBuilder::new().devs(3).config().clone();
+        config.telemetry.capture = true;
+        config.telemetry.metrics_interval = Some(Duration::from_secs(7));
+        let spec = JobSpec::Config(config);
+        let kept = spec.build(TelemetryConfig::default()).expect("config builds");
+        assert!(kept.config().telemetry.capture && !kept.config().telemetry.record);
+        assert_eq!(kept.config().telemetry.metrics_interval, Some(Duration::from_secs(7)));
+        let layered = spec.build(asked).expect("config builds");
+        assert!(layered.config().telemetry.capture && layered.config().telemetry.record);
+        assert_eq!(layered.config().telemetry.metrics_interval, Some(Duration::from_secs(2)));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use crate::framing::{FrameError, LineReader};
 use crate::protocol::{self, Action, JobSpec};
 use ddosim_core::{
-    install_location_hook, panic_message, take_panic_location, Ddosim, Telemetry, TelemetryConfig,
+    install_location_hook, panic_message, take_panic_location, Telemetry, TelemetryConfig,
 };
 use djson::Json;
 use std::io::Write as _;
@@ -349,37 +349,22 @@ fn run_one(job: &Job) {
     }
 }
 
-/// Builds the world exactly as the offline paths do, attaches the
-/// streaming sink, runs, and emits the final frame.
+/// Builds the world through [`JobSpec::build`] — the call the offline
+/// `--scenario` path makes — attaches the streaming sink, runs, and emits
+/// the final frame.
 ///
-/// Determinism: a scenario job is `plan.build_with_telemetry(tconf)` —
-/// the very call `ddosim --scenario --record` makes — and the sink and
-/// the `run_prefix` stepping are both proven observers (the sink never
-/// touches the ring's contents; the resumable phase walk is
-/// byte-identical to a straight-through run, which the checkpoint CI
-/// stage already enforces). So the streamed trace for seed+plan equals
-/// the offline trace byte for byte; the CI serve stage diffs exactly
-/// that.
+/// Determinism: the sink and the `run_prefix` stepping are both proven
+/// observers (the sink never touches the ring's contents; the resumable
+/// phase walk is byte-identical to a straight-through run, which the
+/// checkpoint CI stage already enforces). So the streamed trace for
+/// seed+plan equals the offline trace byte for byte; the CI serve stage
+/// diffs exactly that.
 fn run_job(job: &Job) -> Result<(), String> {
-    let tconf = TelemetryConfig {
+    let mut world = job.spec.build(TelemetryConfig {
         record: job.record,
         metrics_interval: job.metrics_interval,
         ..TelemetryConfig::default()
-    };
-    let mut world = match &job.spec {
-        JobSpec::Scenario(plan) => plan.build_with_telemetry(tconf)?,
-        JobSpec::Config(config) => {
-            // Embedded configs own their telemetry (checkpoint-style);
-            // the request's knobs are ORed on top, mirroring how the
-            // CLI layers output flags over a resumed run.
-            let mut c = config.clone();
-            c.telemetry.record |= tconf.record;
-            if tconf.metrics_interval.is_some() {
-                c.telemetry.metrics_interval = tconf.metrics_interval;
-            }
-            Ddosim::new(c)?
-        }
-    };
+    })?;
     let tele = world.telemetry().clone();
     send_frame(&job.out, protocol::frame_started(&job.id, tele.recorder_capacity()));
     if job.record {

@@ -13,7 +13,8 @@
 #   determinism  same seed -> byte-identical traces (star, multi-hop
 #                tiered, fault plan, zero-fault no-op); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
-#                a repeated sweep reproduces itself
+#                a repeated sweep reproduces itself; hostile argv exits 1,
+#                never panics
 #   checkpoint   resume == straight-through: snapshot mid-attack, resume,
 #                and compare the resumed run's whole trace, capture and
 #                metrics documents against the original's (trace diff +
@@ -237,6 +238,34 @@ PLAN
     # flood arrives as TCP stream data.
     flt_lt "$base_rate" "$(scn_field dns_amplification avg_received_data_rate_kbps)"
     [ "$(scn_field http_flood flood_packets_received)" -gt 0 ]
+
+    # Hostile argv: every one of these is a usage error (exit 1 with a
+    # message), never a panic (exit 101).
+    hostile() {
+        status=0
+        $DDOSIM "$@" > /dev/null 2> "$work/hostile.err" || status=$?
+        if [ "$status" -ne 1 ] || grep -q panicked "$work/hostile.err"; then
+            echo "error: ddosim $* exited $status:" >&2
+            cat "$work/hostile.err" >&2
+            return 1
+        fi
+    }
+    hostile --devs 2 --duration 18446744073709551615
+    hostile --devs 2 --attack-at 18446744073709551615
+    hostile --devs 2 --sim-time 18446744073709551615
+    hostile --access-rate 5-
+    hostile --payload -1
+    hostile --sweep-seeds 99999999999
+    hostile serve --workers -1
+    hostile submit 127.0.0.1:1 --metrics-interval NaN --scenario x
+
+    # A scenario plan owns the world, not what is collected from it: CLI
+    # collection flags layer onto the plan, deterministically.
+    for out in "$sa" "$sb"; do
+        $DDOSIM --scenario plans/baseline.scenario.json --metrics-interval 5 \
+            --metrics-out "$out" > /dev/null 2>&1
+    done
+    cmp "$sa" "$sb"
 
     # Defense-frontier gate (ROADMAP item 3): regenerating the committed
     # frontier table from its checked-in sweep plan must reproduce it

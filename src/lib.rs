@@ -8,6 +8,12 @@
 
 pub use ddosim_core::*;
 
+/// DESIGN.md's Rust blocks compile as doctests of this crate, so its
+/// "Public API sketch" cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../DESIGN.md")]
+struct DesignDoctests;
+
 pub use analysis;
 pub use attacker;
 pub use churn;

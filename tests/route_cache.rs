@@ -171,18 +171,4 @@ proptest! {
             prop_assert_eq!(sim.resolve_route(node, dst), oracle(&sim, node, dst));
         }
     }
-
-    /// Disabling the cache at any point yields the oracle directly.
-    #[test]
-    fn disabled_cache_is_the_oracle(
-        table in collection::vec(any::<u64>(), 0..40),
-        dsts in collection::vec(any::<u64>(), 1..32),
-    ) {
-        let (mut sim, node, _link) = build(&table);
-        sim.set_route_cache(false);
-        for word in &dsts {
-            let dst = decode_dst(*word);
-            prop_assert_eq!(sim.resolve_route(node, dst), oracle(&sim, node, dst));
-        }
-    }
 }
