@@ -856,16 +856,15 @@ fn main() -> std::process::ExitCode {
         ("sweep", sweep),
         ("huge_topology", huge),
     ]);
-    match out_path {
-        Some(path) => match std::fs::write(&path, out.to_string_pretty()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return std::process::ExitCode::FAILURE;
-            }
-        },
-        None => ddosim_bench::write_artifact("BENCH_netsim.json", &out.to_string_pretty()),
+    let path = out_path.map_or_else(
+        || ddosim_bench::results_dir().join("BENCH_netsim.json"),
+        std::path::PathBuf::from,
+    );
+    if let Err(e) = std::fs::write(&path, out.to_string_pretty()) {
+        eprintln!("failed to write {}: {e}", path.display());
+        return std::process::ExitCode::FAILURE;
     }
+    println!("wrote {}", path.display());
     std::process::ExitCode::SUCCESS
 }
 

@@ -1,8 +1,4 @@
-//! The paper's experiment series: parameter sweeps that regenerate every
-//! table and figure of §IV.
-//!
-//! Each function returns typed rows; the `ddosim-bench` binaries render
-//! them with [`crate::report::Table`] and record them for EXPERIMENTS.md.
+//! The sweep machinery every experiment runs on.
 //!
 //! Every sweep in the workspace runs on **one** worker pool, [`run_rows`]:
 //! rows are *produced* lazily on the calling thread, *worked* on a pool
@@ -14,26 +10,22 @@
 //! grids) are three short calls into it; a no-op callback is the batch
 //! form, so streamed and batch rows are the same bytes by construction.
 //!
-//! Each experiment is one **arm list** — `(key, SimulationConfig)` pairs —
-//! consumed both by [`run_arms`] (arms × replicates, grouped) and by the
-//! common-random-numbers comparison [`crn_compare`], which pairs a
-//! baseline against treatments under a shared [`RngPlan::pinned`] noise
-//! plan per replicate; the `*_paired` variants therefore run exactly the
-//! worlds of their unpaired figures.
+//! An experiment is one **arm list** — `(key, SimulationConfig)` pairs —
+//! plus a metric, and has two runners: [`run_arms`] (arms × replicates,
+//! grouped by arm) and [`crn_arms`], the common-random-numbers comparison
+//! of the first arm against the rest under a shared [`RngPlan::pinned`]
+//! noise plan per replicate ([`crn_compare`]). The paper's arm lists, their
+//! paper-scale sizes and their claims are the `ddosim-bench` experiment
+//! table (`exp` prints it).
 
-use crate::config::{Recruitment, RngPlan, SimulationConfig, TopologyKind};
+use crate::config::{RngPlan, SimulationConfig};
 use crate::instance::Ddosim;
 use crate::result::RunResult;
 use crate::suffix::SuffixSpec;
-use crate::{AttackSpec, ExploitStrategy};
-use churn::ChurnMode;
-use firmware::CommandSet;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, Once, PoisonError};
-use std::time::Duration;
-use tinyvm::{ProtectionMix, Protections};
 
 /// Renders a panic payload (the `Box<dyn Any>` from [`catch_unwind`]) as
 /// the message string it almost always carries. Public so every per-row
@@ -323,10 +315,10 @@ pub fn run_configs(configs: Vec<SimulationConfig>) -> Vec<RunResult> {
 /// One arm of an experiment: the key its row is reported under, and the
 /// world it runs. Seed and RNG plan are stamped per replicate by whoever
 /// runs the arm ([`run_arms`] or [`crn_compare`]).
-type Arm<K> = (K, SimulationConfig);
+pub type Arm<K> = (K, SimulationConfig);
 
 /// The default (paper) world at `devs` devices with one arm's `edit`.
-fn world(devs: usize, edit: impl FnOnce(&mut SimulationConfig)) -> SimulationConfig {
+pub fn world(devs: usize, edit: impl FnOnce(&mut SimulationConfig)) -> SimulationConfig {
     let mut config = SimulationConfig {
         devs,
         ..SimulationConfig::default()
@@ -337,8 +329,8 @@ fn world(devs: usize, edit: impl FnOnce(&mut SimulationConfig)) -> SimulationCon
 
 /// Runs every arm `replicates` times — replicate `r` under seed
 /// `base_seed + r` — as one pool batch, and returns each arm's key with
-/// its runs in replicate order.
-fn run_arms<K>(arms: Vec<Arm<K>>, replicates: u64, base_seed: u64) -> Vec<(K, Vec<RunResult>)> {
+/// its runs in replicate order. Panics as [`run_configs`].
+pub fn run_arms<K>(arms: Vec<Arm<K>>, replicates: u64, base_seed: u64) -> Vec<(K, Vec<RunResult>)> {
     let configs = arms
         .iter()
         .flat_map(|(_, config)| {
@@ -355,8 +347,9 @@ fn run_arms<K>(arms: Vec<Arm<K>>, replicates: u64, base_seed: u64) -> Vec<(K, Ve
 }
 
 /// [`crn_compare`] over an arm list: the first arm is the baseline, every
-/// other arm a treatment labelled by `label`.
-fn crn_arms<K>(
+/// other arm a treatment labelled by `label`. Panics on an empty arm list,
+/// and as [`crn_compare`].
+pub fn crn_arms<K>(
     arms: Vec<Arm<K>>,
     label: impl Fn(&K) -> String,
     replicates: u64,
@@ -370,7 +363,8 @@ fn crn_arms<K>(
     crn_compare(&baseline, &treatments, replicates, base_seed, metric)
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
+/// Arithmetic mean; 0 for no values.
+pub fn mean(values: impl Iterator<Item = f64>) -> f64 {
     let v: Vec<f64> = values.collect();
     if v.is_empty() {
         return 0.0;
@@ -508,337 +502,11 @@ pub fn crn_compare(
         .collect()
 }
 
-/// One point of Figure 2.
-#[derive(Debug, Clone)]
-pub struct Fig2Point {
-    /// Number of Devs.
-    pub devs: usize,
-    /// Churn variant.
-    pub churn: ChurnMode,
-    /// Mean average received data rate over replicates (kbps).
-    pub avg_kbps: f64,
-    /// Mean infected count over replicates.
-    pub infected: f64,
-    /// Per-replicate results.
-    pub runs: Vec<RunResult>,
-}
-
-/// Figure 2's arms: every device count × churn level (no churn first — the
-/// paired variant's baseline); 100-second attack (§IV-B).
-fn fig2_arms(dev_counts: &[usize]) -> Vec<Arm<(usize, ChurnMode)>> {
-    let modes = [ChurnMode::None, ChurnMode::Static, ChurnMode::Dynamic];
-    dev_counts
-        .iter()
-        .flat_map(|&devs| modes.map(|churn| ((devs, churn), world(devs, |c| c.churn = churn))))
-        .collect()
-}
-
-/// Figure 2: average received data rate vs number of Devs, for each churn
-/// level; 100-second attack (§IV-B).
-pub fn fig2(dev_counts: &[usize], replicates: u64, base_seed: u64) -> Vec<Fig2Point> {
-    run_arms(fig2_arms(dev_counts), replicates, base_seed)
-        .into_iter()
-        .map(|((devs, churn), runs)| Fig2Point {
-            devs,
-            churn,
-            avg_kbps: mean(runs.iter().map(|r| r.avg_received_data_rate_kbps)),
-            infected: mean(runs.iter().map(|r| r.infected as f64)),
-            runs,
-        })
-        .collect()
-}
-
-/// Figure 2's churn comparison as a paired-CRN experiment: static and
-/// dynamic churn against the churn-free baseline at `devs` devices, metric
-/// = average received data rate (kbps).
-pub fn fig2_paired(devs: usize, replicates: u64, base_seed: u64) -> Vec<CrnComparison> {
-    crn_arms(
-        fig2_arms(&[devs]),
-        |(_, churn)| churn.to_string(),
-        replicates,
-        base_seed,
-        |r| r.avg_received_data_rate_kbps,
-    )
-}
-
-/// One point of Figure 3.
-#[derive(Debug, Clone)]
-pub struct Fig3Point {
-    /// Number of Devs in the round.
-    pub devs: usize,
-    /// Commanded attack duration (seconds).
-    pub duration_secs: u64,
-    /// Mean average received data rate (kbps).
-    pub avg_kbps: f64,
-    /// Per-replicate results.
-    pub runs: Vec<RunResult>,
-}
-
-/// Figure 3's arms: every device count × attack duration (the shortest
-/// first — the paired variant's baseline); no churn.
-fn fig3_arms(dev_counts: &[usize], durations_secs: &[u64]) -> Vec<Arm<(usize, u64)>> {
-    let arm = |devs, secs| {
-        let attack = AttackSpec::udp_plain(Duration::from_secs(secs));
-        ((devs, secs), world(devs, |c| c.attack = attack))
-    };
-    dev_counts
-        .iter()
-        .flat_map(|&devs| durations_secs.iter().map(move |&secs| arm(devs, secs)))
-        .collect()
-}
-
-/// Figure 3: average received data rate vs attack duration (150/200/300 s),
-/// across rounds of 50/100/150/200 Devs (§IV-B); no churn.
-pub fn fig3(
-    dev_counts: &[usize],
-    durations_secs: &[u64],
-    replicates: u64,
-    base_seed: u64,
-) -> Vec<Fig3Point> {
-    run_arms(fig3_arms(dev_counts, durations_secs), replicates, base_seed)
-        .into_iter()
-        .map(|((devs, duration_secs), runs)| Fig3Point {
-            devs,
-            duration_secs,
-            avg_kbps: mean(runs.iter().map(|r| r.avg_received_data_rate_kbps)),
-            runs,
-        })
-        .collect()
-}
-
-/// Figure 3's duration comparison as a paired-CRN experiment: every longer
-/// attack duration against the shortest, metric = average received data
-/// rate (kbps).
-///
-/// # Panics
-///
-/// Panics if fewer than two durations are given.
-pub fn fig3_paired(
-    devs: usize,
-    durations_secs: &[u64],
-    replicates: u64,
-    base_seed: u64,
-) -> Vec<CrnComparison> {
-    assert!(durations_secs.len() >= 2, "fig3_paired needs a baseline and a treatment");
-    crn_arms(
-        fig3_arms(&[devs], durations_secs),
-        |(_, secs)| format!("{secs}s attack vs {}s", durations_secs[0]),
-        replicates,
-        base_seed,
-        |r| r.avg_received_data_rate_kbps,
-    )
-}
-
-/// One row of Table I.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Number of Devs.
-    pub devs: usize,
-    /// Pre-attack memory (GB).
-    pub pre_attack_mem_gb: f64,
-    /// Attack-phase memory (GB).
-    pub attack_mem_gb: f64,
-    /// Attack wall-clock, `m:ss`.
-    pub attack_time: String,
-    /// Raw attack wall-clock seconds.
-    pub attack_wall_clock_secs: f64,
-}
-
-/// Table I: hardware resources consumed vs number of Devs (20–130),
-/// 100-second attack, no churn (§IV-B).
-pub fn table1(dev_counts: &[usize], base_seed: u64) -> Vec<Table1Row> {
-    // Wall-clock is the measurement here: run sequentially so runs do not
-    // contend for cores.
-    dev_counts
-        .iter()
-        .map(|&devs| {
-            let r = Ddosim::new(world(devs, |c| c.seed = base_seed))
-                .expect("table1 configurations are valid")
-                .run_to_completion();
-            Table1Row {
-                devs,
-                pre_attack_mem_gb: r.pre_attack_mem_gb,
-                attack_mem_gb: r.attack_mem_gb,
-                attack_time: r.attack_time_m_ss(),
-                attack_wall_clock_secs: r.attack_wall_clock_secs,
-            }
-        })
-        .collect()
-}
-
-/// One cell of the infection-rate matrix (R1/R2).
-#[derive(Debug, Clone)]
-pub struct InfectionPoint {
-    /// Protection configuration of all Devs in the run.
-    pub protections: Protections,
-    /// Exploit strategy used by the Attacker.
-    pub strategy: crate::ExploitStrategy,
-    /// Fraction of Devs recruited.
-    pub infection_rate: f64,
-    /// Mean seconds from start to infection (recruited Devs only).
-    pub mean_time_to_infection_secs: f64,
-}
-
-/// One arm per exploit strategy (leak+rebase first — the paired variant's
-/// baseline) against a fleet protected by `protections`.
-fn strategy_arms(devs: usize, protections: ProtectionMix) -> Vec<Arm<ExploitStrategy>> {
-    [
-        ExploitStrategy::LeakRebase,
-        ExploitStrategy::StaticChain,
-        ExploitStrategy::CodeInjection,
-    ]
-    .into_iter()
-    .map(|strategy| {
-        let config = world(devs, |c| {
-            c.protections = protections;
-            c.strategy = strategy;
-        });
-        (strategy, config)
-    })
-    .collect()
-}
-
-/// R1/R2: infection rate by (protections × exploit strategy). The paper's
-/// headline cell is leak+rebase against random protection subsets → 100%.
-pub fn infection_matrix(devs: usize, base_seed: u64) -> Vec<InfectionPoint> {
-    let arms = Protections::ALL_SUBSETS
-        .into_iter()
-        .flat_map(|p| {
-            strategy_arms(devs, ProtectionMix::Uniform(p))
-                .into_iter()
-                .map(move |(s, config)| ((p, s), config))
-        })
-        .collect();
-    run_arms(arms, 1, base_seed)
-        .into_iter()
-        .map(|((protections, strategy), runs)| InfectionPoint {
-            protections,
-            strategy,
-            infection_rate: runs[0].infection_rate,
-            mean_time_to_infection_secs: mean(runs[0].infection_times_secs.iter().copied()),
-        })
-        .collect()
-}
-
-/// The R1/R2 strategy comparison as a paired-CRN experiment: static-chain
-/// and code-injection exploits against leak+rebase on random protection
-/// subsets, metric = infection rate.
-pub fn infection_matrix_paired(devs: usize, replicates: u64, base_seed: u64) -> Vec<CrnComparison> {
-    crn_arms(
-        strategy_arms(devs, ProtectionMix::RandomSubsets),
-        |s| format!("{} vs {}", s.to_string().replace('-', " "), ExploitStrategy::LeakRebase),
-        replicates,
-        base_seed,
-        |r| r.infection_rate,
-    )
-}
-
-/// One row of the hardening/insight ablations (§IV-C).
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Human-readable ablation label.
-    pub label: String,
-    /// Infection rate achieved.
-    pub infection_rate: f64,
-    /// Average received data rate (kbps).
-    pub avg_kbps: f64,
-}
-
-/// The §IV-C ablation arms, baseline first. The flag marks the arms the
-/// paired-CRN variant also runs (the hardening measures; the rest are
-/// insight rows).
-fn ablation_arms(devs: usize) -> Vec<Arm<(&'static str, bool)>> {
-    let arm = |label, paired, edit: &dyn Fn(&mut SimulationConfig)| {
-        ((label, paired), world(devs, edit))
-    };
-    let tiered = TopologyKind::Tiered {
-        regions: 5,
-        region_uplink_bps: 5_000_000,
-    };
-    vec![
-        arm("baseline (curl present, 100-500 kbps)", true, &|_| {}),
-        arm("vendor removes curl", true, &|c| c.commands = CommandSet::without(&["curl"])),
-        arm("vendor removes wget (stage-2 blocked)", false, &|c| {
-            c.commands = CommandSet::without(&["wget"])
-        }),
-        arm("device data rate capped at 100-150 kbps", true, &|c| {
-            c.access_rate_kbps = 100..=150
-        }),
-        arm("device data rate 400-500 kbps", false, &|c| c.access_rate_kbps = 400..=500),
-        arm("firmware rebuilt with stack canaries", true, &|c| {
-            c.protections = ProtectionMix::Uniform(Protections::HARDENED)
-        }),
-        arm("tiered Internet (5 regions x 5 Mbps uplinks)", false, &|c| c.topology = tiered),
-    ]
-}
-
-/// §IV-C insight ablations: removing `curl` blocks infection; capping the
-/// device data rate caps attack magnitude.
-pub fn ablations(devs: usize, base_seed: u64) -> Vec<AblationRow> {
-    run_arms(ablation_arms(devs), 1, base_seed)
-        .into_iter()
-        .map(|((label, _), runs)| AblationRow {
-            label: label.to_owned(),
-            infection_rate: runs[0].infection_rate,
-            avg_kbps: runs[0].avg_received_data_rate_kbps,
-        })
-        .collect()
-}
-
-/// The §IV-C hardening ablations as a paired-CRN experiment: each
-/// hardening measure against the unhardened baseline, metric = average
-/// received data rate (kbps).
-pub fn ablations_paired(devs: usize, replicates: u64, base_seed: u64) -> Vec<CrnComparison> {
-    let mut arms = ablation_arms(devs);
-    arms.retain(|((_, paired), _)| *paired);
-    crn_arms(
-        arms,
-        |(label, _)| (*label).to_owned(),
-        replicates,
-        base_seed,
-        |r| r.avg_received_data_rate_kbps,
-    )
-}
-
-/// Comparison of recruitment mechanisms: the paper's memory-error entry
-/// point vs the Mirai-classic credential dictionary.
-#[derive(Debug, Clone)]
-pub struct RecruitmentRow {
-    /// Mechanism label.
-    pub label: String,
-    /// Fraction of Devs recruited.
-    pub infection_rate: f64,
-    /// Average received data rate achieved by the resulting botnet (kbps).
-    pub avg_kbps: f64,
-}
-
-/// Memory-error recruitment vs credential-scanner baseline at several
-/// default-credential prevalence levels.
-pub fn recruitment_comparison(devs: usize, base_seed: u64) -> Vec<RecruitmentRow> {
-    let mut arms: Vec<Arm<String>> =
-        vec![("memory-error exploitation (paper)".to_owned(), world(devs, |_| {}))];
-    arms.extend([0.2, 0.5, 0.8].map(|default_credential_fraction| {
-        let label = format!(
-            "credential scanner, {:.0}% default creds",
-            default_credential_fraction * 100.0
-        );
-        let scanner = Recruitment::CredentialScanner { default_credential_fraction };
-        (label, world(devs, |c| c.recruitment = scanner))
-    }));
-    run_arms(arms, 1, base_seed)
-        .into_iter()
-        .map(|(label, runs)| RecruitmentRow {
-            label,
-            infection_rate: runs[0].infection_rate,
-            avg_kbps: runs[0].avg_received_data_rate_kbps,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SimulationBuilder;
+    use std::time::Duration;
 
     fn small(devs: usize, seed: u64) -> SimulationConfig {
         SimulationBuilder::new()
@@ -1208,23 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn paired_variants_run_the_arms_of_their_figures() {
-        // The paired experiments draw from the same arm lists as the
-        // figures; pin the shape so a new arm shows up in both or neither.
-        let keys = |arms: Vec<Arm<(usize, ChurnMode)>>| -> Vec<_> {
-            arms.into_iter().map(|(key, _)| key).collect()
-        };
-        assert_eq!(
-            keys(fig2_arms(&[5])),
-            [(5, ChurnMode::None), (5, ChurnMode::Static), (5, ChurnMode::Dynamic)]
-        );
-        let ablations = ablation_arms(5);
-        assert!(ablations[0].0 .1, "the baseline arm is paired");
-        assert_eq!(ablations.iter().filter(|((_, paired), _)| *paired).count(), 4);
-        assert_eq!(strategy_arms(5, ProtectionMix::RandomSubsets)[0].0, ExploitStrategy::LeakRebase);
-    }
-
-    #[test]
     fn crn_pairing_reduces_difference_variance() {
         // Treatment: a longer attack duration. Both arms' received rate
         // scales with the same world draws (the bots' access-link rates),
@@ -1260,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn crn_paired_arms_share_noise_streams() {
+    fn crn_pinned_arms_share_noise_streams() {
         // Two paired configs that do not differ at all must produce the
         // same deterministic result even though their run seeds differ:
         // every noise stream is pinned.

@@ -312,11 +312,6 @@ pub fn fig4_with_replicates(
         .collect()
 }
 
-/// Figure 4 with three replicates per point.
-pub fn fig4(dev_counts: &[usize], base_seed: u64) -> Vec<Fig4Point> {
-    fig4_with_replicates(dev_counts, base_seed, 3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

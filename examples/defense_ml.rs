@@ -1,79 +1,37 @@
 //! ML-defense use case (§V-A): generate mixed attack + benign traffic with
 //! DDoSim, extract flow features at TServer, and train a DDoS detector.
+//! `exp defense` is the paper-scale version on the same pipeline.
 //!
 //! ```sh
 //! cargo run --release --example defense_ml
 //! ```
 
-use analysis::{
-    label_samples, train_test_split, BenignClient, FeatureExtractor, LogisticRegression, Metrics,
-    TrainConfig,
-};
+use analysis::{train_test_split, LogisticRegression, Metrics, TrainConfig};
 use ddosim::scenario::ScenarioPlan;
-use netsim::{LinkConfig, TraceKind, TraceRecord};
-use std::cell::RefCell;
-use std::collections::HashSet;
-use std::net::{IpAddr, SocketAddr};
-use std::rc::Rc;
+use ddosim_bench::usecases::flow_dataset;
 use std::time::Duration;
 
 fn main() -> Result<(), String> {
     // The world (20 Devs, UDP-PLAIN flood at t=40s) lives in a checked-in
-    // scenario plan; this example layers benign traffic and a packet tap
-    // on top of it.
+    // scenario plan; the shared pipeline layers ten benign smart-home
+    // clients and a packet tap at TServer on top of it.
     let text = std::fs::read_to_string("plans/defense_ml.scenario.json")
         .map_err(|e| format!("reading plans/defense_ml.scenario.json: {e}"))?;
-    let plan = ScenarioPlan::parse(&text)?;
-    let mut instance = plan.build()?;
-
-    let (tserver_node, tserver_v4) = instance.tserver();
-    let attack_sources: HashSet<IpAddr> = instance.devs().iter().map(|d| d.addr_v4).collect();
-
-    // Benign smart-home clients chatting with the same server.
-    for i in 0..10 {
-        let member = instance.attach_extra_node(
-            &format!("benign-{i}"),
-            LinkConfig::new(2_000_000, Duration::from_millis(15)),
-        );
-        let node = member.node;
-        instance.sim_mut().install_app(
-            node,
-            Box::new(BenignClient::new(
-                SocketAddr::new(tserver_v4, 80),
-                Duration::from_millis(300),
-            )),
-        );
-    }
-
-    // Tap TServer's inbound traffic.
-    let records: Rc<RefCell<Vec<TraceRecord>>> = Rc::new(RefCell::new(Vec::new()));
-    let tap = Rc::clone(&records);
-    instance.sim_mut().set_trace(Box::new(move |r| {
-        if r.node == tserver_node && r.kind == TraceKind::Delivered {
-            tap.borrow_mut().push(r.clone());
-        }
-    }));
-
-    let result = instance.run_to_completion();
+    let world = ScenarioPlan::parse(&text)?.build()?;
+    let data = flow_dataset(world, 10, Duration::from_millis(300), |_| {});
     println!(
         "traffic generated: {} delivered packets at TServer ({} bots flooding)",
-        records.borrow().len(),
-        result.infected
+        data.delivered, data.result.infected
     );
 
-    let mut fx = FeatureExtractor::new(Duration::from_secs(2));
-    for r in records.borrow().iter() {
-        fx.push(r);
-    }
-    let samples = label_samples(fx.finish(), &attack_sources);
-    let attack_flows = samples.iter().filter(|s| s.label).count();
+    let attack_flows = data.samples.iter().filter(|s| s.label).count();
     println!(
         "dataset: {} flow windows ({attack_flows} attack / {} benign)",
-        samples.len(),
-        samples.len() - attack_flows
+        data.samples.len(),
+        data.samples.len() - attack_flows
     );
 
-    let (train, test) = train_test_split(samples, 0.3, 5);
+    let (train, test) = train_test_split(data.samples, 0.3, 5);
     let model = LogisticRegression::train(&train, TrainConfig::default());
     let m = Metrics::evaluate(&model, &test);
     println!(

@@ -14,7 +14,8 @@
 #                tiered, fault plan, zero-fault no-op); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
 #                a repeated sweep reproduces itself; hostile argv exits 1,
-#                never panics
+#                never panics; `exp all` regenerates every artefact under
+#                results/ byte for byte with every paper claim holding
 #   checkpoint   resume == straight-through: snapshot mid-attack, resume,
 #                and compare the resumed run's whole trace, capture and
 #                metrics documents against the original's (trace diff +
@@ -57,7 +58,7 @@ trap 'rm -rf "$work"' EXIT
 
 DDOSIM="cargo run --release --offline -p ddosim --bin ddosim --"
 PERFSNAP="cargo run --release --offline -p ddosim-bench --bin perfsnap --"
-FRONTIER="cargo run --release --offline -p ddosim-bench --bin frontier --"
+EXP="cargo run --release --offline -p ddosim-bench --bin exp --"
 
 # Small deterministic scenario shared by the determinism and checkpoint
 # stages; extra flags append.
@@ -267,12 +268,17 @@ PLAN
     done
     cmp "$sa" "$sb"
 
-    # Defense-frontier gate (ROADMAP item 3): regenerating the committed
-    # frontier table from its checked-in sweep plan must reproduce it
-    # byte for byte (CRN-paired grid, deterministic per cell).
-    cp results/frontier.md "$work/frontier.committed.md"
-    $FRONTIER > /dev/null
-    cmp results/frontier.md "$work/frontier.committed.md"
+    # Results gate (ROADMAP item 4): the experiment table regenerates every
+    # committed artefact byte for byte (one size per experiment, every
+    # value seed-derived), with every paper claim holding (exit 1 if not);
+    # an unknown experiment is a usage error. BENCH_netsim.json is
+    # perfsnap's, not the table's.
+    cp -r results "$work/results.committed"
+    $EXP all > /dev/null
+    for f in results/*; do
+        [ "$(basename "$f")" = BENCH_netsim.json ] || cmp "$f" "$work/results.committed/$(basename "$f")"
+    done
+    ! $EXP nonsense > /dev/null 2>&1
 }
 
 stage_checkpoint() {

@@ -1,6 +1,8 @@
 //! Paper-fidelity audit: every constant and protocol detail the paper
-//! states, pinned in one place. If a refactor drifts from the paper, this
-//! file fails.
+//! states, pinned in one place — and the paper's *results*: the claims of
+//! the experiment table (`ddosim-bench`), evaluated against the committed
+//! files under `results/`. If a refactor drifts from the paper, this file
+//! fails.
 
 use churn::{ChurnMode, FanChurnModel, DYNAMIC_CHURN_PERIOD};
 use ddosim::{SimulationBuilder, SimulationConfig};
@@ -61,7 +63,7 @@ fn infection_chain_matches_the_papers_payload() {
 #[test]
 fn experiments_support_the_papers_scale() {
     // "we conduct experiments with up to 200 Devs" (§IV-A). A 200-Dev
-    // configuration must validate (running it is the fig3 bench's job).
+    // configuration must validate (running it is `exp fig3`'s job).
     assert!(SimulationBuilder::new().devs(200).build().is_ok());
 }
 
@@ -117,4 +119,27 @@ fn default_run_is_the_papers_scenario() {
     assert_eq!(c.churn, ChurnMode::None, "churn only in the Fig. 2 series");
     assert_eq!(c.reboot_rate_per_min, 0.0, "extensions default off");
     assert_eq!(c.topology, ddosim::TopologyKind::Star);
+}
+
+#[test]
+fn committed_results_hold_every_claim_of_the_experiment_table() {
+    // Instant: reads the committed artefacts, runs no world. CI's
+    // determinism stage separately proves the files are what the code
+    // produces, so a change that bends a figure fails one or the other.
+    let dir = ddosim_bench::results_dir();
+    let read = |file: &str| std::fs::read_to_string(dir.join(file)).map_err(|e| format!("{file}: {e}"));
+    let verdicts = ddosim_bench::TABLE.iter().flat_map(|row| row.verdicts(read));
+    let violated: Vec<String> = verdicts.filter_map(Result::err).collect();
+    assert!(violated.is_empty(), "results/ violates the paper's claims:\n{}", violated.join("\n"));
+
+    // `results/` is exactly the table's artefacts plus perfsnap's baseline.
+    let declared = ddosim_bench::TABLE.iter().flat_map(|row| row.artefacts.iter().copied());
+    let mut expected: Vec<&str> = declared.chain(["BENCH_netsim.json"]).collect();
+    expected.sort_unstable();
+    let mut found: Vec<String> = std::fs::read_dir(&dir)
+        .expect("results/ exists")
+        .map(|entry| entry.expect("readable").file_name().into_string().expect("utf-8"))
+        .collect();
+    found.sort();
+    assert_eq!(found, expected);
 }
