@@ -354,11 +354,9 @@ pub(crate) fn frontier() -> Output {
     let (base_flood, base_benign) = (outcomes[0].mean_flood_packets, benign(&outcomes[0].rows));
     let lost_pct = |v: f64, base: f64| if base > 0.0 { 100.0 * (1.0 - v / base) } else { 0.0 };
 
-    // The header is pinned text: `results/frontier.md` is byte-compared
-    // against the committed copy, which predates the `exp` binary.
     let mut md = format!(
         "# Defense frontier — rate-limit budget × deploy time\n\n\
-         Generated by `cargo run --release -p ddosim-bench --bin frontier` \
+         Generated by `cargo run --release -p ddosim-bench --bin exp -- frontier` \
          from `plans/frontier.sweep.json` (`ddosim.sweepgrid/1`, {} CRN \
          replicates per cell, base seed {}). Within a replicate every cell \
          shares its noise streams, so the columns isolate the defense's \

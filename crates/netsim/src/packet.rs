@@ -85,7 +85,12 @@ pub const DEFAULT_TTL: u8 = 64;
 /// The immutable body of a packet: addressing, protocol, payload, and the
 /// byte counts that drive timing. Shared by every copy of a [`Packet`]
 /// through an [`Arc`], so broadcast fan-out, Wi-Fi retransmissions, and
-/// delivery all alias one allocation instead of deep-copying.
+/// delivery all alias one allocation instead of deep-copying. Nothing in
+/// it is per-packet, so a sender whose packets differ only in `id` and
+/// `ttl` may also share one body *across* packets: a flood sends clones of
+/// one template and [`Simulator::send_from_node`] stamps each clone's id.
+///
+/// [`Simulator::send_from_node`]: crate::Simulator::send_from_node
 #[derive(Debug)]
 pub struct PacketBody {
     /// Source address and port.
@@ -175,8 +180,10 @@ impl Packet {
         )
     }
 
-    /// Whether this packet shares its body allocation with `other` (true
-    /// for clones of one sent packet; the wire never copies bodies).
+    /// Whether this packet shares its body allocation with `other`: true
+    /// for clones of one sent packet (the wire never copies bodies) and
+    /// for distinct packets a sender cloned from one template, which still
+    /// differ in `id`. Packets built separately never share, however equal.
     pub fn shares_body_with(&self, other: &Packet) -> bool {
         Arc::ptr_eq(&self.body, &other.body)
     }

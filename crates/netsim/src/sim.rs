@@ -1165,7 +1165,12 @@ impl Simulator {
             }
             return;
         }
-        match self.resolve_route(node, dst) {
+        self.transmit_via_route(node, packet);
+    }
+
+    /// Routes a unicast packet the caller knows is not for `node`, itself up.
+    fn transmit_via_route(&mut self, node: NodeId, packet: Packet) {
+        match self.resolve_route(node, packet.dst.ip()) {
             Some(route) => self.transmit_on_iface(route.iface, packet),
             None => self.drop_packet(DropReason::NoRoute, node, &packet),
         }
@@ -1550,7 +1555,8 @@ impl Simulator {
             }
             packet.ttl -= 1;
             self.trace(TraceKind::Forwarded, node, &packet);
-            self.route_and_transmit(node, packet, Some(iface));
+            // `dst` was just probed: not ours. One `addr_index` probe a hop.
+            self.transmit_via_route(node, packet);
             return;
         }
         self.drop_packet(DropReason::NoRoute, node, &packet);

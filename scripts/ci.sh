@@ -33,7 +33,12 @@
 #                protocol shutdown must drain to a clean exit
 #   bench        the repo benchmark package (bench/, its own workspace,
 #                invisible to `cargo test` at the root) still compiles
-#                against the product API and passes its own tests
+#                against the product API and passes its own tests; each of
+#                its six workloads then runs once (seed 1, 2 s) and must
+#                exit 0 with its `exact` object (sim_digest and every
+#                seed-determined count) byte-equal to
+#                tests/golden/bench_exact.txt: work done is gated by
+#                equality, wall time by nothing here
 #
 #   usage: scripts/ci.sh [stage ...]    (no args = all stages, in order)
 #
@@ -389,6 +394,18 @@ stage_serve() {
 
 stage_bench() {
     cargo test --release --offline --manifest-path bench/Cargo.toml
+
+    # Work done, gated by equality: `exact` is what the seed alone decides
+    # (it does not depend on --seconds), so a change that claims speed only
+    # must reproduce the committed lines byte for byte, and one that means
+    # to move a count regenerates the file in the same PR, visibly.
+    for w in flood_star recruit_churn scale_tiered http_recorded sweep_fork serve_jobs; do
+        cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+            run --workload "$w" --seed 1 --seconds 2 --trace 0 > "$work/bench-$w.out"
+        printf '%s %s\n' "$w" \
+            "$(sed -n 's/^{"exact":\({[^}]*}\),"n":.*/\1/p' "$work/bench-$w.out")"
+    done > "$work/bench_exact.txt"
+    cmp "$work/bench_exact.txt" tests/golden/bench_exact.txt
 }
 
 ALL_STAGES="build test perf determinism checkpoint serve bench"
