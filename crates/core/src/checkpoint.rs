@@ -24,8 +24,8 @@ use crate::config::{
 };
 use attacker::ExploitStrategy;
 use churn::ChurnMode;
-use djson::{FromJson, Json, ToJson};
-use faults::{check_schema, reject_unknown_fields, PlanError};
+use djson::{Json, ToJson};
+use faults::{PlanError, Read, Val};
 use firmware::{CommandSet, ContainerRuntime, FileKind};
 use netsim::StateHasher;
 use protocols::AttackVector;
@@ -90,33 +90,15 @@ impl Checkpoint {
         const DOC: &str = "checkpoint";
         let json = Json::parse(text)
             .map_err(|e| PlanError::syntax(DOC, format!("is not valid JSON ({e})")))?;
-        check_schema(&json, DOC, CHECKPOINT_SCHEMA)?;
-        reject_unknown_fields(
-            &json,
-            DOC,
-            "checkpoint",
-            &["schema", "at_nanos", "events_recorded", "digests", "config"],
-        )?;
-        let invalid = |m: String| PlanError::invalid(DOC, m);
-        let at = Duration::from_nanos(u64_field(&json, "at_nanos").map_err(invalid)?);
-        let events_recorded = u64_field(&json, "events_recorded").map_err(invalid)?;
-        let digests_json = field(&json, "digests")
-            .map_err(invalid)?
-            .as_array()
-            .ok_or_else(|| PlanError::invalid(DOC, "field 'digests' is not an array"))?;
-        let mut digests = Vec::with_capacity(digests_json.len());
-        for d in digests_json {
-            digests.push((
-                str_field(d, "layer").map_err(invalid)?.to_owned(),
-                u64_field(d, "digest").map_err(invalid)?,
-            ));
-        }
-        let config = config_from_json(field(&json, "config").map_err(invalid)?).map_err(invalid)?;
-        Ok(Checkpoint {
-            at,
-            config,
-            digests,
-            events_recorded,
+        Val::root(DOC, &json).fields(|f| {
+            f.schema(CHECKPOINT_SCHEMA)?;
+            let digest = |v: Val<'_>| v.fields(|f| Ok((f.req("layer")?, f.req("digest")?)));
+            Ok(Checkpoint {
+                at: f.req("at_nanos")?,
+                events_recorded: f.req("events_recorded")?,
+                digests: f.req_with("digests", |v| v.items("digest", digest))?,
+                config: f.req_with("config", |v| v.embedded(config_from_json))?,
+            })
         })
     }
 
@@ -124,53 +106,6 @@ impl Checkpoint {
     pub fn to_string_pretty(&self) -> String {
         self.to_json().to_string_pretty()
     }
-}
-
-// ---- generic field accessors with named errors ----
-
-pub(crate) fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
-    json.get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-pub(crate) fn u64_field(json: &Json, key: &str) -> Result<u64, String> {
-    field(json, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an unsigned integer"))
-}
-
-fn f64_field(json: &Json, key: &str) -> Result<f64, String> {
-    field(json, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field '{key}' is not a number"))
-}
-
-fn bool_field(json: &Json, key: &str) -> Result<bool, String> {
-    field(json, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field '{key}' is not a boolean"))
-}
-
-pub(crate) fn str_field<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
-    field(json, key)?
-        .as_str()
-        .ok_or_else(|| format!("field '{key}' is not a string"))
-}
-
-pub(crate) fn nanos_field(json: &Json, key: &str) -> Result<Duration, String> {
-    Ok(Duration::from_nanos(u64_field(json, key)?))
-}
-
-/// Reads a field that is `null` or a nanosecond count.
-pub(crate) fn opt_nanos_field(json: &Json, key: &str) -> Result<Option<Duration>, String> {
-    let value = field(json, key)?;
-    if value.is_null() {
-        return Ok(None);
-    }
-    let nanos = value
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an unsigned integer"))?;
-    Ok(Some(Duration::from_nanos(nanos)))
 }
 
 pub(crate) fn nanos(d: Duration) -> Json {
@@ -190,51 +125,24 @@ pub(crate) fn timed_lines_to_json(lines: &[(Duration, String)]) -> Json {
     Json::Arr(lines.iter().map(entry).collect())
 }
 
-/// Parses what [`timed_lines_to_json`] writes from `json[key]`.
-pub(crate) fn timed_lines_field(json: &Json, key: &str) -> Result<Vec<(Duration, String)>, String> {
-    field(json, key)?
-        .as_array()
-        .ok_or_else(|| format!("field '{key}' is not an array"))?
-        .iter()
-        .map(|entry| Ok((nanos_field(entry, "at_nanos")?, str_field(entry, "line")?.to_owned())))
-        .collect()
+/// Reads what [`timed_lines_to_json`] writes.
+pub(crate) fn timed_lines(v: Val<'_>) -> Result<Vec<(Duration, String)>, PlanError> {
+    v.items("line", |line| line.fields(|f| Ok((f.req("at_nanos")?, f.req("line")?))))
 }
 
-// ---- foreign-enum <-> JSON helpers (free functions: the enums live in
-// other crates, so trait impls are barred by the orphan rule) ----
+/// `Arch` as configuration documents and the firmware digest spell it
+/// (the enum lives in another crate): one table read both ways.
+const ARCHES: [(&str, Arch); 3] =
+    [("x86_64", Arch::X86_64), ("arm7", Arch::Arm7), ("mips", Arch::Mips)];
 
 fn arch_to_str(arch: Arch) -> &'static str {
-    match arch {
-        Arch::X86_64 => "x86_64",
-        Arch::Arm7 => "arm7",
-        Arch::Mips => "mips",
-    }
+    let (word, _) = ARCHES.iter().find(|(_, a)| *a == arch).expect("every Arch is in ARCHES");
+    word
 }
 
-fn arch_from_str(s: &str) -> Result<Arch, String> {
-    match s {
-        "x86_64" => Ok(Arch::X86_64),
-        "arm7" => Ok(Arch::Arm7),
-        "mips" => Ok(Arch::Mips),
-        other => Err(format!("unknown arch '{other}'")),
-    }
-}
-
-fn strategy_to_str(s: ExploitStrategy) -> &'static str {
-    match s {
-        ExploitStrategy::LeakRebase => "leak_rebase",
-        ExploitStrategy::StaticChain => "static_chain",
-        ExploitStrategy::CodeInjection => "code_injection",
-    }
-}
-
-fn strategy_from_str(s: &str) -> Result<ExploitStrategy, String> {
-    match s {
-        "leak_rebase" => Ok(ExploitStrategy::LeakRebase),
-        "static_chain" => Ok(ExploitStrategy::StaticChain),
-        "code_injection" => Ok(ExploitStrategy::CodeInjection),
-        other => Err(format!("unknown exploit strategy '{other}'")),
-    }
+fn arch_from_str(word: &str) -> Result<Arch, String> {
+    let known = ARCHES.iter().find(|(known, _)| *known == word);
+    known.map(|&(_, arch)| arch).ok_or_else(|| format!("unknown arch '{word}'"))
 }
 
 fn binary_mix_to_json(mix: BinaryMix) -> Json {
@@ -248,15 +156,13 @@ fn binary_mix_to_json(mix: BinaryMix) -> Json {
     }
 }
 
-fn binary_mix_from_json(json: &Json) -> Result<BinaryMix, String> {
-    match str_field(json, "kind")? {
+fn binary_mix_from_json(v: Val<'_>) -> Result<BinaryMix, PlanError> {
+    v.fields(|f| match f.str("kind")? {
         "connman_only" => Ok(BinaryMix::ConnmanOnly),
         "dnsmasq_only" => Ok(BinaryMix::DnsmasqOnly),
-        "mixed" => Ok(BinaryMix::Mixed {
-            connman_fraction: f64_field(json, "connman_fraction")?,
-        }),
-        other => Err(format!("unknown binary mix '{other}'")),
-    }
+        "mixed" => Ok(BinaryMix::Mixed { connman_fraction: f.req("connman_fraction")? }),
+        other => Err(f.invalid("kind", format_args!("is an unknown binary mix '{other}'"))),
+    })
 }
 
 fn protections_to_json(mix: &ProtectionMix) -> Json {
@@ -273,16 +179,16 @@ fn protections_to_json(mix: &ProtectionMix) -> Json {
     }
 }
 
-fn protections_from_json(json: &Json) -> Result<ProtectionMix, String> {
-    match str_field(json, "kind")? {
+fn protections_from_json(v: Val<'_>) -> Result<ProtectionMix, PlanError> {
+    v.fields(|f| match f.str("kind")? {
         "random_subsets" => Ok(ProtectionMix::RandomSubsets),
         "uniform" => Ok(ProtectionMix::Uniform(Protections {
-            wx: bool_field(json, "wx")?,
-            aslr: bool_field(json, "aslr")?,
-            canary: bool_field(json, "canary")?,
+            wx: f.req("wx")?,
+            aslr: f.req("aslr")?,
+            canary: f.req("canary")?,
         })),
-        other => Err(format!("unknown protection mix '{other}'")),
-    }
+        other => Err(f.invalid("kind", format_args!("is an unknown protection mix '{other}'"))),
+    })
 }
 
 fn recruitment_to_json(r: Recruitment) -> Json {
@@ -311,18 +217,18 @@ fn recruitment_to_json(r: Recruitment) -> Json {
     }
 }
 
-fn recruitment_from_json(json: &Json) -> Result<Recruitment, String> {
-    match str_field(json, "kind")? {
+fn recruitment_from_json(v: Val<'_>) -> Result<Recruitment, PlanError> {
+    v.fields(|f| match f.str("kind")? {
         "memory_error" => Ok(Recruitment::MemoryError),
         "credential_scanner" => Ok(Recruitment::CredentialScanner {
-            default_credential_fraction: f64_field(json, "default_credential_fraction")?,
+            default_credential_fraction: f.req("default_credential_fraction")?,
         }),
         "self_propagating" => Ok(Recruitment::SelfPropagating {
-            default_credential_fraction: f64_field(json, "default_credential_fraction")?,
-            seeds: u64_field(json, "seeds")? as usize,
+            default_credential_fraction: f.req("default_credential_fraction")?,
+            seeds: f.req("seeds")?,
         }),
-        other => Err(format!("unknown recruitment '{other}'")),
-    }
+        other => Err(f.invalid("kind", format_args!("is an unknown recruitment '{other}'"))),
+    })
 }
 
 fn topology_to_json(t: TopologyKind) -> Json {
@@ -340,16 +246,16 @@ fn topology_to_json(t: TopologyKind) -> Json {
     }
 }
 
-fn topology_from_json(json: &Json) -> Result<TopologyKind, String> {
-    match str_field(json, "kind")? {
+fn topology_from_json(v: Val<'_>) -> Result<TopologyKind, PlanError> {
+    v.fields(|f| match f.str("kind")? {
         "star" => Ok(TopologyKind::Star),
         "wifi" => Ok(TopologyKind::Wifi),
         "tiered" => Ok(TopologyKind::Tiered {
-            regions: u64_field(json, "regions")? as usize,
-            region_uplink_bps: u64_field(json, "region_uplink_bps")?,
+            regions: f.req("regions")?,
+            region_uplink_bps: f.req("region_uplink_bps")?,
         }),
-        other => Err(format!("unknown topology '{other}'")),
-    }
+        other => Err(f.invalid("kind", format_args!("is an unknown topology '{other}'"))),
+    })
 }
 
 /// Writes a [`CaptureFilter`] back to the BPF-ish expression
@@ -389,15 +295,16 @@ fn telemetry_to_json(t: &netsim::TelemetryConfig) -> Json {
     ])
 }
 
-fn telemetry_from_json(json: &Json) -> Result<netsim::TelemetryConfig, String> {
-    Ok(netsim::TelemetryConfig {
-        record: bool_field(json, "record")?,
-        recorder_capacity: u64_field(json, "recorder_capacity")? as usize,
-        capture: bool_field(json, "capture")?,
-        capture_filter: CaptureFilter::parse(str_field(json, "capture_filter")?)
-            .map_err(|e| format!("capture filter: {e}"))?,
-        capture_capacity: u64_field(json, "capture_capacity")? as usize,
-        metrics_interval: opt_nanos_field(json, "metrics_interval_nanos")?,
+fn telemetry_from_json(v: Val<'_>) -> Result<netsim::TelemetryConfig, PlanError> {
+    v.fields(|f| {
+        Ok(netsim::TelemetryConfig {
+            record: f.req("record")?,
+            recorder_capacity: f.req("recorder_capacity")?,
+            capture: f.req("capture")?,
+            capture_filter: f.req_with("capture_filter", |v| v.word(CaptureFilter::parse))?,
+            capture_capacity: f.req("capture_capacity")?,
+            metrics_interval: f.req("metrics_interval_nanos")?,
+        })
     })
 }
 
@@ -436,7 +343,7 @@ pub fn config_to_json(c: &SimulationConfig) -> Json {
         ),
         ("attack_at_nanos", nanos(c.attack_at)),
         ("sim_time_nanos", nanos(c.sim_time)),
-        ("strategy", Json::Str(strategy_to_str(c.strategy).into())),
+        ("strategy", Json::Str(c.strategy.as_str().into())),
         (
             "commands",
             Json::Arr(c.commands.iter().map(|s| Json::Str(s.to_owned())).collect()),
@@ -466,98 +373,71 @@ fn rng_to_json(plan: crate::RngPlan) -> Json {
     ])
 }
 
-fn rng_from_json(json: &Json) -> Result<crate::RngPlan, String> {
-    let stream = |key: &str| -> Result<Option<u64>, String> {
-        match json.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("rng stream '{key}' is not an unsigned integer")),
-        }
-    };
-    Ok(crate::RngPlan {
-        world: stream("world")?,
-        event: stream("event")?,
-        fault: stream("fault")?,
+fn rng_from_json(v: Val<'_>) -> Result<crate::RngPlan, PlanError> {
+    v.fields(|f| {
+        let (world, event, fault) = (f.opt("world")?, f.opt("event")?, f.opt("fault")?);
+        Ok(crate::RngPlan { world, event, fault })
     })
 }
 
-/// Parses a serialized [`SimulationConfig`].
+/// Reads a serialized [`SimulationConfig`] — the one reader behind a
+/// checkpoint's and a suffix plan's embedded configuration and a `serve`
+/// job's `config`.
 ///
 /// # Errors
 ///
-/// Returns a message naming the missing or mistyped field.
-pub fn config_from_json(json: &Json) -> Result<SimulationConfig, String> {
-    let rate = field(json, "access_rate_kbps")?;
-    let attack_json = field(json, "attack")?;
-    let vector_str = str_field(attack_json, "vector")?;
-    let vector = AttackVector::parse(vector_str)
-        .ok_or_else(|| format!("unknown attack vector '{vector_str}'"))?;
-    let payload = field(attack_json, "payload_bytes")?;
-    let commands_json = field(json, "commands")?
-        .as_array()
-        .ok_or("field 'commands' is not an array")?;
-    let mut commands = Vec::with_capacity(commands_json.len());
-    for c in commands_json {
-        commands.push(
-            c.as_str()
-                .ok_or("field 'commands' holds a non-string")?
-                .to_owned(),
-        );
-    }
-    let faults = faults::FaultPlan::from_json(field(json, "faults")?)
-        .map_err(|e| format!("fault plan: {e}"))?;
-    Ok(SimulationConfig {
-        devs: u64_field(json, "devs")? as usize,
-        binary_mix: binary_mix_from_json(field(json, "binary_mix")?)?,
-        protections: protections_from_json(field(json, "protections")?)?,
-        arch: arch_from_str(str_field(json, "arch")?)?,
-        access_rate_kbps: u64_field(rate, "start")?..=u64_field(rate, "end")?,
-        tserver_link_bps: u64_field(json, "tserver_link_bps")?,
-        tserver_queue_bytes: u64_field(json, "tserver_queue_bytes")?,
-        access_delay: nanos_field(json, "access_delay_nanos")?,
-        churn: {
-            let mode = str_field(json, "churn")?;
-            ChurnMode::parse(mode).ok_or_else(|| format!("unknown churn mode '{mode}'"))?
-        },
-        attack: AttackSpec {
-            vector,
-            duration: nanos_field(attack_json, "duration_nanos")?,
-            payload_bytes: if payload.is_null() {
-                None
-            } else {
-                Some(
-                    payload
-                        .as_u64()
-                        .ok_or("field 'payload_bytes' is not an unsigned integer")?
-                        as u32,
-                )
-            },
-            port: u64_field(attack_json, "port")? as u16,
-        },
-        attack_at: nanos_field(json, "attack_at_nanos")?,
-        sim_time: nanos_field(json, "sim_time_nanos")?,
-        strategy: strategy_from_str(str_field(json, "strategy")?)?,
-        commands: CommandSet::from_list(commands),
-        recruitment: recruitment_from_json(field(json, "recruitment")?)?,
-        flood_rate_bps: u64_field(json, "flood_rate_bps")?,
-        attack_ramp: nanos_field(json, "attack_ramp_nanos")?,
-        attack_over_ipv6: bool_field(json, "attack_over_ipv6")?,
-        reboot_rate_per_min: f64_field(json, "reboot_rate_per_min")?,
-        topology: topology_from_json(field(json, "topology")?)?,
-        admin_script: timed_lines_field(json, "admin_script")?,
-        telemetry: telemetry_from_json(field(json, "telemetry")?)?,
-        faults,
-        honeypots: u64_field(json, "honeypots")? as u16,
-        backup_cncs: u64_field(json, "backup_cncs")? as u16,
-        // Older checkpoints predate the RngPlan field; absence means the
-        // default (seed-derived) streams, which is exactly what they ran.
-        rng: match json.get("rng") {
-            Some(r) => rng_from_json(r)?,
-            None => crate::RngPlan::default(),
-        },
-        seed: u64_field(json, "seed")?,
+/// A [`PlanError`] naming the missing, mistyped, out-of-range or unknown
+/// member, at any depth.
+pub fn config_from_json(json: &Json) -> Result<SimulationConfig, PlanError> {
+    let churn = |s: &str| ChurnMode::parse(s).ok_or_else(|| format!("unknown churn mode '{s}'"));
+    let vector =
+        |s: &str| AttackVector::parse(s).ok_or_else(|| format!("unknown attack vector '{s}'"));
+    let attack = |v: Val<'_>| {
+        v.fields(|f| {
+            Ok(AttackSpec {
+                vector: f.req_with("vector", |v| v.word(vector))?,
+                duration: f.req("duration_nanos")?,
+                payload_bytes: f.req("payload_bytes")?,
+                port: f.req("port")?,
+            })
+        })
+    };
+    Val::root("config", json).fields(|f| {
+        Ok(SimulationConfig {
+            devs: f.req("devs")?,
+            binary_mix: f.req_with("binary_mix", binary_mix_from_json)?,
+            protections: f.req_with("protections", protections_from_json)?,
+            arch: f.req_with("arch", |v| v.word(arch_from_str))?,
+            access_rate_kbps: f.req_with("access_rate_kbps", |v| {
+                v.fields(|f| Ok(f.req("start")?..=f.req("end")?))
+            })?,
+            tserver_link_bps: f.req("tserver_link_bps")?,
+            tserver_queue_bytes: f.req("tserver_queue_bytes")?,
+            access_delay: f.req("access_delay_nanos")?,
+            churn: f.req_with("churn", |v| v.word(churn))?,
+            attack: f.req_with("attack", attack)?,
+            attack_at: f.req("attack_at_nanos")?,
+            sim_time: f.req("sim_time_nanos")?,
+            strategy: f.req_with("strategy", |v| v.word(ExploitStrategy::parse))?,
+            commands: CommandSet::from_list(
+                f.req_with("commands", |v| v.items("command", String::read))?,
+            ),
+            recruitment: f.req_with("recruitment", recruitment_from_json)?,
+            flood_rate_bps: f.req("flood_rate_bps")?,
+            attack_ramp: f.req("attack_ramp_nanos")?,
+            attack_over_ipv6: f.req("attack_over_ipv6")?,
+            reboot_rate_per_min: f.req("reboot_rate_per_min")?,
+            topology: f.req_with("topology", topology_from_json)?,
+            admin_script: f.req_with("admin_script", timed_lines)?,
+            telemetry: f.req_with("telemetry", telemetry_from_json)?,
+            faults: f.req_with("faults", |v| v.embedded(faults::FaultPlan::from_json))?,
+            honeypots: f.req("honeypots")?,
+            backup_cncs: f.req("backup_cncs")?,
+            // Older checkpoints predate the RngPlan field; absence means the
+            // default (seed-derived) streams, which is exactly what they ran.
+            rng: f.opt_with("rng", rng_from_json)?.unwrap_or_default(),
+            seed: f.req("seed")?,
+        })
     })
 }
 
@@ -746,10 +626,94 @@ mod tests {
         assert!(err.contains("schema"), "{err}");
         // Missing field.
         let err = parse_err(&format!("{{\"schema\": \"{CHECKPOINT_SCHEMA}\"}}"));
-        assert!(err.contains("missing field"), "{err}");
+        assert!(err.contains("is missing 'at_nanos'"), "{err}");
         // Not JSON at all.
         let err = parse_err("not json");
         assert!(err.contains("not valid JSON"), "{err}");
+    }
+
+    /// `doc` with the member at `path` set to `value` (appended if new).
+    fn with(mut doc: Json, path: &[&str], value: Json) -> Json {
+        let (last, parents) = path.split_last().unwrap();
+        let mut at = &mut doc;
+        for key in parents {
+            let Json::Obj(members) = at else { panic!("{key}: not inside an object") };
+            at = &mut members.iter_mut().find(|(k, _)| k == key).expect(key).1;
+        }
+        let Json::Obj(members) = at else { panic!("{last}: not inside an object") };
+        match members.iter_mut().find(|(k, _)| k == last) {
+            Some((_, slot)) => *slot = value,
+            None => members.push(((*last).to_owned(), value)),
+        }
+        doc
+    }
+
+    /// The configuration document's input holes (each row was accepted
+    /// before the one reader): narrowing casts, unknown members at every
+    /// level, a mistyped optional member read as its default.
+    #[test]
+    fn config_rejection_table() {
+        let base = || config_to_json(&SimulationConfig::default());
+        let cases: &[(&[&str], Json, &str)] = &[
+            (&["attack", "port"], Json::U64(65616), "config.attack.port 65616 exceeds 65535"),
+            (&["attack", "port"], Json::U64(65536), "config.attack.port 65536 exceeds 65535"),
+            (&["honeypots"], Json::U64(65537), "config.honeypots 65537 exceeds 65535"),
+            (&["backup_cncs"], Json::U64(1 << 32), "config.backup_cncs 4294967296 exceeds 65535"),
+            (
+                &["attack", "payload_bytes"],
+                Json::U64(4_294_967_808),
+                "config.attack.payload_bytes 4294967808 exceeds 4294967295",
+            ),
+            (&["devs"], Json::I64(-1), "config.devs must be an unsigned integer"),
+            (&["devs"], Json::F64(1e308), "config.devs must be an unsigned integer"),
+            (&["devz"], Json::U64(5), "unknown field 'devz' in config"),
+            (&["telemetry", "recrod"], Json::Bool(true), "unknown field 'recrod' in config.telemetry"),
+            (&["attack", "prot"], Json::U64(1), "unknown field 'prot' in config.attack"),
+            (&["binary_mix", "fraction"], Json::F64(0.5), "unknown field 'fraction' in config.binary_mix"),
+            (&["topology", "regions"], Json::U64(3), "unknown field 'regions' in config.topology"),
+            (&["access_rate_kbps", "mid"], Json::U64(3), "unknown field 'mid' in config.access_rate_kbps"),
+            (&["rng", "wolrd"], Json::U64(3), "unknown field 'wolrd' in config.rng"),
+            (&["rng", "world"], Json::Str("7".into()), "config.rng.world must be an unsigned integer"),
+            (&["rng"], Json::U64(7), "config.rng must be an object"),
+            (&["strategy"], Json::Str("leak+rebase".into()), "config.strategy: unknown exploit strategy"),
+            (&["arch"], Json::Str("x86".into()), "config.arch: unknown arch 'x86'"),
+            (
+                &["faults", "faults"],
+                Json::Arr(vec![Json::obj([
+                    ("at_secs", Json::U64(1)),
+                    ("kind", Json::Str("link_loss".into())),
+                    ("node", Json::Str("dev-0".into())),
+                    ("probability", Json::F64(7.5)),
+                ])]),
+                "config.faults: fault plan: fault #0 (link_loss): probability 7.5 outside [0, 1]",
+            ),
+        ];
+        for (path, value, fragment) in cases {
+            let doc = with(base(), path, value.clone());
+            match config_from_json(&doc) {
+                Err(err) => assert!(err.to_string().contains(fragment), "{path:?}: {err}"),
+                Ok(_) => panic!("{path:?} = {value} unexpectedly accepted"),
+            }
+        }
+        // The boundaries themselves are fine, either separator reads.
+        let ok: &[(&[&str], Json)] = &[
+            (&["attack", "port"], Json::U64(65535)),
+            (&["honeypots"], Json::U64(65535)),
+            (&["attack", "payload_bytes"], Json::U64(u64::from(u32::MAX))),
+            (&["devs"], Json::U64(usize::MAX as u64)),
+            (&["strategy"], Json::Str("static-chain".into())),
+            (&["rng", "world"], Json::Null),
+        ];
+        for (path, value) in ok {
+            config_from_json(&with(base(), path, value.clone()))
+                .unwrap_or_else(|err| panic!("{path:?} = {value}: {err}"));
+        }
+        // A member given twice is refused, not first-wins.
+        let text = config_to_json(&SimulationConfig::default())
+            .to_string_compact()
+            .replacen("{\"devs\":", "{\"devs\":7,\"devs\":", 1);
+        let err = config_from_json(&Json::parse(&text).unwrap()).expect_err("duplicate member");
+        assert!(err.to_string().contains("config.devs appears twice"), "{err}");
     }
 
     #[test]

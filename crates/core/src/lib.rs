@@ -49,7 +49,9 @@ pub use experiment::{
     take_panic_location, try_run_configs_streamed, CrnComparison, SuffixOutcome,
 };
 pub use honeypot::Honeypot;
-pub use faults::{checked_secs, FaultEvent, FaultKind, FaultPlan, PlanError, FAULT_PLAN_SCHEMA};
+pub use faults::{
+    checked_secs, FaultEvent, FaultKind, FaultPlan, Fields, PlanError, Read, Val, FAULT_PLAN_SCHEMA,
+};
 pub use instance::{Ddosim, DevInfo, ATTACKER_IMAGE_BYTES, DEV_IMAGE_BASE_BYTES};
 pub use metrics::{bytes_to_gb, MemoryModel, TServerSink};
 pub use reboot::RebootController;

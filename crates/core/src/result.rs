@@ -34,23 +34,6 @@ impl FromJson for ChurnSummary {
     }
 }
 
-fn churn_mode_tag(mode: ChurnMode) -> &'static str {
-    match mode {
-        ChurnMode::None => "none",
-        ChurnMode::Static => "static",
-        ChurnMode::Dynamic => "dynamic",
-    }
-}
-
-fn churn_mode_from_tag(tag: &str) -> Result<ChurnMode, JsonError> {
-    match tag {
-        "none" => Ok(ChurnMode::None),
-        "static" => Ok(ChurnMode::Static),
-        "dynamic" => Ok(ChurnMode::Dynamic),
-        other => Err(JsonError::conversion(format!("unknown churn mode {other}"))),
-    }
-}
-
 fn field<T: FromJson>(value: &Json, name: &str) -> Result<T, JsonError> {
     let v = value
         .get(name)
@@ -170,7 +153,7 @@ impl RunResult {
     pub fn to_deterministic_json(&self) -> Json {
         Json::obj([
             ("devs", self.devs.to_json()),
-            ("churn", Json::Str(churn_mode_tag(self.churn).to_string())),
+            ("churn", Json::Str(self.churn.as_str().to_string())),
             ("attack_duration_secs", self.attack_duration_secs.to_json()),
             ("attack_at_secs", self.attack_at_secs.to_json()),
             ("seed", self.seed.to_json()),
@@ -220,7 +203,8 @@ impl FromJson for RunResult {
         let churn_tag: String = field(value, "churn")?;
         Ok(RunResult {
             devs: field(value, "devs")?,
-            churn: churn_mode_from_tag(&churn_tag)?,
+            churn: ChurnMode::parse(&churn_tag)
+                .ok_or_else(|| JsonError::conversion(format!("unknown churn mode {churn_tag}")))?,
             attack_duration_secs: field(value, "attack_duration_secs")?,
             attack_at_secs: field(value, "attack_at_secs")?,
             seed: field(value, "seed")?,

@@ -9,12 +9,11 @@
 //! serialized form: the fork point plus one [`SuffixSpec`] per branch.
 
 use crate::checkpoint::{
-    field, nanos, nanos_field, opt_nanos, opt_nanos_field, str_field, timed_lines_field,
-    timed_lines_to_json, u64_field,
+    config_from_json, config_to_json, nanos, opt_nanos, timed_lines, timed_lines_to_json,
 };
 use crate::config::SimulationConfig;
-use djson::{FromJson, Json, ToJson};
-use faults::{check_schema, reject_unknown_fields, PlanError};
+use djson::{Json, ToJson};
+use faults::{PlanError, Val};
 use std::time::Duration;
 
 /// Schema tag written into every serialized suffix plan.
@@ -62,14 +61,15 @@ impl SuffixSpec {
         ])
     }
 
-    fn from_json(json: &Json) -> Result<SuffixSpec, String> {
-        Ok(SuffixSpec {
-            name: str_field(json, "name")?.to_owned(),
-            fork_seed: u64_field(json, "fork_seed")?,
-            faults: faults::FaultPlan::from_json(field(json, "faults")?)
-                .map_err(|e| format!("fault plan: {e}"))?,
-            admin_lines: timed_lines_field(json, "admin_lines")?,
-            horizon: opt_nanos_field(json, "horizon_nanos")?,
+    fn read(v: Val<'_>) -> Result<SuffixSpec, PlanError> {
+        v.fields(|f| {
+            Ok(SuffixSpec {
+                name: f.req("name")?,
+                fork_seed: f.req("fork_seed")?,
+                faults: f.req_with("faults", |v| v.embedded(faults::FaultPlan::from_json))?,
+                admin_lines: f.req_with("admin_lines", timed_lines)?,
+                horizon: f.req("horizon_nanos")?,
+            })
         })
     }
 }
@@ -101,7 +101,7 @@ impl SuffixPlan {
                 "config",
                 match &self.config {
                     None => Json::Null,
-                    Some(c) => crate::checkpoint::config_to_json(c),
+                    Some(c) => config_to_json(c),
                 },
             ),
         ])
@@ -119,39 +119,15 @@ impl SuffixPlan {
         const DOC: &str = "suffix plan";
         let json = Json::parse(text)
             .map_err(|e| PlanError::syntax(DOC, format!("is not valid JSON ({e})")))?;
-        check_schema(&json, DOC, SUFFIX_SCHEMA)?;
-        reject_unknown_fields(
-            &json,
-            DOC,
-            "suffix plan",
-            &["schema", "fork_at_nanos", "suffixes", "config"],
-        )?;
-        let invalid = |m: String| PlanError::invalid(DOC, m);
-        let fork_at = nanos_field(&json, "fork_at_nanos").map_err(invalid)?;
-        let suffixes_json = field(&json, "suffixes")
-            .map_err(invalid)?
-            .as_array()
-            .ok_or_else(|| PlanError::invalid(DOC, "field 'suffixes' is not an array"))?;
-        let mut suffixes = Vec::with_capacity(suffixes_json.len());
-        for (i, s) in suffixes_json.iter().enumerate() {
-            reject_unknown_fields(
-                s,
-                DOC,
-                &format!("suffix #{i}"),
-                &["name", "fork_seed", "faults", "admin_lines", "horizon_nanos"],
-            )?;
-            suffixes.push(SuffixSpec::from_json(s).map_err(invalid)?);
-        }
-        let config_json = field(&json, "config").map_err(invalid)?;
-        let config = if config_json.is_null() {
-            None
-        } else {
-            Some(crate::checkpoint::config_from_json(config_json).map_err(invalid)?)
-        };
-        Ok(SuffixPlan {
-            fork_at,
-            suffixes,
-            config,
+        Val::root(DOC, &json).fields(|f| {
+            f.schema(SUFFIX_SCHEMA)?;
+            Ok(SuffixPlan {
+                fork_at: f.req("fork_at_nanos")?,
+                suffixes: f.req_with("suffixes", |v| v.items("suffix", SuffixSpec::read))?,
+                config: f.req_with("config", |v| {
+                    v.nullable().map(|v| v.embedded(config_from_json)).transpose()
+                })?,
+            })
         })
     }
 
@@ -222,7 +198,58 @@ mod tests {
         let err = parse_err("{\"schema\": \"something/9\"}");
         assert!(err.contains("schema"), "{err}");
         let err = parse_err(&format!("{{\"schema\": \"{SUFFIX_SCHEMA}\"}}"));
-        assert!(err.contains("missing field"), "{err}");
+        assert!(err.contains("is missing 'fork_at_nanos'"), "{err}");
+    }
+
+    /// An embedded fault plan or configuration is as strict as a
+    /// stand-alone one (before the one reader a suffix's plan skipped the
+    /// unknown-field and range checks `FaultPlan::parse_plan` makes).
+    #[test]
+    fn rejection_table() {
+        let plan = |suffix_extra: &str, faults: &str, config: &str| {
+            format!(
+                r#"{{"schema":"{SUFFIX_SCHEMA}","fork_at_nanos":5,"suffixes":[
+                    {{"name":"a","fork_seed":0,"admin_lines":[],"horizon_nanos":null{suffix_extra},
+                      "faults":{{"schema":"ddosim.faults.plan/1","faults":[{faults}]}}}}],
+                   "config":{config}}}"#
+            )
+        };
+        SuffixPlan::parse(&plan("", "", "null")).expect("the unmutated plan parses");
+        let loss = |extra: &str| {
+            format!(r#"{{"at_secs":1,"kind":"link_loss","node":"dev-0","probability":{extra}}}"#)
+        };
+        let cases = [
+            (
+                plan("", &loss("7.5"), "null"),
+                "suffix #0.faults: fault plan: fault #0 (link_loss): probability 7.5 outside [0, 1]",
+            ),
+            (
+                plan("", &loss(r#"0.5,"oops":1"#), "null"),
+                "suffix #0.faults: fault plan: unknown field 'oops' in fault #0",
+            ),
+            (
+                plan("", r#"{"at_nanos":"1","kind":"cnc_outage"}"#, "null"),
+                "fault #0.at_nanos must be an unsigned integer",
+            ),
+            (plan(r#","typo":1"#, "", "null"), "unknown field 'typo' in suffix #0"),
+            (plan(r#","fork_seed":1"#, "", "null"), "suffix #0.fork_seed appears twice"),
+            (plan("", "", r#"{"devs":3}"#), "suffix plan.config: config: config is missing 'binary_mix'"),
+            (plan("", "", "7"), "suffix plan.config: config: config must be an object"),
+            (
+                plan("", "", "null").replace(r#""admin_lines":[]"#, r#""admin_lines":[{"at_nanos":-1,"line":"x"}]"#),
+                "line #0.at_nanos must be an unsigned integer",
+            ),
+            (
+                plan("", "", "null").replace(r#""horizon_nanos":null"#, r#""horizon_nanos":"soon""#),
+                "suffix #0.horizon_nanos must be an unsigned integer",
+            ),
+        ];
+        for (text, fragment) in cases {
+            match SuffixPlan::parse(&text) {
+                Err(err) => assert!(err.to_string().contains(fragment), "{err}\n  wanted {fragment}"),
+                Ok(_) => panic!("plan {text} unexpectedly accepted"),
+            }
+        }
     }
 
     #[test]

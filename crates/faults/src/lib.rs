@@ -18,13 +18,16 @@
 
 pub mod plan;
 
-pub use plan::{check_schema, checked_secs, reject_unknown_fields, PlanError};
+pub use plan::{checked_secs, Fields, PlanError, Read, Val};
 
-use djson::{FromJson, Json, JsonError, ToJson};
+use djson::{Json, ToJson};
 use std::time::Duration;
 
 /// Schema tag carried by every serialized fault plan.
 pub const FAULT_PLAN_SCHEMA: &str = "ddosim.faults.plan/1";
+
+/// Document name in every [`PlanError`] the plan parser emits.
+const DOC: &str = "fault plan";
 
 /// What to inject. Targets are node names as assigned at assembly time
 /// ("dev-0".."dev-N", "attacker", "tserver"); link faults apply to the
@@ -162,72 +165,40 @@ impl ToJson for FaultEvent {
     }
 }
 
-impl FromJson for FaultEvent {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let at = match (value.get("at_nanos"), value.get("at_secs")) {
-            (Some(n), None) => Duration::from_nanos(
-                n.as_u64()
-                    .ok_or_else(|| JsonError::conversion("fault 'at_nanos' must be a u64"))?,
-            ),
-            (None, Some(s)) => {
-                let secs = s
-                    .as_f64()
-                    .ok_or_else(|| JsonError::conversion("fault 'at_secs' must be a number"))?;
-                checked_secs("fault 'at_secs'", secs, true).map_err(JsonError::conversion)?
-            }
-            (Some(_), Some(_)) => {
-                return Err(JsonError::conversion("fault has both 'at_nanos' and 'at_secs'"))
-            }
-            (None, None) => {
-                return Err(JsonError::conversion("fault missing 'at_nanos' or 'at_secs'"))
-            }
-        };
-        let kind_name = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::conversion("fault missing 'kind'"))?;
-        let node = || -> Result<String, JsonError> {
-            value
-                .get("node")
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| {
-                    JsonError::conversion("node-targeted fault missing 'node'")
-                })
-        };
-        let kind = match kind_name {
-            "link_down" => FaultKind::LinkDown { node: node()? },
-            "link_up" => FaultKind::LinkUp { node: node()? },
-            "link_loss" => FaultKind::LinkLoss {
-                node: node()?,
-                probability: value
-                    .get("probability")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| JsonError::conversion("link_loss missing 'probability'"))?,
-            },
-            "node_crash" => FaultKind::NodeCrash { node: node()? },
-            "node_restore" => FaultKind::NodeRestore { node: node()? },
-            "cnc_outage" => {
-                let duration = match value.get("duration_secs") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => {
-                        let secs = v.as_f64().ok_or_else(|| {
-                            JsonError::conversion("cnc_outage 'duration_secs' must be a number")
-                        })?;
-                        Some(
-                            checked_secs("cnc_outage 'duration_secs'", secs, true)
-                                .map_err(JsonError::conversion)?,
-                        )
-                    }
-                };
-                FaultKind::CncOutage { duration }
-            }
-            "container_kill" => FaultKind::ContainerKill { node: node()? },
-            other => {
-                return Err(JsonError::conversion(format!("unknown fault kind '{other}'")))
-            }
-        };
-        Ok(FaultEvent { at, kind })
+impl FaultEvent {
+    /// Reads one `faults[i]` object. Every member a fault may carry is
+    /// asked for whatever the kind, so all of them are allowed on all
+    /// kinds; the kind decides which must be there.
+    fn read(v: Val<'_>) -> Result<Self, PlanError> {
+        v.fields(|f| {
+            let at = match (f.opt("at_nanos")?, f.secs("at_secs")?) {
+                (Some(at), None) | (None, Some(at)) => at,
+                (Some(_), Some(_)) => return Err(v.invalid("has both 'at_nanos' and 'at_secs'")),
+                (None, None) => return Err(v.invalid("is missing 'at_nanos' or 'at_secs'")),
+            };
+            let node = f.opt::<String>("node")?;
+            let node = || node.ok_or_else(|| v.invalid("is missing 'node'"));
+            let probability = f.opt("probability")?;
+            let duration = f.secs("duration_secs")?;
+            let kind = match f.str("kind")? {
+                "link_down" => FaultKind::LinkDown { node: node()? },
+                "link_up" => FaultKind::LinkUp { node: node()? },
+                "link_loss" => FaultKind::LinkLoss {
+                    node: node()?,
+                    probability: probability
+                        .ok_or_else(|| v.invalid("is missing 'probability'"))?,
+                },
+                "node_crash" => FaultKind::NodeCrash { node: node()? },
+                "node_restore" => FaultKind::NodeRestore { node: node()? },
+                "cnc_outage" => FaultKind::CncOutage { duration },
+                "container_kill" => FaultKind::ContainerKill { node: node()? },
+                other => {
+                    let what = format_args!("is an unknown fault kind '{other}'");
+                    return Err(f.invalid("kind", what));
+                }
+            };
+            Ok(FaultEvent { at, kind })
+        })
     }
 }
 
@@ -274,41 +245,33 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Field names a fault object may carry (see [`FaultPlan::parse_plan`]).
-    pub const FAULT_FIELDS: &'static [&'static str] =
-        &["at_nanos", "at_secs", "kind", "node", "probability", "duration_secs"];
+    /// Reads a plan from its parsed document — the one reader behind
+    /// [`FaultPlan::parse_plan`] and every document that embeds a plan
+    /// (scenario, configuration, suffix): schema tag, unknown-field
+    /// rejection at every object level, then field-range validation.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`PlanError`] naming the first problem.
+    pub fn from_json(json: &Json) -> Result<Self, PlanError> {
+        let plan = Val::root(DOC, json).fields(|f| {
+            f.schema(FAULT_PLAN_SCHEMA)?;
+            Ok(FaultPlan {
+                seed: f.opt("seed")?.unwrap_or(0),
+                faults: f.req_with("faults", |v| v.items("fault", FaultEvent::read))?,
+            })
+        })?;
+        plan.validate().map_err(|m| PlanError::invalid(DOC, m))?;
+        Ok(plan)
+    }
 
-    /// Parses a plan from its djson text through the shared plan-document
-    /// pipeline: syntax, schema tag, unknown-field rejection at every
-    /// object level, then field-range validation.
+    /// Parses a plan from its djson text ([`FaultPlan::from_json`]).
     ///
     /// # Errors
     ///
     /// A typed [`PlanError`] naming the first problem.
     pub fn parse_plan(text: &str) -> Result<Self, PlanError> {
-        const DOC: &str = "fault plan";
-        let json = Json::parse(text).map_err(|e| PlanError::syntax(DOC, e))?;
-        plan::check_schema(&json, DOC, FAULT_PLAN_SCHEMA)?;
-        plan::reject_unknown_fields(&json, DOC, "fault plan", &["schema", "seed", "faults"])?;
-        if let Some(faults) = json.get("faults").and_then(Json::as_array) {
-            for (i, f) in faults.iter().enumerate() {
-                plan::reject_unknown_fields(f, DOC, &format!("fault #{i}"), Self::FAULT_FIELDS)?;
-            }
-        }
-        let plan = FaultPlan::from_json(&json).map_err(|e| PlanError::syntax(DOC, e))?;
-        plan.validate().map_err(|m| PlanError::invalid(DOC, m))?;
-        Ok(plan)
-    }
-
-    /// Parses a plan, stringifying any [`PlanError`] (the historical
-    /// `Result<_, String>` surface most call sites use).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first syntax, schema, or range
-    /// problem.
-    pub fn parse_str(text: &str) -> Result<Self, String> {
-        Self::parse_plan(text).map_err(String::from)
+        Self::from_json(&Json::parse(text).map_err(|e| PlanError::syntax(DOC, e))?)
     }
 
     /// Serializes the plan as a pretty-printed, schema-tagged document.
@@ -327,34 +290,6 @@ impl ToJson for FaultPlan {
                 Json::Arr(self.faults.iter().map(ToJson::to_json).collect()),
             ),
         ])
-    }
-}
-
-impl FromJson for FaultPlan {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let schema = value
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::conversion("fault plan missing 'schema'"))?;
-        if schema != FAULT_PLAN_SCHEMA {
-            return Err(JsonError::conversion(format!(
-                "unsupported fault plan schema '{schema}' (expected '{FAULT_PLAN_SCHEMA}')"
-            )));
-        }
-        let seed = match value.get("seed") {
-            None | Some(Json::Null) => 0,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| JsonError::conversion("fault plan 'seed' must be a u64"))?,
-        };
-        let faults = value
-            .get("faults")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError::conversion("fault plan missing 'faults' array"))?
-            .iter()
-            .map(FaultEvent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FaultPlan { seed, faults })
     }
 }
 
@@ -402,7 +337,7 @@ mod tests {
     fn plan_round_trips_through_json() {
         let plan = sample_plan();
         let doc = plan.to_doc();
-        let back = FaultPlan::parse_str(&doc).expect("round trip");
+        let back = FaultPlan::parse_plan(&doc).expect("round trip");
         assert_eq!(back, plan);
     }
 
@@ -424,7 +359,7 @@ mod tests {
                 {{"at_secs": 20, "kind": "cnc_outage", "duration_secs": 5}}
             ]}}"#
         );
-        let plan = FaultPlan::parse_str(&doc).expect("parses");
+        let plan = FaultPlan::parse_plan(&doc).expect("parses");
         assert_eq!(plan.seed, 0, "seed defaults to 0");
         assert_eq!(plan.faults[0].at, Duration::from_millis(12_500));
         assert_eq!(
@@ -435,10 +370,11 @@ mod tests {
 
     #[test]
     fn schema_and_range_errors_are_reported() {
-        assert!(FaultPlan::parse_str("{").is_err(), "syntax error");
+        assert!(FaultPlan::parse_plan("{").is_err(), "syntax error");
         assert!(
-            FaultPlan::parse_str(r#"{"schema":"other/1","faults":[]}"#)
+            FaultPlan::parse_plan(r#"{"schema":"other/1","faults":[]}"#)
                 .expect_err("schema")
+                .to_string()
                 .contains("unsupported fault plan schema"),
         );
         let bad_p = format!(
@@ -446,31 +382,63 @@ mod tests {
                 {{"at_secs": 1, "kind": "link_loss", "node": "dev-0", "probability": 1.5}}
             ]}}"#
         );
-        assert!(FaultPlan::parse_str(&bad_p).expect_err("range").contains("outside [0, 1]"));
+        assert!(FaultPlan::parse_plan(&bad_p).expect_err("range").to_string().contains("outside [0, 1]"));
         let unknown = format!(
             r#"{{"schema":"{FAULT_PLAN_SCHEMA}","faults":[{{"at_secs":1,"kind":"meteor"}}]}}"#
         );
-        assert!(FaultPlan::parse_str(&unknown).expect_err("kind").contains("unknown fault kind"));
+        assert!(FaultPlan::parse_plan(&unknown)
+            .expect_err("kind")
+            .to_string()
+            .contains("unknown fault kind"));
         let no_node = format!(
             r#"{{"schema":"{FAULT_PLAN_SCHEMA}","faults":[{{"at_secs":1,"kind":"link_down"}}]}}"#
         );
-        assert!(FaultPlan::parse_str(&no_node).is_err(), "missing node");
+        assert!(FaultPlan::parse_plan(&no_node).is_err(), "missing node");
     }
 
     #[test]
     fn unknown_fields_are_rejected() {
         let top = format!(r#"{{"schema":"{FAULT_PLAN_SCHEMA}","faults":[],"extra":1}}"#);
-        assert!(FaultPlan::parse_str(&top)
+        assert!(FaultPlan::parse_plan(&top)
             .expect_err("top-level")
+            .to_string()
             .contains("unknown field 'extra' in fault plan"));
         let nested = format!(
             r#"{{"schema":"{FAULT_PLAN_SCHEMA}","faults":[
                 {{"at_secs":1,"kind":"link_down","node":"dev-0","oops":true}}
             ]}}"#
         );
-        assert!(FaultPlan::parse_str(&nested)
+        assert!(FaultPlan::parse_plan(&nested)
             .expect_err("per-fault")
+            .to_string()
             .contains("unknown field 'oops' in fault #0"));
+    }
+
+    /// A mistyped optional member is an error, never its default; a
+    /// member given twice is refused; every member is allowed on every
+    /// kind, as it always was.
+    #[test]
+    fn input_hole_table() {
+        let plan = |top: &str, fault: &str| {
+            format!(r#"{{"schema":"{FAULT_PLAN_SCHEMA}"{top},"faults":[{{"kind":"cnc_outage"{fault}}}]}}"#)
+        };
+        FaultPlan::parse_plan(&plan(r#","seed":null"#, r#","at_secs":1,"node":"x","probability":0.5"#))
+            .expect("null is absent; spare members are allowed on every kind");
+        for (text, fragment) in [
+            (plan(r#","seed":"7""#, r#","at_secs":1"#), "fault plan.seed must be an unsigned integer"),
+            (plan(r#","seed":-1"#, r#","at_secs":1"#), "fault plan.seed must be an unsigned integer"),
+            (plan("", r#","at_secs":1,"at_secs":2"#), "fault #0.at_secs appears twice"),
+            (plan("", r#","at_secs":1,"at_nanos":2"#), "fault #0 has both 'at_nanos' and 'at_secs'"),
+            (plan("", ""), "fault #0 is missing 'at_nanos' or 'at_secs'"),
+            (plan("", r#","at_nanos":1.5"#), "fault #0.at_nanos must be an unsigned integer"),
+            (plan("", r#","at_secs":1e20"#), "fault #0.at_secs must be a non-negative number of seconds"),
+            (plan("", r#","at_secs":1,"duration_secs":"5""#), "fault #0.duration_secs must be a number"),
+            (plan("", r#","at_secs":1,"probability":"high""#), "fault #0.probability must be a number"),
+            (plan("", r#","at_secs":1,"node":7"#), "fault #0.node must be a string"),
+        ] {
+            let err = FaultPlan::parse_plan(&text).expect_err(&text).to_string();
+            assert!(err.contains(fragment), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -115,9 +115,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] describing the first syntax problem found.
+    /// Returns [`JsonError`] describing the first syntax problem found,
+    /// nesting beyond [`MAX_DEPTH`] included.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -264,9 +265,18 @@ impl JsonError {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level and the text comes from outside (a 4 MiB
+/// `serve` line holds millions of `[`), so the bound is what keeps a
+/// hostile document an error instead of a stack overflow; the deepest
+/// document this workspace writes or ships nests under 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -312,11 +322,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Runs a container parser one level down, refusing level
+    /// [`MAX_DEPTH`] + 1.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -690,6 +715,19 @@ mod tests {
     fn trailing_garbage_rejected() {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_until_the_stack_ends() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok(), "{MAX_DEPTH} levels of {open}");
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).expect_err("one level too deep");
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "the offset is the first bracket refused");
+            assert!(err.to_string().contains("nested deeper than 128 levels"), "{err}");
+            // Unclosed, as a hostile sender would write it.
+            assert!(Json::parse(&open.repeat(100_000)).is_err());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use churn::ChurnMode;
 use ddosim_core::{AttackSpec, Recruitment, SimulationConfig, TopologyKind};
 use djson::Json;
-use faults::{check_schema, checked_secs, reject_unknown_fields, FaultPlan, PlanError};
+use faults::{FaultPlan, Fields, PlanError, Read, Val};
 use protocols::AttackVector;
 use std::time::Duration;
 
@@ -18,24 +18,6 @@ pub const SCENARIO_SCHEMA: &str = "ddosim.scenario/1";
 
 /// Document name used in every [`PlanError`] this parser emits.
 pub(crate) const DOC: &str = "scenario";
-
-/// Fields allowed at the top level of a scenario document.
-const TOP_FIELDS: &[&str] = &[
-    "schema", "name", "description", "seed", "world", "attack", "faults", "defenses", "rivals",
-];
-
-/// Fields allowed in `scenario.world`.
-const WORLD_FIELDS: &[&str] = &[
-    "devs", "seed", "sim_time_secs", "attack_at_secs", "recruitment", "churn", "topology",
-    "reboot_rate_per_min",
-];
-
-/// Fields allowed in `scenario.attack`.
-const ATTACK_FIELDS: &[&str] = &["vector", "duration_secs", "port", "payload_bytes"];
-
-/// Fields allowed in `scenario.rivals`.
-const RIVAL_FIELDS: &[&str] =
-    &["count", "start_secs", "interval_secs", "process_name", "flood_rate_bps"];
 
 /// One scheduled defense deployment.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,253 +127,135 @@ pub struct ScenarioPlan {
     pub rivals: Option<RivalSpec>,
 }
 
-/// Reads an optional field as u64, rejecting wrong shapes loudly.
-fn opt_u64(json: &Json, ctx: &str, field: &str) -> Result<Option<u64>, PlanError> {
-    match json.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| PlanError::invalid(DOC, format!("{ctx}.{field} must be an unsigned integer"))),
+/// Overrides `slot` when the plan gave the member.
+fn set<T>(slot: &mut T, given: Option<T>) {
+    if let Some(value) = given {
+        *slot = value;
     }
 }
 
-/// Reads an optional field as f64.
-fn opt_f64(json: &Json, ctx: &str, field: &str) -> Result<Option<f64>, PlanError> {
-    match json.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| PlanError::invalid(DOC, format!("{ctx}.{field} must be a number"))),
-    }
+fn churn_mode(word: &str) -> Result<ChurnMode, String> {
+    ChurnMode::parse(word).ok_or_else(|| format!("unknown churn mode '{word}'"))
 }
 
-/// Reads an optional field as a string slice.
-fn opt_str<'a>(json: &'a Json, ctx: &str, field: &str) -> Result<Option<&'a str>, PlanError> {
-    match json.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| PlanError::invalid(DOC, format!("{ctx}.{field} must be a string"))),
-    }
-}
-
-/// Reads an optional `*_secs` field as a [`Duration`] (fractional ok).
-fn opt_secs(json: &Json, ctx: &str, field: &str) -> Result<Option<Duration>, PlanError> {
-    opt_f64(json, ctx, field)?
-        .map(|secs| {
-            checked_secs(&format!("{ctx}.{field}"), secs, true)
-                .map_err(|m| PlanError::invalid(DOC, m))
-        })
-        .transpose()
+fn vector(word: &str) -> Result<AttackVector, String> {
+    AttackVector::parse(word).ok_or_else(|| format!("unknown vector '{word}'"))
 }
 
 /// Applies `scenario.world` overrides onto the default configuration.
-fn apply_world(config: &mut SimulationConfig, world: &Json) -> Result<(), PlanError> {
-    reject_unknown_fields(world, DOC, "scenario.world", WORLD_FIELDS)?;
-    if let Some(devs) = opt_u64(world, "world", "devs")? {
-        config.devs = devs as usize;
-    }
-    if let Some(seed) = opt_u64(world, "world", "seed")? {
-        config.seed = seed;
-    }
-    if let Some(t) = opt_secs(world, "world", "sim_time_secs")? {
-        config.sim_time = t;
-    }
-    if let Some(t) = opt_secs(world, "world", "attack_at_secs")? {
-        config.attack_at = t;
-    }
-    if let Some(spec) = opt_str(world, "world", "recruitment")? {
-        config.recruitment = Recruitment::parse(spec)
-            .map_err(|m| PlanError::invalid(DOC, format!("world.recruitment: {m}")))?;
-    }
-    if let Some(mode) = opt_str(world, "world", "churn")? {
-        config.churn = ChurnMode::parse(mode).ok_or_else(|| {
-            PlanError::invalid(DOC, format!("world.churn: unknown churn mode '{mode}'"))
-        })?;
-    }
-    if let Some(spec) = opt_str(world, "world", "topology")? {
-        config.topology = TopologyKind::parse(spec)
-            .map_err(|m| PlanError::invalid(DOC, format!("world.topology: {m}")))?;
-    }
-    if let Some(rate) = opt_f64(world, "world", "reboot_rate_per_min")? {
-        if !rate.is_finite() || rate < 0.0 {
-            return Err(PlanError::invalid(
-                DOC,
-                format!("world.reboot_rate_per_min must be non-negative, got {rate}"),
-            ));
+fn apply_world(config: &mut SimulationConfig, world: Val<'_>) -> Result<(), PlanError> {
+    world.fields(|f| {
+        set(&mut config.devs, f.opt("devs")?);
+        set(&mut config.seed, f.opt("seed")?);
+        set(&mut config.sim_time, f.secs("sim_time_secs")?);
+        set(&mut config.attack_at, f.secs("attack_at_secs")?);
+        set(&mut config.recruitment, f.opt_with("recruitment", |v| v.word(Recruitment::parse))?);
+        set(&mut config.churn, f.opt_with("churn", |v| v.word(churn_mode))?);
+        set(&mut config.topology, f.opt_with("topology", |v| v.word(TopologyKind::parse))?);
+        if let Some(rate) = f.opt::<f64>("reboot_rate_per_min")? {
+            if !rate.is_finite() || rate < 0.0 {
+                return Err(f.invalid(
+                    "reboot_rate_per_min",
+                    format_args!("must be non-negative, got {rate}"),
+                ));
+            }
+            config.reboot_rate_per_min = rate;
         }
-        config.reboot_rate_per_min = rate;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-/// Applies `scenario.attack` overrides onto the default attack spec.
-fn apply_attack(config: &mut SimulationConfig, attack: &Json) -> Result<(), PlanError> {
-    reject_unknown_fields(attack, DOC, "scenario.attack", ATTACK_FIELDS)?;
-    let mut spec = AttackSpec::default();
-    if let Some(v) = opt_str(attack, "attack", "vector")? {
-        spec.vector = AttackVector::parse(v)
-            .ok_or_else(|| PlanError::invalid(DOC, format!("attack.vector: unknown vector '{v}'")))?;
-    }
-    if let Some(d) = opt_secs(attack, "attack", "duration_secs")? {
-        spec.duration = d;
-    }
-    if let Some(p) = opt_u64(attack, "attack", "port")? {
-        spec.port = u16::try_from(p)
-            .map_err(|_| PlanError::invalid(DOC, format!("attack.port {p} exceeds 65535")))?;
-    }
-    spec.payload_bytes = match opt_u64(attack, "attack", "payload_bytes")? {
-        None => None,
-        Some(b) => Some(u32::try_from(b).map_err(|_| {
-            PlanError::invalid(DOC, format!("attack.payload_bytes {b} exceeds u32"))
-        })?),
-    };
-    config.attack = spec;
-    Ok(())
+/// Reads `scenario.attack` over the default attack spec.
+fn parse_attack(attack: Val<'_>) -> Result<AttackSpec, PlanError> {
+    let defaults = AttackSpec::default();
+    attack.fields(|f| {
+        Ok(AttackSpec {
+            vector: f.opt_with("vector", |v| v.word(vector))?.unwrap_or(defaults.vector),
+            duration: f.secs("duration_secs")?.unwrap_or(defaults.duration),
+            port: f.opt("port")?.unwrap_or(defaults.port),
+            payload_bytes: f.opt("payload_bytes")?,
+        })
+    })
 }
 
 /// Parses one `defenses[i]` entry.
-fn parse_defense(entry: &Json, i: usize) -> Result<DefenseSpec, PlanError> {
-    let ctx = format!("defense #{i}");
-    let kind = opt_str(entry, &ctx, "kind")?
-        .ok_or_else(|| PlanError::invalid(DOC, format!("{ctx} is missing 'kind'")))?
-        .to_owned();
-    let at = |field: &str, default: Duration| -> Result<Duration, PlanError> {
-        Ok(opt_secs(entry, &ctx, field)?.unwrap_or(default))
-    };
-    match kind.as_str() {
+fn parse_defense(entry: Val<'_>) -> Result<DefenseSpec, PlanError> {
+    let at = |f: &mut Fields<'_>, key| Ok(f.secs(key)?.unwrap_or(Duration::ZERO));
+    entry.fields(|f| match f.str("kind")? {
         "rate_limit" => {
-            reject_unknown_fields(entry, DOC, &ctx, &["kind", "at_secs", "rate_bps", "burst_bytes"])?;
             let defaults = analysis::mitigation::RateLimiter::default();
             Ok(DefenseSpec::RateLimit {
-                at: at("at_secs", Duration::ZERO)?,
-                rate_bps: opt_u64(entry, &ctx, "rate_bps")?.unwrap_or(defaults.rate_bps),
-                burst_bytes: opt_u64(entry, &ctx, "burst_bytes")?.unwrap_or(defaults.burst_bytes),
+                at: at(f, "at_secs")?,
+                rate_bps: f.opt("rate_bps")?.unwrap_or(defaults.rate_bps),
+                burst_bytes: f.opt("burst_bytes")?.unwrap_or(defaults.burst_bytes),
             })
         }
         "egress_filter" => {
-            reject_unknown_fields(entry, DOC, &ctx, &["kind", "at_secs", "port"])?;
-            let port = match opt_u64(entry, &ctx, "port")? {
-                None => None,
-                Some(p) => Some(u16::try_from(p).map_err(|_| {
-                    PlanError::invalid(DOC, format!("{ctx}.port {p} exceeds 65535"))
-                })?),
-            };
-            Ok(DefenseSpec::EgressFilter { at: at("at_secs", Duration::ZERO)?, port })
+            Ok(DefenseSpec::EgressFilter { at: at(f, "at_secs")?, port: f.opt("port")? })
         }
         "patch_rollout" => {
-            reject_unknown_fields(
-                entry,
-                DOC,
-                &ctx,
-                &["kind", "start_secs", "wave_interval_secs", "waves", "remove"],
-            )?;
-            let waves = opt_u64(entry, &ctx, "waves")?.unwrap_or(1);
+            let waves = f.opt("waves")?.unwrap_or(1);
             if waves == 0 {
-                return Err(PlanError::invalid(DOC, format!("{ctx}.waves must be at least 1")));
+                return Err(f.invalid("waves", "must be at least 1"));
             }
-            let remove = match entry.get("remove") {
-                None | Some(Json::Null) => vec!["curl".to_owned()],
-                Some(Json::Arr(items)) => {
-                    let mut cmds = Vec::with_capacity(items.len());
-                    for item in items {
-                        cmds.push(
-                            item.as_str()
-                                .ok_or_else(|| {
-                                    PlanError::invalid(
-                                        DOC,
-                                        format!("{ctx}.remove entries must be strings"),
-                                    )
-                                })?
-                                .to_owned(),
-                        );
-                    }
-                    if cmds.is_empty() {
-                        return Err(PlanError::invalid(
-                            DOC,
-                            format!("{ctx}.remove must not be empty"),
-                        ));
-                    }
-                    cmds
-                }
-                Some(_) => {
-                    return Err(PlanError::invalid(DOC, format!("{ctx}.remove must be an array")))
-                }
-            };
+            let remove = f
+                .opt_with("remove", |v| v.items("remove entry", String::read))?
+                .unwrap_or_else(|| vec!["curl".to_owned()]);
+            if remove.is_empty() {
+                return Err(f.invalid("remove", "must not be empty"));
+            }
             Ok(DefenseSpec::PatchRollout {
-                start: at("start_secs", Duration::ZERO)?,
-                wave_interval: opt_secs(entry, &ctx, "wave_interval_secs")?
-                    .unwrap_or(Duration::from_secs(10)),
-                waves: waves as u32,
+                start: at(f, "start_secs")?,
+                wave_interval: f.secs("wave_interval_secs")?.unwrap_or(Duration::from_secs(10)),
+                waves,
                 remove,
             })
         }
         "honeypot" => {
-            reject_unknown_fields(entry, DOC, &ctx, &["kind", "count", "blocklist_at_secs"])?;
-            let count = opt_u64(entry, &ctx, "count")?.unwrap_or(1);
-            if count == 0 || count > u64::from(u16::MAX) {
-                return Err(PlanError::invalid(
-                    DOC,
-                    format!("{ctx}.count must be between 1 and 65535, got {count}"),
-                ));
+            let count = f.opt("count")?.unwrap_or(1);
+            if count == 0 {
+                return Err(f.invalid("count", "must be between 1 and 65535, got 0"));
             }
-            Ok(DefenseSpec::Honeypot {
-                count: count as u16,
-                blocklist_at: at("blocklist_at_secs", Duration::ZERO)?,
-            })
+            Ok(DefenseSpec::Honeypot { count, blocklist_at: at(f, "blocklist_at_secs")? })
         }
-        "cnc_takedown" => {
-            reject_unknown_fields(entry, DOC, &ctx, &["kind", "at_secs", "backups"])?;
-            let backups = opt_u64(entry, &ctx, "backups")?.unwrap_or(0);
-            if backups > u64::from(u16::MAX) {
-                return Err(PlanError::invalid(
-                    DOC,
-                    format!("{ctx}.backups {backups} exceeds 65535"),
-                ));
-            }
-            Ok(DefenseSpec::CncTakedown {
-                at: at("at_secs", Duration::ZERO)?,
-                backups: backups as u16,
-            })
-        }
-        other => Err(PlanError::invalid(
-            DOC,
-            format!(
-                "{ctx}: unknown kind '{other}' (expected rate_limit, egress_filter, \
+        "cnc_takedown" => Ok(DefenseSpec::CncTakedown {
+            at: at(f, "at_secs")?,
+            backups: f.opt("backups")?.unwrap_or(0),
+        }),
+        other => Err(f.invalid(
+            "kind",
+            format_args!(
+                "is an unknown kind '{other}' (expected rate_limit, egress_filter, \
                  patch_rollout, honeypot, or cnc_takedown)"
             ),
         )),
-    }
+    })
 }
 
 /// Parses `scenario.rivals`.
-fn parse_rivals(entry: &Json) -> Result<RivalSpec, PlanError> {
-    reject_unknown_fields(entry, DOC, "scenario.rivals", RIVAL_FIELDS)?;
-    let count = opt_u64(entry, "rivals", "count")?.unwrap_or(1);
-    if count == 0 {
-        return Err(PlanError::invalid(DOC, "rivals.count must be at least 1"));
-    }
-    let process_name = opt_str(entry, "rivals", "process_name")?.unwrap_or("qbot").to_owned();
-    if !malware::RIVAL_NAMES.contains(&process_name.as_str()) {
-        return Err(PlanError::invalid(
-            DOC,
-            format!(
-                "rivals.process_name '{process_name}' is not a known rival family \
-                 (expected one of {:?})",
-                malware::RIVAL_NAMES
-            ),
-        ));
-    }
-    Ok(RivalSpec {
-        count: count as u32,
-        start: opt_secs(entry, "rivals", "start_secs")?.unwrap_or(Duration::from_secs(10)),
-        interval: opt_secs(entry, "rivals", "interval_secs")?.unwrap_or(Duration::from_secs(5)),
-        process_name,
-        flood_rate_bps: opt_u64(entry, "rivals", "flood_rate_bps")?
-            .unwrap_or(malware::DEFAULT_FLOOD_RATE_BPS),
+fn parse_rivals(entry: Val<'_>) -> Result<RivalSpec, PlanError> {
+    entry.fields(|f| {
+        let count = f.opt("count")?.unwrap_or(1);
+        if count == 0 {
+            return Err(f.invalid("count", "must be at least 1"));
+        }
+        let process_name = f.opt("process_name")?.unwrap_or_else(|| "qbot".to_owned());
+        if !malware::RIVAL_NAMES.contains(&process_name.as_str()) {
+            return Err(f.invalid(
+                "process_name",
+                format_args!(
+                    "'{process_name}' is not a known rival family (expected one of {:?})",
+                    malware::RIVAL_NAMES
+                ),
+            ));
+        }
+        Ok(RivalSpec {
+            count,
+            start: f.secs("start_secs")?.unwrap_or(Duration::from_secs(10)),
+            interval: f.secs("interval_secs")?.unwrap_or(Duration::from_secs(5)),
+            process_name,
+            flood_rate_bps: f.opt("flood_rate_bps")?.unwrap_or(malware::DEFAULT_FLOOD_RATE_BPS),
+        })
     })
 }
 
@@ -403,36 +267,32 @@ impl ScenarioPlan {
     /// A typed [`PlanError`] naming the first syntax, schema,
     /// unknown-field, or range problem.
     pub fn parse(text: &str) -> Result<Self, PlanError> {
-        let json = Json::parse(text).map_err(|e| PlanError::syntax(DOC, e))?;
-        check_schema(&json, DOC, SCENARIO_SCHEMA)?;
-        reject_unknown_fields(&json, DOC, "scenario", TOP_FIELDS)?;
-        let name = opt_str(&json, "scenario", "name")?
-            .ok_or_else(|| PlanError::invalid(DOC, "scenario is missing 'name'"))?
-            .to_owned();
-        let seed = opt_u64(&json, "scenario", "seed")?.unwrap_or(0);
+        Self::from_json(&Json::parse(text).map_err(|e| PlanError::syntax(DOC, e))?)
+    }
 
+    /// Reads a scenario from its parsed document — what
+    /// [`ScenarioPlan::parse`] and every document embedding a plan (a
+    /// grid sweep's `base`, a `serve` job's `scenario`) go through.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScenarioPlan::parse`], syntax aside.
+    pub fn from_json(json: &Json) -> Result<Self, PlanError> {
         let mut config = SimulationConfig::default();
-        if let Some(world) = json.get("world") {
-            apply_world(&mut config, world)?;
-        }
-        if let Some(attack) = json.get("attack") {
-            apply_attack(&mut config, attack)?;
-        }
-        if let Some(faults) = json.get("faults") {
-            // A full embedded ddosim.faults.plan/1 document, validated by
-            // its own strict parser.
-            config.faults = FaultPlan::parse_plan(&faults.to_string_compact())?;
-        }
-
-        let mut defenses = Vec::new();
-        if let Some(list) = json.get("defenses") {
-            let Json::Arr(items) = list else {
-                return Err(PlanError::invalid(DOC, "scenario.defenses must be an array"));
-            };
-            for (i, entry) in items.iter().enumerate() {
-                defenses.push(parse_defense(entry, i)?);
-            }
-        }
+        let (name, seed, defenses, rivals) = Val::root(DOC, json).fields(|f| {
+            f.schema(SCENARIO_SCHEMA)?;
+            let name = f.req("name")?;
+            f.opt_with("description", |v| v.str().map(drop))?;
+            let seed = f.opt("seed")?.unwrap_or(0);
+            f.opt_with("world", |v| apply_world(&mut config, v))?;
+            set(&mut config.attack, f.opt_with("attack", parse_attack)?);
+            // A full embedded ddosim.faults.plan/1 document, as strict as
+            // a stand-alone one.
+            set(&mut config.faults, f.opt_with("faults", |v| v.embedded(FaultPlan::from_json))?);
+            let defenses: Vec<DefenseSpec> =
+                f.opt_with("defenses", |v| v.items("defense", parse_defense))?.unwrap_or_default();
+            Ok((name, seed, defenses, f.opt_with("rivals", parse_rivals)?))
+        })?;
         // Honeypot and takedown deployments shape the world at build time
         // (extra nodes, served binaries), so more than one of each would
         // be ambiguous.
@@ -451,12 +311,6 @@ impl ScenarioPlan {
                 _ => {}
             }
         }
-
-        let rivals = match json.get("rivals") {
-            None | Some(Json::Null) => None,
-            Some(entry) => Some(parse_rivals(entry)?),
-        };
-
         config.validate().map_err(|m| PlanError::invalid(DOC, m))?;
         Ok(ScenarioPlan { name, seed, config, defenses, rivals })
     }
@@ -676,5 +530,62 @@ mod tests {
                 Ok(_) => panic!("plan {text:?} unexpectedly accepted"),
             }
         }
+    }
+    /// Input holes the one reader closed (each row was accepted before
+    /// it): narrowing casts, a member given twice, a mistyped optional
+    /// member — and the boundaries next to them, which stay valid.
+    #[test]
+    fn input_hole_table() {
+        let rollout = |waves: &str| {
+            minimal(&format!(r#","defenses":[{{"kind":"patch_rollout","waves":{waves}}}]"#))
+        };
+        let cases: &[(String, &str)] = &[
+            (
+                minimal(r#","rivals":{"count":4294967297}"#),
+                "scenario.rivals.count 4294967297 exceeds 4294967295",
+            ),
+            (rollout("4294967297"), "defense #0.waves 4294967297 exceeds 4294967295"),
+            (minimal(r#","world":{"devs":3,"devs":7}"#), "scenario.world.devs appears twice"),
+            (minimal(r#","name":"again""#), "scenario.name appears twice"),
+            (minimal(r#","seed":"7""#), "scenario.seed must be an unsigned integer"),
+            (minimal(r#","world":{"seed":-1}"#), "scenario.world.seed must be an unsigned integer"),
+            (minimal(r#","description":7"#), "scenario.description must be a string"),
+            (minimal(r#","attack":{"port":65536}"#), "scenario.attack.port 65536 exceeds 65535"),
+            (
+                minimal(r#","attack":{"payload_bytes":4294967296}"#),
+                "scenario.attack.payload_bytes 4294967296 exceeds 4294967295",
+            ),
+            (
+                minimal(r#","defenses":[{"kind":"honeypot","count":65536}]"#),
+                "defense #0.count 65536 exceeds 65535",
+            ),
+            (
+                minimal(r#","defenses":[{"kind":"cnc_takedown","backups":65536}]"#),
+                "defense #0.backups 65536 exceeds 65535",
+            ),
+            (
+                minimal(r#","defenses":[{"kind":"egress_filter","port":"80"}]"#),
+                "defense #0.port must be an unsigned integer",
+            ),
+            (
+                minimal(r#","faults":{"schema":"ddosim.faults.plan/1","seed":"7","faults":[]}"#),
+                "scenario.faults: fault plan: fault plan.seed must be an unsigned integer",
+            ),
+        ];
+        for (text, fragment) in cases {
+            match ScenarioPlan::parse(text) {
+                Err(err) => assert!(err.to_string().contains(fragment), "plan {text:?}: {err}"),
+                Ok(_) => panic!("plan {text:?} unexpectedly accepted"),
+            }
+        }
+        let plan = ScenarioPlan::parse(&minimal(
+            r#","seed":null,"attack":{"port":65535,"payload_bytes":4294967295},
+               "rivals":{"count":4294967295},"defenses":[
+                 {"kind":"honeypot","count":65535},{"kind":"cnc_takedown","backups":65535},
+                 {"kind":"patch_rollout","waves":4294967295}]"#,
+        ))
+        .expect("every boundary value is in range");
+        assert_eq!((plan.config().attack.port, plan.config().honeypots), (65535, 65535));
+        assert_eq!(plan.rivals.expect("rivals").count, u32::MAX);
     }
 }

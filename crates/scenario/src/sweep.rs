@@ -14,7 +14,7 @@
 use crate::plan::{DefenseSpec, ScenarioPlan};
 use ddosim_core::{experiment::run_rows, Ddosim, RngPlan, RunResult};
 use djson::Json;
-use faults::{check_schema, reject_unknown_fields, PlanError};
+use faults::{Fields, PlanError, Read, Val};
 use std::time::Duration;
 
 /// One cell of a defense-parameter grid: a label naming the parameters
@@ -256,72 +256,55 @@ pub struct SweepGridPlan {
 
 impl SweepGridPlan {
     /// Parses and strictly validates a `ddosim.sweepgrid/1` document:
-    /// schema pinned, unknown top-level fields rejected, the embedded
-    /// base plan validated by [`ScenarioPlan::parse`], and the grid
-    /// expanded eagerly so axis errors surface at parse time.
+    /// schema pinned, unknown top-level fields rejected (the other axes'
+    /// members included), the embedded base plan read by
+    /// [`ScenarioPlan::from_json`], and the grid expanded eagerly so axis
+    /// errors surface at parse time.
     ///
     /// # Errors
     ///
     /// A typed [`PlanError`] naming the offending field.
     pub fn parse(text: &str) -> Result<Self, PlanError> {
         const DOC: &str = "sweep grid plan";
-        let invalid = |m: String| PlanError::invalid(DOC, m);
+        /// One axis: a non-empty array of integers that fit the parameter.
+        fn axis<T: Read>(f: &mut Fields<'_>, key: &str) -> Result<Vec<T>, PlanError> {
+            let values = f.req_with(key, |v| v.items(key, T::read))?;
+            if values.is_empty() {
+                return Err(f.invalid(key, "must not be empty"));
+            }
+            Ok(values)
+        }
         let doc = Json::parse(text).map_err(|e| PlanError::syntax(DOC, e))?;
-        check_schema(&doc, DOC, SWEEPGRID_SCHEMA)?;
-        let str_field = |field: &str| {
-            doc.get(field)
-                .and_then(Json::as_str)
-                .ok_or_else(|| invalid(format!("missing '{field}'")))
-        };
-        let axis = str_field("axis")?;
-        type Expand = fn(&ScenarioPlan, &[u64], &[u64]) -> Result<Vec<GridCell>, String>;
-        let (axis_a, axis_b, expand): (_, _, Expand) = match axis {
-            "rate_limit" => ("rates_bps", "deploy_at_secs", rate_limit_grid),
-            "patch_rollout" => ("waves", "wave_interval_secs", |base, waves, secs| {
-                let waves: Vec<u32> = waves.iter().map(|&w| w as u32).collect();
-                patch_rollout_grid(base, &waves, secs)
-            }),
-            "cnc_takedown" => ("at_secs", "backups", |base, at, backups| {
-                let backups: Vec<u16> = backups.iter().map(|&n| n as u16).collect();
-                takedown_grid(base, at, &backups)
-            }),
-            other => {
-                return Err(invalid(format!(
-                    "unknown axis '{other}' (rate_limit | patch_rollout | cnc_takedown)"
-                )))
+        Val::root(DOC, &doc).fields(|f| {
+            f.schema(SWEEPGRID_SCHEMA)?;
+            let name = f.req("name")?;
+            let base = f.req_with("base", |v| v.embedded(ScenarioPlan::from_json))?;
+            let cells = match f.str("axis")? {
+                "rate_limit" => {
+                    rate_limit_grid(&base, &axis(f, "rates_bps")?, &axis(f, "deploy_at_secs")?)
+                }
+                "patch_rollout" => {
+                    patch_rollout_grid(&base, &axis(f, "waves")?, &axis(f, "wave_interval_secs")?)
+                }
+                "cnc_takedown" => takedown_grid(&base, &axis(f, "at_secs")?, &axis(f, "backups")?),
+                other => {
+                    return Err(f.invalid(
+                        "axis",
+                        format_args!(
+                            "is an unknown axis '{other}' \
+                             (rate_limit | patch_rollout | cnc_takedown)"
+                        ),
+                    ))
+                }
             }
-        };
-        reject_unknown_fields(
-            &doc,
-            DOC,
-            DOC,
-            &["schema", "name", "axis", "replicates", "base_seed", "base", axis_a, axis_b],
-        )?;
-        let u64s = |field: &str| -> Result<Vec<u64>, PlanError> {
-            let arr = doc
-                .get(field)
-                .and_then(Json::as_array)
-                .ok_or_else(|| invalid(format!("'{field}' must be an array")))?;
-            if arr.is_empty() {
-                return Err(invalid(format!("'{field}' must not be empty")));
-            }
-            arr.iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| invalid(format!("'{field}' entries must be unsigned integers")))
-                })
-                .collect()
-        };
-        let base_json = doc.get("base").ok_or_else(|| invalid("missing 'base'".to_owned()))?;
-        let base = ScenarioPlan::parse(&base_json.to_string_compact())
-            .map_err(|e| invalid(format!("base: {e}")))?;
-        let cells = expand(&base, &u64s(axis_a)?, &u64s(axis_b)?).map_err(invalid)?;
-        Ok(SweepGridPlan {
-            name: str_field("name")?.to_owned(),
-            base,
-            cells,
-            replicates: doc.get("replicates").and_then(Json::as_u64).unwrap_or(1).max(1),
-            base_seed: doc.get("base_seed").and_then(Json::as_u64).unwrap_or(42),
+            .map_err(|m| PlanError::invalid(DOC, m))?;
+            Ok(SweepGridPlan {
+                name,
+                base,
+                cells,
+                replicates: f.opt("replicates")?.unwrap_or(1).max(1),
+                base_seed: f.opt("base_seed")?.unwrap_or(42),
+            })
         })
     }
 }
@@ -430,13 +413,58 @@ mod tests {
             ("{}".to_owned(), "schema"),
             (grid_doc("").replace("ddosim.sweepgrid/1", "ddosim.sweepgrid/2"), "schema"),
             (grid_doc(",\n  \"surprise\": 1"), "unknown field 'surprise'"),
-            (grid_doc("").replace("rate_limit\"", "firewall\""), "unknown axis"),
+            (grid_doc("").replace("\"axis\": \"rate_limit\"", "\"axis\": \"firewall\""), "unknown axis"),
             (grid_doc("").replace("[16000, 64000]", "[]"), "must not be empty"),
             (grid_doc("").replace("[16000, 64000]", "[\"fast\"]"), "unsigned"),
             (grid_doc("").replace("ddosim.scenario/1", "nope/1"), "base"),
         ] {
             let err = SweepGridPlan::parse(&doc).expect_err("must reject").to_string();
             assert!(err.contains(fragment), "error {err:?} does not mention {fragment:?}");
+        }
+    }
+
+    /// A mistyped optional member is an error, never its default, and an
+    /// axis value must fit the parameter it sweeps (before the one reader:
+    /// `"replicates":"5"` ran 1 replicate, `-1.5` seeded 42, and waves /
+    /// backups were cut to 32 / 16 bits).
+    #[test]
+    fn sweepgrid_input_hole_table() {
+        // The rate-limit grid re-pointed at another axis and its defense.
+        let on_axis = |axis: &str, a: &str, b: &str| {
+            let defense = r#"{ "kind": "rate_limit", "at_secs": 26, "rate_bps": 64000, "burst_bytes": 16000 }"#;
+            let doc = grid_doc("");
+            assert!(doc.contains(defense));
+            doc.replace(r#""axis": "rate_limit""#, &format!(r#""axis": "{axis}""#))
+                .replace(r#""rates_bps": [16000, 64000]"#, a)
+                .replace(r#""deploy_at_secs": [26, 30]"#, b)
+                .replace(defense, &format!(r#"{{ "kind": "{axis}" }}"#))
+        };
+        let takedown = on_axis("cnc_takedown", r#""at_secs": [30]"#, r#""backups": [65536]"#);
+        let rollout =
+            on_axis("patch_rollout", r#""waves": [2, 4294967296]"#, r#""wave_interval_secs": [5]"#);
+        for (doc, fragment) in [
+            (
+                grid_doc("").replace("\"replicates\": 2", "\"replicates\": \"5\""),
+                "sweep grid plan.replicates must be an unsigned integer",
+            ),
+            (
+                grid_doc("").replace("\"base_seed\": 7", "\"base_seed\": -1.5"),
+                "sweep grid plan.base_seed must be an unsigned integer",
+            ),
+            (grid_doc(",\n  \"name\": \"twice\""), "sweep grid plan.name appears twice"),
+            (grid_doc(",\n  \"waves\": [2]"), "unknown field 'waves'"),
+            (takedown.clone(), "backups #0 65536 exceeds 65535"),
+            (rollout.clone(), "waves #1 4294967296 exceeds 4294967295"),
+            (
+                grid_doc("").replace("\"devs\": 3", "\"devs\": 3, \"devs\": 4"),
+                "sweep grid plan.base: scenario: scenario.world.devs appears twice",
+            ),
+        ] {
+            let err = SweepGridPlan::parse(&doc).expect_err("must reject").to_string();
+            assert!(err.contains(fragment), "error {err:?} does not mention {fragment:?}");
+        }
+        for ok in [takedown.replace("65536", "65535"), rollout.replace("4294967296", "4294967295")] {
+            SweepGridPlan::parse(&ok).expect("the boundary value is in range");
         }
     }
 

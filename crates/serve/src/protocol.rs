@@ -20,7 +20,8 @@
 //! workspace: the version is pinned, unknown fields are rejected, and
 //! exactly one of `scenario` / `config` must own the world.
 
-use ddosim_core::{Ddosim, SimulationConfig, TelemetryConfig};
+use ddosim_core::checkpoint::config_from_json;
+use ddosim_core::{Ddosim, PlanError, SimulationConfig, TelemetryConfig, Val};
 use djson::Json;
 use scenario::ScenarioPlan;
 use std::time::Duration;
@@ -101,90 +102,51 @@ pub enum Action {
 /// mismatched schema, unknown action or field, both or neither of
 /// `scenario`/`config`, or an invalid embedded document.
 pub fn parse_request(line: &str) -> Result<Action, String> {
+    const DOC: &str = "request";
     let json = Json::parse(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
-    let Json::Obj(members) = &json else {
-        return Err("request is not a JSON object".to_owned());
-    };
-    let schema = json
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("request missing string field 'schema'")?;
-    if schema != SERVE_SCHEMA {
-        return Err(format!("unsupported schema '{schema}' (expected '{SERVE_SCHEMA}')"));
-    }
-    let action = json
-        .get("action")
-        .and_then(Json::as_str)
-        .ok_or("request missing string field 'action'")?;
-    match action {
-        "shutdown" => {
-            for (key, _) in members {
-                if key != "schema" && key != "action" {
-                    return Err(format!("shutdown request has unexpected field '{key}'"));
+    let action = Val::root(DOC, &json).fields(|f| {
+        f.schema(SERVE_SCHEMA)?;
+        match f.str("action")? {
+            "shutdown" => Ok(Action::Shutdown),
+            "submit" => {
+                let id = f.opt::<String>("id")?;
+                if id.as_ref().is_some_and(|id| id.is_empty() || id.len() > 128) {
+                    return Err(f.invalid("id", "must be 1..=128 characters"));
                 }
-            }
-            Ok(Action::Shutdown)
-        }
-        "submit" => {
-            for (key, _) in members {
-                match key.as_str() {
-                    "schema" | "action" | "id" | "scenario" | "config" | "record"
-                    | "metrics_interval_secs" => {}
-                    other => return Err(format!("submit request has unknown field '{other}'")),
+                let record = f.opt("record")?.unwrap_or(false);
+                let metrics_interval = f.secs("metrics_interval_secs")?;
+                if metrics_interval.is_some_and(|interval| interval.is_zero()) {
+                    return Err(f.invalid("metrics_interval_secs", "must be positive"));
                 }
-            }
-            let id = match json.get("id") {
-                None => None,
-                Some(v) => {
-                    let id = v.as_str().ok_or("field 'id' is not a string")?;
-                    if id.is_empty() || id.len() > 128 {
-                        return Err("field 'id' must be 1..=128 characters".to_owned());
+                // Decided before either document is read, so a request
+                // with both is told so, not what is wrong with one.
+                let spec = match (f.has("scenario"), f.has("config")) {
+                    (true, true) => {
+                        return Err(PlanError::invalid(
+                            DOC,
+                            "submit request has both 'scenario' and 'config'; \
+                             exactly one must own the world",
+                        ))
                     }
-                    Some(id.to_owned())
-                }
-            };
-            let record = match json.get("record") {
-                None => false,
-                Some(v) => v.as_bool().ok_or("field 'record' is not a boolean")?,
-            };
-            let metrics_interval = match json.get("metrics_interval_secs") {
-                None => None,
-                Some(v) => {
-                    let secs =
-                        v.as_f64().ok_or("field 'metrics_interval_secs' is not a number")?;
-                    Some(ddosim_core::checked_secs("field 'metrics_interval_secs'", secs, false)?)
-                }
-            };
-            let spec = match (json.get("scenario"), json.get("config")) {
-                (Some(_), Some(_)) => {
-                    return Err(
-                        "submit request has both 'scenario' and 'config'; \
-                         exactly one must own the world"
-                            .to_owned(),
-                    )
-                }
-                (None, None) => {
-                    return Err(
-                        "submit request needs exactly one of 'scenario' or 'config'".to_owned()
-                    )
-                }
-                (Some(plan), None) => {
-                    // Round-trip through text so the submitted plan goes
-                    // through the exact strict parser the offline
-                    // `--scenario` path uses.
-                    let plan = ScenarioPlan::parse(&plan.to_string_compact())
-                        .map_err(|e| format!("scenario: {}", String::from(e)))?;
-                    JobSpec::Scenario(plan)
-                }
-                (None, Some(config)) => JobSpec::Config(
-                    ddosim_core::checkpoint::config_from_json(config)
-                        .map_err(|e| format!("config: {e}"))?,
-                ),
-            };
-            Ok(Action::Submit(SubmitRequest { id, spec, record, metrics_interval }))
+                    (true, false) => JobSpec::Scenario(
+                        f.req_with("scenario", |v| v.embedded(ScenarioPlan::from_json))?,
+                    ),
+                    (false, true) => {
+                        JobSpec::Config(f.req_with("config", |v| v.embedded(config_from_json))?)
+                    }
+                    (false, false) => {
+                        return Err(PlanError::invalid(
+                            DOC,
+                            "submit request needs exactly one of 'scenario' or 'config'",
+                        ))
+                    }
+                };
+                Ok(Action::Submit(SubmitRequest { id, spec, record, metrics_interval }))
+            }
+            other => Err(f.invalid("action", format_args!("is an unknown action '{other}'"))),
         }
-        other => Err(format!("unknown action '{other}'")),
-    }
+    });
+    action.map_err(String::from)
 }
 
 /// The job id a frame belongs to, if it is a per-job frame.
@@ -361,7 +323,7 @@ mod tests {
         ));
         let err = parse_request(r#"{"schema":"ddosim.serve/1","action":"shutdown","id":"x"}"#)
             .expect_err("extra field");
-        assert!(err.contains("unexpected field 'id'"), "got: {err}");
+        assert!(err.contains("unknown field 'id' in request"), "got: {err}");
     }
 
     /// Table of invalid request lines with the fragment each error must
@@ -370,10 +332,13 @@ mod tests {
     fn invalid_requests_are_rejected_with_context() {
         let table: &[(String, &str)] = &[
             ("not json".into(), "not valid JSON"),
-            ("[1,2]".into(), "not a JSON object"),
-            (r#"{"action":"submit"}"#.into(), "missing string field 'schema'"),
-            (r#"{"schema":"ddosim.serve/2","action":"submit"}"#.into(), "unsupported schema"),
-            (r#"{"schema":"ddosim.serve/1"}"#.into(), "missing string field 'action'"),
+            ("[1,2]".into(), "request must be an object"),
+            (r#"{"action":"submit"}"#.into(), "request missing 'schema'"),
+            (
+                r#"{"schema":"ddosim.serve/2","action":"submit"}"#.into(),
+                "unsupported request schema",
+            ),
+            (r#"{"schema":"ddosim.serve/1"}"#.into(), "request is missing 'action'"),
             (r#"{"schema":"ddosim.serve/1","action":"dance"}"#.into(), "unknown action"),
             (
                 r#"{"schema":"ddosim.serve/1","action":"submit"}"#.into(),
@@ -382,10 +347,30 @@ mod tests {
             (submit_line(r#","config":{}"#), "both 'scenario' and 'config'"),
             (submit_line(r#","frobnicate":1"#), "unknown field 'frobnicate'"),
             (submit_line(r#","id":"""#), "1..=128 characters"),
-            (submit_line(r#","record":"yes""#), "'record' is not a boolean"),
-            (submit_line(r#","metrics_interval_secs":0"#), "'metrics_interval_secs' must be a positive"),
-            (submit_line(r#","metrics_interval_secs":1e20"#), "'metrics_interval_secs' must be a positive"),
-            (submit_line(r#","metrics_interval_secs":"soon""#), "is not a number"),
+            (submit_line(r#","id":"a","id":"b""#), "request.id appears twice"),
+            (submit_line(r#","action":"shutdown""#), "request.action appears twice"),
+            (
+                submit_line("").replace(r#""devs": 3"#, r#""devs": 3, "devs": 7"#),
+                "request.scenario: scenario: scenario.world.devs appears twice",
+            ),
+            (
+                format!(
+                    r#"{{"schema":"ddosim.serve/1","action":"submit","config":{}}}"#,
+                    ddosim_core::checkpoint::config_to_json(&SimulationConfig::default())
+                        .to_string_compact()
+                        .replace(r#""port":80"#, r#""port":65616"#)
+                ),
+                "request.config: config: config.attack.port 65616 exceeds 65535",
+            ),
+            (format!("{}0{}", "[".repeat(100_000), "]".repeat(100_000)), "nested deeper than 128 levels"),
+            (submit_line(r#","record":"yes""#), "request.record must be a boolean"),
+            (submit_line(r#","metrics_interval_secs":0"#), "request.metrics_interval_secs must be positive"),
+            (submit_line(r#","metrics_interval_secs":1e-12"#), "request.metrics_interval_secs must be positive"),
+            (
+                submit_line(r#","metrics_interval_secs":1e20"#),
+                "request.metrics_interval_secs must be a non-negative number of seconds",
+            ),
+            (submit_line(r#","metrics_interval_secs":"soon""#), "request.metrics_interval_secs must be a number"),
             (
                 r#"{"schema":"ddosim.serve/1","action":"submit","scenario":{"schema":"nope"}}"#
                     .into(),

@@ -238,6 +238,36 @@ fn malformed_and_oversized_lines_get_error_frames_then_service_resumes() {
     stop_server(addr, handle);
 }
 
+/// A request nested 100,000 deep fits the 4 MiB frame limit many times
+/// over. Before `djson` capped nesting it overflowed the connection
+/// thread's stack, which no `catch_unwind` catches: the process aborted
+/// with every job in it.
+#[test]
+fn a_deeply_nested_line_gets_an_error_frame_and_the_server_keeps_serving() {
+    let (addr, handle) = start_server(1);
+    let mut hostile = TcpStream::connect(addr).expect("connect");
+    for open in ["[", "{\"a\":"] {
+        hostile.write_all((open.repeat(100_000) + "\n").as_bytes()).expect("write");
+    }
+    hostile.flush().expect("flush");
+    let frames = read_frames(hostile, |frames| frames.len() == 2);
+    for f in &frames {
+        let message = f.get("error").and_then(Json::as_str).unwrap_or("?");
+        assert_eq!(kind(f), "error", "{f}");
+        assert!(message.contains("nested deeper than 128 levels"), "{message}");
+        assert!(message.contains("at byte 128") || message.contains("at byte 640"), "{message}");
+    }
+    // A job submitted afterwards on a second connection runs to its result.
+    let outcome = submit(&SubmitOptions {
+        addr: addr.to_string(),
+        scenario: Some(PLAN.to_owned()),
+        ..SubmitOptions::default()
+    })
+    .expect("the server still serves");
+    assert!(matches!(outcome, SubmitOutcome::Completed { .. }), "{outcome:?}");
+    stop_server(addr, handle);
+}
+
 #[test]
 fn two_jobs_on_one_connection_demux_by_job_id() {
     let (addr, handle) = start_server(2);

@@ -3,7 +3,9 @@
 #
 #   build        release + example builds under -D warnings, hot-path
 #                hashing gate (no bare HashMap on forwarding paths, no
-#                hasher built outside netsim::fastmap)
+#                hasher built outside netsim::fastmap), one-document-reader
+#                gate (no hand-kept allow-list, no print -> reparse of an
+#                embedded document)
 #   test         every package's tests (`cargo test --workspace`; the
 #                bare root command runs the root package only)
 #   perf         perfsnap smoke run gated +/-25% against the committed
@@ -13,9 +15,11 @@
 #   determinism  same seed -> byte-identical traces (star, multi-hop
 #                tiered, fault plan, zero-fault no-op); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
-#                a repeated sweep reproduces itself; hostile argv exits 1,
-#                never panics; `exp all` regenerates every artefact under
-#                results/ byte for byte with every paper claim holding
+#                a repeated sweep reproduces itself; hostile argv and
+#                hostile documents (truncated, 100k-deep, out-of-range)
+#                exit 1, never panic or abort; `exp all` regenerates every
+#                artefact under results/ byte for byte with every paper
+#                claim holding
 #   checkpoint   resume == straight-through: snapshot mid-attack, resume,
 #                and compare the resumed run's whole trace, capture and
 #                metrics documents against the original's (trace diff +
@@ -28,9 +32,9 @@
 #                port, submit checked-in plans (plain and defended), and
 #                byte-compare each streamed-and-reassembled recorder
 #                trace against the same seed+plan run offline with
-#                --record (trace diff + cmp); malformed submissions must
-#                exit non-zero without taking the server down, and a
-#                protocol shutdown must drain to a clean exit
+#                --record (trace diff + cmp); malformed and out-of-range
+#                submissions must exit non-zero without taking the server
+#                down, and a protocol shutdown must drain to a clean exit
 #   bench        the repo benchmark package (bench/, its own workspace,
 #                invisible to `cargo test` at the root) still compiles
 #                against the product API and passes its own tests; each of
@@ -64,6 +68,14 @@ trap 'rm -rf "$work"' EXIT
 DDOSIM="cargo run --release --offline -p ddosim --bin ddosim --"
 PERFSNAP="cargo run --release --offline -p ddosim-bench --bin perfsnap --"
 EXP="cargo run --release --offline -p ddosim-bench --bin exp --"
+
+# A checkpoint written by the commit before the one document reader
+# (tests/hostile_documents.rs resumes it) and the configuration document
+# embedded in it, as `submit --config` takes one.
+CK=tests/fixtures/checkpoint_parent.json
+config_of_ck() {
+    awk '/^  "config": \{/ { print "{"; on = 1; next } on && /^}/ { exit } on' "$CK"
+}
 
 # Small deterministic scenario shared by the determinism and checkpoint
 # stages; extra flags append.
@@ -101,6 +113,23 @@ stage_build() {
     if grep -rnE 'BuildHasherDefault|RandomState' crates/netsim/src --include='*.rs' \
         | grep -v '^crates/netsim/src/fastmap.rs:'; then
         echo "error: netsim builds its hashers in fastmap.rs only; use FastMap/FastSet" >&2
+        exit 1
+    fi
+
+    # One document reader (faults::plan): the members a parser allows are
+    # the members it reads, so a hand-kept allow-list beside the cursor is
+    # a second copy that drifts; and an embedded document goes to its
+    # `from_json`, never back to text and through `parse` again.
+    if grep -rn 'reject_unknown_fields' crates/*/src src --include='*.rs'; then
+        echo "error: unknown members are rejected by faults::plan::Val::fields alone" >&2
+        exit 1
+    fi
+    if find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /parse\(&.*to_string_compact\(\)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }'; then
+        echo "error: an embedded document is read by its from_json, not printed and re-parsed" >&2
         exit 1
     fi
 }
@@ -250,7 +279,8 @@ PLAN
     hostile() {
         status=0
         $DDOSIM "$@" > /dev/null 2> "$work/hostile.err" || status=$?
-        if [ "$status" -ne 1 ] || grep -q panicked "$work/hostile.err"; then
+        if [ "$status" -ne 1 ] || ! grep -q '^error: ' "$work/hostile.err" \
+            || grep -q panicked "$work/hostile.err"; then
             echo "error: ddosim $* exited $status:" >&2
             cat "$work/hostile.err" >&2
             return 1
@@ -264,6 +294,45 @@ PLAN
     hostile --sweep-seeds 99999999999
     hostile serve --workers -1
     hostile submit 127.0.0.1:1 --metrics-interval NaN --scenario x
+
+    # Hostile documents: every flag that reads one is fed a file cut off
+    # mid-way, a file nested 100,000 deep (a stack overflow, exit 134,
+    # before djson capped nesting) and a value its field cannot hold or a
+    # member its schema does not have (all silently accepted before the
+    # one reader). Each is a plain error: exit 1 with a message. `submit`
+    # refuses the first two itself, before it connects; the third is the
+    # server's to refuse, in the serve stage.
+    bad=$work/hostile-doc.json
+    deep=$work/hostile-deep.json
+    awk 'BEGIN { for (i = 0; i < 100000; i++) printf "["; print "" }' > "$deep"
+    config_of_ck > "$work/config.json"
+    cat > "$work/suffixes.json" <<'PLAN'
+{ "schema": "ddosim.suffix/1", "fork_at_nanos": 28000000000, "config": null,
+  "suffixes": [ { "name": "lossy", "fork_seed": 0, "admin_lines": [], "horizon_nanos": null,
+      "faults": { "schema": "ddosim.faults.plan/1", "faults": [
+        { "at_secs": 30, "kind": "link_loss", "node": "dev-1", "probability": 0.5 } ] } } ] }
+PLAN
+    hostile_doc() {
+        good=$1 from=$2 to=$3; shift 3
+        head -c "$(($(wc -c < "$good") / 2))" "$good" > "$bad"
+        hostile "$@" "$bad"
+        hostile "$@" "$deep"
+        sed "s/$from/$to/" "$good" > "$bad"
+        if cmp -s "$good" "$bad"; then
+            echo "error: hostile_doc: '$from' not found in $good" >&2
+            return 1
+        fi
+        hostile "$@" "$bad"
+    }
+    hostile_doc plans/baseline.scenario.json '"devs": 8' '"devs": 3, "devs": 8' --scenario
+    hostile_doc plans/rivalry.scenario.json '"count": [0-9]*' '"count": 4294967297' --scenario
+    hostile_doc "$plan" '"faults"' '"seed": "7", "faults"' --devs 2 --faults
+    hostile_doc "$CK" '"port": 80' '"port": 65616' --resume
+    hostile_doc "$CK" '"record": true' '"recrod": true, "record": true' --resume
+    hostile_doc "$work/suffixes.json" '0\.5' '7.5, "oops": 1' --devs 2 --suffixes
+    head -c 500 "$work/config.json" > "$bad"
+    hostile submit 127.0.0.1:1 --config "$bad"
+    hostile submit 127.0.0.1:1 --config "$deep"
 
     # A scenario plan owns the world, not what is collected from it: CLI
     # collection flags layer onto the plan, deterministically.
@@ -385,6 +454,11 @@ stage_serve() {
     # frame, not the server: the next submission still completes.
     printf '{ "schema": "ddosim.scenario/1" }\n' > "$work/bad-plan.json"
     ! $DDOSIM submit "$addr" --scenario "$work/bad-plan.json" > /dev/null 2> /dev/null
+    # So does a configuration whose port does not fit 16 bits (it used to
+    # run, attacking port 65616 mod 65536 = 80): the error names the member.
+    config_of_ck | sed 's/"port": 80/"port": 65616/' > "$work/bad-config.json"
+    ! $DDOSIM submit "$addr" --config "$work/bad-config.json" > /dev/null 2> "$work/bad-config.err"
+    grep -q 'config.attack.port 65616 exceeds 65535' "$work/bad-config.err"
     $DDOSIM submit "$addr" --scenario plans/baseline.scenario.json > /dev/null 2> /dev/null
 
     # A protocol shutdown drains the server to a clean exit.

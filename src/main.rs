@@ -190,12 +190,8 @@ const RUN: &[Flag<RunOpts>] = &[
         set: |o, f, v| put(&mut o.config.reboot_rate_per_min, num(f, v)) },
     Flag { name: "--strategy", value: "S", class: World,
         help: "leak-rebase | static-chain | code-injection",
-        set: |o, _, v| put(&mut o.config.strategy, match v {
-            "leak-rebase" => Ok(ddosim::ExploitStrategy::LeakRebase),
-            "static-chain" => Ok(ddosim::ExploitStrategy::StaticChain),
-            "code-injection" => Ok(ddosim::ExploitStrategy::CodeInjection),
-            other => Err(format!("unknown strategy: {other}")),
-        }) },
+        set: |o, f, v| put(&mut o.config.strategy,
+            ddosim::ExploitStrategy::parse(v).map_err(|e| format!("{f}: {e}"))) },
     Flag { name: "--faults", value: "FILE", class: World,
         help: "inject faults from a plan file (schema\nddosim.faults.plan/1; see DESIGN.md)",
         set: |o, _, v| put(&mut o.faults_path, Ok(Some(v.to_owned()))) },
@@ -550,7 +546,7 @@ fn suffix_record_path(base: &str, name: &str) -> String {
 fn cli_config(opts: &RunOpts) -> Result<SimulationConfig, String> {
     let mut config = opts.config.clone();
     if let Some(path) = &opts.faults_path {
-        config.faults = ddosim::FaultPlan::parse_str(&read_file(path)?)?;
+        config.faults = ddosim::FaultPlan::parse_plan(&read_file(path)?)?;
     }
     Ok(config)
 }

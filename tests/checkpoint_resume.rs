@@ -109,7 +109,7 @@ fn fault_plan_resume_is_byte_identical_from_the_snapshot_on() {
         {"at_secs":20,"kind":"link_up","node":"dev-3"},
         {"at_secs":28,"kind":"node_crash","node":"dev-5"},
         {"at_secs":35,"kind":"node_restore","node":"dev-5"}]}"#;
-    let plan = ddosim::FaultPlan::parse_str(plan).expect("valid plan");
+    let plan = ddosim::FaultPlan::parse_plan(plan).expect("valid plan");
     assert_resume_equals_straight_through(base(42, TopologyKind::Star).faults(plan));
 }
 

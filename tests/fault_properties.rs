@@ -80,7 +80,7 @@ proptest! {
     fn random_plans_are_deterministic(plan_seed in any::<u64>()) {
         let plan = random_plan(plan_seed, false);
         let round_tripped =
-            FaultPlan::parse_str(&plan.to_doc()).expect("a generated plan round-trips");
+            FaultPlan::parse_plan(&plan.to_doc()).expect("a generated plan round-trips");
         let a = recorder_doc(plan).to_string_compact();
         let b = recorder_doc(round_tripped).to_string_compact();
         prop_assert_eq!(a, b, "plan JSON round-trip changed the run");
