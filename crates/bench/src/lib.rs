@@ -14,8 +14,8 @@
 //! `cmp`s it against the committed copy, and `tests/paper_fidelity.rs`
 //! evaluates the same claims against the committed files. Adding or
 //! changing an experiment is one row here, then `exp <name>` and committing
-//! the diff under `results/`. (`perfsnap`, the engine gauge set behind
-//! `results/BENCH_netsim.json`, is this package's other binary.)
+//! the diff under `results/`. (This package's other binary is `scale`, the
+//! 100,000-device memory-budget and flatness gate; it writes no file.)
 
 #![warn(missing_docs)]
 

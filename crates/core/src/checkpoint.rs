@@ -708,6 +708,20 @@ mod tests {
             config_from_json(&with(base(), path, value.clone()))
                 .unwrap_or_else(|err| panic!("{path:?} = {value}: {err}"));
         }
+        // A well-formed member can still describe a world that cannot be
+        // built; that is `validate()`'s verdict, which `Ddosim::new` (so
+        // resume and `serve` too) reaches before it sizes anything — it
+        // used to panic there instead.
+        let unbuildable: &[(&[&str], &str)] = &[
+            (&["devs"], "world too large: 18446744073709551615 devs"),
+            (&["access_rate_kbps", "end"], "access rate 18446744073709551615 kbps exceeds"),
+        ];
+        for (path, fragment) in unbuildable {
+            let config =
+                config_from_json(&with(base(), path, Json::U64(u64::MAX))).expect("well-formed");
+            let err = crate::Ddosim::new(config).expect_err("refused before the build");
+            assert!(err.contains(fragment), "{path:?}: {err}");
+        }
         // A member given twice is refused, not first-wins.
         let text = config_to_json(&SimulationConfig::default())
             .to_string_compact()

@@ -391,6 +391,33 @@ impl SimulationConfig {
         if *self.access_rate_kbps.start() == 0 {
             return Err("access rate must be positive".into());
         }
+        if self.access_rate_kbps.end().checked_mul(1000).is_none() {
+            return Err(format!(
+                "access rate {} kbps exceeds {} kbps, the most a u64 of bits per second holds",
+                self.access_rate_kbps.end(),
+                u64::MAX / 1000
+            ));
+        }
+        // The address plan, not a budget: every attached node takes two
+        // pairs (its own and the router's end of its link), a region's
+        // uplink likewise, and the attacker, the TServer and a Wi-Fi
+        // fabric's gateway are always there. Checked before anything is
+        // sized by these counts.
+        let regions = match self.topology {
+            TopologyKind::Tiered { regions, .. } => regions,
+            TopologyKind::Star | TopologyKind::Wifi => 0,
+        };
+        let nodes = [usize::from(self.honeypots), usize::from(self.backup_cncs), regions, 3]
+            .iter()
+            .try_fold(self.devs, |sum, &n| sum.checked_add(n));
+        let capacity = netsim::topology::AddrAllocator::CAPACITY as usize / 2;
+        if nodes.is_none_or(|n| n > capacity) {
+            return Err(format!(
+                "world too large: {} devs, {} honeypots, {} backup_cncs and {regions} regions \
+                 exceed the {capacity} nodes the address plan holds (10.0.0.0/8, two pairs each)",
+                self.devs, self.honeypots, self.backup_cncs
+            ));
+        }
         let window_end = self.attack_at.checked_add(self.attack.duration);
         if window_end.is_none_or(|end| end > self.sim_time) {
             return Err(format!(
@@ -687,6 +714,43 @@ mod tests {
             ..SimulationConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    /// A world the address plan cannot hold, or an access rate that
+    /// overflows bits per second, is refused here — `Ddosim::new` used to
+    /// panic on each (`capacity overflow`, `address space exhausted`,
+    /// `rate_kbps * 1000`). The largest world that fits stays valid.
+    #[test]
+    fn a_world_too_large_to_address_is_refused_not_panicked_on() {
+        let fits = netsim::topology::AddrAllocator::CAPACITY as usize / 2 - 3;
+        let tiered = |regions| TopologyKind::Tiered { regions, region_uplink_bps: 1000 };
+        let base = SimulationConfig::default;
+        let cases = [
+            (SimulationConfig { devs: usize::MAX, ..base() }, "too large: 18446744073709551615 devs"),
+            (SimulationConfig { devs: fits + 1, ..base() }, "exceed the 8388607 nodes the address"),
+            (SimulationConfig { devs: fits, honeypots: 1, ..base() }, "1 honeypots"),
+            (SimulationConfig { devs: fits, backup_cncs: 1, ..base() }, "1 backup_cncs"),
+            (
+                SimulationConfig { devs: 4, topology: tiered(usize::MAX), ..base() },
+                "18446744073709551615 regions",
+            ),
+            (SimulationConfig { devs: fits, topology: tiered(1), ..base() }, "1 regions"),
+            (
+                SimulationConfig { access_rate_kbps: u64::MAX..=u64::MAX, ..base() },
+                "access rate 18446744073709551615 kbps exceeds 18446744073709551 kbps",
+            ),
+            (
+                SimulationConfig { access_rate_kbps: 100..=u64::MAX / 1000 + 1, ..base() },
+                "access rate 18446744073709552 kbps exceeds",
+            ),
+        ];
+        for (config, fragment) in cases {
+            let verdict = config.validate().expect_err(fragment);
+            assert!(verdict.contains(fragment), "{verdict}");
+        }
+        let largest =
+            SimulationConfig { devs: fits, access_rate_kbps: 100..=u64::MAX / 1000, ..base() };
+        assert_eq!(largest.validate(), Ok(()));
     }
 
     #[test]

@@ -417,19 +417,23 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let mut code = self.hex4()?;
+                            // A high surrogate is half of a character above
+                            // U+FFFF; the low half must follow at once.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..])
+                            {
+                                self.pos += 2;
+                                let low = self.hex4()?;
+                                if (0xDC00..0xE000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                }
+                            }
+                            // Only a surrogate left on its own is no character.
                             out.push(
                                 char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
+                                    .ok_or_else(|| self.err("lone surrogate in \\u escape"))?,
                             );
-                            self.pos += 4;
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -455,21 +459,53 @@ impl Parser<'_> {
         }
     }
 
+    /// The four hex digits after the `u` at `pos`; leaves `pos` on the last.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = hex
+            .iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Skips a run of digits; an empty run is an error at the byte that
+    /// should have been one.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
+    }
+
+    /// A number by the JSON grammar — `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?` — and finite: what Rust's `f64` parser would
+    /// also take (`007`, `1.`, `1e400` as infinity, which prints as
+    /// `null`) is refused where it goes wrong.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        self.digits()?;
+        if self.bytes[int_start] == b'0' && self.pos > int_start + 1 {
+            self.pos = int_start;
+            return Err(self.err("leading zero in a number"));
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -477,12 +513,10 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+            .expect("a number is ASCII by construction");
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::U64(u));
@@ -491,9 +525,13 @@ impl Parser<'_> {
                 return Ok(Json::I64(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            _ => {
+                self.pos = start;
+                Err(self.err("number out of range"))
+            }
+        }
     }
 }
 
@@ -686,6 +724,78 @@ mod tests {
     fn unicode_escape_parses() {
         let v = Json::parse("\"\\u00e9\"").expect("parses");
         assert_eq!(v.as_str(), Some("é"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_do_not() {
+        let v = Json::parse("\"a\\ud83d\\ude00b\"").expect("U+1F600 as a pair");
+        assert_eq!(v.as_str(), Some("a\u{1F600}b"));
+        assert_eq!(Json::parse(&v.to_string_compact()).expect("printed raw"), v);
+        assert_eq!(Json::parse("\"\\uDBFF\\uDFFF\"").expect("the last pair").as_str(), Some("\u{10FFFF}"));
+        for lone in [
+            "\"\\ud83d\"",
+            "\"\\ude00\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ud83d\"",
+            "\"\\ud83d\\n\"",
+        ] {
+            let err = Json::parse(lone).expect_err(lone);
+            assert!(err.message.contains("lone surrogate") && err.offset > 0, "{lone}: {err}");
+        }
+        // Four hex digits, nothing `from_str_radix` would also take.
+        for bad in ["\"\\u+041\"", "\"\\u00g1\"", "\"\\u00\"", "\"\\ud83d\\u+e00\""] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        // (input, offset of the error): refused where it goes wrong.
+        let refused = [
+            ("1e400", 0, "number out of range"),
+            ("-1e400", 0, "number out of range"),
+            ("[1, 2e999]", 4, "number out of range"),
+            ("007", 0, "leading zero"),
+            ("-01", 1, "leading zero"),
+            ("00", 0, "leading zero"),
+            ("[0, 01.5]", 4, "leading zero"),
+            ("1.", 2, "expected a digit"),
+            ("1.e5", 2, "expected a digit"),
+            ("[1.]", 3, "expected a digit"),
+            ("1e", 2, "expected a digit"),
+            ("1e+", 3, "expected a digit"),
+            ("-", 1, "expected a digit"),
+            ("-.5", 1, "expected a digit"),
+        ];
+        for (doc, offset, fragment) in refused {
+            let err = Json::parse(doc).expect_err(doc);
+            assert!(err.message.contains(fragment), "{doc}: {err}");
+            assert_eq!(err.offset, offset, "{doc}: {err}");
+        }
+        // What stays a number, and what it prints back as.
+        let kept = [
+            ("-0", "0"),
+            ("0", "0"),
+            ("-0.0", "-0.0"),
+            ("0.5", "0.5"),
+            ("10", "10"),
+            ("1e308", &format!("1{}", "0".repeat(308))),
+            ("1E+2", "100.0"),
+            ("1e-2", "0.01"),
+            ("5e-324", &format!("0.{}5", "0".repeat(323))),
+            ("1e-400", "0.0"),
+            ("18446744073709551615", "18446744073709551615"),
+            ("-9223372036854775808", "-9223372036854775808"),
+            ("18446744073709551616", "18446744073709552000"),
+        ];
+        for (doc, printed) in kept {
+            let v = Json::parse(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+            assert_eq!(v.to_string_compact(), *printed, "{doc}");
+            // A number is still that number (not `null`) on the way round.
+            let again = Json::parse(printed).expect(printed);
+            assert_eq!((again.as_f64(), again.to_string_compact()), (v.as_f64(), (*printed).to_owned()));
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * a **late heap** holds only what arrives *below the cursor* — a push into
 //!   the span of the bucket being consumed, or an overdue overflow event —
 //!   so a dense burst stays `O(log n)` an event (binary-inserting these into
-//!   the run was measured: `perfsnap`'s link-saturation gauge fell 64 %).
+//!   the run was measured, EXPERIMENTS.md "Where a flood packet's time
+//!   goes": a link-saturation replay fell 64 %).
 //!   `peek_key`/`pop` take the smaller of the run's head and the late heap's;
 //! * an **overflow heap** catches events beyond the wheel horizon (long RTOs,
 //!   churn timers); when the wheel runs dry it is repositioned at the
@@ -360,8 +361,8 @@ impl<T> TimeOrderedQueue<T> for EventQueue<T> {
 }
 
 /// The pre-overhaul model: one binary heap over `(time, seq)`. Kept as the
-/// executable specification the calendar queue is tested against, and as the
-/// baseline `perfsnap` measures speedups from.
+/// executable specification the calendar queue is tested against; the
+/// speedups over it are in EXPERIMENTS.md "Engine microbenchmarks".
 pub struct ReferenceQueue<T> {
     heap: BinaryHeap<Reverse<Keyed<T>>>,
     peak_len: usize,

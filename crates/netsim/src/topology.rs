@@ -18,6 +18,12 @@ pub struct AddrAllocator {
 }
 
 impl AddrAllocator {
+    /// Pairs one allocator can hand out: the host numbers of `10.0.0.0/8`
+    /// less the network and broadcast addresses. Every topology here
+    /// spends at most two per attached node (its end of the link and the
+    /// router's), which is what `SimulationConfig::validate` budgets.
+    pub const CAPACITY: u32 = 0x00FF_FFFE;
+
     /// Starts allocating from host number 1.
     pub fn new() -> Self {
         AddrAllocator { next: 1 }
@@ -33,10 +39,10 @@ impl AddrAllocator {
     ///
     /// # Panics
     ///
-    /// Panics after 2^24 - 2 allocations (the 10.0.0.0/8 host space).
+    /// Panics after [`AddrAllocator::CAPACITY`] allocations.
     pub fn next_pair(&mut self) -> (IpAddr, IpAddr) {
         let n = self.next;
-        assert!(n < 0x0100_0000, "address space exhausted");
+        assert!(n <= Self::CAPACITY, "address space exhausted");
         self.next += 1;
         let v4 = IpAddr::V4(Ipv4Addr::new(
             10,

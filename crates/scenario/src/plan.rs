@@ -571,6 +571,20 @@ mod tests {
                 minimal(r#","faults":{"schema":"ddosim.faults.plan/1","seed":"7","faults":[]}"#),
                 "scenario.faults: fault plan: fault plan.seed must be an unsigned integer",
             ),
+            // A world the address plan cannot hold (a panic inside
+            // `Ddosim::new` until `validate()` learned the plan's size).
+            (
+                minimal(r#","world":{"devs":18446744073709551615}"#),
+                "world too large: 18446744073709551615 devs",
+            ),
+            (
+                minimal(r#","world":{"devs":4,"topology":"tiered:18446744073709551615:1000"}"#),
+                "18446744073709551615 regions exceed the 8388607 nodes the address plan holds",
+            ),
+            (
+                minimal(r#","world":{"devs":8388600},"defenses":[{"kind":"honeypot","count":5}]"#),
+                "8388600 devs, 5 honeypots",
+            ),
         ];
         for (text, fragment) in cases {
             match ScenarioPlan::parse(text) {

@@ -182,25 +182,33 @@ fn container_mut<'a>(json: &'a mut Json, path: &[usize]) -> &'a mut Json {
     })
 }
 
-/// What the value mutation puts in a slot.
-const REPLACEMENTS: [&str; 7] = ["null", "-1", "18446744073709551615", "1e308", "\"\"", "[]", "{}"];
+/// What the value mutation puts in a slot: as text, so that what `djson`
+/// itself must refuse (`1e400` is no finite number, `007` no number) gets
+/// into a document too.
+const REPLACEMENTS: [&str; 9] =
+    ["null", "-1", "18446744073709551615", "1e308", "\"\"", "[]", "{}", "1e400", "007"];
+
+/// A string no seed holds: the slot a replacement's text is spliced into
+/// once the mutated tree is printed.
+const SPLICE: &str = "\u{1}splice\u{1}";
 
 /// Applies structural mutation `kind` (0 delete, 1 rename, 2 duplicate,
-/// 3.. replace) at the slot `pick` selects; returns what it touched.
-fn mutate(doc: &mut Json, kind: usize, pick: usize) -> String {
+/// 3.. replace) at the slot `pick` selects; returns the mutated document
+/// as text and what it touched.
+fn mutate(mut doc: Json, kind: usize, pick: usize) -> (String, String) {
     let mut all = Vec::new();
-    slots(doc, &mut Vec::new(), &mut all);
+    slots(&doc, &mut Vec::new(), &mut all);
     let path = &all[pick % all.len()];
     let (&index, parents) = path.split_last().expect("slot paths are non-empty");
-    let replacement = || Json::parse(REPLACEMENTS[(kind - 3) % REPLACEMENTS.len()]).expect("a literal");
-    match container_mut(doc, parents) {
+    let splice = || Json::Str(SPLICE.to_owned());
+    let what = match container_mut(&mut doc, parents) {
         Json::Obj(members) => {
             let key = members[index].0.clone();
             match kind {
                 0 => drop(members.remove(index)),
                 1 => members[index].0.push_str("_x"),
                 2 => members.push(members[index].clone()),
-                _ => members[index].1 = replacement(),
+                _ => members[index].1 = splice(),
             }
             format!("kind {kind} at member '{key}'")
         }
@@ -208,12 +216,15 @@ fn mutate(doc: &mut Json, kind: usize, pick: usize) -> String {
             match kind {
                 0 => drop(items.remove(index)),
                 1 | 2 => items.push(items[index].clone()),
-                _ => items[index] = replacement(),
+                _ => items[index] = splice(),
             }
             format!("kind {kind} at element {index}")
         }
         _ => unreachable!("slots only descends containers"),
-    }
+    };
+    // Kinds 0–2 left no slot behind, so the splice is a no-op for them.
+    let replacement = REPLACEMENTS[kind.saturating_sub(3) % REPLACEMENTS.len()];
+    (doc.to_string_compact().replace(&splice().to_string_compact(), replacement), what)
 }
 
 /// Whether an error message says where the problem is: a byte offset, a
@@ -234,11 +245,13 @@ fn names_a_place(message: &str) -> bool {
 /// `SimulationConfig::validate` judges the composed world, not a member,
 /// and a scenario parser hands its verdict on as it is. Recognised by
 /// asking the validator for the verdicts a mutated plan can reach (a
-/// deleted horizon, a deleted Dev count under worm seeds), figures aside.
+/// deleted horizon, a deleted Dev count under worm seeds, more Devs than
+/// the address plan holds), figures aside.
 fn is_world_verdict(message: &str) -> bool {
     let figures_aside = |s: &str| s.replace(|c: char| c.is_ascii_digit(), "");
-    let spoils: [fn(&mut SimulationConfig); 2] = [
+    let spoils: [fn(&mut SimulationConfig); 3] = [
         |c| c.sim_time = Duration::ZERO,
+        |c| c.devs = usize::MAX,
         |c| {
             c.recruitment =
                 Recruitment::SelfPropagating { default_credential_fraction: 0.5, seeds: usize::MAX }
@@ -269,13 +282,13 @@ proptest! {
     #[test]
     fn mutated_documents_are_parsed_or_refused_with_a_place(
         seed in any::<usize>(),
-        mutation in 0usize..13,
+        mutation in 0usize..15,
         pick in any::<usize>(),
     ) {
         let (parser, text) = &seeds()[seed % seeds().len()];
         match mutation {
             // Truncated at a random byte (moved back onto a char boundary).
-            10 => {
+            12 => {
                 let mut cut = pick % text.len();
                 while !text.is_char_boundary(cut) {
                     cut -= 1;
@@ -283,15 +296,15 @@ proptest! {
                 check(*parser, &text[..cut], &format!("cut at {cut}"));
             }
             // Wrapped in k levels of array, on both sides of djson's cap.
-            11 | 12 => {
-                let k = 1 + pick % if mutation == 11 { 4 } else { 300 };
+            13 | 14 => {
+                let k = 1 + pick % if mutation == 13 { 4 } else { 300 };
                 let wrapped = format!("{}{text}{}", "[".repeat(k), "]".repeat(k));
                 check(*parser, &wrapped, &format!("wrapped {k} deep"));
             }
             kind => {
-                let mut doc = Json::parse(text).expect("seeds are valid JSON");
-                let what = mutate(&mut doc, kind, pick);
-                check(*parser, &doc.to_string_compact(), &what);
+                let doc = Json::parse(text).expect("seeds are valid JSON");
+                let (mutated, what) = mutate(doc, kind, pick);
+                check(*parser, &mutated, &what);
             }
         }
     }

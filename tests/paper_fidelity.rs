@@ -132,9 +132,9 @@ fn committed_results_hold_every_claim_of_the_experiment_table() {
     let violated: Vec<String> = verdicts.filter_map(Result::err).collect();
     assert!(violated.is_empty(), "results/ violates the paper's claims:\n{}", violated.join("\n"));
 
-    // `results/` is exactly the table's artefacts plus perfsnap's baseline.
+    // `results/` is exactly the table's artefacts.
     let declared = ddosim_bench::TABLE.iter().flat_map(|row| row.artefacts.iter().copied());
-    let mut expected: Vec<&str> = declared.chain(["BENCH_netsim.json"]).collect();
+    let mut expected: Vec<&str> = declared.collect();
     expected.sort_unstable();
     let mut found: Vec<String> = std::fs::read_dir(&dir)
         .expect("results/ exists")
