@@ -150,7 +150,7 @@ impl LogisticRegression {
     }
 
     /// Attack probability for a raw (unstandardized) feature vector.
-    pub fn predict_probability(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict_probability(&self, features: &[f64]) -> f64 {
         let x = self.standardizer.apply(features);
         sigmoid(self.bias + self.weights.iter().zip(&x).map(|(w, v)| w * v).sum::<f64>())
     }

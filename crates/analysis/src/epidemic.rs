@@ -67,7 +67,7 @@ fn add(a: SirState, b: SirState, k: f64) -> SirState {
 }
 
 /// One RK4 step of size `dt`.
-pub fn rk4_step(state: SirState, p: SirParams, dt: f64) -> SirState {
+pub(crate) fn rk4_step(state: SirState, p: SirParams, dt: f64) -> SirState {
     let k1 = derivatives(state, p);
     let k2 = derivatives(add(state, k1, dt / 2.0), p);
     let k3 = derivatives(add(state, k2, dt / 2.0), p);
@@ -230,7 +230,7 @@ fn seirs_add(a: SeirsState, b: SeirsState, k: f64) -> SeirsState {
 }
 
 /// One RK4 step of the SEIRS system.
-pub fn seirs_rk4_step(state: SeirsState, p: SeirsParams, dt: f64) -> SeirsState {
+pub(crate) fn seirs_rk4_step(state: SeirsState, p: SeirsParams, dt: f64) -> SeirsState {
     let k1 = seirs_derivatives(state, p);
     let k2 = seirs_derivatives(seirs_add(state, k1, dt / 2.0), p);
     let k3 = seirs_derivatives(seirs_add(state, k2, dt / 2.0), p);

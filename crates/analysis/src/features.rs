@@ -152,35 +152,6 @@ impl FeatureExtractor {
     }
 }
 
-/// Exports labeled flow features as CSV — "generating large traffic
-/// datasets or enriching existing ones with DDoSim to train ML models for
-/// DDoS traffic detection" (§V-A). Columns follow
-/// [`FlowFeatures::vector`]'s order plus `src,window,label`.
-pub fn dataset_csv<'a, I>(rows: I) -> String
-where
-    I: IntoIterator<Item = (&'a FlowFeatures, bool)>,
-{
-    let mut out = String::from(
-        "src,window,packets,bytes,mean_size,std_size,mean_iat,distinct_dst_ports,udp_fraction,label\n",
-    );
-    for (f, label) in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{:.3},{:.3},{:.6},{},{:.3},{}\n",
-            f.src,
-            f.window,
-            f.packets,
-            f.bytes,
-            f.mean_size,
-            f.std_size,
-            f.mean_iat,
-            f.distinct_dst_ports,
-            f.udp_fraction,
-            u8::from(label),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,19 +222,5 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
         let _ = FeatureExtractor::new(Duration::ZERO);
-    }
-
-    #[test]
-    fn dataset_csv_has_header_and_labeled_rows() {
-        let mut fx = FeatureExtractor::new(Duration::from_secs(1));
-        fx.push(&record(0, 1, 540, 80));
-        fx.push(&record(10, 2, 120, 80));
-        let rows = fx.finish();
-        let csv = dataset_csv(rows.iter().map(|f| (f, f.src.to_string().ends_with(".1"))));
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("src,window,packets"));
-        assert!(lines.iter().any(|l| l.starts_with("10.0.0.1") && l.ends_with(",1")));
-        assert!(lines.iter().any(|l| l.starts_with("10.0.0.2") && l.ends_with(",0")));
     }
 }

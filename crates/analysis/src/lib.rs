@@ -5,8 +5,7 @@
 //! * **ML-based DDoS defense** (§V-A): extract per-flow features from
 //!   TServer's packet trace ([`FeatureExtractor`]), label them, and train a
 //!   [`LogisticRegression`] detector or a small neural network ([`Mlp`],
-//!   the model class the paper names) — or export the dataset
-//!   ([`dataset_csv`]) to train other models.
+//!   the model class the paper names).
 //! * **Benign traffic generation**: [`BenignClient`] produces the "normal
 //!   traffic to TServer" the defense use case mixes with attack traffic.
 //! * **Deployable mitigations**: [`RateLimiter`] and [`ModelFilter`]
@@ -36,8 +35,8 @@ pub use epidemic::{
     fit_si_beta, infected_curve, observed_curve, rmse, seirs_infected_curve, SeirsParams,
     SeirsState, SirParams, SirState,
 };
-pub use features::{dataset_csv, FeatureExtractor, FlowFeatures};
-pub use mitigation::{blocked_fraction, ModelFilter, RateLimiter};
+pub use features::{FeatureExtractor, FlowFeatures};
+pub use mitigation::{ModelFilter, RateLimiter};
 pub use mlp::{Mlp, MlpConfig};
 
 use std::collections::HashSet;

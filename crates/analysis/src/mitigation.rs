@@ -13,7 +13,7 @@
 //!   [`netsim::FilterRule::Custom`].
 
 use crate::classify::LogisticRegression;
-use crate::features::{FeatureExtractor, FlowFeatures};
+use crate::features::FeatureExtractor;
 use netsim::{
     FilterVerdict, Packet, PacketFilter, SimTime, StateHasher, TraceKind, TraceRecord,
 };
@@ -138,20 +138,6 @@ impl PacketFilter for ModelFilter {
         }
         h.write_u64(self.current_window);
     }
-}
-
-/// Convenience: what fraction of observed flow windows a filter would
-/// block, given labeled features (offline evaluation of a
-/// [`ModelFilter`]'s policy).
-pub fn blocked_fraction(model: &LogisticRegression, threshold: f64, flows: &[FlowFeatures]) -> f64 {
-    if flows.is_empty() {
-        return 0.0;
-    }
-    let blocked = flows
-        .iter()
-        .filter(|f| model.predict_probability(&f.vector()) >= threshold)
-        .count();
-    blocked as f64 / flows.len() as f64
 }
 
 #[cfg(test)]

@@ -115,7 +115,7 @@ impl Mlp {
     }
 
     /// Attack probability for a raw (unstandardized) feature vector.
-    pub fn predict_probability(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict_probability(&self, features: &[f64]) -> f64 {
         let x = self.standardizer.apply(features);
         let hidden: Vec<f64> = self
             .w1

@@ -27,11 +27,6 @@ impl FileServer {
         }
     }
 
-    /// Adds a file after construction.
-    pub fn publish(&mut self, file: ServedFile) {
-        self.files.insert(file.path.clone(), file);
-    }
-
     /// Number of hosted files.
     pub fn file_count(&self) -> usize {
         self.files.len()
@@ -100,9 +95,7 @@ mod tests {
 
     #[test]
     fn files_are_indexed_by_path() {
-        let mut fs = FileServer::new(vec![script_file("/infect.sh")]);
-        assert_eq!(fs.file_count(), 1);
-        fs.publish(script_file("/other.sh"));
+        let fs = FileServer::new(vec![script_file("/infect.sh"), script_file("/other.sh")]);
         assert_eq!(fs.file_count(), 2);
     }
 }

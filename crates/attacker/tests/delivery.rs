@@ -4,7 +4,7 @@
 
 use attacker::{Dhcpv6Injector, ExploitForge, ExploitStrategy, MaliciousDnsServer};
 use firmware::{CommandSet, ContainerHandle, DnsProxyDaemon, NetMgrDaemon, ServiceCore};
-use netsim::topology::StarTopology;
+use netsim::topology::Fabric;
 use netsim::{LinkConfig, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -23,11 +23,11 @@ struct Net {
 
 fn net() -> Net {
     let mut sim = Simulator::new(42);
-    let mut star = StarTopology::new(&mut sim, "net");
+    let mut star = Fabric::star(&mut sim, "net");
     let attacker_node = sim.add_node("attacker");
     let dev_node = sim.add_node("dev");
-    let am = star.attach(&mut sim, attacker_node, LinkConfig::default());
-    star.attach(
+    let am = star.attach_core(&mut sim, attacker_node, LinkConfig::default());
+    star.attach_core(
         &mut sim,
         dev_node,
         LinkConfig::new(300_000, Duration::from_millis(10)),

@@ -10,14 +10,15 @@
 //! backbone → sink. The traffic is synthetic on purpose — what is gated is
 //! whether a per-device structure stopped being O(1), not throughput.
 
-use netsim::topology::TieredTopology;
+use netsim::topology::Fabric;
 use netsim::{Application, Ctx, LinkConfig, Packet, Payload, SimTime, Simulator};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// The promise (DESIGN.md "Memory layout at scale"): peak RSS ÷ devices at
-/// [`LARGE`]. Ten runs at PR 20 read 1,903–1,905; 256 B of padding per
+/// [`LARGE`]. Ten runs at PR 20 read 1,903–1,905, four at PR 21 (the
+/// fabric no longer lists its members) 1,860–1,861; 256 B of padding per
 /// node in `Nodes` reads 2,160 and fails.
 const BUDGET_BYTES_PER_DEVICE: u64 = 2048;
 
@@ -69,11 +70,11 @@ impl Application for Blaster {
     }
 }
 
-/// A built world. The topology helper stays alive beside the simulator, as
-/// it does inside `Ddosim`: its member list is part of what a device costs.
+/// A built world. The fabric stays alive beside the simulator, as it does
+/// inside `Ddosim`.
 struct World {
     sim: Simulator,
-    _net: TieredTopology,
+    _net: Fabric,
 }
 
 /// Builds a world of `devices`, reporting to `stage` after each
@@ -83,10 +84,10 @@ fn build(devices: usize, mut stage: impl FnMut(&str)) -> (World, f64) {
     let regions = (devices / 500).max(1);
     let mut sim = Simulator::new(17);
     let uplink = LinkConfig::new(100_000_000, Duration::from_millis(2));
-    let mut net = TieredTopology::new(&mut sim, "net", regions, uplink);
+    let mut net = Fabric::tiered(&mut sim, "net", regions, uplink);
     let tserver = sim.add_node("tserver");
     let backbone_link = LinkConfig::new(1_000_000_000, Duration::from_millis(1));
-    let sink = net.attach_backbone(&mut sim, tserver, backbone_link);
+    let sink = net.attach_core(&mut sim, tserver, backbone_link);
     let dst = SocketAddr::new(sink.addr_v4, 9);
     sim.install_app(tserver, Box::new(Sink));
     stage("fabric");
@@ -94,7 +95,7 @@ fn build(devices: usize, mut stage: impl FnMut(&str)) -> (World, f64) {
     stage("nodes");
     for (d, &node) in nodes.iter().enumerate() {
         let access = LinkConfig::new(1_000_000, Duration::from_millis(5));
-        net.attach_region(&mut sim, d % regions, node, access);
+        net.attach_dev(&mut sim, d, node, access);
     }
     stage("links");
     for (d, &node) in nodes.iter().enumerate() {

@@ -89,6 +89,21 @@ pub fn fig3_arms(dev_counts: &[usize], durations_secs: &[u64]) -> Vec<Arm<Key>> 
     dev_counts.iter().flat_map(round).collect()
 }
 
+/// Fig. 4's arms: every device count on DDoSim's abstract star, then on
+/// the hardware reference — the same stack behind the lab's Wi-Fi router
+/// (`--topology wifi`) — with a 220 s horizon; key `[devs, model]`.
+pub fn fig4_arms(dev_counts: &[usize]) -> Vec<Arm<Key>> {
+    let models = [("ddosim", TopologyKind::Star), ("hardware-ref", TopologyKind::Wifi)];
+    let arm = |devs: usize, (model, topology): (&str, TopologyKind)| {
+        let config = world(devs, |c| {
+            c.topology = topology;
+            c.sim_time = Duration::from_secs(220);
+        });
+        (vec![devs.to_string(), model.to_owned()], config)
+    };
+    dev_counts.iter().flat_map(|&devs| models.map(|model| arm(devs, model))).collect()
+}
+
 /// One arm per exploit strategy (leak+rebase first — the CRN baseline)
 /// against a fleet protected by `protections`; key `[fleet, strategy]`.
 fn strategy_arms(devs: usize, protections: ProtectionMix) -> Vec<Arm<Key>> {

@@ -2,13 +2,14 @@
 //! Table I, the §V use cases (ML defense, deployed mitigation, epidemic
 //! fit), the raw time series and the defense frontier.
 
+use crate::sweeps::{fig4_arms, KBPS};
 use crate::Output;
 use analysis::{
     fit_si_beta, infected_curve, label_samples, observed_curve, train_test_split, BenignClient,
     FeatureExtractor, LogisticRegression, Metrics, Mlp, MlpConfig, ModelFilter, RateLimiter,
     Sample, SirParams, SirState, TrainConfig,
 };
-use ddosim_core::experiment::{mean, world};
+use ddosim_core::experiment::{mean, run_arms, world};
 use ddosim_core::report::{fmt_f, Table};
 use ddosim_core::{AttackSpec, Ddosim, Recruitment, RunResult, SimulationBuilder};
 use netsim::{LinkConfig, NodeId, SimTime, Simulator, TraceKind, TraceRecord};
@@ -23,19 +24,22 @@ use std::time::Duration;
 
 /// Fig. 4 (§IV-D): DDoSim's abstract star against the hardware reference
 /// over 1–19 Devs, three replicates per point. The paper compares against
-/// physical Raspberry Pis on a Netgear router; here the same software
-/// stack runs on the `testbed` crate's Wi-Fi-contention medium.
+/// physical Raspberry Pis on a Netgear router; here the same world runs
+/// on the lab's contended, lossy Wi-Fi medium ([`fig4_arms`]), and each
+/// count's two arms pair into one row.
 pub(crate) fn fig4() -> Output {
     let mut table = Table::new(
         "Figure 4 — DDoSim vs hardware-reference average received data rate (kbps)",
         &["devs", "ddosim", "hardware-ref", "relative error"],
     );
-    for p in testbed::fig4_with_replicates(&[1, 3, 5, 7, 9, 11, 13, 15, 17, 19], 4000, 3) {
+    let arms = run_arms(fig4_arms(&[1, 3, 5, 7, 9, 11, 13, 15, 17, 19]), 3, 4000);
+    for pair in arms.chunks(2) {
+        let [ddosim, hardware] = [0, 1].map(|arm| mean(pair[arm].1.iter().map(KBPS)));
         table.push_row(vec![
-            p.devs.to_string(),
-            fmt_f(p.ddosim_kbps, 1),
-            fmt_f(p.hardware_kbps, 1),
-            format!("{:.1}%", p.relative_error * 100.0),
+            pair[0].0[0].clone(),
+            fmt_f(ddosim, 1),
+            fmt_f(hardware, 1),
+            format!("{:.1}%", (ddosim - hardware).abs() / hardware.max(1.0) * 100.0),
         ]);
     }
     Output::table(&table)

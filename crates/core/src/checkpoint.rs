@@ -443,7 +443,7 @@ pub fn config_from_json(json: &Json) -> Result<SimulationConfig, PlanError> {
 
 /// Folds the firmware layer — every container's filesystem, process
 /// table, infection bookkeeping, and audit-log shape — into one digest.
-pub fn firmware_digest(runtime: &ContainerRuntime) -> u64 {
+pub(crate) fn firmware_digest(runtime: &ContainerRuntime) -> u64 {
     let mut h = StateHasher::new();
     h.write_usize(runtime.len());
     for container in runtime.containers() {
@@ -563,7 +563,7 @@ mod tests {
             pairs.retain(|(k, _)| k != "rng");
         }
         let back = config_from_json(&json).unwrap();
-        assert!(back.rng.is_default());
+        assert_eq!(back.rng, crate::RngPlan::default());
     }
 
     #[test]

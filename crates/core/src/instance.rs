@@ -14,12 +14,11 @@ use firmware::{
 };
 use malware::{AdminConsole, CncServer, TelnetScanner, TelnetService};
 use crate::config::TopologyKind;
-use netsim::topology::{StarMember, StarTopology, TieredTopology, WifiTopology};
+use netsim::topology::{Fabric, Member};
 use netsim::{
     AppId, Category, ForkClone, ForkMap, LinkConfig, LinkId, NodeId, SimTime, Simulator,
-    Telemetry, TraceKind, TraceRecord, WifiConfig,
+    Telemetry, WifiConfig,
 };
-use telemetry::CaptureRecord;
 use protocols::{mirai_dictionary, Credential, DNS_PORT};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,26 +60,6 @@ pub struct DevInfo {
     pub container: ContainerHandle,
     /// The daemon application.
     pub daemon_app: AppId,
-}
-
-/// Converts a netsim trace record into a telemetry capture record (the
-/// pcap-row shape the capture sink stores and filters on).
-fn capture_record(rec: &TraceRecord) -> CaptureRecord {
-    CaptureRecord {
-        time_nanos: rec.time.as_nanos(),
-        kind: match rec.kind {
-            TraceKind::Sent => "sent".to_owned(),
-            TraceKind::Delivered => "delivered".to_owned(),
-            TraceKind::Forwarded => "forwarded".to_owned(),
-            TraceKind::Dropped(reason) => format!("dropped:{}", reason.as_str()),
-        },
-        node: rec.node.index() as u32,
-        packet_id: rec.packet_id,
-        src: rec.src,
-        dst: rec.dst,
-        proto: rec.proto.to_string(),
-        wire_bytes: rec.wire_bytes,
-    }
 }
 
 /// State threaded through the self-rescheduling metrics sampler. The
@@ -243,50 +222,11 @@ fn first_digest_mismatch(expected: &[(String, u64)], got: &[(String, u64)]) -> O
         .then(|| format!("layer '{}' is digested here but not expected", got[expected.len()].0))
 }
 
-/// The simulated-Internet fabric a run was built on.
-#[derive(Debug, Clone)]
-enum Fabric {
-    Star(StarTopology),
-    Tiered(TieredTopology),
-    Wifi(WifiTopology),
-}
-
-impl Fabric {
-    /// The always-up root node (defense deployment point, controller host).
-    fn root(&self) -> NodeId {
-        match self {
-            Fabric::Star(s) => s.fabric(),
-            Fabric::Tiered(t) => t.backbone(),
-            Fabric::Wifi(w) => w.root(),
-        }
-    }
-
-    /// Attaches a core component (Attacker, TServer, extra clients).
-    fn attach_core(&mut self, sim: &mut Simulator, node: NodeId, cfg: LinkConfig) -> StarMember {
-        match self {
-            Fabric::Star(s) => s.attach(sim, node, cfg),
-            Fabric::Tiered(t) => t.attach_backbone(sim, node, cfg),
-            Fabric::Wifi(w) => w.attach_wired(sim, node, cfg),
-        }
-    }
-
-    /// Attaches the `index`-th Dev.
-    fn attach_dev(
-        &mut self,
-        sim: &mut Simulator,
-        index: usize,
-        node: NodeId,
-        cfg: LinkConfig,
-    ) -> StarMember {
-        match self {
-            Fabric::Star(s) => s.attach(sim, node, cfg),
-            Fabric::Tiered(t) => t.attach_region(sim, index, node, cfg),
-            // Devs associate to the router over the shared medium, shaped
-            // to their IoT access rate (the paper's lab setup, §IV-B).
-            Fabric::Wifi(w) => w.attach_station(sim, node, cfg.rate_bps),
-        }
-    }
-}
+/// The lab medium `--topology wifi` models (§IV-D): the router's 802.11n
+/// PHY rate and the share of frames interference loses — what Fig. 4
+/// compares the abstract star against.
+const LAB_WIFI_RATE_BPS: u64 = 72_000_000;
+const LAB_WIFI_FRAME_LOSS: f64 = 0.01;
 
 /// Snapshot taken when the run crosses the attack start (Table I's
 /// pre-attack column and the §IV-B infection counters).
@@ -401,33 +341,31 @@ impl Ddosim {
         let mut sim = Simulator::new(config.rng.event_seed(config.seed));
         let telemetry = Telemetry::from_config(&config.telemetry);
         sim.set_telemetry(telemetry.clone());
-        if telemetry.captures_packets() {
-            let hook = telemetry.clone();
-            sim.set_trace(Box::new(move |rec: &TraceRecord| {
-                hook.capture_packet(|| capture_record(rec));
-            }));
-        }
         // Separate construction RNG: keeps topology sampling independent of
         // the event-time RNG stream (same seed → same world). The RngPlan
         // can pin this stream so CRN-paired configs build identical worlds.
         let mut build_rng = SmallRng::seed_from_u64(config.rng.world_seed(config.seed));
         let mut fabric = match config.topology {
-            TopologyKind::Star => Fabric::Star(StarTopology::new(&mut sim, "internet")),
+            TopologyKind::Star => Fabric::star(&mut sim, "internet"),
             TopologyKind::Tiered {
                 regions,
                 region_uplink_bps,
-            } => Fabric::Tiered(TieredTopology::new(
+            } => Fabric::tiered(
                 &mut sim,
                 "internet",
                 regions,
                 LinkConfig::new(region_uplink_bps, Duration::from_millis(5))
                     .with_queue_capacity(256 * 1024),
-            )),
-            TopologyKind::Wifi => Fabric::Wifi(WifiTopology::new(
+            ),
+            TopologyKind::Wifi => Fabric::wifi(
                 &mut sim,
                 "router",
-                WifiConfig::default(),
-            )),
+                WifiConfig {
+                    rate_bps: LAB_WIFI_RATE_BPS,
+                    loss_probability: LAB_WIFI_FRAME_LOSS,
+                    ..WifiConfig::default()
+                },
+            ),
         };
         let mut runtime = ContainerRuntime::new();
 
@@ -877,7 +815,7 @@ impl Ddosim {
     /// # Errors
     ///
     /// Returns a message naming the first unresolvable target.
-    pub fn schedule_fault_plan(&mut self, plan: &faults::FaultPlan) -> Result<(), String> {
+    pub(crate) fn schedule_fault_plan(&mut self, plan: &faults::FaultPlan) -> Result<(), String> {
         for fault in &plan.faults {
             let at = SimTime::ZERO + fault.at;
             let detail = fault.describe();
@@ -950,7 +888,7 @@ impl Ddosim {
 
     /// Attaches an extra node to the simulated Internet (e.g. a benign
     /// client for the ML-defense use case) and returns its addresses.
-    pub fn attach_extra_node(&mut self, name: &str, link: LinkConfig) -> StarMember {
+    pub fn attach_extra_node(&mut self, name: &str, link: LinkConfig) -> Member {
         let node = self.sim.add_node(name);
         self.fabric.attach_core(&mut self.sim, node, link)
     }
@@ -1289,14 +1227,7 @@ impl Ddosim {
         let mut map = ForkMap::new();
         let runtime = self.runtime.fork(&mut map);
         let mut sim = self.sim.fork(&map)?;
-        let telemetry = self.sim.telemetry().deep_fork();
-        sim.set_telemetry(telemetry.clone());
-        if telemetry.captures_packets() {
-            let hook = telemetry.clone();
-            sim.set_trace(Box::new(move |rec: &TraceRecord| {
-                hook.capture_packet(|| capture_record(rec));
-            }));
-        }
+        sim.set_telemetry(self.sim.telemetry().deep_fork());
         let devs: Vec<DevInfo> = self
             .devs
             .iter()
@@ -1369,7 +1300,7 @@ impl Ddosim {
     /// Returns a message when the new horizon lies before the attack end
     /// or the current instant, or when the fault plan names an unknown
     /// target.
-    pub fn apply_suffix(&mut self, spec: &crate::suffix::SuffixSpec) -> Result<(), String> {
+    pub(crate) fn apply_suffix(&mut self, spec: &crate::suffix::SuffixSpec) -> Result<(), String> {
         if let Some(h) = spec.horizon {
             let attack_end = self.config.attack_at + self.config.attack.duration;
             if h < attack_end {

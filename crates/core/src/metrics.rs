@@ -42,11 +42,6 @@ impl TServerSink {
         }
     }
 
-    /// Received data rate (kbits) for second `i`, if sampled.
-    pub fn kbits_in_second(&self, i: usize) -> Option<f64> {
-        self.per_second_bytes.get(i).map(|b| *b as f64 * 8.0 / 1000.0)
-    }
-
     /// The paper's Eq. 2: the average received data rate (kbps) over the
     /// window `[start, start + duration)`, i.e. total kbits received over
     /// the attack window divided by the attack duration in seconds.
@@ -202,19 +197,19 @@ impl Default for MemoryModel {
 
 impl MemoryModel {
     /// Pre-attack memory: framework base plus all container memory.
-    pub fn pre_attack_bytes(&self, container_bytes: u64) -> u64 {
+    pub(crate) fn pre_attack_bytes(&self, container_bytes: u64) -> u64 {
         self.framework_base_bytes + container_bytes
     }
 
     /// Attack-phase memory: pre-attack plus per-packet bookkeeping for
     /// every packet the simulation processed during the attack window.
-    pub fn attack_bytes(&self, container_bytes: u64, attack_packets: u64) -> u64 {
+    pub(crate) fn attack_bytes(&self, container_bytes: u64, attack_packets: u64) -> u64 {
         self.pre_attack_bytes(container_bytes) + attack_packets * self.per_packet_host_bytes
     }
 }
 
 /// Formats bytes as gigabytes with two decimals, as Table I reports.
-pub fn bytes_to_gb(bytes: u64) -> f64 {
+pub(crate) fn bytes_to_gb(bytes: u64) -> f64 {
     bytes as f64 / 1e9
 }
 
@@ -332,15 +327,5 @@ mod tests {
     #[test]
     fn gb_conversion() {
         assert!((bytes_to_gb(380_000_000) - 0.38).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kbits_accessor() {
-        let sink = TServerSink {
-            per_second_bytes: vec![125],
-            ..TServerSink::default()
-        };
-        assert_eq!(sink.kbits_in_second(0), Some(1.0));
-        assert_eq!(sink.kbits_in_second(1), None);
     }
 }

@@ -30,11 +30,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the aligned text table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -105,7 +100,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("# Demo"));
         assert!(s.contains("| devs | kbps"));
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

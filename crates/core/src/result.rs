@@ -105,40 +105,6 @@ impl RunResult {
         format!("{}:{:02}", total / 60, total % 60)
     }
 
-    /// Average received data rate expressed in Mbps.
-    pub fn avg_received_data_rate_mbps(&self) -> f64 {
-        self.avg_received_data_rate_kbps / 1000.0
-    }
-
-    /// Quantile (`0.0..=1.0`) of time-to-infection among recruited Devs,
-    /// in seconds; `None` if no Dev was recruited.
-    ///
-    /// Uses the standard linear-interpolation definition (R-7 / NumPy
-    /// `linear`): rank `h = (n − 1)·q`, interpolating between the two
-    /// order statistics bracketing `h`, so the median of two samples is
-    /// their midpoint. An earlier nearest-rank revision rounded `h`
-    /// half-up into the wrong rank for small samples — p50 of 2 elements
-    /// returned the max.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn time_to_infect_quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.infection_times_secs.is_empty() {
-            return None;
-        }
-        let mut times = self.infection_times_secs.clone();
-        times.sort_by(f64::total_cmp);
-        let h = (times.len() - 1) as f64 * q;
-        let lo = h.floor() as usize;
-        let frac = h - lo as f64;
-        if frac == 0.0 {
-            return Some(times[lo]);
-        }
-        Some(times[lo] + frac * (times[lo + 1] - times[lo]))
-    }
-
     /// Peak per-second received data rate (kbits/s) over the whole run.
     pub fn peak_received_kbits(&self) -> f64 {
         self.per_second_kbits.iter().copied().fold(0.0, f64::max)
@@ -273,54 +239,6 @@ mod tests {
     #[test]
     fn attack_time_formats_like_the_paper() {
         assert_eq!(result().attack_time_m_ss(), "2:03");
-    }
-
-    #[test]
-    fn mbps_conversion() {
-        assert!((result().avg_received_data_rate_mbps() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn infection_quantiles() {
-        let mut r = result();
-        r.infection_times_secs = vec![1.0, 2.0, 3.0, 4.0, 10.0];
-        assert_eq!(r.time_to_infect_quantile(0.0), Some(1.0));
-        assert_eq!(r.time_to_infect_quantile(0.5), Some(3.0));
-        assert_eq!(r.time_to_infect_quantile(1.0), Some(10.0));
-        r.infection_times_secs.clear();
-        assert_eq!(r.time_to_infect_quantile(0.5), None);
-    }
-
-    #[test]
-    fn infection_quantiles_small_samples() {
-        // Hand-computed R-7 (linear interpolation) values for n = 1..4.
-        // The nearest-rank revision rounded (n−1)·q half-up: p50 of
-        // [2, 8] hit index round(0.5) = 1 and returned 8.0.
-        let mut r = result();
-        r.infection_times_secs = vec![5.0];
-        assert_eq!(r.time_to_infect_quantile(0.0), Some(5.0));
-        assert_eq!(r.time_to_infect_quantile(0.5), Some(5.0));
-        assert_eq!(r.time_to_infect_quantile(1.0), Some(5.0));
-
-        r.infection_times_secs = vec![8.0, 2.0];
-        assert_eq!(r.time_to_infect_quantile(0.0), Some(2.0));
-        assert_eq!(r.time_to_infect_quantile(0.5), Some(5.0));
-        assert_eq!(r.time_to_infect_quantile(0.75), Some(6.5));
-        assert_eq!(r.time_to_infect_quantile(1.0), Some(8.0));
-
-        r.infection_times_secs = vec![3.0, 1.0, 2.0];
-        assert_eq!(r.time_to_infect_quantile(0.5), Some(2.0));
-        // h = 2·0.25 = 0.5 → midpoint of the first two order statistics.
-        assert_eq!(r.time_to_infect_quantile(0.25), Some(1.5));
-        assert_eq!(r.time_to_infect_quantile(0.75), Some(2.5));
-
-        r.infection_times_secs = vec![4.0, 1.0, 3.0, 2.0];
-        // h = 3·0.5 = 1.5 → between 2.0 and 3.0.
-        assert_eq!(r.time_to_infect_quantile(0.5), Some(2.5));
-        // h = 3·0.25 = 0.75 → 1.0 + 0.75·(2.0 − 1.0).
-        assert_eq!(r.time_to_infect_quantile(0.25), Some(1.75));
-        assert_eq!(r.time_to_infect_quantile(0.75), Some(3.25));
-        assert_eq!(r.time_to_infect_quantile(1.0), Some(4.0));
     }
 
     #[test]

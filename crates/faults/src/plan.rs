@@ -55,13 +55,6 @@ pub enum PlanError {
         /// The offending field name.
         field: String,
     },
-    /// The plan references a node name the assembled world doesn't have.
-    BadTarget {
-        /// Document kind for the message.
-        doc: &'static str,
-        /// The unresolvable node name.
-        target: String,
-    },
     /// A field exists but fails shape or range validation.
     Invalid {
         /// Document kind for the message.
@@ -81,11 +74,6 @@ impl PlanError {
     pub fn invalid(doc: &'static str, message: impl Into<String>) -> Self {
         PlanError::Invalid { doc, message: message.into() }
     }
-
-    /// Builds an unresolvable-node-target error.
-    pub fn bad_target(doc: &'static str, target: impl Into<String>) -> Self {
-        PlanError::BadTarget { doc, target: target.into() }
-    }
 }
 
 impl fmt::Display for PlanError {
@@ -100,9 +88,6 @@ impl fmt::Display for PlanError {
             }
             PlanError::UnknownField { doc, context, field } => {
                 write!(f, "{doc}: unknown field '{field}' in {context}")
-            }
-            PlanError::BadTarget { doc, target } => {
-                write!(f, "{doc} targets unknown node '{target}'")
             }
             PlanError::Invalid { doc, message } => write!(f, "{doc}: {message}"),
         }
@@ -458,10 +443,6 @@ mod tests {
                     field: "devz".into(),
                 },
                 "scenario: unknown field 'devz' in scenario.world",
-            ),
-            (
-                PlanError::bad_target("fault plan", "dev-99"),
-                "fault plan targets unknown node 'dev-99'",
             ),
             (
                 PlanError::invalid("suffix plan", "fork_at_nanos must be a u64"),

@@ -201,7 +201,7 @@ impl ContainerHandle {
     /// Creates a container bridged to `node` with the given initial
     /// filesystem (typically [`SimFs::from_template`] over a shared image
     /// template).
-    pub fn with_fs(
+    pub(crate) fn with_fs(
         name: impl Into<String>,
         arch: Arch,
         node: NodeId,
@@ -317,7 +317,7 @@ impl ContainerHandle {
 
     /// Total memory charged to this container: image layers + files +
     /// per-process overhead.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         let s = self.0.borrow();
         s.image_bytes + s.fs.total_bytes() + s.procs.len() as u64 * PROC_OVERHEAD_BYTES
     }
@@ -325,7 +325,7 @@ impl ContainerHandle {
     /// Opaque identity of this handle's shared allocation — the key under
     /// which [`ContainerRuntime::fork`] registers the forked replacement
     /// in a [`netsim::ForkMap`].
-    pub fn fork_key(&self) -> usize {
+    pub(crate) fn fork_key(&self) -> usize {
         Rc::as_ptr(&self.0) as usize
     }
 }

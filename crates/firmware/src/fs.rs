@@ -181,7 +181,7 @@ impl SimFs {
     }
 
     /// A filesystem whose initial contents are the shared `template`.
-    pub fn from_template(template: FsTemplate) -> Self {
+    pub(crate) fn from_template(template: FsTemplate) -> Self {
         SimFs {
             base: Some(template),
             overlay: BTreeMap::new(),
@@ -294,7 +294,7 @@ impl SimFs {
 
     /// Removes every file under `prefix` (e.g. `/tmp/` on reboot — tmpfs
     /// contents are volatile); returns how many were removed.
-    pub fn remove_prefix(&mut self, prefix: &str) -> usize {
+    pub(crate) fn remove_prefix(&mut self, prefix: &str) -> usize {
         let doomed: Vec<String> = self
             .files()
             .map(|(p, _)| p.to_owned())
@@ -326,19 +326,13 @@ impl SimFs {
     }
 
     /// Total bytes stored.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.files().map(|(_, f)| f.size_bytes).sum()
     }
 
     /// Number of files.
     pub fn file_count(&self) -> usize {
         self.files().count()
-    }
-
-    /// Number of entries in the private overlay (tests, diagnostics): how
-    /// much of the filesystem is *not* shared with the template.
-    pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
     }
 }
 
@@ -496,7 +490,7 @@ mod tests {
         assert!(fs.exists("/etc/config"));
         assert_eq!(fs.total_bytes(), 903);
         assert_eq!(fs.file_count(), 2);
-        assert_eq!(fs.overlay_len(), 0);
+        assert_eq!(fs.overlay.len(), 0);
         assert!(fs.resolve_executable("/usr/sbin/connmand").is_ok());
     }
 
@@ -538,7 +532,7 @@ mod tests {
         assert!(fs.resolve_executable("/etc/config").is_err());
         fs.chmod_exec("/etc/config").expect("exists in base");
         assert!(fs.resolve_executable("/etc/config").is_ok());
-        assert_eq!(fs.overlay_len(), 1);
+        assert_eq!(fs.overlay.len(), 1);
         // Tombstoned base files cannot be chmodded back to life.
         fs.remove("/usr/sbin/connmand");
         assert!(matches!(

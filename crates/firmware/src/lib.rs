@@ -34,7 +34,7 @@ pub use fs::{
 };
 pub use proc::{Pid, ProcEntry, ProcTable};
 pub use services::{
-    leak_query_name, parse_leak_query_name, DnsProxyDaemon, NetMgrDaemon, ServiceCore,
+    parse_leak_query_name, DnsProxyDaemon, NetMgrDaemon, ServiceCore,
     OPTION_LEAK_PROBE, OPTION_LEAK_VALUE, RTYPE_LEAK_PROBE,
 };
-pub use shell::{parse_url, ShellJob};
+pub use shell::ShellJob;

@@ -88,35 +88,6 @@ impl ProcTable {
         Some(self.procs.swap_remove(idx).app)
     }
 
-    /// Removes every process bound to `port`; returns their apps.
-    pub fn kill_by_port(&mut self, port: u16) -> Vec<Option<AppId>> {
-        let mut killed = Vec::new();
-        let mut i = 0;
-        while i < self.procs.len() {
-            if self.procs[i].ports.contains(&port) {
-                killed.push(self.procs.swap_remove(i).app);
-            } else {
-                i += 1;
-            }
-        }
-        killed
-    }
-
-    /// Removes every process whose name matches any of `names`; returns
-    /// their apps.
-    pub fn kill_by_names(&mut self, names: &[&str]) -> Vec<Option<AppId>> {
-        let mut killed = Vec::new();
-        let mut i = 0;
-        while i < self.procs.len() {
-            if names.contains(&self.procs[i].name.as_str()) {
-                killed.push(self.procs.swap_remove(i).app);
-            } else {
-                i += 1;
-            }
-        }
-        killed
-    }
-
     /// Iterates over live processes.
     pub fn iter(&self) -> impl Iterator<Item = &ProcEntry> {
         self.procs.iter()
@@ -130,11 +101,6 @@ impl ProcTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.procs.is_empty()
-    }
-
-    /// Looks up a process by name.
-    pub fn find_by_name(&self, name: &str) -> Option<&ProcEntry> {
-        self.procs.iter().find(|p| p.name == name)
     }
 }
 
@@ -152,35 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn kill_by_port_removes_matching() {
-        let mut t = ProcTable::new();
-        t.register("telnetd", None, vec![23]);
-        t.register("sshd", None, vec![22]);
-        t.register("connmand", None, vec![53]);
-        let killed = t.kill_by_port(23);
-        assert_eq!(killed.len(), 1);
-        assert_eq!(t.len(), 2);
-        assert!(t.find_by_name("telnetd").is_none());
-    }
-
-    #[test]
-    fn kill_by_names_removes_rivals() {
-        let mut t = ProcTable::new();
-        t.register("qbot", None, vec![]);
-        t.register("zollard", None, vec![]);
-        t.register("connmand", None, vec![53]);
-        let killed = t.kill_by_names(&["qbot", "zollard", "remaiten"]);
-        assert_eq!(killed.len(), 2);
-        assert!(t.find_by_name("connmand").is_some());
-    }
-
-    #[test]
     fn rename_obfuscates() {
         let mut t = ProcTable::new();
         let pid = t.register("mirai.x86", None, vec![]);
         assert!(t.rename(pid, "dvrHelper7"));
-        assert!(t.find_by_name("mirai.x86").is_none());
-        assert!(t.find_by_name("dvrHelper7").is_some());
+        let names: Vec<&str> = t.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["dvrHelper7"]);
         assert!(!t.rename(Pid(9999), "x"));
     }
 

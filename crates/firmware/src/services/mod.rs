@@ -36,7 +36,7 @@ pub const OPTION_LEAK_VALUE: u16 = 0xFF02;
 
 /// Formats the DNS query name a Connman-like daemon emits when its leak
 /// primitive fires.
-pub fn leak_query_name(addr: u64) -> String {
+pub(crate) fn leak_query_name(addr: u64) -> String {
     format!("leak-{addr:016x}.probe")
 }
 

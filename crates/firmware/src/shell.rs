@@ -21,7 +21,7 @@ const TIMER_TIMEOUT: u64 = 1;
 
 /// Parses `http://host[:port]/path` into (server, path). Hosts are IP
 /// literals (v4, or v6 in brackets), as in the paper's lab network.
-pub fn parse_url(url: &str) -> Option<(SocketAddr, String)> {
+pub(crate) fn parse_url(url: &str) -> Option<(SocketAddr, String)> {
     let rest = url.strip_prefix("http://")?;
     let (authority, path) = match rest.find('/') {
         Some(i) => (&rest[..i], rest[i..].to_owned()),

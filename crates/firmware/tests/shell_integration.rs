@@ -5,7 +5,7 @@ use firmware::{
     CommandSet, ContainerEvent, ContainerHandle, FileEntry, FileKind, ProgramLauncher,
     ServedFile, ShellJob, ShellScript,
 };
-use netsim::topology::StarTopology;
+use netsim::topology::Fabric;
 use netsim::{Application, Ctx, LinkConfig, Payload, SimTime, Simulator, TcpEvent};
 use protocols::{HttpRequest, HttpResponse, HTTP_PORT};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -48,11 +48,11 @@ struct World {
 
 fn world(files: Vec<ServedFile>, commands: CommandSet) -> World {
     let mut sim = Simulator::new(3);
-    let mut star = StarTopology::new(&mut sim, "net");
+    let mut star = Fabric::star(&mut sim, "net");
     let dev_node = sim.add_node("dev");
     let server_node = sim.add_node("server");
-    star.attach(&mut sim, dev_node, LinkConfig::new(500_000, std::time::Duration::from_millis(5)));
-    let server_m = star.attach(&mut sim, server_node, LinkConfig::default());
+    star.attach_core(&mut sim, dev_node, LinkConfig::new(500_000, std::time::Duration::from_millis(5)));
+    let server_m = star.attach_core(&mut sim, server_node, LinkConfig::default());
     sim.install_app(server_node, Box::new(TestHttpServer { files }));
     let container = ContainerHandle::new("dev", Arch::X86_64, dev_node, commands, 1_000_000);
     World {

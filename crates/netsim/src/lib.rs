@@ -10,7 +10,7 @@
 //!   drop-tail queues ([`LinkConfig`]) — the congestion mechanisms behind
 //!   the paper's Figure 2,
 //! * a shared Wi-Fi-like channel with simplified CSMA/CA contention
-//!   ([`WifiConfig`]) for the hardware-reference validation scenario,
+//!   ([`WifiConfig`]) for the hardware-reference world (`--topology wifi`),
 //! * UDP datagrams and a light reliable stream transport ([`tcp`]),
 //! * an [`Application`] trait — the analogue of NS-3 `Application`s and of
 //!   processes inside Docker containers.
@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use netsim::{Application, Ctx, LinkConfig, Packet, Payload, SimTime, Simulator};
-//! use netsim::topology::StarTopology;
+//! use netsim::topology::Fabric;
 //! use std::net::SocketAddr;
 //!
 //! #[derive(Default)]
@@ -44,11 +44,11 @@
 //! }
 //!
 //! let mut sim = Simulator::new(42);
-//! let mut star = StarTopology::new(&mut sim, "internet");
+//! let mut star = Fabric::star(&mut sim, "internet");
 //! let a = sim.add_node("a");
 //! let b = sim.add_node("b");
-//! star.attach(&mut sim, a, LinkConfig::default());
-//! let mb = star.attach(&mut sim, b, LinkConfig::default());
+//! star.attach_core(&mut sim, a, LinkConfig::default());
+//! let mb = star.attach_core(&mut sim, b, LinkConfig::default());
 //! let sink = sim.install_app(b, Box::new(Sink::default()));
 //! sim.install_app(a, Box::new(Hello(SocketAddr::new(mb.addr_v4, 9))));
 //! sim.run_until(SimTime::from_secs(1));

@@ -109,11 +109,6 @@ impl P2pLink {
         }
     }
 
-    /// Whether the link is administratively up.
-    pub fn admin_up(&self) -> bool {
-        self.admin_up
-    }
-
     /// The link configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.config

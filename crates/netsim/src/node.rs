@@ -49,11 +49,6 @@ impl Iface {
         self.node
     }
 
-    /// Addresses assigned to this interface.
-    pub fn addrs(&self) -> &[IpAddr] {
-        &self.addrs
-    }
-
     /// How the interface is attached, if at all.
     pub fn attachment(&self) -> Option<Attachment> {
         self.attachment
@@ -560,7 +555,7 @@ impl<'a> NodeRef<'a> {
     }
 
     /// Whether the node is up (participating in the network).
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.nodes.up[self.idx]
     }
 
@@ -586,12 +581,6 @@ impl<'a> NodeRef<'a> {
     /// Live UDP port bindings (port → owning app).
     pub fn udp_binds(&self) -> &'a PortMap {
         &self.nodes.udp_binds[self.idx]
-    }
-
-    /// Packets received and addressed to this node (any transport, bound
-    /// port or not) — what a Wireshark capture at the node would count.
-    pub fn rx_packets(&self) -> u64 {
-        self.nodes.rx_packets[self.idx]
     }
 
     /// Wire bytes received and addressed to this node.

@@ -213,7 +213,6 @@ pub struct Simulator {
     telemetry: Telemetry,
     /// Overflow-sweep count already reported to the flight recorder.
     reported_sweeps: u64,
-    stop_requested: bool,
     buffered_now: u64,
     /// Deployed defense rules per node; each stack sees every packet
     /// arriving at its node, transit traffic included. Kept ordered so
@@ -257,7 +256,6 @@ impl Simulator {
             trace: None,
             telemetry: Telemetry::disabled(),
             reported_sweeps: 0,
-            stop_requested: false,
             buffered_now: 0,
             node_filters: BTreeMap::new(),
             blocklist: BTreeSet::new(),
@@ -377,7 +375,7 @@ impl Simulator {
     }
 
     /// Enables or disables unicast forwarding (router behaviour) on a node.
-    pub fn set_forwarding(&mut self, node: NodeId, enabled: bool) {
+    pub(crate) fn set_forwarding(&mut self, node: NodeId, enabled: bool) {
         self.nodes.forwarding[node.index()] = enabled;
     }
 
@@ -385,7 +383,7 @@ impl Simulator {
     /// re-emits multicast packets out of every interface except the ingress
     /// one, modelling the LAN fabric of the paper's simulated network (the
     /// DHCPv6 exploit path needs multicast to reach all Devs).
-    pub fn set_multicast_relay(&mut self, node: NodeId, enabled: bool) {
+    pub(crate) fn set_multicast_relay(&mut self, node: NodeId, enabled: bool) {
         self.nodes.forward_multicast[node.index()] = enabled;
     }
 
@@ -523,7 +521,7 @@ impl Simulator {
     /// First address of the given family on any of the node's interfaces
     /// (in interface install order). Interface address lists are
     /// append-only, so the arena memoizes the answer per family.
-    pub fn node_addr(&self, node: NodeId, want_v6: bool) -> Option<IpAddr> {
+    pub(crate) fn node_addr(&self, node: NodeId, want_v6: bool) -> Option<IpAddr> {
         if want_v6 {
             self.nodes.first_v6[node.index()]
         } else {
@@ -583,15 +581,6 @@ impl Simulator {
             None => Vec::new(),
         };
         self.process_tcp_actions(id.node, actions);
-    }
-
-    /// Whether the application slot is still occupied.
-    pub fn app_exists(&self, id: AppId) -> bool {
-        self.apps
-            .get(id.node.index())
-            .and_then(|v| v.get(id.slot()))
-            .map(|s| s.is_some())
-            .unwrap_or(false)
     }
 
     // ----- node administration ---------------------------------------------------
@@ -670,7 +659,7 @@ impl Simulator {
 
     /// Schedules a node up/down transition at the current time (processed as
     /// its own event, safe to call from application callbacks).
-    pub fn schedule_node_admin(&mut self, node: NodeId, up: bool) {
+    pub(crate) fn schedule_node_admin(&mut self, node: NodeId, up: bool) {
         self.schedule(self.now, Event::SetNode { node, up });
     }
 
@@ -784,7 +773,6 @@ impl Simulator {
     /// Runs the event loop until `horizon`; the clock ends exactly at
     /// `horizon` even if the queue drains early.
     pub fn run_until(&mut self, horizon: SimTime) {
-        self.stop_requested = false;
         while let Some((time, _)) = self.queue.peek_key() {
             if time > horizon {
                 break;
@@ -803,23 +791,10 @@ impl Simulator {
                     });
                 }
             }
-            if self.stop_requested {
-                break;
-            }
         }
         if self.now < horizon {
             self.now = horizon;
         }
-    }
-
-    /// Requests the run loop to stop after the current event.
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
-    }
-
-    /// Number of events waiting in the queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Largest number of events that were ever pending simultaneously.
@@ -1022,7 +997,6 @@ impl Simulator {
             trace: None,
             telemetry: Telemetry::disabled(),
             reported_sweeps: self.reported_sweeps,
-            stop_requested: self.stop_requested,
             buffered_now: self.buffered_now,
             node_filters: self.node_filters.clone(),
             blocklist: self.blocklist.clone(),
@@ -1085,9 +1059,16 @@ impl Simulator {
         }
     }
 
+    /// Offers a packet event to the capture the telemetry handle owns,
+    /// then to the tap: the two are independent observers.
     fn trace(&mut self, kind: TraceKind, node: NodeId, pkt: &Packet) {
+        if !self.telemetry.captures_packets() && self.trace.is_none() {
+            return;
+        }
+        let rec = TraceRecord::for_packet(self.now, kind, node, pkt);
+        self.telemetry.capture_packet(|| rec.capture_record());
         if let Some(hook) = self.trace.as_mut() {
-            hook(&TraceRecord::for_packet(self.now, kind, node, pkt));
+            hook(&rec);
         }
     }
 
@@ -1197,21 +1178,12 @@ impl Simulator {
             }
             Some(Attachment::Wifi { channel, station }) => {
                 let before = self.channels[channel.index()].buffered_bytes();
-                let queued = self.channels[channel.index()].enqueue(station, packet);
+                let result = self.channels[channel.index()].enqueue(station, packet);
                 let after = self.channels[channel.index()].buffered_bytes();
                 self.adjust_buffered(before, after);
-                if queued {
-                    self.maybe_schedule_wifi_attempt(channel, station);
-                } else {
-                    // Reconstructing the dropped packet for tracing is not
-                    // possible (it was consumed); count only.
-                    self.stats.record_drop(DropReason::QueueOverflow);
-                    self.telemetry.record_event(
-                        self.now.as_nanos(),
-                        Some(node.index() as u32),
-                        Category::LinkDrop,
-                        || format!("queue_overflow wifi station {station} (frame untracked)"),
-                    );
+                match result {
+                    Ok(()) => self.maybe_schedule_wifi_attempt(channel, station),
+                    Err(p) => self.drop_packet(DropReason::QueueOverflow, node, &p),
                 }
             }
         }
@@ -1820,11 +1792,6 @@ impl Ctx<'_> {
         self.sim.schedule_node_admin(node, up);
     }
 
-    /// Requests the simulation loop to stop.
-    pub fn request_stop(&mut self) {
-        self.sim.request_stop();
-    }
-
     // ----- telemetry -----
 
     /// The run's telemetry handle (disabled unless one was installed with
@@ -2202,6 +2169,40 @@ mod tests {
     }
 
     #[test]
+    fn wifi_queue_overflow_is_a_traced_drop() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        // A station queue with room for one 528-byte frame; two sends at
+        // one instant, so the second finds it full.
+        let mut sim = Simulator::new(3);
+        let chan = sim.add_wifi_channel(WifiConfig {
+            queue_capacity_bytes: 600,
+            ..WifiConfig::default()
+        });
+        let a = sim.add_node("a");
+        let b = sim.add_node("b");
+        let ia = sim.add_iface(a, vec![v4(1)]);
+        let ib = sim.add_iface(b, vec![v4(2)]);
+        sim.attach_wifi(ia, chan).expect("attach");
+        sim.attach_wifi(ib, chan).expect("attach");
+        sim.add_default_route(a, ia);
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let tap = Rc::clone(&drops);
+        sim.set_trace(Box::new(move |r| {
+            if let TraceKind::Dropped(reason) = r.kind {
+                tap.borrow_mut().push((reason, r.packet_id, r.node));
+            }
+        }));
+        let src = SocketAddr::new(v4(1), 1000);
+        let dst = SocketAddr::new(v4(2), 9);
+        for _ in 0..2 {
+            sim.send_from_node(a, Packet::udp(src, dst, Payload::empty(), 500));
+        }
+        assert_eq!(*drops.borrow(), vec![(DropReason::QueueOverflow, 2, a)]);
+        assert_eq!(sim.stats().dropped_queue_overflow, 1);
+    }
+
+    #[test]
     fn timer_tokens_are_delivered() {
         struct Timers {
             fired: Vec<u64>,
@@ -2235,7 +2236,7 @@ mod tests {
         let n = sim.add_node("n");
         let id = sim.install_app(n, Box::new(OneShot));
         sim.run_until(SimTime::from_secs(1));
-        assert!(!sim.app_exists(id));
+        assert!(sim.app_ref::<OneShot>(id).is_none());
         // Port was released.
         assert!(sim.node(n).udp_binds().is_empty());
     }

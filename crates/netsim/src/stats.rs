@@ -129,7 +129,7 @@ impl Stats {
     /// the simulator (link queues, Wi-Fi, routing, filters, admin
     /// flushes) goes through here; the match is deliberately exhaustive
     /// so a new [`DropReason`] without a counter fails to compile.
-    pub fn record_drop(&mut self, reason: DropReason) {
+    pub(crate) fn record_drop(&mut self, reason: DropReason) {
         match reason {
             DropReason::QueueOverflow => self.dropped_queue_overflow += 1,
             DropReason::NodeDown => self.dropped_node_down += 1,
@@ -208,27 +208,25 @@ impl TraceRecord {
             wire_bytes: pkt.wire_bytes(),
         }
     }
-}
 
-impl TraceRecord {
-    /// Header row for [`TraceRecord::to_csv_row`].
-    pub fn csv_header() -> &'static str {
-        "time_s,kind,node,packet_id,src,dst,proto,wire_bytes"
-    }
-
-    /// One CSV row (a Wireshark-export-like line).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{:.6},{:?},{},{},{},{},{},{}",
-            self.time.as_secs_f64(),
-            self.kind,
-            self.node,
-            self.packet_id,
-            self.src,
-            self.dst,
-            self.proto,
-            self.wire_bytes
-        )
+    /// The record as the pcap-like row the telemetry capture stores and
+    /// filters on.
+    pub(crate) fn capture_record(&self) -> telemetry::CaptureRecord {
+        telemetry::CaptureRecord {
+            time_nanos: self.time.as_nanos(),
+            kind: match self.kind {
+                TraceKind::Sent => "sent".to_owned(),
+                TraceKind::Delivered => "delivered".to_owned(),
+                TraceKind::Forwarded => "forwarded".to_owned(),
+                TraceKind::Dropped(reason) => format!("dropped:{}", reason.as_str()),
+            },
+            node: self.node.index() as u32,
+            packet_id: self.packet_id,
+            src: self.src,
+            dst: self.dst,
+            proto: self.proto.to_string(),
+            wire_bytes: self.wire_bytes,
+        }
     }
 }
 
@@ -281,28 +279,6 @@ mod tests {
         }
         let expected: u64 = (1..=DropReason::ALL.len() as u64).sum();
         assert_eq!(s.total_dropped(), expected, "total_dropped sums every counter");
-    }
-
-    #[test]
-    fn trace_record_csv() {
-        use crate::packet::{Packet, Payload};
-        use std::net::SocketAddr;
-        let a: SocketAddr = "10.0.0.1:1000".parse().expect("addr");
-        let b: SocketAddr = "10.0.0.2:80".parse().expect("addr");
-        let pkt = Packet::udp(a, b, Payload::empty(), 100);
-        let rec = TraceRecord::for_packet(
-            SimTime::from_millis(1500),
-            TraceKind::Delivered,
-            NodeId::from_index(3),
-            &pkt,
-        );
-        let row = rec.to_csv_row();
-        assert!(row.starts_with("1.500000,Delivered,n3,"));
-        assert!(row.contains("10.0.0.1:1000"));
-        assert_eq!(
-            TraceRecord::csv_header().split(',').count(),
-            row.split(',').count()
-        );
     }
 
     #[test]

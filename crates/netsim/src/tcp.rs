@@ -430,7 +430,7 @@ impl TcpStack {
     }
 
     /// Whether the connection exists and is established.
-    pub fn is_established(&self, conn: ConnId) -> bool {
+    pub(crate) fn is_established(&self, conn: ConnId) -> bool {
         self.conns
             .get(conn.id)
             .is_some_and(|c| c.state == ConnState::Established)
@@ -470,7 +470,7 @@ impl TcpStack {
     }
 
     /// Handles an inbound segment addressed to this node.
-    pub fn on_segment(&mut self, pkt: &Packet) -> Vec<TcpAction> {
+    pub(crate) fn on_segment(&mut self, pkt: &Packet) -> Vec<TcpAction> {
         let Some(seg) = pkt.payload.get::<TcpSeg>() else {
             return Vec::new();
         };
@@ -627,7 +627,7 @@ impl TcpStack {
     }
 
     /// Handles a retransmission-timer expiry.
-    pub fn on_rto(&mut self, conn: u64, seq: u64) -> Vec<TcpAction> {
+    pub(crate) fn on_rto(&mut self, conn: u64, seq: u64) -> Vec<TcpAction> {
         let node = self.node();
         let Some(c) = self.conns.get_mut(conn) else {
             return Vec::new();
@@ -697,14 +697,14 @@ impl TcpStack {
 
     /// Tears down all connections without notifying local apps (used when the
     /// node goes down; apps learn via `on_node_down`).
-    pub fn reset_all(&mut self) {
+    pub(crate) fn reset_all(&mut self) {
         self.conns.clear();
         self.by_tuple.clear();
     }
 
     /// Number of live connections (any state).
     #[cfg(test)]
-    pub fn conn_count(&self) -> usize {
+    pub(crate) fn conn_count(&self) -> usize {
         self.conns.len()
     }
 

@@ -1,14 +1,17 @@
-//! Topology builders for common scenarios.
+//! World wiring for common scenarios.
 //!
 //! The paper's simulated network (§III-D) conceptually collapses the
 //! Internet path between any two components into "a single connection line
-//! with specific latency and bandwidth". [`StarTopology`] builds exactly
-//! that: a central fabric node (router / simulated Internet) with one
-//! point-to-point link per component, each with its own rate and delay.
+//! with specific latency and bandwidth". A [`Fabric`] builds exactly that:
+//! a root node (router / simulated Internet) with one point-to-point link
+//! per core component, and the Devs behind it in one of three shapes — the
+//! same star, regional routers with finite uplinks, or one shared Wi-Fi
+//! channel.
 
-use crate::ids::{IfaceId, NodeId};
+use crate::ids::{ChannelId, IfaceId, NodeId};
 use crate::link::LinkConfig;
 use crate::sim::Simulator;
+use crate::wifi::WifiConfig;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Allocates dual-stack addresses out of `10.0.0.0/8` and `fd00::/16`.
@@ -19,13 +22,13 @@ pub struct AddrAllocator {
 
 impl AddrAllocator {
     /// Pairs one allocator can hand out: the host numbers of `10.0.0.0/8`
-    /// less the network and broadcast addresses. Every topology here
-    /// spends at most two per attached node (its end of the link and the
-    /// router's), which is what `SimulationConfig::validate` budgets.
+    /// less the network and broadcast addresses. A [`Fabric`] spends at
+    /// most two per attached node (its end of the link and the router's),
+    /// which is what `SimulationConfig::validate` budgets.
     pub const CAPACITY: u32 = 0x00FF_FFFE;
 
     /// Starts allocating from host number 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AddrAllocator { next: 1 }
     }
 
@@ -40,7 +43,7 @@ impl AddrAllocator {
     /// # Panics
     ///
     /// Panics after [`AddrAllocator::CAPACITY`] allocations.
-    pub fn next_pair(&mut self) -> (IpAddr, IpAddr) {
+    pub(crate) fn next_pair(&mut self) -> (IpAddr, IpAddr) {
         let n = self.next;
         assert!(n <= Self::CAPACITY, "address space exhausted");
         self.next += 1;
@@ -55,26 +58,9 @@ impl AddrAllocator {
     }
 }
 
-impl Default for AddrAllocator {
-    fn default() -> Self {
-        AddrAllocator::new()
-    }
-}
-
-/// A star topology around a central fabric node.
-///
-/// The fabric forwards unicast and relays multicast, modelling the paper's
-/// "simulated Internet" that joins Attacker, Devs, and TServer.
-#[derive(Debug, Clone)]
-pub struct StarTopology {
-    fabric: NodeId,
-    alloc: AddrAllocator,
-    members: Vec<StarMember>,
-}
-
-/// One node attached to the star.
+/// One node attached to a [`Fabric`].
 #[derive(Debug, Clone, Copy)]
-pub struct StarMember {
+pub struct Member {
     /// The attached node.
     pub node: NodeId,
     /// The node's edge interface.
@@ -85,86 +71,64 @@ pub struct StarMember {
     pub addr_v6: IpAddr,
 }
 
-impl StarTopology {
-    /// Creates the central fabric node.
-    pub fn new(sim: &mut Simulator, name: &str) -> Self {
-        let fabric = sim.add_node(name);
-        sim.set_forwarding(fabric, true);
-        sim.set_multicast_relay(fabric, true);
-        StarTopology {
-            fabric,
+/// How Devs reach the root.
+#[derive(Debug, Clone)]
+enum Access {
+    /// Each over its own point-to-point link, like the core components.
+    Star,
+    /// Through regional routers; the root's `r`-th interface is region
+    /// `r`'s uplink.
+    Tiered(Vec<NodeId>),
+    /// As stations of one shared channel whose gateway is the root.
+    Wifi { chan: ChannelId, gateway_iface: IfaceId },
+}
+
+/// The simulated Internet joining Attacker, Devs and TServer: a root node
+/// that forwards unicast and relays multicast, core components wired to it
+/// point to point, and the Devs behind it in one of three shapes.
+#[derive(Debug, Clone)]
+pub struct Fabric {
+    root: NodeId,
+    alloc: AddrAllocator,
+    access: Access,
+}
+
+fn add_router(sim: &mut Simulator, name: impl Into<String>) -> NodeId {
+    let router = sim.add_node(name);
+    sim.set_forwarding(router, true);
+    sim.set_multicast_relay(router, true);
+    router
+}
+
+impl Fabric {
+    /// A star: every Dev on its own link to the root node `name`.
+    pub fn star(sim: &mut Simulator, name: &str) -> Self {
+        Fabric {
+            root: add_router(sim, name),
             alloc: AddrAllocator::new(),
-            members: Vec::new(),
+            access: Access::Star,
         }
     }
 
-    /// The central fabric node.
-    pub fn fabric(&self) -> NodeId {
-        self.fabric
-    }
-
-    /// Members attached so far.
-    pub fn members(&self) -> &[StarMember] {
-        &self.members
-    }
-
-    /// Attaches `node` to the star over a link with `config`, assigning it a
-    /// dual-stack address pair and default routes.
-    pub fn attach(&mut self, sim: &mut Simulator, node: NodeId, config: LinkConfig) -> StarMember {
-        let (v4, v6) = self.alloc.next_pair();
-        let (fv4, fv6) = self.alloc.next_pair();
-        let member_iface = sim.add_iface(node, vec![v4, v6]);
-        let fabric_iface = sim.add_iface(self.fabric, vec![fv4, fv6]);
-        sim.connect_p2p(member_iface, fabric_iface, config)
-            .expect("freshly created interfaces are unattached");
-        sim.add_default_route(node, member_iface);
-        sim.add_route(self.fabric, v4, 32, fabric_iface);
-        sim.add_route(self.fabric, v6, 128, fabric_iface);
-        let member = StarMember {
-            node,
-            iface: member_iface,
-            addr_v4: v4,
-            addr_v6: v6,
-        };
-        self.members.push(member);
-        member
-    }
-}
-
-/// A two-tier topology: a backbone router fronting several regional
-/// routers, each with a finite uplink.
-///
-/// The paper acknowledges (§V-C) that "all components share uniform
-/// connections, while real-world factors like distance and network quality
-/// impact device-device links". A tiered fabric lifts that limitation:
-/// devices in the same region share a regional uplink, so congestion
-/// appears at two levels (regional uplinks first, then the backbone).
-#[derive(Debug, Clone)]
-pub struct TieredTopology {
-    backbone: NodeId,
-    regions: Vec<NodeId>,
-    alloc: AddrAllocator,
-    members: Vec<StarMember>,
-}
-
-impl TieredTopology {
-    /// Creates the backbone and `regions` regional routers, each connected
-    /// to the backbone with `uplink`.
+    /// A two-tier fabric: the backbone `{name}-backbone` fronting `regions`
+    /// regional routers, each joined to it by `uplink`.
+    ///
+    /// The paper acknowledges (§V-C) that "all components share uniform
+    /// connections, while real-world factors like distance and network quality
+    /// impact device-device links". Devs in the same region share a regional
+    /// uplink, so congestion appears at two levels (regional uplinks first,
+    /// then the backbone).
     ///
     /// # Panics
     ///
     /// Panics if `regions` is zero.
-    pub fn new(sim: &mut Simulator, name: &str, regions: usize, uplink: LinkConfig) -> Self {
+    pub fn tiered(sim: &mut Simulator, name: &str, regions: usize, uplink: LinkConfig) -> Self {
         assert!(regions > 0, "at least one region is required");
-        let backbone = sim.add_node(format!("{name}-backbone"));
-        sim.set_forwarding(backbone, true);
-        sim.set_multicast_relay(backbone, true);
+        let backbone = add_router(sim, format!("{name}-backbone"));
         let mut alloc = AddrAllocator::new();
         let mut region_nodes = Vec::with_capacity(regions);
         for r in 0..regions {
-            let region = sim.add_node(format!("{name}-region-{r}"));
-            sim.set_forwarding(region, true);
-            sim.set_multicast_relay(region, true);
+            let region = add_router(sim, format!("{name}-region-{r}"));
             let (rv4, rv6) = alloc.next_pair();
             let (bv4, bv6) = alloc.next_pair();
             let r_if = sim.add_iface(region, vec![rv4, rv6]);
@@ -174,107 +138,15 @@ impl TieredTopology {
             sim.add_default_route(region, r_if);
             region_nodes.push(region);
         }
-        TieredTopology {
-            backbone,
-            regions: region_nodes,
-            alloc,
-            members: Vec::new(),
-        }
+        Fabric { root: backbone, alloc, access: Access::Tiered(region_nodes) }
     }
 
-    /// The backbone node.
-    pub fn backbone(&self) -> NodeId {
-        self.backbone
-    }
-
-    /// Members attached so far (backbone and regional).
-    pub fn members(&self) -> &[StarMember] {
-        &self.members
-    }
-
-    /// Attaches `node` directly to the backbone (servers, the attacker).
-    pub fn attach_backbone(
-        &mut self,
-        sim: &mut Simulator,
-        node: NodeId,
-        config: LinkConfig,
-    ) -> StarMember {
-        let member = Self::attach_to(
-            sim,
-            &mut self.alloc,
-            self.backbone,
-            node,
-            config,
-        );
-        self.members.push(member);
-        member
-    }
-
-    /// Attaches `node` to a regional router (devices); `region` indexes
-    /// modulo the region count, so round-robin assignment is just the
-    /// device index.
-    pub fn attach_region(
-        &mut self,
-        sim: &mut Simulator,
-        region: usize,
-        node: NodeId,
-        config: LinkConfig,
-    ) -> StarMember {
-        let region_node = self.regions[region % self.regions.len()];
-        let member = Self::attach_to(sim, &mut self.alloc, region_node, node, config);
-        // The backbone reaches the member via the region's uplink.
-        let region_uplink = sim.node(self.backbone).ifaces()[region % self.regions.len()];
-        sim.add_route(self.backbone, member.addr_v4, 32, region_uplink);
-        sim.add_route(self.backbone, member.addr_v6, 128, region_uplink);
-        self.members.push(member);
-        member
-    }
-
-    fn attach_to(
-        sim: &mut Simulator,
-        alloc: &mut AddrAllocator,
-        router: NodeId,
-        node: NodeId,
-        config: LinkConfig,
-    ) -> StarMember {
-        let (v4, v6) = alloc.next_pair();
-        let (fv4, fv6) = alloc.next_pair();
-        let member_iface = sim.add_iface(node, vec![v4, v6]);
-        let router_iface = sim.add_iface(router, vec![fv4, fv6]);
-        sim.connect_p2p(member_iface, router_iface, config)
-            .expect("freshly created interfaces are unattached");
-        sim.add_default_route(node, member_iface);
-        sim.add_route(router, v4, 32, router_iface);
-        sim.add_route(router, v6, 128, router_iface);
-        StarMember {
-            node,
-            iface: member_iface,
-            addr_v4: v4,
-            addr_v6: v6,
-        }
-    }
-}
-
-/// A Wi-Fi access topology: a router (access point) joining stations over
-/// one shared CSMA/CA channel, with wired point-to-point attachments for
-/// core components — the shape of the paper's physical validation setup
-/// (Raspberry-Pi Devs on a Netgear router, servers on Ethernet).
-#[derive(Debug, Clone)]
-pub struct WifiTopology {
-    root: NodeId,
-    chan: crate::ids::ChannelId,
-    gateway_iface: IfaceId,
-    alloc: AddrAllocator,
-    members: Vec<StarMember>,
-}
-
-impl WifiTopology {
-    /// Creates the router node with a gateway interface on a fresh Wi-Fi
-    /// channel configured by `config`.
-    pub fn new(sim: &mut Simulator, name: &str, config: crate::wifi::WifiConfig) -> Self {
-        let root = sim.add_node(name);
-        sim.set_forwarding(root, true);
-        sim.set_multicast_relay(root, true);
+    /// A Wi-Fi access network: the router (access point) `name` joining
+    /// the Devs over one shared CSMA/CA channel configured by `config` —
+    /// the shape of the paper's physical validation setup (Raspberry-Pi
+    /// Devs on a Netgear router, servers on Ethernet).
+    pub fn wifi(sim: &mut Simulator, name: &str, config: WifiConfig) -> Self {
+        let root = add_router(sim, name);
         let chan = sim.add_wifi_channel(config);
         let mut alloc = AddrAllocator::new();
         let (gv4, gv6) = alloc.next_pair();
@@ -282,84 +154,78 @@ impl WifiTopology {
         sim.attach_wifi(gateway_iface, chan)
             .expect("freshly created interfaces are unattached");
         sim.set_wifi_gateway(chan, gateway_iface);
-        WifiTopology {
-            root,
-            chan,
-            gateway_iface,
-            alloc,
-            members: Vec::new(),
-        }
+        Fabric { root, alloc, access: Access::Wifi { chan, gateway_iface } }
     }
 
-    /// The router (access point) node.
+    /// The always-up root node (the star's centre, the backbone, or the
+    /// access point) — where network-level defenses are deployed.
     pub fn root(&self) -> NodeId {
         self.root
     }
 
-    /// The shared channel.
-    pub fn channel(&self) -> crate::ids::ChannelId {
-        self.chan
+    /// Attaches a core component (Attacker, TServer, extra clients) to the
+    /// root over a point-to-point link with `config`, assigning it a
+    /// dual-stack address pair and a default route.
+    pub fn attach_core(&mut self, sim: &mut Simulator, node: NodeId, config: LinkConfig) -> Member {
+        self.attach_p2p(sim, self.root, node, config)
     }
 
-    /// Members attached so far (wired and wireless).
-    pub fn members(&self) -> &[StarMember] {
-        &self.members
-    }
-
-    /// Attaches `node` to the router over a wired point-to-point link
-    /// (servers, the attacker).
-    pub fn attach_wired(
+    /// Attaches the `index`-th Dev: to the root (star), to regional router
+    /// `index` modulo the region count (tiered), or to the shared medium
+    /// as a station shaped to `config.rate_bps` at the application layer —
+    /// how the paper's lab limits its Raspberry Pis to IoT data rates.
+    pub fn attach_dev(
         &mut self,
         sim: &mut Simulator,
+        index: usize,
         node: NodeId,
         config: LinkConfig,
-    ) -> StarMember {
-        let (v4, v6) = self.alloc.next_pair();
-        let (fv4, fv6) = self.alloc.next_pair();
-        let member_iface = sim.add_iface(node, vec![v4, v6]);
-        let root_iface = sim.add_iface(self.root, vec![fv4, fv6]);
-        sim.connect_p2p(member_iface, root_iface, config)
-            .expect("freshly created interfaces are unattached");
-        sim.add_default_route(node, member_iface);
-        sim.add_route(self.root, v4, 32, root_iface);
-        sim.add_route(self.root, v6, 128, root_iface);
-        let member = StarMember {
-            node,
-            iface: member_iface,
-            addr_v4: v4,
-            addr_v6: v6,
-        };
-        self.members.push(member);
-        member
+    ) -> Member {
+        match self.access {
+            Access::Star => self.attach_p2p(sim, self.root, node, config),
+            Access::Tiered(ref regions) => {
+                let region = index % regions.len();
+                let router = regions[region];
+                let member = self.attach_p2p(sim, router, node, config);
+                // The backbone reaches the member via the region's uplink.
+                let uplink = sim.node(self.root).ifaces()[region];
+                sim.add_route(self.root, member.addr_v4, 32, uplink);
+                sim.add_route(self.root, member.addr_v6, 128, uplink);
+                member
+            }
+            Access::Wifi { chan, gateway_iface } => {
+                let (v4, v6) = self.alloc.next_pair();
+                let iface = sim.add_iface(node, vec![v4, v6]);
+                sim.attach_wifi(iface, chan)
+                    .expect("freshly created interfaces are unattached");
+                sim.set_wifi_station_shaping(chan, iface, config.rate_bps);
+                sim.add_default_route(node, iface);
+                // The router reaches stations out its gateway interface; the
+                // channel resolves the destination station by address.
+                sim.add_route(self.root, v4, 32, gateway_iface);
+                sim.add_route(self.root, v6, 128, gateway_iface);
+                Member { node, iface, addr_v4: v4, addr_v6: v6 }
+            }
+        }
     }
 
-    /// Joins `node` to the shared medium as a station, shaped to
-    /// `rate_bps` at the application layer (how the paper's lab limits its
-    /// Raspberry Pis to IoT data rates).
-    pub fn attach_station(
+    fn attach_p2p(
         &mut self,
         sim: &mut Simulator,
+        router: NodeId,
         node: NodeId,
-        rate_bps: u64,
-    ) -> StarMember {
+        config: LinkConfig,
+    ) -> Member {
         let (v4, v6) = self.alloc.next_pair();
-        let member_iface = sim.add_iface(node, vec![v4, v6]);
-        sim.attach_wifi(member_iface, self.chan)
+        let (rv4, rv6) = self.alloc.next_pair();
+        let iface = sim.add_iface(node, vec![v4, v6]);
+        let router_iface = sim.add_iface(router, vec![rv4, rv6]);
+        sim.connect_p2p(iface, router_iface, config)
             .expect("freshly created interfaces are unattached");
-        sim.set_wifi_station_shaping(self.chan, member_iface, rate_bps);
-        sim.add_default_route(node, member_iface);
-        // The router reaches stations out its gateway interface; the
-        // channel resolves the destination station by address.
-        sim.add_route(self.root, v4, 32, self.gateway_iface);
-        sim.add_route(self.root, v6, 128, self.gateway_iface);
-        let member = StarMember {
-            node,
-            iface: member_iface,
-            addr_v4: v4,
-            addr_v6: v6,
-        };
-        self.members.push(member);
-        member
+        sim.add_default_route(node, iface);
+        sim.add_route(router, v4, 32, router_iface);
+        sim.add_route(router, v6, 128, router_iface);
+        Member { node, iface, addr_v4: v4, addr_v6: v6 }
     }
 }
 
@@ -410,6 +276,36 @@ mod tests {
         assert_eq!(v6, IpAddr::V6(Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 1, 0)));
     }
 
+    #[test]
+    fn every_shape_hands_out_the_addresses_recorded_runs_rely_on() {
+        // The first core component and the first two Devs of each shape,
+        // as the three separate builders numbered them: a tiered fabric
+        // spends two pairs per region first, a Wi-Fi one a single pair on
+        // the gateway, and a station has no router-side address.
+        type Build = fn(&mut Simulator) -> Fabric;
+        let shapes: [(Build, [u8; 3]); 3] = [
+            (|sim| Fabric::star(sim, "internet"), [1, 3, 5]),
+            (|sim| Fabric::tiered(sim, "internet", 3, LinkConfig::default()), [7, 9, 11]),
+            (|sim| Fabric::wifi(sim, "router", WifiConfig::default()), [2, 4, 5]),
+        ];
+        for (build, hosts) in shapes {
+            let mut sim = Simulator::new(1);
+            let mut fabric = build(&mut sim);
+            let nodes = ["attacker", "dev-0", "dev-1"].map(|name| sim.add_node(name));
+            let cfg = LinkConfig::default();
+            let members = [
+                fabric.attach_core(&mut sim, nodes[0], cfg.clone()),
+                fabric.attach_dev(&mut sim, 0, nodes[1], cfg.clone()),
+                fabric.attach_dev(&mut sim, 1, nodes[2], cfg),
+            ];
+            for (member, host) in members.iter().zip(hosts) {
+                assert_eq!(member.addr_v4, IpAddr::V4(Ipv4Addr::new(10, 0, 0, host)));
+                let v6 = Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, u16::from(host));
+                assert_eq!(member.addr_v6, IpAddr::V6(v6));
+            }
+        }
+    }
+
     #[derive(Default)]
     struct CountSink(u64);
     impl Application for CountSink {
@@ -432,12 +328,12 @@ mod tests {
     #[test]
     fn star_routes_between_members() {
         let mut sim = Simulator::new(9);
-        let mut star = StarTopology::new(&mut sim, "internet");
+        let mut star = Fabric::star(&mut sim, "internet");
         let a = sim.add_node("a");
         let b = sim.add_node("b");
         let cfg = LinkConfig::new(1_000_000, Duration::from_millis(5));
-        let _ma = star.attach(&mut sim, a, cfg.clone());
-        let mb = star.attach(&mut sim, b, cfg);
+        let _ma = star.attach_core(&mut sim, a, cfg.clone());
+        let mb = star.attach_core(&mut sim, b, cfg);
         let sink = sim.install_app(b, Box::new(CountSink::default()));
         sim.install_app(a, Box::new(OneShotSender(SocketAddr::new(mb.addr_v4, 9))));
         sim.run_until(SimTime::from_secs(1));
@@ -447,7 +343,7 @@ mod tests {
     #[test]
     fn tiered_routes_across_regions() {
         let mut sim = Simulator::new(4);
-        let mut t = TieredTopology::new(
+        let mut t = Fabric::tiered(
             &mut sim,
             "net",
             3,
@@ -457,9 +353,9 @@ mod tests {
         let a = sim.add_node("a");
         let b = sim.add_node("b");
         let srv = sim.add_node("srv");
-        t.attach_region(&mut sim, 0, a, cfg.clone());
-        let mb = t.attach_region(&mut sim, 1, b, cfg.clone());
-        let ms = t.attach_backbone(&mut sim, srv, cfg);
+        t.attach_dev(&mut sim, 0, a, cfg.clone());
+        let mb = t.attach_dev(&mut sim, 1, b, cfg.clone());
+        let ms = t.attach_core(&mut sim, srv, cfg);
         // region 0 -> region 1
         let sink_b = sim.install_app(b, Box::new(CountSink::default()));
         sim.install_app(a, Box::new(OneShotSender(SocketAddr::new(mb.addr_v4, 9))));
@@ -477,7 +373,7 @@ mod tests {
         // split across regions do not contend.
         let run = |same_region: bool| -> u64 {
             let mut sim = Simulator::new(6);
-            let mut t = TieredTopology::new(
+            let mut t = Fabric::tiered(
                 &mut sim,
                 "net",
                 2,
@@ -485,12 +381,12 @@ mod tests {
             );
             let cfg = LinkConfig::new(2_000_000, Duration::from_millis(5));
             let srv = sim.add_node("srv");
-            let ms = t.attach_backbone(&mut sim, srv, LinkConfig::default());
+            let ms = t.attach_core(&mut sim, srv, LinkConfig::default());
             let sink = sim.install_app(srv, Box::new(CountSink::default()));
             for i in 0..2usize {
                 let n = sim.add_node(format!("s{i}"));
                 let region = if same_region { 0 } else { i };
-                t.attach_region(&mut sim, region, n, cfg.clone());
+                t.attach_dev(&mut sim, region, n, cfg.clone());
                 struct Flood(SocketAddr);
                 impl Application for Flood {
                     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -519,18 +415,18 @@ mod tests {
     #[should_panic(expected = "at least one region")]
     fn tiered_requires_regions() {
         let mut sim = Simulator::new(0);
-        let _ = TieredTopology::new(&mut sim, "x", 0, LinkConfig::default());
+        let _ = Fabric::tiered(&mut sim, "x", 0, LinkConfig::default());
     }
 
     #[test]
     fn star_routes_ipv6_too() {
         let mut sim = Simulator::new(9);
-        let mut star = StarTopology::new(&mut sim, "internet");
+        let mut star = Fabric::star(&mut sim, "internet");
         let a = sim.add_node("a");
         let b = sim.add_node("b");
         let cfg = LinkConfig::default();
-        star.attach(&mut sim, a, cfg.clone());
-        let mb = star.attach(&mut sim, b, cfg);
+        star.attach_core(&mut sim, a, cfg.clone());
+        let mb = star.attach_core(&mut sim, b, cfg);
         let sink = sim.install_app(b, Box::new(CountSink::default()));
         sim.install_app(a, Box::new(OneShotSender(SocketAddr::new(mb.addr_v6, 9))));
         sim.run_until(SimTime::from_secs(1));

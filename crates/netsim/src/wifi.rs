@@ -1,8 +1,8 @@
 //! Shared-medium (Wi-Fi-like) channel with simplified CSMA/CA contention.
 //!
-//! Used by the hardware-reference validation scenario (`testbed` crate) to
-//! model the paper's physical setup: Raspberry-Pi Devs associated to a
-//! Netgear router over 802.11. The model is a *simplified DCF*: one station
+//! Used by the hardware-reference world (`--topology wifi`, Fig. 4's second
+//! arm) to model the paper's physical setup: Raspberry-Pi Devs associated to
+//! a Netgear router over 802.11. The model is a *simplified DCF*: one station
 //! transmits at a time, stations sense the medium and defer, and each
 //! transmission attempt collides with probability derived from the number of
 //! concurrently contending stations (a slotted-contention approximation).
@@ -119,7 +119,7 @@ impl WifiChannel {
     }
 
     /// Sets application-level egress shaping for a station.
-    pub fn set_station_shaping(&mut self, station: usize, rate_bps: u64) {
+    pub(crate) fn set_station_shaping(&mut self, station: usize, rate_bps: u64) {
         self.stations[station].shaping_rate_bps = Some(rate_bps);
     }
 
@@ -144,17 +144,18 @@ impl WifiChannel {
         (self.config.cw_min << retries.min(16)).min(self.config.cw_max)
     }
 
-    /// Queues a frame at `station`. Returns `false` if dropped (overflow).
-    pub(crate) fn enqueue(&mut self, station: usize, packet: Packet) -> bool {
+    /// Queues a frame at `station`, or hands it back when the station's
+    /// queue has no room for it.
+    pub(crate) fn enqueue(&mut self, station: usize, packet: Packet) -> Result<(), Packet> {
         let cap = self.config.queue_capacity_bytes;
         let st = &mut self.stations[station];
         let bytes = u64::from(packet.wire_bytes());
         if st.queued_bytes + bytes > cap {
-            return false;
+            return Err(packet);
         }
         st.queued_bytes += bytes;
         st.queue.push_back(packet);
-        true
+        Ok(())
     }
 
     /// The frame at the head of `station`'s queue.
@@ -284,23 +285,23 @@ mod tests {
             ..WifiConfig::default()
         });
         c.add_station(IfaceId::from_index(0));
-        assert!(c.enqueue(0, pkt()));
-        assert!(!c.enqueue(0, pkt()));
+        assert!(c.enqueue(0, pkt()).is_ok());
+        assert!(c.enqueue(0, pkt()).is_err());
     }
 
     #[test]
     fn contenders_counts_nonempty_queues() {
         let mut c = chan(3);
         assert_eq!(c.contenders(), 0);
-        c.enqueue(0, pkt());
-        c.enqueue(2, pkt());
+        c.enqueue(0, pkt()).expect("room");
+        c.enqueue(2, pkt()).expect("room");
         assert_eq!(c.contenders(), 2);
     }
 
     #[test]
     fn flush_station_clears_state() {
         let mut c = chan(1);
-        c.enqueue(0, pkt());
+        c.enqueue(0, pkt()).expect("room");
         c.stations[0].retries = 3;
         assert_eq!(c.flush_station(0), 1);
         assert_eq!(c.buffered_bytes(), 0);

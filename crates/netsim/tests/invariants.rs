@@ -1,7 +1,7 @@
 //! Simulator-level invariants: conservation, bounds, and shaping
 //! behaviour, including property-based checks.
 
-use netsim::topology::StarTopology;
+use netsim::topology::Fabric;
 use netsim::{
     Application, Ctx, FilterRule, FilterVerdict, LinkConfig, NodeId, Packet, PacketFilter, Payload,
     SimTime, Simulator, StateHasher, WifiConfig,
@@ -189,11 +189,11 @@ fn wifi_contention_degrades_aggregate_throughput_per_station() {
 #[test]
 fn ingress_filter_sees_transit_traffic() {
     let mut sim = Simulator::new(3);
-    let mut star = StarTopology::new(&mut sim, "fabric");
+    let mut star = Fabric::star(&mut sim, "fabric");
     let a = sim.add_node("a");
     let b = sim.add_node("b");
-    star.attach(&mut sim, a, LinkConfig::default());
-    let mb = star.attach(&mut sim, b, LinkConfig::default());
+    star.attach_core(&mut sim, a, LinkConfig::default());
+    let mb = star.attach_core(&mut sim, b, LinkConfig::default());
     let sink = sim.install_app(b, Box::new(Sink::default()));
     sim.install_app(
         a,
@@ -224,7 +224,7 @@ fn ingress_filter_sees_transit_traffic() {
             h.write_bool(self.0);
         }
     }
-    sim.push_node_filter(star.fabric(), FilterRule::Custom(Box::new(Flip(false))));
+    sim.push_node_filter(star.root(), FilterRule::Custom(Box::new(Flip(false))));
     sim.run_until(SimTime::from_secs(2));
     let delivered = sim.app_ref::<Sink>(sink).expect("sink").packets;
     assert_eq!(delivered, 5, "alternate packets filtered in transit");

@@ -33,7 +33,4 @@ pub mod sweep;
 
 pub use exec::SCENARIO_TAG;
 pub use plan::{DefenseSpec, RivalSpec, ScenarioPlan, SCENARIO_SCHEMA};
-pub use sweep::{
-    patch_rollout_grid, rate_limit_grid, run_grid_streamed, takedown_grid, CellOutcome, GridCell,
-    SweepGridPlan, SWEEPGRID_SCHEMA,
-};
+pub use sweep::{run_grid_streamed, CellOutcome, GridCell, SweepGridPlan, SWEEPGRID_SCHEMA};

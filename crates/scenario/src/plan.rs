@@ -327,7 +327,7 @@ impl ScenarioPlan {
     /// feature: patch-rollout shuffling or rival target selection). Plans
     /// without one never construct the stream, keeping an empty scenario
     /// a strict no-op.
-    pub fn needs_rng(&self) -> bool {
+    pub(crate) fn needs_rng(&self) -> bool {
         self.rivals.is_some()
             || self.defenses.iter().any(|d| matches!(d, DefenseSpec::PatchRollout { .. }))
     }

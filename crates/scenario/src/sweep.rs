@@ -34,7 +34,7 @@ pub struct GridCell {
 ///
 /// Returns a message if the base plan has no `rate_limit` defense or has
 /// more than one.
-pub fn rate_limit_grid(
+fn rate_limit_grid(
     base: &ScenarioPlan,
     rates_bps: &[u64],
     deploy_at_secs: &[u64],
@@ -61,7 +61,7 @@ pub fn rate_limit_grid(
 ///
 /// Returns a message if the base plan has no `patch_rollout` defense or
 /// has more than one.
-pub fn patch_rollout_grid(
+fn patch_rollout_grid(
     base: &ScenarioPlan,
     waves: &[u32],
     wave_interval_secs: &[u64],
@@ -90,7 +90,7 @@ pub fn patch_rollout_grid(
 ///
 /// Returns a message if the base plan has no `cnc_takedown` defense or
 /// has more than one.
-pub fn takedown_grid(
+fn takedown_grid(
     base: &ScenarioPlan,
     at_secs: &[u64],
     backups: &[u16],

@@ -72,7 +72,7 @@ impl<R: Read> LineReader<R> {
     }
 
     /// Wraps `inner` with an explicit line-length limit (min 1).
-    pub fn with_max(inner: R, max: usize) -> Self {
+    pub(crate) fn with_max(inner: R, max: usize) -> Self {
         LineReader { inner, buf: Vec::new(), max: max.max(1), discarding: false, eof: false }
     }
 

@@ -191,7 +191,7 @@ pub fn frame_event(job: &str, event: &Event) -> Json {
 }
 
 /// `metrics`: one new time-series sample.
-pub fn frame_metrics(job: &str, series: &str, index: usize, interval_nanos: u64, value: f64) -> Json {
+pub(crate) fn frame_metrics(job: &str, series: &str, index: usize, interval_nanos: u64, value: f64) -> Json {
     frame(
         "metrics",
         [
@@ -227,7 +227,7 @@ pub fn frame_result(
 }
 
 /// `error`: a request was rejected (`job` null) or a job failed.
-pub fn frame_error(job: Option<&str>, message: &str) -> Json {
+pub(crate) fn frame_error(job: Option<&str>, message: &str) -> Json {
     frame(
         "error",
         [
@@ -238,7 +238,7 @@ pub fn frame_error(job: Option<&str>, message: &str) -> Json {
 }
 
 /// `shutdown`: the server acknowledged a shutdown request.
-pub fn frame_shutdown() -> Json {
+pub(crate) fn frame_shutdown() -> Json {
     frame("shutdown", [])
 }
 

@@ -6,7 +6,7 @@
 //! The core layer converts those trace records into [`CaptureRecord`]s
 //! and offers them here; the [`CaptureFilter`] decides which are kept.
 
-use djson::{Json, JsonError, ToJson};
+use djson::{Json, ToJson};
 use std::net::{IpAddr, SocketAddr};
 
 /// Schema tag written into every serialized capture.
@@ -201,19 +201,6 @@ impl PacketCapture {
             ),
         ])
     }
-
-    /// Extracts the `records` array (as raw Json values) from a
-    /// serialized capture, for diffing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] when the document is not a capture.
-    pub fn records_from_json(json: &Json) -> Result<Vec<Json>, JsonError> {
-        json.get("records")
-            .and_then(Json::as_array)
-            .map(<[Json]>::to_vec)
-            .ok_or_else(|| JsonError::conversion("capture missing 'records'"))
-    }
 }
 
 #[cfg(test)]
@@ -277,6 +264,5 @@ mod tests {
         assert_eq!(cap.matched(), 5);
         let json = cap.to_json();
         assert_eq!(json.get("stored").and_then(Json::as_u64), Some(2));
-        assert_eq!(PacketCapture::records_from_json(&json).expect("records").len(), 2);
     }
 }

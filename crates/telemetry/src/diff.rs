@@ -54,7 +54,7 @@ fn entries(doc: &Json) -> Vec<&Json> {
 /// Compares two telemetry documents entry by entry; `None` means they
 /// are identical (same entries in the same order, and — when both carry
 /// one — the same schema).
-pub fn first_divergence(a: &Json, b: &Json) -> Option<Divergence> {
+fn first_divergence(a: &Json, b: &Json) -> Option<Divergence> {
     let (sa, sb) = (a.get("schema"), b.get("schema"));
     if let (Some(sa), Some(sb)) = (sa, sb) {
         if sa != sb {

@@ -32,7 +32,7 @@ pub mod recorder;
 pub mod series;
 
 pub use capture::{CaptureFilter, CaptureRecord, PacketCapture, CAPTURE_SCHEMA};
-pub use diff::{diff_strs, first_divergence, Divergence};
+pub use diff::{diff_strs, Divergence};
 pub use event::{Category, Event};
 pub use recorder::{FlightRecorder, RECORDER_SCHEMA};
 pub use series::{SeriesSet, TimeSeries, METRICS_SCHEMA};

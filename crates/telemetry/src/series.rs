@@ -42,17 +42,6 @@ impl TimeSeries {
         self.samples.push(value);
     }
 
-    /// Adds `value` into the bin covering `time_nanos`, growing the
-    /// series with zero-filled bins as needed. This is the accumulator
-    /// form used for per-interval byte/packet counts.
-    pub fn accumulate(&mut self, time_nanos: u64, value: f64) {
-        let bin = (time_nanos / self.interval_nanos) as usize;
-        if self.samples.len() <= bin {
-            self.samples.resize(bin + 1, 0.0);
-        }
-        self.samples[bin] += value;
-    }
-
     /// The samples so far.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -66,14 +55,6 @@ impl TimeSeries {
     /// Whether no samples have been taken.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Ensures the series has at least `bins` samples (zero-filled), so
-    /// trailing silent intervals still appear in the output.
-    pub fn pad_to(&mut self, bins: usize) {
-        if self.samples.len() < bins {
-            self.samples.resize(bins, 0.0);
-        }
     }
 }
 
@@ -146,19 +127,6 @@ impl SeriesSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulate_bins_by_interval() {
-        let mut s = TimeSeries::new("bytes", 1_000_000_000); // 1 s bins
-        s.accumulate(100, 10.0); // bin 0
-        s.accumulate(999_999_999, 5.0); // still bin 0
-        s.accumulate(2_500_000_000, 7.0); // bin 2, bin 1 zero-filled
-        assert_eq!(s.samples(), &[15.0, 0.0, 7.0]);
-        s.pad_to(5);
-        assert_eq!(s.len(), 5);
-        s.pad_to(2); // never shrinks
-        assert_eq!(s.len(), 5);
-    }
 
     #[test]
     fn series_set_creates_on_first_use_and_keeps_order() {

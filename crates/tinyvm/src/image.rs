@@ -108,7 +108,7 @@ pub struct BinaryImage {
 
 impl BinaryImage {
     /// Finds the offset of the first gadget performing `op`.
-    pub fn gadget_offset(&self, op: GadgetOp) -> Option<u64> {
+    pub(crate) fn gadget_offset(&self, op: GadgetOp) -> Option<u64> {
         self.gadgets
             .iter()
             .find(|(_, g)| **g == op)
@@ -116,19 +116,19 @@ impl BinaryImage {
     }
 
     /// Static (unslid) virtual address of the first gadget performing `op`.
-    pub fn gadget_addr(&self, op: GadgetOp) -> Option<u64> {
+    pub(crate) fn gadget_addr(&self, op: GadgetOp) -> Option<u64> {
         self.gadget_offset(op).map(|o| self.text_base + o)
     }
 
     /// Whether a (possibly slid) address falls in this image's text segment
     /// given `slide`.
-    pub fn in_text(&self, addr: u64, slide: u64) -> bool {
+    pub(crate) fn in_text(&self, addr: u64, slide: u64) -> bool {
         let base = self.text_base.wrapping_add(slide);
         addr >= base && addr < base + self.text_len
     }
 
     /// Looks up the gadget at a (possibly slid) address.
-    pub fn gadget_at(&self, addr: u64, slide: u64) -> Option<GadgetOp> {
+    pub(crate) fn gadget_at(&self, addr: u64, slide: u64) -> Option<GadgetOp> {
         if !self.in_text(addr, slide) {
             return None;
         }

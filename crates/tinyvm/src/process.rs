@@ -96,7 +96,6 @@ pub struct VulnProcess {
     protections: Protections,
     slide: u64,
     alive: bool,
-    crashes: u32,
 }
 
 impl VulnProcess {
@@ -117,7 +116,6 @@ impl VulnProcess {
             protections,
             slide,
             alive: true,
-            crashes: 0,
         }
     }
 
@@ -139,11 +137,6 @@ impl VulnProcess {
     /// Whether the process is running.
     pub fn is_alive(&self) -> bool {
         self.alive
-    }
-
-    /// Times the process has crashed so far.
-    pub fn crash_count(&self) -> u32 {
-        self.crashes
     }
 
     /// Restarts a crashed process (the firmware supervisor path); a fresh
@@ -264,7 +257,6 @@ impl VulnProcess {
 
     fn crash(&mut self) {
         self.alive = false;
-        self.crashes += 1;
     }
 }
 
@@ -365,7 +357,6 @@ mod tests {
         let _ = p.deliver_input(&chain.encode());
         assert!(!p.is_alive());
         assert_eq!(p.deliver_input(b"hello"), DeliveryOutcome::Dead);
-        assert_eq!(p.crash_count(), 1);
         let mut rng = SmallRng::seed_from_u64(5);
         let old_slide = p.slide();
         p.restart(&mut rng);

@@ -14,7 +14,7 @@
 use attacker::{ExploitForge, ExploitStrategy, FileServer};
 use firmware::{CommandSet, ContainerHandle, ServiceCore};
 use malware::CncServer;
-use netsim::topology::StarTopology;
+use netsim::topology::Fabric;
 use netsim::{Application, Ctx, LinkConfig, Packet, Payload, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -124,11 +124,11 @@ impl Application for CampExploiter {
 
 fn main() {
     let mut sim = Simulator::new(99);
-    let mut star = StarTopology::new(&mut sim, "net");
+    let mut star = Fabric::star(&mut sim, "net");
 
     // The attacker hosts the usual Mirai infrastructure.
     let attacker = sim.add_node("attacker");
-    let am = star.attach(&mut sim, attacker, LinkConfig::default());
+    let am = star.attach_core(&mut sim, attacker, LinkConfig::default());
     sim.install_app(attacker, Box::new(CncServer::new()));
     let cnc = SocketAddr::new(am.addr_v4, protocols::CNC_PORT);
     sim.install_app(
@@ -142,7 +142,7 @@ fn main() {
     // The device runs our brand-new daemon under full W^X+ASLR.
     let image = Arc::new(campd_image());
     let camera = sim.add_node("smart-camera");
-    let cm = star.attach(&mut sim, camera, LinkConfig::new(400_000, Duration::from_millis(10)));
+    let cm = star.attach_core(&mut sim, camera, LinkConfig::new(400_000, Duration::from_millis(10)));
     let container = ContainerHandle::new(
         "smart-camera",
         Arch::Arm7,

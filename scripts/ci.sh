@@ -3,9 +3,10 @@
 #
 #   build        release + example builds under -D warnings, hot-path
 #                hashing gate (no bare HashMap on forwarding paths, no
-#                hasher built outside netsim::fastmap), one-document-reader
-#                gate (no hand-kept allow-list, no print -> reparse of an
-#                embedded document)
+#                hasher built outside netsim::fastmap), one-world-builder
+#                gate (links and channels are wired inside netsim only),
+#                one-document-reader gate (no hand-kept allow-list, no
+#                print -> reparse of an embedded document)
 #   test         every package's tests (`cargo test --workspace`; the
 #                bare root command runs the root package only)
 #   scale        the scale gate (crates/bench/src/bin/scale.rs, no
@@ -17,7 +18,7 @@
 #                Nothing here compares wall time with a file or another
 #                commit: speed is the repo benchmark's job (bench/)
 #   determinism  same seed -> byte-identical traces (star, multi-hop
-#                tiered, fault plan, zero-fault no-op); seed sweeps:
+#                tiered, lab Wi-Fi, fault plan, zero-fault no-op); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
 #                a repeated sweep reproduces itself; hostile argv and
 #                hostile documents (truncated, 100k-deep, out-of-range)
@@ -120,6 +121,15 @@ stage_build() {
         exit 1
     fi
 
+    # One world builder: links, channels and the address plan are wired by
+    # netsim::topology::Fabric alone, so every world — product, test or
+    # example — gets the address and route order recorded runs rely on.
+    if grep -rnE 'connect_p2p|attach_wifi|AddrAllocator::new' crates/*/src src --include='*.rs' \
+        | grep -v '^crates/netsim/src/'; then
+        echo "error: worlds are wired by netsim::topology::Fabric" >&2
+        exit 1
+    fi
+
     # One document reader (faults::plan): the members a parser allows are
     # the members it reads, so a hand-kept allow-list beside the cursor is
     # a second copy that drifts; and an embedded document goes to its
@@ -174,6 +184,13 @@ stage_determinism() {
     # tables) on every forwarded packet.
     run_traced "$trace_a" --topology tiered:3:10000000
     run_traced "$trace_b" --topology tiered:3:10000000
+    $DDOSIM trace diff "$trace_a" "$trace_b"
+
+    # And on the lab world (Fig. 4's hardware arm): a shared, lossy Wi-Fi
+    # medium whose backoff, collision and frame-loss draws all come from
+    # the event stream.
+    run_traced "$trace_a" --topology wifi
+    run_traced "$trace_b" --topology wifi
     $DDOSIM trace diff "$trace_a" "$trace_b"
 
     # Fault-plan smoke: a C&C outage mid-run must land in the flight

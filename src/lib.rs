@@ -25,5 +25,4 @@ pub use protocols;
 pub use scenario;
 pub use serve;
 pub use telemetry;
-pub use testbed;
 pub use tinyvm;

@@ -5,7 +5,7 @@
 use ddosim::experiment::{crn_arms, run_arms};
 use ddosim::{AttackSpec, Recruitment, RunResult, SimulationBuilder, TopologyKind};
 use ddosim_bench::sweeps::{
-    ablation_arms, fig2_arms, fig3_arms, infection_arms, recruitment_arms, Key,
+    ablation_arms, fig2_arms, fig3_arms, fig4_arms, infection_arms, recruitment_arms, Key,
 };
 use ddosim_bench::{exp, results_dir, usecases::table1, TABLE};
 use std::path::PathBuf;
@@ -60,6 +60,21 @@ fn table1_rows_are_monotone_in_memory() {
         verdict.expect("claim holds");
     }
     assert!(out.text.contains("attack wall-clock") && !csv.contains(':'), "{}", out.text);
+}
+
+#[test]
+fn fig4_pairs_the_star_with_the_lab_medium() {
+    let arms = fig4_arms(&[2]);
+    assert_eq!(arms[0].1.topology, TopologyKind::Star);
+    assert_eq!(arms[1].1.topology, TopologyKind::Wifi);
+    let rows = run_arms(arms, 1, 79);
+    assert_eq!(rows.len(), 2, "one arm per model");
+    // Both media carry the same two bots' flood to within Fig. 4's bound.
+    let star = run_of(&rows, &["2", "ddosim"]);
+    let lab = run_of(&rows, &["2", "hardware-ref"]);
+    assert_eq!((star.infected, lab.infected), (2, 2));
+    let (d, h) = (star.avg_received_data_rate_kbps, lab.avg_received_data_rate_kbps);
+    assert!(h > 50.0 && (d - h).abs() / h < 0.35, "star {d:.0} kbps, lab {h:.0} kbps");
 }
 
 #[test]

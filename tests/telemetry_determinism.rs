@@ -122,6 +122,33 @@ fn capture_filter_narrows_the_capture() {
 }
 
 #[test]
+fn a_packet_tap_leaves_the_capture_running() {
+    // The tap and the capture are separate observers of one stream: a
+    // world built with the capture on and then tapped (as `exp defense`
+    // taps TServer) must fill both, record for record.
+    let mut instance = SimulationBuilder::new()
+        .devs(3)
+        .attack(AttackSpec::udp_plain(Duration::from_secs(5)))
+        .attack_at(Duration::from_secs(25))
+        .sim_time(Duration::from_secs(35))
+        .seed(42)
+        .telemetry(TelemetryConfig { capture: true, ..TelemetryConfig::default() })
+        .build()
+        .expect("valid configuration");
+    let tapped = std::rc::Rc::new(std::cell::Cell::new(0u64));
+    let tap = std::rc::Rc::clone(&tapped);
+    instance.sim_mut().set_trace(Box::new(move |_| tap.set(tap.get() + 1)));
+    let handle = instance.telemetry().clone();
+    instance.run_to_completion();
+    let offered = handle
+        .capture_json()
+        .and_then(|d| d.get("offered").and_then(|o| o.as_u64()))
+        .expect("capture document");
+    assert!(tapped.get() > 0, "the tap saw nothing");
+    assert_eq!(offered, tapped.get(), "capture and tap disagree on what happened");
+}
+
+#[test]
 fn metrics_track_the_botnet_and_the_attack() {
     let handle = run(42, full_telemetry());
     let doc = handle.metrics_json().expect("sampling");
