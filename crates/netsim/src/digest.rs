@@ -12,6 +12,11 @@
 //! fixed order, so two equal states always produce equal digests and the
 //! digest of a layer never depends on hash-map iteration order (callers
 //! must feed entries in a sorted, canonical order).
+//!
+//! Each layer digests itself beside its state; [`Simulator::state_digests`]
+//! only lists them.
+
+use crate::sim::Simulator;
 
 /// Incremental FNV-1a (64-bit) hasher for simulator state digests.
 ///
@@ -78,6 +83,14 @@ impl StateHasher {
         self.write_bytes(&[u8::from(v)]);
     }
 
+    /// Folds an optional value: a presence flag, then the value by `write`.
+    pub fn write_option<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        self.write_bool(v.is_some());
+        if let Some(v) = v {
+            write(self, v);
+        }
+    }
+
     /// Folds an `f64` by its exact bit pattern.
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
@@ -106,6 +119,30 @@ impl StateHasher {
 impl Default for StateHasher {
     fn default() -> Self {
         StateHasher::new()
+    }
+}
+
+impl Simulator {
+    /// Per-layer determinism digests of everything the simulator owns,
+    /// as `(layer name, digest)` pairs in a fixed order.
+    ///
+    /// This is the core of checkpoint verification: a checkpoint stores
+    /// these digests at save time, and resume recomputes them after
+    /// replaying to the checkpoint instant. Layers are digested
+    /// separately so a mismatch names the diverging subsystem instead of
+    /// a single opaque "state differs".
+    pub fn state_digests(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("netsim.queue", self.queue_digest()),
+            ("netsim.nodes", self.nodes_digest()),
+            ("netsim.links", self.links_digest()),
+            ("netsim.wifi", self.wifi_digest()),
+            ("netsim.tcp", self.tcp_digest()),
+            ("netsim.rng", self.rng_digest()),
+            ("netsim.stats", self.stats_digest()),
+            ("apps", self.apps_digest()),
+            ("netsim.filters", self.filters_digest()),
+        ]
     }
 }
 

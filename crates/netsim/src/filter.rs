@@ -18,11 +18,21 @@
 //! implements [`PacketFilter`] and deploys as [`FilterRule::Custom`].
 
 use crate::digest::StateHasher;
+use crate::ids::NodeId;
 use crate::packet::Packet;
-use crate::sim::FilterVerdict;
+use crate::sim::Simulator;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
+
+/// Decision of an ingress filter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilterVerdict {
+    /// Let the packet through.
+    Allow,
+    /// Drop the packet (counted as [`crate::DropReason::Filtered`]).
+    Drop,
+}
 
 /// Token-bucket state for one source address inside a
 /// [`FilterRule::RateLimit`].
@@ -147,13 +157,7 @@ impl FilterRule {
             FilterRule::EgressBlock { dst, port } => {
                 h.write_bytes(&[2]);
                 h.write_ip(*dst);
-                match port {
-                    None => h.write_bool(false),
-                    Some(p) => {
-                        h.write_bool(true);
-                        h.write_u64(u64::from(*p));
-                    }
-                }
+                h.write_option(*port, |h, p| h.write_u64(u64::from(p)));
             }
             FilterRule::Blocklist => h.write_bytes(&[3]),
             FilterRule::Custom(filter) => {
@@ -211,11 +215,60 @@ impl FilterStack {
     }
 }
 
+impl Simulator {
+    /// Appends a filter rule to the node's defense stack. Rules survive
+    /// [`Simulator::fork`] and fold into the `netsim.filters` checkpoint
+    /// digest layer; they run in push order and the first drop wins.
+    pub fn push_node_filter(&mut self, node: NodeId, rule: FilterRule) {
+        self.node_filters.entry(node).or_default().push(rule);
+    }
+
+    /// Removes every filter rule from the node.
+    pub fn clear_node_filters(&mut self, node: NodeId) {
+        self.node_filters.remove(&node);
+    }
+
+    /// Number of filter rules deployed on the node.
+    pub fn node_filter_count(&self, node: NodeId) -> usize {
+        self.node_filters.get(&node).map_or(0, FilterStack::len)
+    }
+
+    /// Adds an address to the simulator-global source blocklist enforced
+    /// by [`FilterRule::Blocklist`] rules. Returns `true` if the address
+    /// was newly inserted.
+    pub fn blocklist_insert(&mut self, addr: IpAddr) -> bool {
+        self.blocklist.insert(addr)
+    }
+
+    /// Number of addresses on the global blocklist.
+    pub fn blocklist_len(&self) -> usize {
+        self.blocklist.len()
+    }
+
+    /// `netsim.filters`: defense rules and the global blocklist.
+    pub(crate) fn filters_digest(&self) -> u64 {
+        let mut h = StateHasher::new();
+        h.write_usize(self.node_filters.len());
+        for (node, stack) in &self.node_filters {
+            h.write_usize(node.index());
+            stack.state_digest(&mut h);
+        }
+        h.write_usize(self.blocklist.len());
+        for addr in &self.blocklist {
+            h.write_ip(*addr);
+        }
+        h.finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fork::ForkMap;
     use crate::packet::{Payload, TransportProto};
+    use crate::sim::tests::{two_hosts, v4, Harness};
     use std::net::SocketAddr;
+    use std::time::Duration;
 
     fn pkt(src: &str, dst: &str, payload_bytes: u32) -> Packet {
         Packet::new(
@@ -317,5 +370,89 @@ mod tests {
             h.finish()
         };
         assert_ne!(before, after, "spending tokens must change the digest");
+    }
+
+    /// Sends `count` UDP packets a → b and lets them arrive.
+    fn send_to_b(sim: &mut Simulator, a: NodeId, count: usize) {
+        for _ in 0..count {
+            let packet = Packet::new(
+                SocketAddr::new(v4(1), 1000),
+                SocketAddr::new(v4(2), 9),
+                TransportProto::Udp,
+                Payload::empty(),
+                28,
+                100,
+            );
+            sim.send_from_node(a, packet);
+        }
+        sim.run_until(sim.now() + Duration::from_secs(1));
+    }
+
+    /// Drops every second arrival: the count is state a verdict depends on.
+    #[derive(Debug, Clone, Default)]
+    struct EveryOther {
+        seen: u64,
+    }
+
+    impl PacketFilter for EveryOther {
+        fn verdict(&mut self, _packet: &Packet, _now: SimTime) -> FilterVerdict {
+            self.seen += 1;
+            if self.seen.is_multiple_of(2) {
+                FilterVerdict::Drop
+            } else {
+                FilterVerdict::Allow
+            }
+        }
+        fn fork(&self) -> Box<dyn PacketFilter> {
+            Box::new(self.clone())
+        }
+        fn state_digest(&self, h: &mut StateHasher) {
+            h.write_u64(self.seen);
+        }
+    }
+
+    #[test]
+    fn custom_filter_state_is_digested_and_forks_independently() {
+        let Harness { mut sim, a, b } = two_hosts(1_000_000);
+        sim.push_node_filter(b, FilterRule::Custom(Box::new(EveryOther::default())));
+        let fresh = sim.filters_digest();
+        send_to_b(&mut sim, a, 3);
+        assert_eq!(sim.stats().dropped_filtered, 1, "second of three arrivals dropped");
+        assert_ne!(sim.filters_digest(), fresh, "the filter's count is in the digest");
+
+        let mut fork = sim.fork(&ForkMap::new()).expect("a world with a custom filter forks");
+        assert_eq!(fork.filters_digest(), sim.filters_digest());
+        // The parent's fourth arrival is dropped; the fork's copy has not
+        // seen it, and drops its own fourth arrival the same way.
+        send_to_b(&mut sim, a, 1);
+        assert_eq!(sim.stats().dropped_filtered, 2);
+        assert_eq!(fork.stats().dropped_filtered, 1);
+        assert_ne!(fork.filters_digest(), sim.filters_digest());
+        send_to_b(&mut fork, a, 1);
+        assert_eq!(fork.stats().dropped_filtered, 2);
+        assert_eq!(fork.filters_digest(), sim.filters_digest());
+    }
+
+    /// Adding the `Custom` rule kind must not move the digest of worlds
+    /// that deploy none: stored checkpoints keep verifying.
+    #[test]
+    fn filters_digest_of_plain_rules_is_pinned() {
+        let Harness { mut sim, a, b } = two_hosts(1_000_000);
+        sim.push_node_filter(
+            b,
+            FilterRule::RateLimit {
+                rate_bps: 8_000,
+                burst_bytes: 200,
+                buckets: BTreeMap::new(),
+            },
+        );
+        sim.push_node_filter(b, FilterRule::EgressBlock { dst: v4(9), port: Some(80) });
+        sim.push_node_filter(a, FilterRule::Blocklist);
+        sim.blocklist_insert(v4(7));
+        send_to_b(&mut sim, a, 2);
+        assert_eq!(sim.stats().dropped_filtered, 1, "burst admits one 128-byte packet");
+        assert_eq!(sim.filters_digest(), 6028806669543305158);
+        let layers = sim.state_digests();
+        assert_eq!(layers[8], ("netsim.filters", 6028806669543305158));
     }
 }

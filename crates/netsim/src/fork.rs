@@ -197,7 +197,7 @@ impl std::fmt::Debug for dyn ForkableCall {
 /// The one production [`ForkableCall`] shape: captured data plus a `fn`
 /// pointer. Built by [`Simulator::schedule_forkable_call`].
 ///
-/// [`Simulator::schedule_forkable_call`]: crate::sim::Simulator::schedule_forkable_call
+/// [`Simulator::schedule_forkable_call`]: crate::Simulator::schedule_forkable_call
 pub struct ForkableFn<T: ForkClone + 'static> {
     /// Captured state, cloned through the fork map on fork.
     pub data: T,

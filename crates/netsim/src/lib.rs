@@ -64,6 +64,7 @@ pub mod equeue;
 pub mod fastmap;
 pub mod filter;
 pub mod fork;
+mod forward;
 pub mod ids;
 pub mod intern;
 pub mod link;
@@ -74,19 +75,20 @@ pub mod stats;
 pub mod tcp;
 pub mod time;
 pub mod topology;
+mod transport;
 pub mod wifi;
 
-pub use app::{Application, NullApp};
+pub use app::{Application, Ctx, NullApp};
 pub use digest::StateHasher;
 pub use equeue::{EventQueue, ReferenceQueue, TimeOrderedQueue};
 pub use fastmap::{FastBuildHasher, FastMap, FastSet};
-pub use filter::{FilterRule, FilterStack, PacketFilter, TokenBucket};
+pub use filter::{FilterRule, FilterStack, FilterVerdict, PacketFilter, TokenBucket};
 pub use fork::{ForkClone, ForkMap, ForkableCall, ForkableFn};
 pub use ids::{AppId, ChannelId, IfaceId, LinkId, NodeId};
 pub use intern::{NameId, NameInterner};
 pub use link::LinkConfig;
 pub use packet::{Packet, Payload, TransportProto};
-pub use sim::{Ctx, FilterVerdict, NetError, Simulator};
+pub use sim::{NetError, Simulator};
 pub use stats::{DropReason, Stats, TraceHook, TraceKind, TraceRecord};
 pub use tcp::{ConnId, TcpError, TcpEvent};
 pub use telemetry::{Category, Telemetry, TelemetryConfig};

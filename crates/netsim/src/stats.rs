@@ -1,5 +1,6 @@
 //! Global simulation statistics and the packet trace hook.
 
+use crate::digest::StateHasher;
 use crate::ids::NodeId;
 use crate::packet::{Packet, TransportProto};
 use crate::time::SimTime;
@@ -102,6 +103,9 @@ pub struct Stats {
     pub peak_buffered_bytes: u64,
     /// Total events executed.
     pub events_executed: u64,
+    /// Bytes waiting in link and station queues right now, kept by
+    /// [`Stats::queued`] and [`Stats::dequeued`] alone.
+    buffered_bytes: u64,
 }
 
 impl Stats {
@@ -113,16 +117,7 @@ impl Stats {
     /// delivery outcome, not to the flush). Multicast breaks the equality
     /// by design: one sent packet may be delivered at many nodes.
     pub fn total_dropped(&self) -> u64 {
-        self.dropped_queue_overflow
-            + self.dropped_node_down
-            + self.dropped_ttl
-            + self.dropped_no_route
-            + self.dropped_port_unreachable
-            + self.dropped_wifi_retries
-            + self.dropped_wifi_loss
-            + self.dropped_filtered
-            + self.dropped_link_down
-            + self.dropped_link_loss
+        DropReason::ALL.iter().map(|&reason| self.drop_count(reason)).sum()
     }
 
     /// Charges one drop to its per-reason counter. Every drop site in
@@ -141,6 +136,52 @@ impl Stats {
             DropReason::Filtered => self.dropped_filtered += 1,
             DropReason::LinkDown => self.dropped_link_down += 1,
             DropReason::LinkLoss => self.dropped_link_loss += 1,
+        }
+    }
+
+    /// A queue took `bytes` in. Every link and station queue mutator
+    /// reports here or to [`Stats::dequeued`] as it changes its own count:
+    /// the one place buffered bytes and their high-water mark (Table I's
+    /// attack-memory column) move.
+    pub(crate) fn queued(&mut self, bytes: u64) {
+        self.buffered_bytes += bytes;
+        self.peak_buffered_bytes = self.peak_buffered_bytes.max(self.buffered_bytes);
+    }
+
+    /// A queue let `bytes` go (transmitted, dropped or flushed).
+    pub(crate) fn dequeued(&mut self, bytes: u64) {
+        debug_assert!(bytes <= self.buffered_bytes, "queue released bytes it never reported");
+        self.buffered_bytes -= bytes;
+    }
+
+    /// Bytes waiting in link and station queues right now.
+    pub(crate) fn buffered_bytes(&self) -> u64 {
+        self.buffered_bytes
+    }
+
+    /// Folds every digested counter, in the order stored checkpoints
+    /// were written with (`wifi_collisions` sits among the drops).
+    pub(crate) fn state_digest(&self, h: &mut StateHasher) {
+        for v in [
+            self.packets_sent,
+            self.packets_delivered,
+            self.bytes_delivered,
+            self.dropped_queue_overflow,
+            self.dropped_node_down,
+            self.dropped_ttl,
+            self.dropped_no_route,
+            self.dropped_port_unreachable,
+            self.wifi_collisions,
+            self.dropped_wifi_retries,
+            self.dropped_wifi_loss,
+            self.dropped_filtered,
+            self.dropped_link_down,
+            self.dropped_link_loss,
+            self.peak_buffered_bytes,
+            self.events_executed,
+            self.buffered_bytes,
+        ] {
+            h.write_u64(v);
         }
     }
 
@@ -286,5 +327,66 @@ mod tests {
         let s = Stats::default();
         assert_eq!(s.packets_sent, 0);
         assert_eq!(s.total_dropped(), 0);
+    }
+
+    /// `buffered_bytes()` is exactly the bytes the queues hold, at every
+    /// pause of a world that exercises every queue mutator: four stations
+    /// shaped to 500 kbps overrun their station queues and, together, the
+    /// 1 Mbps link behind the access point; a station and that link flap
+    /// with frames queued, and the link loses frames for a second.
+    #[test]
+    fn queue_accounting_is_exact_at_every_pause() {
+        use crate::sim::tests::{Blaster, Sink};
+        use crate::topology::Fabric;
+        use crate::{LinkConfig, SimTime, Simulator, WifiConfig};
+        use std::time::Duration;
+
+        let mut sim = Simulator::new(11);
+        let mut cell = Fabric::wifi(&mut sim, "ap", WifiConfig::default());
+        let server = sim.add_node("server");
+        let bottleneck = LinkConfig::new(1_000_000, Duration::from_millis(2));
+        let to = cell.attach_core(&mut sim, server, bottleneck).addr_v4;
+        sim.install_app(server, Box::new(Sink::default()));
+        let shaped = LinkConfig::new(500_000, Duration::ZERO);
+        let stations: Vec<_> = (0..4)
+            .map(|i| {
+                let dev = sim.add_node(format!("dev-{i}"));
+                cell.attach_dev(&mut sim, i, dev, shaped.clone());
+                sim.install_app(dev, Box::new(Blaster::new(to, 1500, Duration::from_millis(1))));
+                dev
+            })
+            .collect();
+        let link = sim.node_p2p_links(server)[0];
+        let at = |ms| SimTime::from_millis(ms);
+        sim.schedule_forkable_call(at(500), "test.loss", link, |sim, l| sim.set_link_loss(l, 0.3));
+        sim.schedule_forkable_call(at(1500), "test.loss", link, |sim, l| sim.set_link_loss(l, 0.0));
+        for (ms, up) in [(1050, false), (1600, true)] {
+            let flap = (stations[1], up);
+            sim.schedule_forkable_call(at(ms), "test.node", flap, |sim, (n, up)| sim.set_node_admin(n, up));
+        }
+        for (ms, up) in [(2030, false), (2500, true)] {
+            sim.schedule_forkable_call(at(ms), "test.link", (link, up), |sim, (l, up)| sim.set_link_admin(l, up));
+        }
+
+        let mut busiest = 0;
+        for pause in 1..=60 {
+            sim.run_until(at(pause * 100));
+            let queued = sim.links.iter().map(|l| l.buffered_bytes()).sum::<u64>()
+                + sim.channels.iter().map(|c| c.buffered_bytes()).sum::<u64>();
+            assert_eq!(sim.buffered_bytes(), queued, "at {pause}00 ms");
+            assert!(queued <= sim.stats().peak_buffered_bytes, "at {pause}00 ms");
+            busiest = busiest.max(queued);
+        }
+        let s = sim.stats();
+        assert!(busiest > 100_000, "queues must have been busy, peaked at {busiest} B");
+        for reason in [
+            DropReason::QueueOverflow,
+            DropReason::NodeDown,
+            DropReason::LinkDown,
+            DropReason::LinkLoss,
+        ] {
+            assert!(s.drop_count(reason) > 0, "{reason:?} must have happened");
+        }
+        assert_eq!(sim.buffered_bytes(), 0, "drained by 6 s");
     }
 }

@@ -95,8 +95,8 @@ pub struct Fabric {
 
 fn add_router(sim: &mut Simulator, name: impl Into<String>) -> NodeId {
     let router = sim.add_node(name);
-    sim.set_forwarding(router, true);
-    sim.set_multicast_relay(router, true);
+    sim.nodes.forwarding[router.index()] = true;
+    sim.nodes.forward_multicast[router.index()] = true;
     router
 }
 
@@ -234,7 +234,7 @@ mod tests {
     use super::*;
     use crate::app::Application;
     use crate::packet::{Packet, Payload};
-    use crate::sim::Ctx;
+    use crate::app::Ctx;
     use crate::time::SimTime;
     use std::net::SocketAddr;
     use std::time::Duration;

@@ -2,8 +2,9 @@
 # Tier-1 gate, split into named stages:
 #
 #   build        release + example builds under -D warnings, hot-path
-#                hashing gate (no bare HashMap on forwarding paths, no
-#                hasher built outside netsim::fastmap), one-world-builder
+#                hashing gate (no bare HashMap in any netsim file but
+#                fastmap.rs, no hasher built outside it), seam gate (no
+#                netsim file over 800 non-test lines), one-world-builder
 #                gate (links and channels are wired inside netsim only),
 #                one-document-reader gate (no hand-kept allow-list, no
 #                print -> reparse of an embedded document)
@@ -102,8 +103,16 @@ stage_build() {
     # struct-of-arrays; a `name: String` field would silently reintroduce a
     # heap allocation per node and blow the 2 KiB/device memory budget
     # (which the scale stage measures).
-    for hot in sim.rs node.rs tcp.rs fork.rs intern.rs; do
-        hot=crates/netsim/src/$hot
+    # The gate walks the crate by glob (everything but fastmap.rs, which
+    # defines the wrappers), so it follows files as they split or move; a
+    # path that does not exist — the glob matched nothing — fails loudly
+    # instead of letting `grep` exit 2 pass for "no match".
+    for hot in crates/netsim/src/*.rs; do
+        [ "$hot" = crates/netsim/src/fastmap.rs ] && continue
+        if [ ! -f "$hot" ]; then
+            echo "error: hot-path gate: $hot does not exist" >&2
+            exit 1
+        fi
         if grep -n 'HashMap' "$hot"; then
             echo "error: $hot mentions HashMap; hot paths use netsim::fastmap::FastMap" >&2
             exit 1
@@ -113,6 +122,15 @@ stage_build() {
             exit 1
         fi
     done
+    # Seams: no file of the simulator holds more than 800 non-test lines
+    # (scripts/size.sh prints the largest; sim.rs was 1,815 before the
+    # kernel was split along its layers).
+    largest=$(scripts/size.sh | sed -n 's/^largest netsim file: \([0-9]*\) .*/\1/p')
+    if [ -z "$largest" ] || [ "$largest" -gt 800 ]; then
+        scripts/size.sh | tail -1 >&2
+        echo "error: a file under crates/netsim/src exceeds 800 non-test lines; split it along a layer" >&2
+        exit 1
+    fi
     # One hasher, defined once: a second BuildHasher in netsim would dodge
     # fastmap.rs's distribution tests (the scale cliff was one such hasher).
     if grep -rnE 'BuildHasherDefault|RandomState' crates/netsim/src --include='*.rs' \

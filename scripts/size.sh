@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tracked size numbers (ROADMAP: "Net LoC and public-API size are tracked
 # numbers"): non-test Rust lines and `pub fn` count over crates/*/src and
-# src/. A file's test code is everything from its first unindented
+# src/, and the largest file of the simulator (scripts/ci.sh build holds
+# it under 800: a layer is a module). A file's test code is everything from its first unindented
 # `#[cfg(test)]` line on (unit-test modules close their files throughout
 # this workspace); tests/, benches/ and examples/ directories are not counted.
 #
@@ -16,5 +17,9 @@ find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     in_tests { next }
     { lines++ }
     /^[[:space:]]*pub fn / { fns++ }
-    END { printf "non-test Rust lines: %d\npub fn: %d\n", lines, fns }
+    FILENAME ~ /^crates\/netsim\/src\// && ++per[FILENAME] > max { max = per[FILENAME]; big = FILENAME }
+    END {
+        printf "non-test Rust lines: %d\npub fn: %d\n", lines, fns
+        printf "largest netsim file: %d (%s)\n", max, big
+    }
 '
