@@ -13,7 +13,7 @@ use crate::packet::Packet;
 use crate::sim::{Event, Simulator};
 use crate::stats::{DropReason, TraceKind, TraceRecord};
 use std::net::IpAddr;
-use telemetry::Category;
+use telemetry::{Category, Detail};
 
 /// The forwarding layer's event: a frame arrives at an interface.
 #[derive(Debug, Clone)]
@@ -137,15 +137,12 @@ impl Simulator {
             self.now().as_nanos(),
             Some(node.index() as u32),
             Category::LinkDrop,
-            || {
-                format!(
-                    "{} pkt {} {} -> {} ({}B)",
-                    reason.as_str(),
-                    pkt.id,
-                    pkt.src,
-                    pkt.dst,
-                    pkt.wire_bytes()
-                )
+            || Detail::LinkDrop {
+                reason: reason.as_str(),
+                pkt: pkt.id,
+                src: (pkt.src.ip(), pkt.src.port()),
+                dst: (pkt.dst.ip(), pkt.dst.port()),
+                wire_bytes: pkt.wire_bytes(),
             },
         );
         self.trace(TraceKind::Dropped(reason), node, pkt);

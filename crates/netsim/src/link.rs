@@ -23,7 +23,7 @@ use crate::time::tx_delay;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::time::Duration;
-use telemetry::Category;
+use telemetry::{Category, Detail};
 
 /// Configuration of one point-to-point link (applies to both directions).
 #[derive(Debug, Clone, PartialEq)]
@@ -341,7 +341,8 @@ impl Simulator {
         let now = self.now();
         let pid = packet.id;
         self.telemetry.record_event(now.as_nanos(), Some(node.index() as u32), Category::LinkTx, || {
-            format!("link {} side {side} pkt {pid} {wire}B", link.index())
+            let (link, side) = (link.index() as u32, side as u8);
+            Detail::LinkTx { link, side, pkt: pid, wire_bytes: wire as u32 }
         });
         self.schedule(now + txd, Event::Link(LinkEvent::TxComplete { link, side, gen }));
         // Injected wired loss mirrors the Wi-Fi loss model: the frame

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::IpAddr;
 use std::time::Duration;
-use telemetry::{Category, Telemetry};
+use telemetry::{Category, Detail, Telemetry};
 
 /// Errors surfaced by simulator configuration and socket operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,7 +318,7 @@ impl Simulator {
                     let delta = sweeps - self.reported_sweeps;
                     self.reported_sweeps = sweeps;
                     self.telemetry.record_event(self.now.as_nanos(), None, Category::QueueSweep, || {
-                        format!("{delta} overdue overflow events swept (lifetime {sweeps})")
+                        Detail::QueueSweep { swept: delta, lifetime: sweeps }
                     });
                 }
             }

@@ -9,7 +9,7 @@ use crate::packet::{Packet, TransportProto};
 use crate::sim::{Event, Simulator};
 use crate::stats::{DropReason, TraceKind};
 use crate::tcp::{TcpAction, TcpStack};
-use telemetry::Category;
+use telemetry::{Category, Detail};
 
 /// The transport layer's event: a connection's retransmission timer.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +86,7 @@ impl Simulator {
                 self.now().as_nanos(),
                 Some(node.index() as u32),
                 Category::TcpRetransmit,
-                || format!("conn {conn} rto fired for seq {seq}"),
+                || Detail::TcpRetransmit { conn, seq },
             );
         }
         self.process_tcp_actions(node, actions);

@@ -26,7 +26,7 @@ use crate::time::{tx_delay, SimTime};
 use rand::Rng;
 use std::collections::VecDeque;
 use std::time::Duration;
-use telemetry::Category;
+use telemetry::{Category, Detail};
 
 /// Configuration of a shared Wi-Fi-like channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -293,12 +293,12 @@ impl Simulator {
             now.as_nanos(),
             Some(node.index() as u32),
             Category::WifiBackoff,
-            || {
-                format!(
-                    "chan {} station {station} backoff {backoff_slots}/{cw} slots, attempt at {}ns",
-                    chan.index(),
-                    at.as_nanos()
-                )
+            || Detail::WifiBackoff {
+                chan: chan.index() as u32,
+                station: station as u32,
+                slots: backoff_slots,
+                cw,
+                attempt_nanos: at.as_nanos(),
             },
         );
         self.schedule(at, Event::Wifi(WifiEvent::Attempt { chan, station }));
@@ -333,11 +333,10 @@ impl Simulator {
                 now.as_nanos(),
                 Some(node.index() as u32),
                 Category::WifiCollision,
-                || {
-                    format!(
-                        "chan {} station {station} collided (retries exceeded: {retries_exceeded})",
-                        chan.index()
-                    )
+                || Detail::WifiCollision {
+                    chan: chan.index() as u32,
+                    station: station as u32,
+                    retries_exceeded,
                 },
             );
             if retries_exceeded {

@@ -372,12 +372,8 @@ fn run_job(job: &Job) -> Result<(), String> {
         // and the like) before any sink could exist; stream that ring
         // prefix first, then tap the recorder live for the rest —
         // together they are the run's complete event sequence.
-        if let Some(snapshot) = tele.recorder_json() {
-            let prefix = telemetry::FlightRecorder::events_from_json(&snapshot)
-                .map_err(|e| format!("recorder snapshot: {e}"))?;
-            for event in &prefix {
-                send_frame(&job.out, protocol::frame_event(&job.id, event));
-            }
+        for event in &tele.recorded_events() {
+            send_frame(&job.out, protocol::frame_event(&job.id, event));
         }
         let out = job.out.clone();
         let id = job.id.clone();

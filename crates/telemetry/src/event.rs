@@ -1,12 +1,18 @@
 //! Structured flight-recorder events.
 //!
 //! An [`Event`] is deliberately layer-agnostic: sim-time as raw
-//! nanoseconds, the node as a raw index, and the payload as a
-//! preformatted string. That keeps this crate free of any dependency on
-//! netsim/firmware/malware types so every layer can emit into the same
-//! recorder without a dependency cycle.
+//! nanoseconds, the node as a raw index, and the payload as text. That
+//! keeps this crate free of any dependency on netsim/firmware/malware
+//! types so every layer can emit into the same recorder without a
+//! dependency cycle.
+//!
+//! `Event` is the *rendered* form — what a sink, `events()`, a parsed
+//! trace and `trace diff` see. What goes *into* the recorder is a
+//! [`Detail`], whose sentence is written only when someone reads it.
 
 use djson::{FromJson, Json, JsonError, ToJson};
+use std::fmt;
+use std::net::{IpAddr, SocketAddr};
 
 /// What kind of thing happened. One variant per instrumentation site
 /// class across the stack (netsim, firmware, malware, core).
@@ -112,7 +118,82 @@ impl Category {
     }
 }
 
-/// One flight-recorder entry.
+/// What an event says, as handed to the recorder. The sentences that
+/// dominate a recorded run (a flood's `link_tx`/`link_drop`, tcp-lite's
+/// retransmits, queue sweeps, Wi-Fi contention) arrive as the plain
+/// values they are made of; `Display` is each sentence's one definition
+/// and runs only where the text is read. The rest is [`Detail::Text`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Detail {
+    /// An already formatted sentence (every cold site).
+    Text(String),
+    /// `link 2 side 0 pkt 1 58B`
+    LinkTx { link: u32, side: u8, pkt: u64, wire_bytes: u32 },
+    /// `queue_overflow pkt 37 10.0.0.7:80 -> 10.0.0.11:49153 (121136B)`;
+    /// `(ip, port)` prints as a `SocketAddr` and two are 24 bytes smaller.
+    LinkDrop { reason: &'static str, pkt: u64, src: (IpAddr, u16), dst: (IpAddr, u16), wire_bytes: u32 },
+    /// `conn 2 rto fired for seq 1`
+    TcpRetransmit { conn: u64, seq: u64 },
+    /// `10 overdue overflow events swept (lifetime 2158958)`
+    QueueSweep { swept: u64, lifetime: u64 },
+    /// `chan 0 station 1 backoff 6/16 slots, attempt at 110088000ns`
+    WifiBackoff { chan: u32, station: u32, slots: u32, cw: u32, attempt_nanos: u64 },
+    /// `chan 0 station 2 collided (retries exceeded: false)`
+    WifiCollision { chan: u32, station: u32, retries_exceeded: bool },
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Detail::Text(ref s) => f.write_str(s),
+            Detail::LinkTx { link, side, pkt, wire_bytes } => {
+                write!(f, "link {link} side {side} pkt {pkt} {wire_bytes}B")
+            }
+            Detail::LinkDrop { reason, pkt, src, dst, wire_bytes } => {
+                let (src, dst) = (SocketAddr::from(src), SocketAddr::from(dst));
+                write!(f, "{reason} pkt {pkt} {src} -> {dst} ({wire_bytes}B)")
+            }
+            Detail::TcpRetransmit { conn, seq } => write!(f, "conn {conn} rto fired for seq {seq}"),
+            Detail::QueueSweep { swept, lifetime } => {
+                write!(f, "{swept} overdue overflow events swept (lifetime {lifetime})")
+            }
+            Detail::WifiBackoff { chan, station, slots, cw, attempt_nanos: at } => {
+                write!(f, "chan {chan} station {station} backoff {slots}/{cw} slots, attempt at {at}ns")
+            }
+            Detail::WifiCollision { chan, station, retries_exceeded } => {
+                write!(f, "chan {chan} station {station} collided (retries exceeded: {retries_exceeded})")
+            }
+        }
+    }
+}
+
+impl Detail {
+    /// The sentence; a [`Detail::Text`] gives up its string as it is.
+    /// Fields are written into room for 64 bytes — all but a v6 drop in
+    /// one allocation, where `to_string` grows 8 → 16 → 32 → 64 and read a
+    /// sixth slower under a sink.
+    pub(crate) fn into_text(self) -> String {
+        #[cfg(test)]
+        tests::RENDERS.with(|n| n.set(n.get() + 1));
+        match self {
+            Detail::Text(text) => text,
+            fields => {
+                let mut text = String::with_capacity(64);
+                fmt::Write::write_fmt(&mut text, format_args!("{fields}"))
+                    .expect("writing to a String does not fail");
+                text
+            }
+        }
+    }
+}
+
+impl From<String> for Detail {
+    fn from(text: String) -> Self {
+        Detail::Text(text)
+    }
+}
+
+/// One flight-recorder entry, rendered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Simulated time in nanoseconds.
@@ -129,21 +210,22 @@ pub struct Event {
     pub detail: String,
 }
 
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
+impl Event {
+    /// The serialized entry; the text is moved into it, not copied.
+    pub(crate) fn into_json(self) -> Json {
         Json::obj([
             ("t", Json::U64(self.time_nanos)),
             ("seq", Json::U64(self.seq)),
-            (
-                "node",
-                match self.node {
-                    Some(n) => Json::U64(u64::from(n)),
-                    None => Json::Null,
-                },
-            ),
+            ("node", self.node.map_or(Json::Null, |n| Json::U64(u64::from(n)))),
             ("cat", Json::Str(self.category.as_str().into())),
-            ("detail", Json::Str(self.detail.clone())),
+            ("detail", Json::Str(self.detail)),
         ])
+    }
+}
+
+impl ToJson for Event {
+    fn to_json(&self) -> Json {
+        self.clone().into_json()
     }
 }
 
@@ -162,7 +244,8 @@ impl FromJson for Event {
         let node = match json.get("node") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
-                u64::from_json(v)? as u32,
+                u32::try_from(u64::from_json(v)?)
+                    .map_err(|_| JsonError::conversion("event 'node' exceeds 4294967295"))?,
             ),
         };
         Ok(Event {
@@ -177,8 +260,11 @@ impl FromJson for Event {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    // Sentences rendered on this thread, so a test can show the ring lazy.
+    thread_local!(pub(crate) static RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
 
     #[test]
     fn category_round_trips() {
@@ -207,6 +293,99 @@ mod tests {
             assert_eq!(Category::parse(cat.as_str()), Some(cat));
         }
         assert_eq!(Category::parse("nope"), None);
+    }
+
+    /// Every sentence below was written by the commit before the ring
+    /// went lazy (from `--record` traces of the star, tiered, Wi-Fi and
+    /// fault-plan worlds, and netsim's unit worlds for the three drop
+    /// reasons no product world reaches): `Display` is pinned to them.
+    #[test]
+    fn each_arm_renders_the_sentence_the_eager_recorder_wrote() {
+        fn drop(reason: &'static str, pkt: u64, src: &str, dst: &str, wire_bytes: u32) -> Detail {
+            let addr = |s: &str| {
+                let a: SocketAddr = s.parse().expect("socket address");
+                (a.ip(), a.port())
+            };
+            Detail::LinkDrop { reason, pkt, src: addr(src), dst: addr(dst), wire_bytes }
+        }
+        let golden = [
+            (Detail::Text("$ busybox wget".into()), "$ busybox wget"),
+            (Detail::LinkTx { link: 2, side: 0, pkt: 1, wire_bytes: 58 }, "link 2 side 0 pkt 1 58B"),
+            (
+                drop("queue_overflow", 37, "10.0.0.7:80", "10.0.0.11:49153", 121_136),
+                "queue_overflow pkt 37 10.0.0.7:80 -> 10.0.0.11:49153 (121136B)",
+            ),
+            (
+                drop("node_down", 1646, "[fd00::1]:546", "[ff02::1:2]:547", 66),
+                "node_down pkt 1646 [fd00::1]:546 -> [ff02::1:2]:547 (66B)",
+            ),
+            (
+                drop("ttl_expired", 2, "10.0.0.1:1000", "10.0.0.9:9", 128),
+                "ttl_expired pkt 2 10.0.0.1:1000 -> 10.0.0.9:9 (128B)",
+            ),
+            (
+                drop("no_route", 1, "10.0.0.1:1000", "10.0.0.9:9", 128),
+                "no_route pkt 1 10.0.0.1:1000 -> 10.0.0.9:9 (128B)",
+            ),
+            (
+                drop("port_unreachable", 29, "10.0.0.19:49152", "10.0.0.1:53", 58),
+                "port_unreachable pkt 29 10.0.0.19:49152 -> 10.0.0.1:53 (58B)",
+            ),
+            (
+                drop("wifi_retry_limit", 1, "10.0.0.1:1000", "10.0.0.2:9", 128),
+                "wifi_retry_limit pkt 1 10.0.0.1:1000 -> 10.0.0.2:9 (128B)",
+            ),
+            (
+                drop("wifi_loss", 60, "[fd00::2]:546", "[fd00::8]:547", 249),
+                "wifi_loss pkt 60 [fd00::2]:546 -> [fd00::8]:547 (249B)",
+            ),
+            (
+                drop("filtered", 2192, "10.0.0.19:49152", "10.0.0.3:80", 540),
+                "filtered pkt 2192 10.0.0.19:49152 -> 10.0.0.3:80 (540B)",
+            ),
+            (
+                drop("link_down", 378, "[fd00::1]:546", "[ff02::1:2]:547", 66),
+                "link_down pkt 378 [fd00::1]:546 -> [ff02::1:2]:547 (66B)",
+            ),
+            (
+                drop("link_loss", 195, "[fd00::7]:546", "[ff02::1:2]:547", 66),
+                "link_loss pkt 195 [fd00::7]:546 -> [ff02::1:2]:547 (66B)",
+            ),
+            (Detail::TcpRetransmit { conn: 2, seq: 1 }, "conn 2 rto fired for seq 1"),
+            (
+                Detail::QueueSweep { swept: 127, lifetime: 2_370_412 },
+                "127 overdue overflow events swept (lifetime 2370412)",
+            ),
+            (
+                Detail::WifiBackoff { chan: 0, station: 1, slots: 6, cw: 16, attempt_nanos: 110_088_000 },
+                "chan 0 station 1 backoff 6/16 slots, attempt at 110088000ns",
+            ),
+            (
+                Detail::WifiCollision { chan: 0, station: 2, retries_exceeded: false },
+                "chan 0 station 2 collided (retries exceeded: false)",
+            ),
+            (
+                Detail::WifiCollision { chan: 0, station: 0, retries_exceeded: true },
+                "chan 0 station 0 collided (retries exceeded: true)",
+            ),
+        ];
+        for (detail, sentence) in golden {
+            assert_eq!(detail.to_string(), sentence);
+            assert_eq!(detail.into_text(), sentence);
+        }
+    }
+
+    #[test]
+    fn node_beyond_u32_is_refused_not_truncated() {
+        let doc = |node: &str| {
+            let text = format!(r#"{{"t":1,"seq":0,"node":{node},"cat":"phase","detail":"x"}}"#);
+            Event::from_json(&Json::parse(&text).expect("syntax"))
+        };
+        assert_eq!(doc("4294967295").expect("fits").node, Some(u32::MAX));
+        for node in ["4294967296", "4294967297"] {
+            let err = doc(node).expect_err("does not fit").to_string();
+            assert!(err.contains("node"), "{err}");
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! Everything hangs off a cheaply-cloneable [`Telemetry`] handle. The
 //! disabled handle (the default) is a `None` plus false flags, so the
 //! hot path pays one predictable branch per site and never constructs
-//! an event: detail strings are built inside closures that only run
-//! when recording is on.
+//! an event: details are built inside closures that only run when
+//! recording is on, and the recorder keeps a hot event's [`Detail`] as
+//! plain values — its sentence is rendered only when read: by `to_json`,
+//! `events()` or an attached sink.
 //!
 //! The handle uses `Rc`, not `Arc`: a simulator world is single-threaded
 //! by design (parallel sweeps build one world per thread), and `Rc`
@@ -33,7 +35,7 @@ pub mod series;
 
 pub use capture::{CaptureFilter, CaptureRecord, PacketCapture, CAPTURE_SCHEMA};
 pub use diff::{diff_strs, Divergence};
-pub use event::{Category, Event};
+pub use event::{Category, Detail, Event};
 pub use recorder::{FlightRecorder, RECORDER_SCHEMA};
 pub use series::{SeriesSet, TimeSeries, METRICS_SCHEMA};
 
@@ -194,14 +196,16 @@ impl Telemetry {
     }
 
     /// Records a flight-recorder event. `detail` only runs when the
-    /// recorder is live, so disabled runs never format anything.
+    /// recorder is live, so disabled runs build nothing; what it returns
+    /// (a `String`, or a [`Detail`] of plain values at the hot sites) is
+    /// stored as it is and rendered only when someone reads it.
     #[inline]
-    pub fn record_event(
+    pub fn record_event<D: Into<Detail>>(
         &self,
         time_nanos: u64,
         node: Option<u32>,
         category: Category,
-        detail: impl FnOnce() -> String,
+        detail: impl FnOnce() -> D,
     ) {
         if !self.records {
             return;
@@ -212,20 +216,18 @@ impl Telemetry {
             // (disjoint field borrows through the `RefMut`).
             let inner = &mut *inner;
             if let Some(rec) = inner.recorder.as_mut() {
-                let mut event =
-                    Event { time_nanos, seq: 0, node, category, detail: detail() };
-                match &inner.sink {
-                    // The sink sees the exact entry the ring stored —
-                    // same stamped sequence number, same payload — so a
-                    // streamed trace can be reassembled byte for byte.
-                    Some(sink) => {
-                        event.seq = rec.record(event.clone());
-                        (sink.borrow_mut())(&event);
-                    }
-                    None => {
-                        rec.record(event);
-                    }
+                let mut detail: Detail = detail().into();
+                if let Some(sink) = &inner.sink {
+                    // A sink reads every sentence: render it once, show the
+                    // sink the exact entry the ring is about to store (same
+                    // sequence number and payload, so a streamed trace can
+                    // be reassembled byte for byte) and keep that string.
+                    let seq = rec.total_recorded();
+                    let event = Event { time_nanos, seq, node, category, detail: detail.into_text() };
+                    (sink.borrow_mut())(&event);
+                    detail = Detail::Text(event.detail);
                 }
+                rec.push(time_nanos, node, category, detail);
             }
         }
     }
@@ -253,11 +255,19 @@ impl Telemetry {
         }
     }
 
+    fn with_recorder<T>(&self, read: impl FnOnce(&FlightRecorder) -> T) -> Option<T> {
+        self.inner.as_ref().and_then(|i| i.borrow().recorder.as_ref().map(read))
+    }
+
     /// Serialized flight-recorder trace, if recording.
     pub fn recorder_json(&self) -> Option<Json> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().recorder.as_ref().map(FlightRecorder::to_json))
+        self.with_recorder(FlightRecorder::to_json)
+    }
+
+    /// The retained flight-recorder events, rendered, oldest first
+    /// (empty when the recorder is off).
+    pub fn recorded_events(&self) -> Vec<Event> {
+        self.with_recorder(FlightRecorder::events).unwrap_or_default()
     }
 
     /// Serialized packet capture, if capturing.
@@ -317,17 +327,12 @@ impl Telemetry {
 
     /// The flight recorder's ring capacity, if recording.
     pub fn recorder_capacity(&self) -> Option<usize> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().recorder.as_ref().map(FlightRecorder::capacity))
+        self.with_recorder(FlightRecorder::capacity)
     }
 
     /// Events recorded over the run (0 when the recorder is off).
     pub fn events_recorded(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().recorder.as_ref().map(FlightRecorder::total_recorded))
-            .unwrap_or(0)
+        self.with_recorder(FlightRecorder::total_recorded).unwrap_or(0)
     }
 }
 
@@ -339,7 +344,7 @@ mod tests {
     fn disabled_handle_takes_nothing_and_never_formats() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        t.record_event(0, None, Category::Phase, || {
+        t.record_event(0, None, Category::Phase, || -> String {
             panic!("detail closure must not run when disabled")
         });
         t.capture_packet(|| panic!("capture closure must not run when disabled"));
@@ -357,13 +362,13 @@ mod tests {
         let cfg = TelemetryConfig { record: true, ..TelemetryConfig::default() };
         let t = Telemetry::from_config(&cfg);
         assert!(t.records_events() && !t.captures_packets());
-        t.record_event(5, Some(1), Category::Phase, || "init".into());
+        t.record_event(5, Some(1), Category::Phase, || "init".to_string());
         assert_eq!(t.events_recorded(), 1);
         assert!(t.capture_json().is_none());
 
         // Clones share the same collectors.
         let t2 = t.clone();
-        t2.record_event(6, Some(1), Category::Phase, || "attack".into());
+        t2.record_event(6, Some(1), Category::Phase, || "attack".to_string());
         assert_eq!(t.events_recorded(), 2);
     }
 
@@ -386,8 +391,8 @@ mod tests {
         let seen: Rc<RefCell<Vec<Event>>> = Rc::new(RefCell::new(Vec::new()));
         let tap = Rc::clone(&seen);
         t.set_event_sink(move |e| tap.borrow_mut().push(e.clone()));
-        t.record_event(5, Some(1), Category::Phase, || "init".into());
-        t.record_event(9, None, Category::Infection, || "dev1 infected".into());
+        t.record_event(5, Some(1), Category::Phase, || "init".to_string());
+        t.record_event(9, None, Category::Infection, || "dev1 infected".to_string());
         let streamed = seen.borrow().clone();
         assert_eq!(streamed.len(), 2);
         assert_eq!(streamed[0].seq, 0, "sink sees the stamped sequence number");
@@ -399,10 +404,47 @@ mod tests {
 
         // Detaching stops the stream but not the ring.
         t.clear_event_sink();
-        t.record_event(11, None, Category::Phase, || "quiet".into());
+        t.record_event(11, None, Category::Phase, || "quiet".to_string());
         assert_eq!(seen.borrow().len(), 2);
         assert_eq!(t.events_recorded(), 3);
         assert_eq!(t.recorder_capacity(), Some(65_536));
+    }
+
+    #[test]
+    fn sentences_are_rendered_only_when_read() {
+        let renders = || event::tests::RENDERS.with(std::cell::Cell::get);
+        let cfg = TelemetryConfig { record: true, recorder_capacity: 8, ..TelemetryConfig::default() };
+        let t = Telemetry::from_config(&cfg);
+        let record = |t: &Telemetry, i: u64| match i % 3 {
+            0 => t.record_event(i, None, Category::Phase, || format!("phase {i}")),
+            1 => t.record_event(i, Some(1), Category::TcpRetransmit, || Detail::TcpRetransmit {
+                conn: i,
+                seq: 1,
+            }),
+            _ => t.record_event(i, Some(2), Category::QueueSweep, || Detail::QueueSweep {
+                swept: 1,
+                lifetime: i,
+            }),
+        };
+        let before = renders();
+        (0..30).for_each(|i| record(&t, i));
+        assert_eq!(renders(), before, "recording without a sink renders nothing");
+        let fork = t.deep_fork();
+        assert_eq!(renders(), before, "nor does forking the ring");
+
+        let doc = t.recorder_json().expect("recording");
+        assert_eq!(renders(), before + 8, "to_json renders the retained window, once");
+        assert_eq!(t.recorded_events().len(), 8);
+        assert_eq!(renders(), before + 16);
+        assert_eq!(FlightRecorder::events_from_json(&doc).expect("parse"), fork.recorded_events());
+
+        // A sink reads every sentence, once, and the ring keeps that string.
+        let before = renders();
+        t.set_event_sink(|_| {});
+        (30..36).for_each(|i| record(&t, i));
+        assert_eq!(renders(), before + 6);
+        t.recorder_json().expect("recording");
+        assert_eq!(renders(), before + 6 + 8, "a stored string is copied out, not kept out");
     }
 
     #[test]
@@ -414,19 +456,19 @@ mod tests {
         t.set_event_sink(move |_| *tap.borrow_mut() += 1);
 
         // A plain clone shares the collectors, sink included.
-        t.clone().record_event(1, None, Category::Phase, || "via clone".into());
+        t.clone().record_event(1, None, Category::Phase, || "via clone".to_string());
         assert_eq!(*count.borrow(), 1);
 
         // A fork gets its own collectors and no sink.
         let fork = t.deep_fork();
-        fork.record_event(2, None, Category::Phase, || "via fork".into());
+        fork.record_event(2, None, Category::Phase, || "via fork".to_string());
         assert_eq!(*count.borrow(), 1, "forked events must not reach the sink");
         assert_eq!(fork.events_recorded(), 2, "fork keeps the parent's counter");
 
         // A disabled handle ignores sink attachment entirely.
         let off = Telemetry::disabled();
         off.set_event_sink(|_| panic!("must never fire"));
-        off.record_event(3, None, Category::Phase, || panic!("disabled"));
+        off.record_event(3, None, Category::Phase, || -> String { panic!("disabled") });
     }
 
     #[test]

@@ -19,7 +19,9 @@
 #                Nothing here compares wall time with a file or another
 #                commit: speed is the repo benchmark's job (bench/)
 #   determinism  same seed -> byte-identical traces (star, multi-hop
-#                tiered, lab Wi-Fi, fault plan, zero-fault no-op); seed sweeps:
+#                tiered, lab Wi-Fi, fault plan, zero-fault no-op), and
+#                six of them sum to tests/golden/trace_sums.txt (taken
+#                before the recorder went lazy); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
 #                a repeated sweep reproduces itself; hostile argv and
 #                hostile documents (truncated, 100k-deep, out-of-range)
@@ -191,11 +193,19 @@ stage_determinism() {
     trace_b=$work/det-b.json
     plan=$work/det-plan.json
 
+    # A run and its rerun drift together, so each world family's trace is
+    # also summed against tests/golden/trace_sums.txt: the sentences (and
+    # every other byte) of these six traces are the ones the eager
+    # recorder wrote at 14eb8d4, before details were rendered on read.
+    sums=$work/trace_sums.txt
+    sum_trace() { printf '%s %s\n' "$1" "$(cksum < "$2")" >> "$sums"; }
+
     # Identical seeds must produce byte-identical flight-recorder traces,
     # and `trace diff` must agree.
     run_traced "$trace_a"
     run_traced "$trace_b"
     $DDOSIM trace diff "$trace_a" "$trace_b"
+    sum_trace star "$trace_a"
 
     # The same determinism must hold across a multi-hop routed topology,
     # which exercises the forwarding fast path (route cache + sorted LPM
@@ -203,6 +213,7 @@ stage_determinism() {
     run_traced "$trace_a" --topology tiered:3:10000000
     run_traced "$trace_b" --topology tiered:3:10000000
     $DDOSIM trace diff "$trace_a" "$trace_b"
+    sum_trace tiered "$trace_a"
 
     # And on the lab world (Fig. 4's hardware arm): a shared, lossy Wi-Fi
     # medium whose backoff, collision and frame-loss draws all come from
@@ -210,6 +221,7 @@ stage_determinism() {
     run_traced "$trace_a" --topology wifi
     run_traced "$trace_b" --topology wifi
     $DDOSIM trace diff "$trace_a" "$trace_b"
+    sum_trace wifi "$trace_a"
 
     # Fault-plan smoke: a C&C outage mid-run must land in the flight
     # recorder (start and end), and the bots must re-register with the
@@ -238,6 +250,7 @@ PLAN
     # Determinism holds under faults: same seed + same plan -> identical trace.
     run_faulted "$trace_b"
     $DDOSIM trace diff "$trace_a" "$trace_b"
+    sum_trace faults "$trace_a"
 
     # A zero-fault plan is a strict no-op: its trace matches a run that
     # never passed --faults at all.
@@ -273,6 +286,9 @@ PLAN
         $DDOSIM trace diff "$sa" "$sb"
         mv "$sa" "$work/scn-$name.trace"
     done
+    sum_trace http_flood "$work/scn-http_flood.trace"
+    sum_trace rate_limit "$work/scn-rate_limit.trace"
+    cmp "$sums" tests/golden/trace_sums.txt
 
     # A defense-free scenario is a strict no-op: the baseline plan's trace
     # matches the same world built from plain command-line flags.

@@ -1,9 +1,11 @@
 //! Structured fuzz of every input surface (ROADMAP item 5b): the seven
-//! documents' parsers and `djson` under them survive hostile input.
+//! documents' parsers, the recorder-event reader (`event` frames, trace
+//! files) and `djson` under them survive hostile input.
 //!
 //! Seeds are the 13 checked-in `plans/*` and one each of a checkpoint, a
-//! suffix plan, a fault plan, a configuration document and a `serve`
-//! submit line, all printed by the product. Three properties:
+//! suffix plan, a fault plan, a configuration document, a `serve`
+//! submit line and a recorder event, all printed by the product. Three
+//! properties:
 //!
 //! * a mutated seed — a key deleted, renamed or duplicated; a value
 //!   replaced by a wrong-typed, negative, huge or empty one; the text
@@ -20,11 +22,12 @@ use ddosim::{
     Checkpoint, Ddosim, FaultEvent, FaultKind, FaultPlan, Recruitment, SimulationBuilder,
     SimulationConfig, SuffixPlan, SuffixSpec, TopologyKind,
 };
-use djson::{Json, ToJson};
+use djson::{FromJson, Json, ToJson};
 use proptest::prelude::*;
 use std::io::BufRead as _;
 use std::sync::OnceLock;
 use std::time::Duration;
+use telemetry::{Category, Event};
 
 /// A `ddosim.checkpoint/1` file written by a build of the commit before
 /// the one reader (`ddosim --devs 6 … --faults … --record … --capture …
@@ -35,7 +38,7 @@ const PARENT_CHECKPOINT: &str = include_str!("fixtures/checkpoint_parent.json");
 /// errors rendered the way a user sees them.
 type Parser = (&'static str, fn(&str) -> Result<(), String>);
 
-const PARSERS: [Parser; 8] = [
+const PARSERS: [Parser; 9] = [
     ("djson", |t| Json::parse(t).map(drop).map_err(|e| e.to_string())),
     ("scenario", |t| ScenarioPlan::parse(t).map(drop).map_err(String::from)),
     ("sweepgrid", |t| SweepGridPlan::parse(t).map(drop).map_err(String::from)),
@@ -47,6 +50,10 @@ const PARSERS: [Parser; 8] = [
         config_from_json(&json).map(drop).map_err(String::from)
     }),
     ("serve", |t| parse_request(t).map(drop)),
+    ("event", |t| {
+        let json = Json::parse(t).map_err(|e| e.to_string())?;
+        Event::from_json(&json).map(drop).map_err(|e| e.to_string())
+    }),
 ];
 
 fn parser(name: &str) -> Parser {
@@ -154,6 +161,14 @@ fn seeds() -> &'static [(Parser, String)] {
                 ..SubmitOptions::default()
             }),
         ));
+        let event = Event {
+            time_nanos: 28_000_000_000,
+            seq: 70_001,
+            node: Some(3),
+            category: Category::LinkDrop,
+            detail: "queue_overflow pkt 37 10.0.0.7:80 -> 10.0.0.11:49153 (121136B)".to_owned(),
+        };
+        seeds.push((parser("event"), event.to_json().to_string_compact()));
         seeds
     })
 }
@@ -322,6 +337,19 @@ fn seeds_parse_where_they_belong_and_nowhere_else() {
                 assert!(names_a_place(&err), "{} on a {name} seed: {err}", other.0);
             }
         }
+    }
+}
+
+/// A node index is 32 bits: `4294967297` used to parse as node 1.
+#[test]
+fn an_event_node_that_does_not_fit_is_refused_by_name() {
+    let (parser, text) = seeds().last().expect("the event seed");
+    assert_eq!(parser.0, "event");
+    for node in ["4294967296", "4294967297", "18446744073709551615"] {
+        let hostile = text.replace(r#""node":3"#, &format!(r#""node":{node}"#));
+        assert_ne!(&hostile, text);
+        let err = (parser.1)(&hostile).expect_err("no such node");
+        assert!(err.contains("'node'"), "{err}");
     }
 }
 

@@ -4,8 +4,12 @@
 //! must be pinpointed at its first diverging entry.
 
 use ddosim::{AttackSpec, SimulationBuilder, Telemetry, TelemetryConfig};
+use proptest::prelude::*;
+use std::cell::RefCell;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::rc::Rc;
 use std::time::Duration;
-use telemetry::{diff_strs, CaptureFilter};
+use telemetry::{diff_strs, CaptureFilter, Category, Detail, Event, FlightRecorder};
 
 fn full_telemetry() -> TelemetryConfig {
     TelemetryConfig {
@@ -183,4 +187,80 @@ fn disabled_telemetry_collects_nothing() {
     assert_eq!(handle.capture_json(), None);
     assert_eq!(handle.metrics_json(), None);
     assert_eq!(handle.events_recorded(), 0);
+}
+
+/// One arbitrary detail per arm, from three raw draws.
+fn shape_detail(a: u64, b: u64, c: u64) -> Detail {
+    let addr = |x: u64| match x % 2 {
+        0 => (IpAddr::V4(Ipv4Addr::from(x as u32)), (x >> 32) as u16),
+        _ => (IpAddr::V6(Ipv6Addr::from(u128::from(x) << 64 | u128::from(!x))), (x >> 7) as u16),
+    };
+    match a % 7 {
+        0 => Detail::Text(format!("text {b} \"quoted\" \\ {c}")),
+        1 => Detail::LinkTx { link: b as u32, side: (c % 2) as u8, pkt: c, wire_bytes: (b >> 32) as u32 },
+        2 => Detail::LinkDrop {
+            reason: ["queue_overflow", "node_down", "filtered"][(a / 7 % 3) as usize],
+            pkt: a,
+            src: addr(b),
+            dst: addr(c),
+            wire_bytes: b as u32,
+        },
+        3 => Detail::TcpRetransmit { conn: b, seq: c },
+        4 => Detail::QueueSweep { swept: b, lifetime: c },
+        5 => Detail::WifiBackoff {
+            chan: a as u32,
+            station: b as u32,
+            slots: c as u32,
+            cw: (c >> 32) as u32,
+            attempt_nanos: b,
+        },
+        _ => Detail::WifiCollision { chan: b as u32, station: c as u32, retries_exceeded: a % 2 == 0 },
+    }
+}
+
+proptest! {
+    /// The ring that keeps fields and renders late is indistinguishable
+    /// from one fed every sentence up front: same document at any
+    /// capacity and any number of wraps, before and after a fork, and a
+    /// sink attached mid-stream sees exactly the entries stored from then on.
+    #[test]
+    fn lazy_ring_equals_a_ring_fed_rendered_events(
+        capacity in 1usize..=64,
+        draws in proptest::collection::vec(any::<u64>(), 0..900),
+    ) {
+        let lazy = Telemetry::from_config(&TelemetryConfig {
+            record: true,
+            recorder_capacity: capacity,
+            ..TelemetryConfig::default()
+        });
+        let mut eager = FlightRecorder::new(capacity);
+        let streamed: Rc<RefCell<Vec<Event>>> = Rc::default();
+        let raws: Vec<&[u64]> = draws.chunks_exact(3).collect();
+        let sink_from = raws.len() / 2;
+        for (i, &raw) in raws.iter().enumerate() {
+            let (a, b, c) = (raw[0], raw[1], raw[2]);
+            if i == sink_from {
+                let tap = Rc::clone(&streamed);
+                lazy.set_event_sink(move |e| tap.borrow_mut().push(e.clone()));
+            }
+            let time_nanos = i as u64 * 10;
+            let node = (a % 5 != 0).then_some(b as u32);
+            let category = if a % 7 == 0 { Category::Phase } else { Category::LinkDrop };
+            lazy.record_event(time_nanos, node, category, || shape_detail(a, b, c));
+            let detail = shape_detail(a, b, c).to_string();
+            eager.record(Event { time_nanos, seq: u64::MAX, node, category, detail });
+        }
+        let expected = eager.to_json().to_string_compact();
+        let fork = lazy.deep_fork();
+        prop_assert_eq!(&lazy.recorder_json().expect("recording").to_string_compact(), &expected);
+        prop_assert_eq!(&fork.recorder_json().expect("recording").to_string_compact(), &expected);
+        prop_assert_eq!(lazy.recorded_events(), eager.events());
+
+        // What the sink saw, cut to the window the ring still holds.
+        let streamed = streamed.borrow();
+        prop_assert_eq!(streamed.len(), raws.len() - sink_from);
+        let stored = eager.events();
+        let kept = stored.len().min(streamed.len());
+        prop_assert_eq!(&streamed[streamed.len() - kept..], &stored[stored.len() - kept..]);
+    }
 }
