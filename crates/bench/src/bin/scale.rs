@@ -36,7 +36,7 @@ const REPS: usize = 5;
 
 /// Floor of packets/s at [`MEDIUM`] ÷ packets/s at [`SMALL`]. Ten runs at
 /// PR 20 read 0.44–0.50 (the larger world misses cache and keeps 20× the
-/// timers in the event queue's overflow heap); with `FastHasher::finish`
+/// timers in the event queue's heap); with `FastHasher::finish`
 /// returning the raw product again (PR 14's bug: every per-device table a
 /// linear scan) eight runs read 0.22–0.27.
 const RUN_FLOOR: f64 = 0.35;

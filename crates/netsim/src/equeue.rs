@@ -1,15 +1,18 @@
 //! The simulator's event queue: a bucketed calendar queue whose drained
-//! bucket is a sorted run, with a late heap and an overflow heap, plus the
-//! straightforward binary-heap reference model it replaced.
+//! bucket is a sorted run, with one heap for every event outside the
+//! wheel's window, plus the straightforward binary-heap reference model it
+//! replaced.
 //!
 //! # Why not a plain `BinaryHeap`
 //!
 //! The hot path of a discrete-event network simulator is `push`/`pop` on the
 //! future-event set. A binary heap pays `O(log n)` per push with poor cache
 //! locality once `n` reaches the hundreds of thousands of pending events a
-//! large botnet scenario produces. Most events, however, are scheduled a
-//! short, bounded time into the future (transmission completions, MAC slots,
-//! per-packet timers), which is the access pattern calendar queues exploit:
+//! large botnet scenario produces (as the whole queue it read +70 % `wall_s`
+//! on `flood_star`: EXPERIMENTS.md "Closing the queue question"). Most
+//! events, however, are scheduled a short, bounded time into the future
+//! (transmission completions, MAC slots, per-packet timers), which is the
+//! access pattern calendar queues exploit:
 //!
 //! * a ring of [`NUM_BUCKETS`] buckets, each spanning [`BUCKET_SPAN_NANOS`]
 //!   nanoseconds, covers the near future — pushes into the wheel are a plain
@@ -18,15 +21,14 @@
 //!   once by `(time, seq)`, popped from one end, never inserted into — one
 //!   small sort and `O(1)` pops where a heap would sift every event twice
 //!   (61–98 % of a benchmark workload's events come this way, 2–6 a bucket);
-//! * a **late heap** holds only what arrives *below the cursor* — a push into
-//!   the span of the bucket being consumed, or an overdue overflow event —
-//!   so a dense burst stays `O(log n)` an event (binary-inserting these into
-//!   the run was measured, EXPERIMENTS.md "Where a flood packet's time
-//!   goes": a link-saturation replay fell 64 %).
-//!   `peek_key`/`pop` take the smaller of the run's head and the late heap's;
-//! * an **overflow heap** catches events beyond the wheel horizon (long RTOs,
-//!   churn timers); when the wheel runs dry it is repositioned at the
-//!   overflow minimum and the now-in-window events cascade into buckets.
+//! * one **heap** holds everything outside the wheel's window: a push below
+//!   the cursor (into the span of the bucket being consumed — so a dense
+//!   burst stays `O(log n)` an event; binary-inserting these into the run
+//!   was measured, EXPERIMENTS.md "Where a flood packet's time goes": a
+//!   link-saturation replay fell 64 %) and a push beyond the wheel horizon
+//!   (long RTOs, churn timers). `peek_key`/`pop` take the smaller of the
+//!   run's head and the heap's, so an event never moves between regions
+//!   once pushed.
 //!
 //! # Determinism
 //!
@@ -38,15 +40,18 @@
 //! (including same-tick ties and pushes interleaved with pops), the calendar
 //! queue pops in exactly the order of [`ReferenceQueue`].
 //!
-//! Structural invariant: after `settle`, unless the queue is empty, the
-//! smaller of the run's head and the late heap's is the global minimum.
-//! Wheel events are always `>= bucket_base`, run and late events
-//! `< bucket_base`; overflow events can fall behind the cursor while the
-//! wheel stays busy (the cursor advances a bucket span past every drained
-//! bucket), so `settle` first sweeps any overflow event with
-//! `time < bucket_base` into the late heap. The next bucket is drained only
-//! once run and late heap are both empty. `bucket_base` itself is always a
-//! bucket-span multiple and only advances.
+//! Structural invariant: wheel events are `>= bucket_base`, run events
+//! `< bucket_base`, heap events anywhere. `settle` stops as soon as the run
+//! is non-empty or the heap's minimum is below `bucket_base`: every wheel
+//! event then sorts after one of the two heads, so the smaller head is the
+//! global minimum. Otherwise it drains the next non-empty bucket into the
+//! run. `bucket_base` is always a bucket-span multiple and only advances.
+//!
+//! Placement rule: when the wheel is empty, `settle` moves the cursor just
+//! past the heap's minimum rather than leaving it behind. Order does not
+//! need it; speed does — what is scheduled a few ms after that event then
+//! lands in the wheel, not the heap (without it `flood_star` read 0.43 →
+//! 0.70 s). `wheel_empty_move_keeps_near_pushes_in_the_wheel` pins it.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -108,14 +113,11 @@ pub trait TimeOrderedQueue<T> {
     }
 }
 
-/// The production event queue: calendar wheel + sorted run + late heap +
-/// overflow heap.
+/// The production event queue: calendar wheel + sorted run + one heap.
 pub struct EventQueue<T> {
     /// The last drained bucket, sorted *descending* by `(time, seq)` so that
     /// `Vec::pop` yields its minimum; never inserted into.
     run: Vec<Keyed<T>>,
-    /// Events pushed or swept in with `time < bucket_base`.
-    late: BinaryHeap<Reverse<Keyed<T>>>,
     /// Ring of near-future buckets; `buckets[head]` starts at `bucket_base`.
     buckets: Vec<Vec<Keyed<T>>>,
     head: usize,
@@ -123,13 +125,10 @@ pub struct EventQueue<T> {
     bucket_base: u64,
     /// Total events currently in `buckets`.
     wheel_len: usize,
-    /// Events at or beyond the wheel horizon.
-    overflow: BinaryHeap<Reverse<Keyed<T>>>,
+    /// Events pushed below `bucket_base` or beyond the wheel horizon.
+    heap: BinaryHeap<Reverse<Keyed<T>>>,
     len: usize,
     peak_len: usize,
-    /// Overdue-overflow sweeps performed (events that had to be rescued
-    /// from the overflow heap after the cursor passed them).
-    overflow_sweeps: u64,
 }
 
 impl<T> std::fmt::Debug for EventQueue<T> {
@@ -155,15 +154,13 @@ impl<T> EventQueue<T> {
         buckets.resize_with(NUM_BUCKETS, Vec::new);
         EventQueue {
             run: Vec::new(),
-            late: BinaryHeap::new(),
             buckets,
             head: 0,
             bucket_base: 0,
             wheel_len: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             len: 0,
             peak_len: 0,
-            overflow_sweeps: 0,
         }
     }
 
@@ -172,149 +169,88 @@ impl<T> EventQueue<T> {
         self.peak_len
     }
 
-    /// How many events have been swept from the overflow heap into the
-    /// late heap because the cursor had already advanced past them.
-    /// A rising count under load flags schedules that defeat the wheel
-    /// (telemetry records a `queue_sweep` event per increase).
-    pub fn overflow_sweeps(&self) -> u64 {
-        self.overflow_sweeps
-    }
-
     /// Visits every pending entry as `(time_nanos, seq, &item)`, in
-    /// arbitrary order (run, wheel buckets, then late and overflow heaps).
+    /// arbitrary order (run, wheel buckets, then the heap).
     /// Checkpoint digests collect the entries and sort by `(time, seq)`;
     /// the queue's own pop order is never derived from this.
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, u64, &T)) {
-        let heaps = self.late.iter().chain(&self.overflow).map(|Reverse(e)| e);
-        for e in self.run.iter().chain(self.buckets.iter().flatten()).chain(heaps) {
+        let heap = self.heap.iter().map(|Reverse(e)| e);
+        for e in self.run.iter().chain(self.buckets.iter().flatten()).chain(heap) {
             f(e.time_nanos, e.seq, &e.item);
         }
     }
 
-    /// Structural clone: maps every pending item through `f`, preserving
-    /// the cursor and counter state exactly — `head`, `bucket_base`, the
-    /// run, per-bucket placement, `peak_len`, and `overflow_sweeps`. Forking
-    /// must not re-push into a fresh queue: that would reset the cursor and
-    /// the sweep counter, changing both future overflow-sweep telemetry and
-    /// the stats digest relative to the parent.
+    /// Structural clone: maps every pending item through `f`, keeping the
+    /// cursor (`head`, `bucket_base`), the run, per-bucket placement and
+    /// `peak_len` exactly, so the fork's future pushes land where the
+    /// parent's would.
     pub fn clone_with(&self, mut f: impl FnMut(&T) -> T) -> Self {
         let mut clone_keyed = |e: &Keyed<T>| Keyed {
             time_nanos: e.time_nanos,
             seq: e.seq,
             item: f(&e.item),
         };
-        // Heap-internal arrangement after re-pushing may differ from the
-        // parent's, but keys are unique (the simulator never reuses a
+        // The heap's internal arrangement after re-pushing may differ from
+        // the parent's, but keys are unique (the simulator never reuses a
         // seq), so pop order — the only observable — is identical.
         let run = self.run.iter().map(&mut clone_keyed).collect();
-        let late = self.late.iter().map(|Reverse(e)| Reverse(clone_keyed(e))).collect();
         let buckets = self
             .buckets
             .iter()
             .map(|bucket| bucket.iter().map(&mut clone_keyed).collect())
             .collect();
-        let overflow = self.overflow.iter().map(|Reverse(e)| Reverse(clone_keyed(e))).collect();
+        let heap = self.heap.iter().map(|Reverse(e)| Reverse(clone_keyed(e))).collect();
         EventQueue {
             run,
-            late,
             buckets,
             head: self.head,
             bucket_base: self.bucket_base,
             wheel_len: self.wheel_len,
-            overflow,
+            heap,
             len: self.len,
             peak_len: self.peak_len,
-            overflow_sweeps: self.overflow_sweeps,
         }
     }
 
-    fn push_keyed(&mut self, e: Keyed<T>) {
-        if e.time_nanos < self.bucket_base {
-            self.late.push(Reverse(e));
-        } else {
-            let offset = (e.time_nanos - self.bucket_base) >> BUCKET_BITS;
-            if offset < NUM_BUCKETS as u64 {
-                let idx = (self.head + offset as usize) & BUCKET_MASK;
-                self.buckets[idx].push(e);
-                self.wheel_len += 1;
-            } else {
-                self.overflow.push(Reverse(e));
-            }
-        }
-    }
-
-    /// Moves events below the cursor until the run or the late heap holds
-    /// the global minimum (or proves the queue empty). Returns `false` iff
-    /// the queue is empty.
+    /// Makes the smaller of the run's head and the heap's the global
+    /// minimum (see the module docs). Returns `false` iff the queue is empty.
     fn settle(&mut self) -> bool {
-        loop {
-            // Overflow events the cursor has advanced past are overdue: they
-            // sort before anything still in the wheel, so they must join the
-            // late heap *before* this peek/pop, not when the wheel next
-            // runs dry. (An event parked beyond the horizon stays in
-            // overflow while the wheel keeps busy; without this sweep it
-            // would pop after later-scheduled wheel events.)
-            while let Some(Reverse(e)) = self.overflow.peek() {
-                if e.time_nanos >= self.bucket_base {
-                    break;
-                }
-                let Some(Reverse(e)) = self.overflow.pop() else {
-                    unreachable!("peeked entry exists");
-                };
-                self.late.push(Reverse(e));
-                self.overflow_sweeps += 1;
-            }
-            if !self.run.is_empty() || !self.late.is_empty() {
-                return true;
-            }
-            if self.wheel_len > 0 {
-                // Advance the cursor to the next populated bucket and make
-                // it the run (copied: the bucket keeps its own buffer).
-                // Bounded by NUM_BUCKETS steps.
-                loop {
-                    let bucket = &mut self.buckets[self.head];
-                    let drained = !bucket.is_empty();
-                    if drained {
-                        self.wheel_len -= bucket.len();
-                        self.run.append(bucket);
-                        self.run.sort_unstable_by(|a, b| b.cmp(a));
-                    }
-                    self.head = (self.head + 1) & BUCKET_MASK;
-                    self.bucket_base = self.bucket_base.saturating_add(BUCKET_SPAN_NANOS);
-                    if drained {
-                        break;
-                    }
-                }
-                continue;
-            }
-            // Wheel empty: reposition it at the overflow minimum and cascade
-            // everything now inside the window into buckets.
-            let Some(Reverse(min)) = self.overflow.peek() else {
+        let heap_min = self.heap.peek().map(|Reverse(e)| e.time_nanos);
+        if !self.run.is_empty() || heap_min.is_some_and(|t| t < self.bucket_base) {
+            return true;
+        }
+        if self.wheel_len == 0 {
+            // The placement rule. A `bucket_base` saturated at u64::MAX may
+            // not pass the minimum; it is still the smallest event left.
+            let Some(min) = heap_min else {
                 return false;
             };
-            self.bucket_base = min.time_nanos & !(BUCKET_SPAN_NANOS - 1);
-            // Per-item offset test (not a precomputed horizon): near
-            // u64::MAX a saturated horizon would exclude the overflow
-            // minimum itself and this loop would never make progress.
-            while let Some(Reverse(e)) = self.overflow.peek() {
-                let offset = (e.time_nanos - self.bucket_base) >> BUCKET_BITS;
-                if offset >= NUM_BUCKETS as u64 {
-                    break;
-                }
-                let Some(Reverse(e)) = self.overflow.pop() else {
-                    unreachable!("peeked entry exists");
-                };
-                let idx = (self.head + offset as usize) & BUCKET_MASK;
-                self.buckets[idx].push(e);
-                self.wheel_len += 1;
+            self.bucket_base = (min & !(BUCKET_SPAN_NANOS - 1)).saturating_add(BUCKET_SPAN_NANOS);
+            return true;
+        }
+        // Advance the cursor to the next populated bucket and make it the
+        // run (copied: the bucket keeps its own buffer). Bounded by
+        // NUM_BUCKETS steps.
+        loop {
+            let bucket = &mut self.buckets[self.head];
+            let drained = !bucket.is_empty();
+            if drained {
+                self.wheel_len -= bucket.len();
+                self.run.append(bucket);
+                self.run.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            self.head = (self.head + 1) & BUCKET_MASK;
+            self.bucket_base = self.bucket_base.saturating_add(BUCKET_SPAN_NANOS);
+            if drained {
+                return true;
             }
         }
     }
 
-    /// Whether the run's head sorts before the late heap's (keys are unique).
+    /// Whether the run's head sorts before the heap's (keys are unique).
     fn run_is_next(&self) -> bool {
-        match (self.run.last(), self.late.peek()) {
-            (Some(run), Some(Reverse(late))) => run < late,
+        match (self.run.last(), self.heap.peek()) {
+            (Some(run), Some(Reverse(heap))) => run < heap,
             (run, _) => run.is_some(),
         }
     }
@@ -322,7 +258,15 @@ impl<T> EventQueue<T> {
 
 impl<T> TimeOrderedQueue<T> for EventQueue<T> {
     fn push(&mut self, time: SimTime, seq: u64, item: T) {
-        self.push_keyed(Keyed { time_nanos: time.as_nanos(), seq, item });
+        let e = Keyed { time_nanos: time.as_nanos(), seq, item };
+        let offset = e.time_nanos.checked_sub(self.bucket_base).map(|d| d >> BUCKET_BITS);
+        match offset {
+            Some(offset) if offset < NUM_BUCKETS as u64 => {
+                self.buckets[(self.head + offset as usize) & BUCKET_MASK].push(e);
+                self.wheel_len += 1;
+            }
+            _ => self.heap.push(Reverse(e)),
+        }
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
@@ -336,7 +280,7 @@ impl<T> TimeOrderedQueue<T> for EventQueue<T> {
         let next = if self.run_is_next() {
             self.run.last()
         } else {
-            self.late.peek().map(|Reverse(e)| e)
+            self.heap.peek().map(|Reverse(e)| e)
         };
         next.map(|e| (SimTime::from_nanos(e.time_nanos), e.seq))
     }
@@ -348,9 +292,9 @@ impl<T> TimeOrderedQueue<T> for EventQueue<T> {
         let next = if self.run_is_next() {
             self.run.pop()
         } else {
-            self.late.pop().map(|Reverse(e)| e)
+            self.heap.pop().map(|Reverse(e)| e)
         };
-        let e = next.expect("settled queue has an event below the cursor");
+        let e = next.expect("settled queue holds an event");
         self.len -= 1;
         Some((SimTime::from_nanos(e.time_nanos), e.seq, e.item))
     }
@@ -443,9 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_buckets_and_overflow() {
+    fn spans_buckets_and_heap() {
         let mut q = EventQueue::new();
-        // One event per region: below the cursor (once it advances), wheel, overflow.
+        // One event per region: run (once the cursor reaches it), wheel, heap.
         let far = BUCKET_SPAN_NANOS * (NUM_BUCKETS as u64) * 3 + 17;
         q.push(SimTime::from_nanos(far), 0, 0u32);
         q.push(SimTime::from_nanos(5), 1, 1);
@@ -473,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_repositioning_cascades() {
+    fn far_events_pop_in_order() {
         let mut q = EventQueue::new();
         let span = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64;
         // All far beyond the initial wheel horizon, in reverse order.
@@ -539,13 +483,12 @@ mod tests {
         let wheel_span = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64;
         let mut q = EventQueue::new();
         let x = wheel_span + 5;
-        q.push(SimTime::from_nanos(x), 0, 0u32); // beyond horizon → overflow
+        q.push(SimTime::from_nanos(x), 0, 0u32); // beyond horizon → heap
         q.push(SimTime::from_nanos(BUCKET_SPAN_NANOS * 10), 1, 1);
         assert_eq!(q.pop().map(|(.., v)| v), Some(1));
         // The horizon is now 11 buckets further out: Y lands in the wheel.
         q.push(SimTime::from_nanos(x + BUCKET_SPAN_NANOS * 5), 2, 2);
         assert_eq!(q.pop().map(|(.., v)| v), Some(0), "X pops before Y");
-        assert_eq!(q.overflow_sweeps(), 1);
         assert_eq!(q.pop().map(|(.., v)| v), Some(2));
     }
 
@@ -556,8 +499,8 @@ mod tests {
         for (seq, t) in [far, 5, BUCKET_SPAN_NANOS * 3, far + 9, 1].iter().enumerate() {
             q.push(SimTime::from_nanos(*t), seq as u64, seq as u32);
         }
-        // Pop a couple to advance the cursor and exercise sweeps, then push
-        // more so every region (late heap, wheel, overflow) is populated.
+        // Pop a couple to advance the cursor, then push more so every region
+        // (heap below the cursor and beyond the horizon, wheel) is populated.
         q.pop();
         q.pop();
         q.push(SimTime::from_nanos(2), 10, 10);
@@ -566,8 +509,23 @@ mod tests {
         let mut cloned = q.clone_with(|v| *v);
         assert_eq!(cloned.len(), q.len());
         assert_eq!(cloned.peak_len(), q.peak_len());
-        assert_eq!(cloned.overflow_sweeps(), q.overflow_sweeps());
         assert_eq!(drain(&mut cloned), drain(&mut q));
+    }
+
+    #[test]
+    fn wheel_empty_move_keeps_near_pushes_in_the_wheel() {
+        // A far event pops from an otherwise empty queue — an idle world's
+        // next churn timer. What it schedules a few ms later must land in
+        // the wheel: left at zero, the cursor would send it to the heap.
+        let mut q = EventQueue::new();
+        let far = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64 * 40 + 12_345;
+        q.push(SimTime::from_nanos(far), 0, 0u32);
+        assert_eq!(q.pop().map(|(t, ..)| t.as_nanos()), Some(far));
+        for (seq, ms) in [1u64, 3, 20, 60].into_iter().enumerate() {
+            q.push(SimTime::from_nanos(far + ms * 1_000_000), seq as u64 + 1, 0);
+        }
+        assert_eq!((q.wheel_len, q.heap.len()), (4, 0));
+        assert_eq!(drain(&mut q).len(), 4);
     }
 
     #[test]

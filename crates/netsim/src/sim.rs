@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::IpAddr;
 use std::time::Duration;
-use telemetry::{Category, Detail, Telemetry};
+use telemetry::Telemetry;
 
 /// Errors surfaced by simulator configuration and socket operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,8 +141,6 @@ pub struct Simulator {
     pub(crate) stats: Stats,
     pub(crate) trace: Option<TraceHook>,
     pub(crate) telemetry: Telemetry,
-    /// Overflow-sweep count already reported to the flight recorder.
-    reported_sweeps: u64,
     /// Deployed defense rules per node; each stack sees every packet
     /// arriving at its node, transit traffic included. Kept ordered so
     /// the `netsim.filters` digest layer walks nodes deterministically.
@@ -184,7 +182,6 @@ impl Simulator {
             stats: Stats::default(),
             trace: None,
             telemetry: Telemetry::disabled(),
-            reported_sweeps: 0,
             node_filters: BTreeMap::new(),
             blocklist: BTreeSet::new(),
         }
@@ -231,8 +228,8 @@ impl Simulator {
     }
 
     /// Installs the telemetry handle; the simulator emits flight-recorder
-    /// events (drops, Wi-Fi contention, retransmits, queue sweeps, admin
-    /// transitions) through it. The default handle is disabled and the
+    /// events (drops, Wi-Fi contention, retransmits, admin transitions)
+    /// through it. The default handle is disabled and the
     /// emission sites cost one branch each.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -312,16 +309,6 @@ impl Simulator {
             self.now = time;
             self.stats.events_executed += 1;
             self.handle(event);
-            if self.telemetry.records_events() {
-                let sweeps = self.queue.overflow_sweeps();
-                if sweeps != self.reported_sweeps {
-                    let delta = sweeps - self.reported_sweeps;
-                    self.reported_sweeps = sweeps;
-                    self.telemetry.record_event(self.now.as_nanos(), None, Category::QueueSweep, || {
-                        Detail::QueueSweep { swept: delta, lifetime: sweeps }
-                    });
-                }
-            }
         }
         if self.now < horizon {
             self.now = horizon;
@@ -381,11 +368,10 @@ impl Simulator {
         h.finish()
     }
 
-    /// `netsim.stats`: the counters and the sweep count already reported.
+    /// `netsim.stats`: the counters.
     pub(crate) fn stats_digest(&self) -> u64 {
         let mut h = StateHasher::new();
         self.stats.state_digest(&mut h);
-        h.write_u64(self.reported_sweeps);
         h.finish()
     }
 
@@ -424,7 +410,6 @@ impl Simulator {
             stats: self.stats.clone(),
             trace: None,
             telemetry: Telemetry::disabled(),
-            reported_sweeps: self.reported_sweeps,
             node_filters: self.node_filters.clone(),
             blocklist: self.blocklist.clone(),
         })

@@ -5,10 +5,10 @@
 //! `(time, seq)` order, so these tests drive both implementations through
 //! the same schedules — including same-tick ties, pushes interleaved with
 //! pops (events scheduled while the simulation runs), bucket-boundary
-//! times, and far-future overflow times — and require identical pop
-//! sequences. A drained bucket is a sorted run beside a heap of late
-//! arrivals, so one generator aims at that seam: dense buckets consumed
-//! while pushes keep landing below the cursor.
+//! times, and far-future times beyond the wheel — and require identical
+//! pop sequences. A drained bucket is a sorted run beside the heap that
+//! takes late arrivals, so one generator aims at that seam: dense buckets
+//! consumed while pushes keep landing below the cursor.
 
 use netsim::equeue::{BUCKET_SPAN_NANOS, NUM_BUCKETS};
 use netsim::{EventQueue, ReferenceQueue, SimTime, TimeOrderedQueue};
@@ -28,7 +28,7 @@ fn assert_drain_identical(wheel: &mut EventQueue<u64>, reference: &mut Reference
 }
 
 /// Widens a raw u64 into an interesting time: most weight on wheel-scale
-/// values, some on bucket boundaries and far-future overflow times.
+/// values, some on bucket boundaries and far-future times.
 fn shape_time(raw: u64) -> u64 {
     let span = BUCKET_SPAN_NANOS;
     let wheel = span * NUM_BUCKETS as u64;
@@ -43,7 +43,7 @@ fn shape_time(raw: u64) -> u64 {
         5 => (raw % (NUM_BUCKETS as u64 * 4)) * span,
         // Just beyond the wheel horizon.
         6 => wheel + raw % (4 * wheel),
-        // Deep overflow.
+        // Far beyond it.
         _ => raw % (u64::MAX / 2) + wheel,
     }
 }
@@ -65,7 +65,7 @@ fn push_all(queues: &mut [&mut dyn TimeOrderedQueue<u64>], seq: &mut u64, nanos:
 }
 
 #[test]
-fn for_each_entry_and_clone_cover_run_late_heap_wheel_and_overflow() {
+fn for_each_entry_and_clone_cover_run_wheel_and_heap() {
     let span = BUCKET_SPAN_NANOS;
     let far = span * NUM_BUCKETS as u64 * 2;
     let mut q = EventQueue::new();
@@ -76,7 +76,7 @@ fn for_each_entry_and_clone_cover_run_late_heap_wheel_and_overflow() {
         push_all(&mut [&mut q], &mut seq, 3 * span + off);
     }
     // Three pops make bucket 3 the run and leave seven of it; two pushes
-    // into bucket 3's span then fall below the cursor, into the late heap —
+    // into bucket 3's span then fall below the cursor, into the heap —
     // the second at the very tick of a run event scheduled before it.
     for i in 0..3 {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(3 * span + 100 * i), 9 - i, 3 * span + 100 * i)));
@@ -99,7 +99,7 @@ fn for_each_entry_and_clone_cover_run_late_heap_wheel_and_overflow() {
     assert_eq!(entries(&clone), pending);
     for expected in pending {
         let expected = Some((SimTime::from_nanos(expected.0), expected.1, expected.2));
-        assert_eq!(q.pop(), expected, "pop order is (time, seq) order across run and late heap");
+        assert_eq!(q.pop(), expected, "pop order is (time, seq) order across run and heap");
         assert_eq!(clone.pop(), expected, "a clone taken mid-run drains like its parent");
     }
     assert!(q.is_empty() && clone.is_empty());
@@ -134,7 +134,7 @@ proptest! {
 
         // Consume the run a few pops at a time. Between them schedule at or
         // after `now`, as the simulator does: at exactly `now` (a tie between
-        // the late heap and what is left of the run), a little ahead (inside
+        // the heap and what is left of the run), a little ahead (inside
         // the span being consumed, so still below the cursor), into later
         // buckets, or beyond the horizon. After `clone_after` pops a
         // structural clone joins in and must agree from then on.
@@ -229,8 +229,8 @@ proptest! {
             if let Some(raw) = follow.next() {
                 // Schedule relative to the popped time, never in the past.
                 // Offsets reuse the full shape: near-term ties, wheel-scale,
-                // and beyond-horizon times that park in overflow and can
-                // become overdue while the wheel stays busy.
+                // and beyond-horizon times that park in the heap while the
+                // cursor passes them.
                 let t = SimTime::from_nanos(now.as_nanos().saturating_add(shape_time(*raw)));
                 wheel.push(t, seq, *raw);
                 reference.push(t, seq, *raw);

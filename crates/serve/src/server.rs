@@ -170,11 +170,16 @@ impl Server {
             .collect();
 
         let job_counter = Arc::new(AtomicU64::new(0));
-        let mut connections = Vec::new();
+        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut last_activity = Instant::now();
         loop {
             if self.shutdown.load(Ordering::SeqCst) || SIGNALLED.load(Ordering::SeqCst) {
                 break;
+            }
+            // A finished connection thread keeps its stack mapped until it
+            // is joined: reap as we go, not only at shutdown.
+            for done in connections.extract_if(.., |c| c.is_finished()) {
+                let _ = done.join();
             }
             if pending.load(Ordering::SeqCst) > 0 {
                 last_activity = Instant::now();

@@ -28,9 +28,6 @@ pub enum Category {
     WifiCollision,
     /// tcp-lite retransmitted a segment after an RTO.
     TcpRetransmit,
-    /// The calendar event queue swept overdue overflow events back into
-    /// the active window.
-    QueueSweep,
     /// A node was administratively brought up or down.
     NodeAdmin,
     /// A container (device firmware) started.
@@ -72,7 +69,6 @@ impl Category {
             Category::WifiBackoff => "wifi_backoff",
             Category::WifiCollision => "wifi_collision",
             Category::TcpRetransmit => "tcp_retransmit",
-            Category::QueueSweep => "queue_sweep",
             Category::NodeAdmin => "node_admin",
             Category::ContainerStart => "container_start",
             Category::Reboot => "reboot",
@@ -98,7 +94,6 @@ impl Category {
             "wifi_backoff" => Category::WifiBackoff,
             "wifi_collision" => Category::WifiCollision,
             "tcp_retransmit" => Category::TcpRetransmit,
-            "queue_sweep" => Category::QueueSweep,
             "node_admin" => Category::NodeAdmin,
             "container_start" => Category::ContainerStart,
             "reboot" => Category::Reboot,
@@ -120,7 +115,7 @@ impl Category {
 
 /// What an event says, as handed to the recorder. The sentences that
 /// dominate a recorded run (a flood's `link_tx`/`link_drop`, tcp-lite's
-/// retransmits, queue sweeps, Wi-Fi contention) arrive as the plain
+/// retransmits, Wi-Fi contention) arrive as the plain
 /// values they are made of; `Display` is each sentence's one definition
 /// and runs only where the text is read. The rest is [`Detail::Text`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,8 +129,6 @@ pub enum Detail {
     LinkDrop { reason: &'static str, pkt: u64, src: (IpAddr, u16), dst: (IpAddr, u16), wire_bytes: u32 },
     /// `conn 2 rto fired for seq 1`
     TcpRetransmit { conn: u64, seq: u64 },
-    /// `10 overdue overflow events swept (lifetime 2158958)`
-    QueueSweep { swept: u64, lifetime: u64 },
     /// `chan 0 station 1 backoff 6/16 slots, attempt at 110088000ns`
     WifiBackoff { chan: u32, station: u32, slots: u32, cw: u32, attempt_nanos: u64 },
     /// `chan 0 station 2 collided (retries exceeded: false)`
@@ -154,9 +147,6 @@ impl fmt::Display for Detail {
                 write!(f, "{reason} pkt {pkt} {src} -> {dst} ({wire_bytes}B)")
             }
             Detail::TcpRetransmit { conn, seq } => write!(f, "conn {conn} rto fired for seq {seq}"),
-            Detail::QueueSweep { swept, lifetime } => {
-                write!(f, "{swept} overdue overflow events swept (lifetime {lifetime})")
-            }
             Detail::WifiBackoff { chan, station, slots, cw, attempt_nanos: at } => {
                 write!(f, "chan {chan} station {station} backoff {slots}/{cw} slots, attempt at {at}ns")
             }
@@ -253,7 +243,7 @@ impl FromJson for Event {
             seq: u64::from_json(seq)?,
             node,
             category: Category::parse(cat)
-                .ok_or_else(|| JsonError::conversion("unknown event category"))?,
+                .ok_or_else(|| JsonError::conversion(format!("unknown event category {cat:?}")))?,
             detail: detail.to_string(),
         })
     }
@@ -274,7 +264,6 @@ pub(crate) mod tests {
             Category::WifiBackoff,
             Category::WifiCollision,
             Category::TcpRetransmit,
-            Category::QueueSweep,
             Category::NodeAdmin,
             Category::ContainerStart,
             Category::Reboot,
@@ -352,10 +341,6 @@ pub(crate) mod tests {
                 "link_loss pkt 195 [fd00::7]:546 -> [ff02::1:2]:547 (66B)",
             ),
             (Detail::TcpRetransmit { conn: 2, seq: 1 }, "conn 2 rto fired for seq 1"),
-            (
-                Detail::QueueSweep { swept: 127, lifetime: 2_370_412 },
-                "127 overdue overflow events swept (lifetime 2370412)",
-            ),
             (
                 Detail::WifiBackoff { chan: 0, station: 1, slots: 6, cw: 16, attempt_nanos: 110_088_000 },
                 "chan 0 station 1 backoff 6/16 slots, attempt at 110088000ns",

@@ -421,9 +421,11 @@ mod tests {
                 conn: i,
                 seq: 1,
             }),
-            _ => t.record_event(i, Some(2), Category::QueueSweep, || Detail::QueueSweep {
-                swept: 1,
-                lifetime: i,
+            _ => t.record_event(i, Some(2), Category::LinkTx, || Detail::LinkTx {
+                link: 1,
+                side: 0,
+                pkt: i,
+                wire_bytes: 58,
             }),
         };
         let before = renders();

@@ -9,7 +9,8 @@
 #                one-document-reader gate (no hand-kept allow-list, no
 #                print -> reparse of an embedded document)
 #   test         every package's tests (`cargo test --workspace`; the
-#                bare root command runs the root package only)
+#                bare root command runs the root package only), then the
+#                event queue's equivalence proptests at 20,000 cases
 #   scale        the scale gate (crates/bench/src/bin/scale.rs, no
 #                arguments, ~5 s): the 100,000-device world is built and
 #                run first in a fresh process and must peak at or under
@@ -21,7 +22,7 @@
 #   determinism  same seed -> byte-identical traces (star, multi-hop
 #                tiered, lab Wi-Fi, fault plan, zero-fault no-op), and
 #                six of them sum to tests/golden/trace_sums.txt (taken
-#                before the recorder went lazy); seed sweeps:
+#                when the event queue stopped recording sweeps); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
 #                a repeated sweep reproduces itself; hostile argv and
 #                hostile documents (truncated, 100k-deep, out-of-range)
@@ -76,9 +77,9 @@ trap 'rm -rf "$work"' EXIT
 DDOSIM="cargo run --release --offline -p ddosim --bin ddosim --"
 EXP="cargo run --release --offline -p ddosim-bench --bin exp --"
 
-# A checkpoint written by the commit before the one document reader
-# (tests/hostile_documents.rs resumes it) and the configuration document
-# embedded in it, as `submit --config` takes one.
+# The checkpoint fixture tests/hostile_documents.rs resumes (the recipe
+# that writes it is on its PARENT_CHECKPOINT) and the configuration
+# document embedded in it, as `submit --config` takes one.
 CK=tests/fixtures/checkpoint_parent.json
 config_of_ck() {
     awk '/^  "config": \{/ { print "{"; on = 1; next } on && /^}/ { exit } on' "$CK"
@@ -170,6 +171,9 @@ stage_build() {
 
 stage_test() {
     cargo test -q --offline --workspace
+    # Pop order is every trace's order: drive the queue against its
+    # reference far harder than the default 64 cases (~2 s).
+    PROPTEST_CASES=20000 cargo test -q --release --offline -p netsim --test queue_equivalence
 }
 
 stage_scale() {
@@ -194,9 +198,10 @@ stage_determinism() {
     plan=$work/det-plan.json
 
     # A run and its rerun drift together, so each world family's trace is
-    # also summed against tests/golden/trace_sums.txt: the sentences (and
-    # every other byte) of these six traces are the ones the eager
-    # recorder wrote at 14eb8d4, before details were rendered on read.
+    # also summed against tests/golden/trace_sums.txt: these six traces are
+    # the ones the recorder wrote at d339fed (its sentences unchanged since
+    # the eager recorder of 14eb8d4) minus the event queue's sweep records,
+    # with `seq` renumbered — taken when the queue stopped sweeping.
     sums=$work/trace_sums.txt
     sum_trace() { printf '%s %s\n' "$1" "$(cksum < "$2")" >> "$sums"; }
 

@@ -29,9 +29,27 @@ use std::sync::OnceLock;
 use std::time::Duration;
 use telemetry::{Category, Event};
 
-/// A `ddosim.checkpoint/1` file written by a build of the commit before
-/// the one reader (`ddosim --devs 6 … --faults … --record … --capture …
-/// --metrics-interval 1 --checkpoint-at 28`).
+/// A `ddosim.checkpoint/1` file first written by a build of the commit
+/// before the one reader, and rewritten by the build whose event queue
+/// stopped recording its sweeps (which changed its `events_recorded`,
+/// 664 → 648, and its `netsim.stats` digest, nothing else). Either build
+/// writes its own version, byte for byte, with
+///
+/// ```text
+/// ddosim --devs 6 --attack-at 20 --duration 15 --sim-time 45 --seed 7 \
+///     --faults F --record R --capture C --capture-filter "udp port 80" \
+///     --metrics-interval 1 --metrics-out M --checkpoint-at 28 --checkpoint-out OUT
+/// ```
+///
+/// where `F` is this plan:
+///
+/// ```text
+/// { "schema": "ddosim.faults.plan/1", "seed": 3, "faults": [
+///     { "at_secs": 15, "kind": "link_down", "node": "dev-2" },
+///     { "at_secs": 25, "kind": "link_up", "node": "dev-2" },
+///     { "at_secs": 22, "kind": "link_loss", "node": "dev-1", "probability": 0.25 },
+///     { "at_secs": 30, "kind": "cnc_outage", "duration_secs": 4.5 } ] }
+/// ```
 const PARENT_CHECKPOINT: &str = include_str!("fixtures/checkpoint_parent.json");
 
 /// One input surface: a name for failure messages and its front door,
@@ -351,6 +369,18 @@ fn an_event_node_that_does_not_fit_is_refused_by_name() {
         let err = (parser.1)(&hostile).expect_err("no such node");
         assert!(err.contains("'node'"), "{err}");
     }
+}
+
+/// A trace written before the event queue stopped sweeping holds
+/// `queue_sweep` records: the category is refused by name, so `trace diff`
+/// on such a file says which.
+#[test]
+fn an_event_of_a_retired_category_is_refused_by_name() {
+    let (parser, text) = seeds().last().expect("the event seed");
+    let old = text.replace(r#""cat":"link_drop""#, r#""cat":"queue_sweep""#);
+    assert_ne!(&old, text);
+    let err = (parser.1)(&old).expect_err("no such category");
+    assert!(err.contains(r#"unknown event category "queue_sweep""#), "{err}");
 }
 
 /// Property three, for each of the four printers and for `djson` itself.

@@ -3,7 +3,7 @@
 //! the property the `trace diff` tool depends on — and a perturbed run
 //! must be pinpointed at its first diverging entry.
 
-use ddosim::{AttackSpec, SimulationBuilder, Telemetry, TelemetryConfig};
+use ddosim::{AttackSpec, Ddosim, SimulationBuilder, Telemetry, TelemetryConfig};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -24,9 +24,9 @@ fn full_telemetry() -> TelemetryConfig {
     }
 }
 
-/// Runs a small scenario and returns the live telemetry handle.
-fn run(seed: u64, telemetry: TelemetryConfig) -> Telemetry {
-    let instance = SimulationBuilder::new()
+/// A small scenario: 8 Devs, a 10 s flood from 25 s, a 45 s horizon.
+fn world(seed: u64, telemetry: TelemetryConfig) -> Ddosim {
+    SimulationBuilder::new()
         .devs(8)
         .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
         .attack_at(Duration::from_secs(25))
@@ -35,7 +35,12 @@ fn run(seed: u64, telemetry: TelemetryConfig) -> Telemetry {
         .seed(seed)
         .telemetry(telemetry)
         .build()
-        .expect("valid configuration");
+        .expect("valid configuration")
+}
+
+/// Runs the small scenario and returns the live telemetry handle.
+fn run(seed: u64, telemetry: TelemetryConfig) -> Telemetry {
+    let instance = world(seed, telemetry);
     let handle = instance.telemetry().clone();
     instance.run_to_completion();
     handle
@@ -179,6 +184,22 @@ fn metrics_track_the_botnet_and_the_attack() {
     samples("infected_devices");
 }
 
+/// Watching a run does not change it: the same world with and without
+/// the flight recorder has equal layer digests at every pause. (The event
+/// queue's sweep count once reached `netsim.stats` only while recording.)
+#[test]
+fn recording_leaves_every_layer_digest_unchanged() {
+    let record = TelemetryConfig { record: true, ..TelemetryConfig::default() };
+    let (mut plain, mut recorded) = (world(42, TelemetryConfig::default()), world(42, record));
+    for secs in [5, 20, 28, 34, 45] {
+        let at = Duration::from_secs(secs);
+        plain.run_prefix(at).expect("runs");
+        recorded.run_prefix(at).expect("runs");
+        assert_eq!(plain.state_digests(), recorded.state_digests(), "at {secs} s");
+    }
+    assert!(recorded.telemetry().events_recorded() > 0);
+}
+
 #[test]
 fn disabled_telemetry_collects_nothing() {
     let handle = run(42, TelemetryConfig::default());
@@ -195,19 +216,18 @@ fn shape_detail(a: u64, b: u64, c: u64) -> Detail {
         0 => (IpAddr::V4(Ipv4Addr::from(x as u32)), (x >> 32) as u16),
         _ => (IpAddr::V6(Ipv6Addr::from(u128::from(x) << 64 | u128::from(!x))), (x >> 7) as u16),
     };
-    match a % 7 {
+    match a % 6 {
         0 => Detail::Text(format!("text {b} \"quoted\" \\ {c}")),
         1 => Detail::LinkTx { link: b as u32, side: (c % 2) as u8, pkt: c, wire_bytes: (b >> 32) as u32 },
         2 => Detail::LinkDrop {
-            reason: ["queue_overflow", "node_down", "filtered"][(a / 7 % 3) as usize],
+            reason: ["queue_overflow", "node_down", "filtered"][(a / 6 % 3) as usize],
             pkt: a,
             src: addr(b),
             dst: addr(c),
             wire_bytes: b as u32,
         },
         3 => Detail::TcpRetransmit { conn: b, seq: c },
-        4 => Detail::QueueSweep { swept: b, lifetime: c },
-        5 => Detail::WifiBackoff {
+        4 => Detail::WifiBackoff {
             chan: a as u32,
             station: b as u32,
             slots: c as u32,
@@ -245,7 +265,7 @@ proptest! {
             }
             let time_nanos = i as u64 * 10;
             let node = (a % 5 != 0).then_some(b as u32);
-            let category = if a % 7 == 0 { Category::Phase } else { Category::LinkDrop };
+            let category = if a % 6 == 0 { Category::Phase } else { Category::LinkDrop };
             lazy.record_event(time_nanos, node, category, || shape_detail(a, b, c));
             let detail = shape_detail(a, b, c).to_string();
             eager.record(Event { time_nanos, seq: u64::MAX, node, category, detail });
