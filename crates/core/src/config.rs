@@ -480,18 +480,12 @@ impl SimulationConfig {
 #[derive(Debug, Clone, Default)]
 pub struct SimulationBuilder {
     config: SimulationConfig,
-    checkpoint_at: Option<Duration>,
-    resume: Option<crate::Checkpoint>,
 }
 
 impl SimulationBuilder {
     /// Starts from the default (paper-like) configuration.
     pub fn new() -> Self {
-        SimulationBuilder {
-            config: SimulationConfig::default(),
-            checkpoint_at: None,
-            resume: None,
-        }
+        SimulationBuilder::default()
     }
 
     /// Number of Devs.
@@ -642,46 +636,18 @@ impl SimulationBuilder {
         self
     }
 
-    /// Arms a mid-run snapshot: when the run crosses `at`, a
-    /// [`crate::Checkpoint`] is produced alongside the result (retrieve it
-    /// via [`crate::Ddosim::try_run_to_completion`]).
-    pub fn checkpoint_at(mut self, at: Duration) -> Self {
-        self.checkpoint_at = Some(at);
-        self
-    }
-
-    /// Resumes from a checkpoint instead of starting fresh. The entire
-    /// configuration — telemetry included — is taken from the checkpoint;
-    /// any configuration set on this builder is discarded (a resumed world
-    /// must be rebuilt exactly as the original, or digest verification
-    /// fails).
-    pub fn resume_from(mut self, cp: crate::Checkpoint) -> Self {
-        self.config = cp.config.clone();
-        self.resume = Some(cp);
-        self
-    }
-
     /// The accumulated configuration.
     pub fn config(&self) -> &SimulationConfig {
         &self.config
     }
 
-    /// Builds the simulation instance; a resumed one is re-run to its
-    /// checkpoint and verified here ([`crate::Ddosim::resume_from`]).
+    /// Builds the simulation instance.
     ///
     /// # Errors
     ///
-    /// Returns a message if the configuration is invalid or the
-    /// checkpoint does not verify.
+    /// Returns a message if the configuration is invalid.
     pub fn build(self) -> Result<crate::Ddosim, String> {
-        let mut instance = match self.resume {
-            Some(cp) => crate::Ddosim::resume_from(cp)?,
-            None => crate::Ddosim::new(self.config)?,
-        };
-        if let Some(at) = self.checkpoint_at {
-            instance.set_checkpoint_at(at);
-        }
-        Ok(instance)
+        crate::Ddosim::new(self.config)
     }
 
     /// Builds and runs to completion.

@@ -53,7 +53,7 @@ pub use faults::{
     checked_secs, FaultEvent, FaultKind, FaultPlan, Fields, PlanError, Read, Val, FAULT_PLAN_SCHEMA,
 };
 pub use instance::{Ddosim, DevInfo, ATTACKER_IMAGE_BYTES, DEV_IMAGE_BASE_BYTES};
-pub use metrics::{MemoryModel, TServerSink};
+pub use metrics::TServerSink;
 pub use reboot::RebootController;
 pub use netsim::{Telemetry, TelemetryConfig};
 pub use result::{ChurnSummary, RunResult};

@@ -3,9 +3,13 @@
 //! [`TServerSink`] is the customized NS-3 sink application of §II-C: it
 //! records the per-second received data rate at the target server, from
 //! which Eq. 2's *average received data rate* is computed, and counts flood
-//! packets via their markers.
+//! packets via their markers. The run's telemetry sampler
+//! (`start_sampler`) bins per-run rates and gauges beside it.
 
-use netsim::{Application, Ctx, Packet, SimTime, TcpEvent};
+use firmware::ContainerHandle;
+use netsim::{
+    Application, Ctx, ForkClone, ForkMap, NodeId, Packet, SimTime, Simulator, TcpEvent,
+};
 use protocols::{DnsMessage, FloodMarker};
 use std::time::Duration;
 
@@ -13,7 +17,7 @@ const TIMER_SECOND: u64 = 1;
 
 /// The TServer sink application: binds the attacked port and samples the
 /// node's receive counters every simulated second.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TServerSink {
     /// Wire bytes received in each whole second of the simulation.
     pub per_second_bytes: Vec<u64>,
@@ -87,16 +91,7 @@ impl Application for TServerSink {
     }
 
     fn fork(&self, _map: &netsim::ForkMap) -> Option<Box<dyn Application>> {
-        Some(Box::new(TServerSink {
-            per_second_bytes: self.per_second_bytes.clone(),
-            last_total: self.last_total,
-            flood_packets: self.flood_packets,
-            flood_bytes: self.flood_bytes,
-            first_flood_at: self.first_flood_at,
-            amp_packets: self.amp_packets,
-            amp_bytes: self.amp_bytes,
-            bound_port: self.bound_port,
-        }))
+        Some(Box::new(self.clone()))
     }
 
     fn state_digest(&self, h: &mut netsim::StateHasher) {
@@ -171,46 +166,100 @@ impl Application for TServerSink {
     }
 }
 
-/// Host-memory model behind Table I.
-///
-/// The paper measures the *host's* memory while DDoSim runs: a framework
-/// base (VM, Docker daemon, NS-3), a per-container cost, and — during the
-/// attack — per-packet bookkeeping the simulator host accumulates for
-/// traffic generated during the attack ("1.79 GB extra memory to store
-/// traffic generated during the attack", §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryModel {
-    /// Fixed framework footprint in bytes (VM + Docker + NS-3 core).
-    pub framework_base_bytes: u64,
-    /// Host bookkeeping charged per packet processed during the attack.
-    pub per_packet_host_bytes: u64,
+// Host-memory model behind Table I. The paper measures the *host's*
+// memory while DDoSim runs: a framework base (VM, Docker daemon, NS-3), a
+// per-container cost, and — during the attack — per-packet bookkeeping the
+// simulator host accumulates for traffic generated during the attack
+// ("1.79 GB extra memory to store traffic generated during the attack",
+// §IV-B).
+
+/// Fixed framework footprint in bytes (VM + Docker + NS-3 core).
+pub(crate) const FRAMEWORK_BASE_BYTES: u64 = 210_000_000;
+
+/// Host bookkeeping charged per packet processed during the attack.
+pub(crate) const PER_PACKET_HOST_BYTES: u64 = 1024;
+
+/// Pre-attack memory: framework base plus all container memory.
+pub(crate) fn pre_attack_bytes(container_bytes: u64) -> u64 {
+    FRAMEWORK_BASE_BYTES + container_bytes
 }
 
-impl Default for MemoryModel {
-    fn default() -> Self {
-        MemoryModel {
-            framework_base_bytes: 210_000_000,
-            per_packet_host_bytes: 1024,
-        }
-    }
-}
-
-impl MemoryModel {
-    /// Pre-attack memory: framework base plus all container memory.
-    pub(crate) fn pre_attack_bytes(&self, container_bytes: u64) -> u64 {
-        self.framework_base_bytes + container_bytes
-    }
-
-    /// Attack-phase memory: pre-attack plus per-packet bookkeeping for
-    /// every packet the simulation processed during the attack window.
-    pub(crate) fn attack_bytes(&self, container_bytes: u64, attack_packets: u64) -> u64 {
-        self.pre_attack_bytes(container_bytes) + attack_packets * self.per_packet_host_bytes
-    }
+/// Attack-phase memory: pre-attack plus per-packet bookkeeping for every
+/// packet the simulation processed during the attack window.
+pub(crate) fn attack_bytes(container_bytes: u64, attack_packets: u64) -> u64 {
+    pre_attack_bytes(container_bytes) + attack_packets * PER_PACKET_HOST_BYTES
 }
 
 /// Formats bytes as gigabytes with two decimals, as Table I reports.
 pub(crate) fn bytes_to_gb(bytes: u64) -> f64 {
     bytes as f64 / 1e9
+}
+
+/// State threaded through the self-rescheduling metrics sampler. The
+/// telemetry handle is read off the simulator at each tick (not stored
+/// here) so a forked world samples into *its* recorder, not the parent's.
+struct SamplerState {
+    interval: Duration,
+    horizon: SimTime,
+    tserver: NodeId,
+    devs: Vec<ContainerHandle>,
+    prev_sent: u64,
+    prev_rx_bytes: u64,
+}
+
+impl ForkClone for SamplerState {
+    fn fork_clone(&self, map: &ForkMap) -> Self {
+        SamplerState {
+            devs: self.devs.fork_clone(map),
+            ..*self
+        }
+    }
+}
+
+/// Schedules the run's first metrics sample at `interval`. Each firing
+/// samples the series and schedules the next, stopping at `horizon`;
+/// ticks the walk never reaches stay queued, costing nothing.
+pub(crate) fn start_sampler(
+    sim: &mut Simulator,
+    interval: Duration,
+    horizon: Duration,
+    tserver: NodeId,
+    devs: Vec<ContainerHandle>,
+) {
+    let st = SamplerState {
+        interval,
+        horizon: SimTime::ZERO + horizon,
+        tserver,
+        devs,
+        prev_sent: 0,
+        prev_rx_bytes: 0,
+    };
+    sim.schedule_forkable_call(SimTime::ZERO + interval, "metrics.sample", st, sample_tick);
+}
+
+/// One metrics sample: fixed-interval bins of per-run rates and gauges
+/// (the series Fig. 2/Fig. 3 style plots can bin directly).
+fn sample_tick(sim: &mut Simulator, mut st: SamplerState) {
+    let sent = sim.stats().packets_sent;
+    let rx_bytes = sim.node(st.tserver).rx_bytes();
+    let buffered = sim.buffered_bytes();
+    let tserver_queue = sim.node_link_buffered_bytes(st.tserver);
+    let bots = st.devs.iter().filter(|c| c.bot_alive()).count();
+    let infected = st.devs.iter().filter(|c| c.is_infected()).count();
+    sim.telemetry().with_metrics(|set| {
+        set.series_mut("tx_packets").push((sent - st.prev_sent) as f64);
+        set.series_mut("tserver_rx_bytes").push((rx_bytes - st.prev_rx_bytes) as f64);
+        set.series_mut("buffered_bytes").push(buffered as f64);
+        set.series_mut("tserver_queue_bytes").push(tserver_queue as f64);
+        set.series_mut("bot_population").push(bots as f64);
+        set.series_mut("infected_devices").push(infected as f64);
+    });
+    st.prev_sent = sent;
+    st.prev_rx_bytes = rx_bytes;
+    if sim.now() + st.interval <= st.horizon {
+        let iv = st.interval;
+        sim.schedule_forkable_call_after(iv, "metrics.sample", st, sample_tick);
+    }
 }
 
 #[cfg(test)]
@@ -317,10 +366,9 @@ mod tests {
 
     #[test]
     fn memory_model_shapes() {
-        let m = MemoryModel::default();
-        let pre = m.pre_attack_bytes(20 * 8_500_000);
-        assert!(pre > m.framework_base_bytes);
-        let attack = m.attack_bytes(20 * 8_500_000, 1_000_000);
+        let pre = pre_attack_bytes(20 * 8_500_000);
+        assert_eq!(pre, 210_000_000 + 20 * 8_500_000);
+        let attack = attack_bytes(20 * 8_500_000, 1_000_000);
         assert_eq!(attack - pre, 1_000_000 * 1024);
     }
 

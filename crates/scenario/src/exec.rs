@@ -296,8 +296,8 @@ mod tests {
             })
             .build()
             .expect("plain world");
-        scenario_world.run_until(Duration::from_secs(40));
-        plain_world.run_until(Duration::from_secs(40));
+        scenario_world.run_prefix(Duration::from_secs(40)).expect("prefix runs");
+        plain_world.run_prefix(Duration::from_secs(40)).expect("prefix runs");
         let a = scenario_world.state_digests();
         let b = plain_world.state_digests();
         assert_eq!(a, b, "scenario-built world diverged from the plain builder");
@@ -316,7 +316,7 @@ mod tests {
            "rivals":{"count":2,"start_secs":6,"interval_secs":4}"#;
         let run = || {
             let mut world = parse(extra).build().expect("world");
-            world.run_until(Duration::from_secs(40));
+            world.run_prefix(Duration::from_secs(40)).expect("prefix runs");
             world.state_digests()
         };
         assert_eq!(run(), run(), "same scenario, same seed, different digests");
@@ -334,10 +334,10 @@ mod tests {
         let mut world = plan.build().expect("world");
         let (tserver_node, _) = world.tserver();
         let fabric = world.fabric_node();
-        world.run_until(Duration::from_secs(10));
+        world.run_prefix(Duration::from_secs(10)).expect("prefix runs");
         assert_eq!(world.sim_mut().node_filter_count(tserver_node), 0);
         assert_eq!(world.sim_mut().node_filter_count(fabric), 0);
-        world.run_until(Duration::from_secs(30));
+        world.run_prefix(Duration::from_secs(30)).expect("prefix runs");
         assert_eq!(world.sim_mut().node_filter_count(tserver_node), 1);
         assert_eq!(world.sim_mut().node_filter_count(fabric), 1);
     }
@@ -354,7 +354,7 @@ mod tests {
         )
         .expect("plan");
         let mut world = plan.build().expect("world");
-        world.run_until(Duration::from_secs(200));
+        world.run_prefix(Duration::from_secs(200)).expect("prefix runs");
         assert_eq!(world.backup_cncs().len(), 1, "one backup C&C attached");
         assert_eq!(
             world.backup_connected_bots(),
@@ -376,7 +376,7 @@ mod tests {
         )
         .expect("plan");
         let mut world = plan.build().expect("world");
-        world.run_until(Duration::from_secs(90));
+        world.run_prefix(Duration::from_secs(90)).expect("prefix runs");
         assert_eq!(world.honeypots().len(), 2, "two honeypot nodes attached");
         assert!(world.honeypot_hits() > 0, "scanners never probed a honeypot");
         assert!(
@@ -405,10 +405,10 @@ mod tests {
                "rivals":{"count":1,"start_secs":30}"#,
         );
         let mut world = plan.build().expect("world");
-        world.run_until(Duration::from_secs(10));
+        world.run_prefix(Duration::from_secs(10)).expect("prefix runs");
         let mut fork = world.fork().expect("fork with pending scenario calls");
-        fork.run_until(Duration::from_secs(40));
-        world.run_until(Duration::from_secs(40));
+        fork.run_prefix(Duration::from_secs(40)).expect("prefix runs");
+        world.run_prefix(Duration::from_secs(40)).expect("prefix runs");
         assert_eq!(
             world.state_digests(),
             fork.state_digests(),

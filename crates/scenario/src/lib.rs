@@ -16,12 +16,11 @@
 //!
 //! ```no_run
 //! use scenario::ScenarioPlan;
-//! use std::time::Duration;
 //!
 //! let text = std::fs::read_to_string("plans/rate_limit.scenario.json").unwrap();
 //! let plan = ScenarioPlan::parse(&text).expect("valid plan");
-//! let mut world = plan.build().expect("valid configuration");
-//! world.run_until(plan.config().sim_time);
+//! let result = plan.build().expect("valid configuration").run_to_completion();
+//! println!("{:.1} kbps at TServer", result.avg_received_data_rate_kbps);
 //! ```
 
 #![warn(missing_docs)]

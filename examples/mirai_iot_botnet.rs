@@ -22,7 +22,7 @@ fn main() -> Result<(), String> {
 
     println!("== Phase 1: initialization & infection ==");
     for t in [5u64, 10, 20, 40, 60] {
-        instance.run_until(Duration::from_secs(t));
+        instance.run_prefix(Duration::from_secs(t))?;
         println!(
             "t={t:3}s  recruited {:2}/{devs}  ({} bots connected to C&C)",
             instance.infected_count(),

@@ -28,7 +28,7 @@ fn main() -> Result<(), String> {
 
     println!("one seed device; every bot scans the subnet:");
     for t in [4u64, 6, 8, 10, 14, 20, 30] {
-        instance.run_until(Duration::from_secs(t));
+        instance.run_prefix(Duration::from_secs(t))?;
         let n = instance.infected_count();
         println!("  t={t:3}s  {n:3} bots  {}", "#".repeat(n));
     }

@@ -4,7 +4,7 @@
 //! and under fault injection — and the snapshot format must be
 //! byte-stable and fail loudly (never panic) on corrupted input.
 
-use ddosim::{AttackSpec, Checkpoint, SimulationBuilder, TelemetryConfig, TopologyKind};
+use ddosim::{AttackSpec, Checkpoint, Ddosim, SimulationBuilder, TelemetryConfig, TopologyKind};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -47,7 +47,8 @@ fn documents(handle: &ddosim::Telemetry) -> [String; 3] {
 /// Runs straight through with a checkpoint armed at `at`; returns the
 /// run's documents and the snapshot.
 fn run_with_checkpoint(builder: SimulationBuilder, at: Duration) -> ([String; 3], Checkpoint) {
-    let instance = builder.checkpoint_at(at).build().expect("valid configuration");
+    let mut instance = builder.build().expect("valid configuration");
+    instance.set_checkpoint_at(at);
     let handle = instance.telemetry().clone();
     let (_, saved) = instance.try_run_to_completion().expect("run succeeds");
     (documents(&handle), saved.expect("checkpoint was armed"))
@@ -59,11 +60,10 @@ fn run_resumed(
     cp: Checkpoint,
     re_checkpoint_at: Option<Duration>,
 ) -> ([String; 3], Option<Checkpoint>) {
-    let mut builder = SimulationBuilder::new().resume_from(cp);
+    let mut instance = Ddosim::resume_from(cp).expect("checkpoint verifies");
     if let Some(at) = re_checkpoint_at {
-        builder = builder.checkpoint_at(at);
+        instance.set_checkpoint_at(at);
     }
-    let instance = builder.build().expect("checkpoint verifies");
     let handle = instance.telemetry().clone();
     let (_, saved) = instance.try_run_to_completion().expect("resume succeeds");
     (documents(&handle), saved)
@@ -178,10 +178,7 @@ fn tampered_digest_is_rejected_naming_the_layer() {
         .find(|(layer, _)| layer == "netsim.tcp")
         .expect("tcp layer digested");
     tcp.1 ^= 1;
-    let err = SimulationBuilder::new()
-        .resume_from(cp)
-        .build()
-        .expect_err("tampered digest accepted");
+    let err = Ddosim::resume_from(cp).expect_err("tampered digest accepted");
     assert!(
         err.contains("netsim.tcp"),
         "divergence error does not name the layer: {err}"
@@ -192,10 +189,7 @@ fn tampered_digest_is_rejected_naming_the_layer() {
 fn tampered_recorder_count_is_rejected() {
     let (_, mut cp) = run_with_checkpoint(base(42, TopologyKind::Star), CHECKPOINT_AT);
     cp.events_recorded += 1;
-    let err = SimulationBuilder::new()
-        .resume_from(cp)
-        .build()
-        .expect_err("tampered recorder count accepted");
+    let err = Ddosim::resume_from(cp).expect_err("tampered recorder count accepted");
     assert!(
         err.contains("flight-recorder events"),
         "divergence error does not name the recorder count: {err}"
@@ -207,11 +201,8 @@ fn tampered_recorder_count_is_rejected() {
 #[test]
 fn checkpoint_before_the_resume_point_is_rejected() {
     let (_, cp) = run_with_checkpoint(base(42, TopologyKind::Star), CHECKPOINT_AT);
-    let resumed = SimulationBuilder::new()
-        .resume_from(cp)
-        .checkpoint_at(Duration::from_secs(10))
-        .build()
-        .expect("checkpoint verifies");
+    let mut resumed = Ddosim::resume_from(cp).expect("checkpoint verifies");
+    resumed.set_checkpoint_at(Duration::from_secs(10));
     let mut parent = base(42, TopologyKind::Star).build().expect("valid configuration");
     parent.run_prefix(Duration::from_secs(28)).expect("prefix runs");
     let mut fork = parent.fork().expect("world forks");

@@ -141,9 +141,9 @@ fn crash_and_container_kill_semantics() {
     };
     let mut instance = base(90).faults(plan).build().expect("valid");
     let dev_nodes: Vec<_> = instance.devs().iter().map(|d| d.node).collect();
-    instance.run_until(Duration::from_secs(28));
+    instance.run_prefix(Duration::from_secs(28)).expect("prefix runs");
     assert_eq!(instance.connected_bots(), 6, "all Devs recruited before the crash");
-    instance.run_until(Duration::from_secs(30));
+    instance.run_prefix(Duration::from_secs(30)).expect("prefix runs");
     let bot_alive = |inst: &ddosim::Ddosim, i: usize| {
         inst.runtime()
             .containers()
@@ -158,7 +158,7 @@ fn crash_and_container_kill_semantics() {
     // it later; dev-0's node is dark with no restore scheduled, so it
     // must stay dead. The C&C only learns of the silent death once its
     // sweep ping's retransmissions exhaust (sweep at 60 s + ~12 s of RTOs).
-    instance.run_until(Duration::from_secs(80));
+    instance.run_prefix(Duration::from_secs(80)).expect("prefix runs");
     assert!(!bot_alive(&instance, 0), "a crashed node cannot be re-infected");
     assert!(
         instance.connected_bots() < 6,

@@ -5,7 +5,7 @@
 //! must be byte-identical to each other, and checkpointing a fork must
 //! yield the very checkpoint the straight-through run saves.
 
-use ddosim::{AttackSpec, SimulationBuilder, SuffixSpec, TelemetryConfig, TopologyKind};
+use ddosim::{AttackSpec, Ddosim, SimulationBuilder, SuffixSpec, TelemetryConfig, TopologyKind};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -138,15 +138,11 @@ fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
 /// yields the fork the straight-through world yields, reseeded or not.
 #[test]
 fn fork_of_a_resumed_world_equals_fork_of_the_straight_through_world() {
-    let straight = base(42, TopologyKind::Star)
-        .checkpoint_at(Duration::from_secs(28))
-        .build()
-        .expect("valid configuration");
+    let mut straight = base(42, TopologyKind::Star).build().expect("valid configuration");
+    straight.set_checkpoint_at(Duration::from_secs(28));
     let (_, saved) = straight.try_run_to_completion().expect("run succeeds");
-    let mut resumed = SimulationBuilder::new()
-        .resume_from(saved.expect("checkpoint was armed"))
-        .build()
-        .expect("checkpoint verifies");
+    let mut resumed =
+        Ddosim::resume_from(saved.expect("checkpoint was armed")).expect("checkpoint verifies");
     resumed.run_prefix(FORK_AT).expect("resumed world runs on");
     for fork_seed in [0, 7] {
         let fork = resumed.fork_with_seed(fork_seed).expect("resumed world forks");
@@ -186,30 +182,33 @@ fn ten_thousand_device_fork_is_digest_identical_to_parent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Pausing a world at an arbitrary mark — and sampling its digests
-    /// there, which must be a pure read — then continuing must land on
-    /// exactly the layer digests of an uninterrupted run of the same
-    /// world. This pins the struct-of-arrays arena's digest order to the
-    /// simulation's observable state, not to construction history.
+    /// Pausing a world at an arbitrary mark — before the attack (25 s),
+    /// inside its window or in the drain — and sampling its digests there,
+    /// which must be a pure read, then running on to the horizon must land
+    /// on exactly the layer digests, result and trace (its four phase marks
+    /// included) of an uninterrupted run of the same world. This pins the
+    /// struct-of-arrays arena's digest order to the simulation's observable
+    /// state, not to construction history, and the phase walk's
+    /// measurements to the boundaries, not to where a caller paused.
     #[test]
-    fn paused_run_digests_equal_straight_rebuild(
-        seed in 0u64..1000,
-        mark in 5u64..20,
-        end in 21u64..40,
-    ) {
-        let mut straight = base(seed, TopologyKind::Star).build().expect("valid configuration");
-        straight.run_prefix(Duration::from_secs(end)).expect("straight run");
+    fn paused_run_digests_equal_straight_rebuild(seed in 0u64..1000, mark in 5u64..44) {
+        let finish = |mut world: Ddosim| {
+            world.run_prefix(Duration::from_secs(45)).expect("run reaches the horizon");
+            let digests = world.state_digests();
+            let handle = world.telemetry().clone();
+            let result = world.run_to_completion().to_deterministic_json().to_string_compact();
+            (digests, result, handle.recorder_json().expect("recording").to_string_compact())
+        };
+        let straight = base(seed, TopologyKind::Star).build().expect("valid configuration");
 
         let mut paused = base(seed, TopologyKind::Star).build().expect("valid configuration");
         paused.run_prefix(Duration::from_secs(mark)).expect("prefix runs");
         let _probe = paused.state_digests();
-        paused.run_prefix(Duration::from_secs(end)).expect("suffix runs");
 
-        prop_assert_eq!(
-            straight.state_digests(),
-            paused.state_digests(),
-            "digests at the checkpoint mark depend on how the run got there"
-        );
+        let (straight, paused) = (finish(straight), finish(paused));
+        prop_assert_eq!(straight.0, paused.0, "digests depend on where the run paused");
+        prop_assert_eq!(straight.1, paused.1, "the result depends on where the run paused");
+        prop_assert_eq!(straight.2, paused.2, "the trace depends on where the run paused");
     }
 
     /// Random fork points and seeds: equal fork seeds are byte-identical
@@ -271,10 +270,8 @@ proptest! {
     ) {
         let (at, cp_at) = (Duration::from_secs(t_secs), Duration::from_secs(cp_secs));
 
-        let straight = base(seed, TopologyKind::Star)
-            .checkpoint_at(cp_at)
-            .build()
-            .expect("valid configuration");
+        let mut straight = base(seed, TopologyKind::Star).build().expect("valid configuration");
+        straight.set_checkpoint_at(cp_at);
         let (_, saved) = straight.try_run_to_completion().expect("run succeeds");
         let straight_cp = saved.expect("checkpoint was armed");
 
@@ -290,10 +287,7 @@ proptest! {
             fork_cp.to_string_pretty(),
             "a fork's checkpoint differs from the straight-through checkpoint"
         );
-        let resumed = SimulationBuilder::new()
-            .resume_from(fork_cp)
-            .build()
-            .expect("checkpoint config is valid");
+        let resumed = Ddosim::resume_from(fork_cp).expect("checkpoint config is valid");
         resumed
             .try_run_to_completion()
             .expect("a fork's checkpoint restores (digests verify)");

@@ -312,7 +312,7 @@ fn reboots_clear_bots_and_the_attacker_re_recruits() {
         .seed(23)
         .build()
         .expect("valid");
-    instance.run_until(Duration::from_secs(150));
+    instance.run_prefix(Duration::from_secs(150)).expect("prefix runs");
     let total_reboots: u32 = instance
         .devs()
         .iter()
@@ -357,7 +357,7 @@ fn without_reboots_each_device_is_infected_exactly_once() {
         .seed(24)
         .build()
         .expect("valid");
-    instance.run_until(Duration::from_secs(50));
+    instance.run_prefix(Duration::from_secs(50)).expect("prefix runs");
     for dev in instance.devs() {
         assert_eq!(dev.container.state().infection_count, 1);
         assert_eq!(dev.container.state().reboot_count, 0);

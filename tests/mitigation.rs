@@ -65,7 +65,7 @@ fn filter_drops_are_accounted() {
         }
         .into_rule(),
     );
-    defended.run_until(Duration::from_secs(62));
+    defended.run_prefix(Duration::from_secs(62)).expect("prefix runs");
     let filtered = defended.sim_mut().stats().dropped_filtered;
     assert!(filtered > 1000, "flood packets must be filtered, got {filtered}");
 }
@@ -77,11 +77,11 @@ fn clearing_the_filter_restores_traffic() {
     // A limiter with no burst and no refill admits nothing.
     let drop_all = RateLimiter { rate_bps: 0, burst_bytes: 0 };
     instance.sim_mut().push_node_filter(fabric, drop_all.into_rule());
-    instance.run_until(Duration::from_secs(5));
+    instance.run_prefix(Duration::from_secs(5)).expect("prefix runs");
     // Under drop-all even the exploit exchange is blocked.
     assert_eq!(instance.infected_count(), 0);
     instance.sim_mut().clear_node_filters(fabric);
-    instance.run_until(Duration::from_secs(25));
+    instance.run_prefix(Duration::from_secs(25)).expect("prefix runs");
     assert_eq!(instance.infected_count(), 15, "infection resumes once the filter lifts");
 }
 

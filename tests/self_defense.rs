@@ -15,7 +15,7 @@ fn infected_instance() -> ddosim::Ddosim {
         .seed(3)
         .build()
         .expect("valid configuration");
-    instance.run_until(Duration::from_secs(30));
+    instance.run_prefix(Duration::from_secs(30)).expect("prefix runs");
     assert_eq!(instance.infected_count(), 5, "setup: all recruited");
     instance
 }
@@ -106,7 +106,7 @@ fn single_instance_guard_prevents_double_bots() {
         .seed(6)
         .build()
         .expect("valid configuration");
-    instance.run_until(Duration::from_secs(75));
+    instance.run_prefix(Duration::from_secs(75)).expect("prefix runs");
     for dev in instance.devs() {
         let state = dev.container.state();
         let obfuscated = state
