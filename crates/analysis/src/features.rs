@@ -2,10 +2,11 @@
 //!
 //! "Most ML-based DDoS detection approaches rely on extracting features
 //! from incoming network traffic (e.g., IP address, traffic rate) and
-//! feeding them into an ML model." This module turns the simulator's packet
-//! trace at TServer into per-source, per-window feature vectors.
+//! feeding them into an ML model." This module turns the packets delivered
+//! at TServer (read from a packet capture) into per-source, per-window
+//! feature vectors.
 
-use netsim::{TraceKind, TraceRecord, TransportProto};
+use netsim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 use std::time::Duration;
@@ -51,7 +52,7 @@ impl FlowFeatures {
     pub const DIM: usize = 7;
 }
 
-/// Aggregates delivered-packet trace records into per-source windows.
+/// Aggregates delivered packets into per-source windows.
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     window: Duration,
@@ -80,18 +81,16 @@ impl FeatureExtractor {
         }
     }
 
-    /// Feeds one trace record; only `Delivered` records are used.
-    pub fn push(&mut self, record: &TraceRecord) {
-        if record.kind != TraceKind::Delivered {
-            return;
-        }
-        let t = record.time.as_secs_f64();
+    /// Feeds one delivered packet: when it arrived, who sent it, the port
+    /// it was addressed to, whether it was UDP and its size on the wire.
+    pub fn push(&mut self, at: SimTime, src: IpAddr, dst_port: u16, udp: bool, wire_bytes: u32) {
+        let t = at.as_secs_f64();
         let w = (t / self.window.as_secs_f64()) as u64;
-        let acc = self.acc.entry((record.src.ip(), w)).or_default();
-        acc.sizes.push(f64::from(record.wire_bytes));
+        let acc = self.acc.entry((src, w)).or_default();
+        acc.sizes.push(f64::from(wire_bytes));
         acc.times.push(t);
-        acc.ports.insert(record.dst.port());
-        if record.proto == TransportProto::Udp {
+        acc.ports.insert(dst_port);
+        if udp {
             acc.udp += 1;
         }
     }
@@ -155,29 +154,20 @@ impl FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{NodeId, SimTime};
-    use std::net::SocketAddr;
 
-    fn record(t_ms: u64, src_last: u8, bytes: u32, dst_port: u16) -> TraceRecord {
-        TraceRecord {
-            time: SimTime::from_millis(t_ms),
-            kind: TraceKind::Delivered,
-            node: NodeId::from_index(0),
-            packet_id: 0,
-            src: SocketAddr::new(IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, src_last)), 4000),
-            dst: SocketAddr::new(IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, 9)), dst_port),
-            proto: TransportProto::Udp,
-            wire_bytes: bytes,
-        }
+    /// Feeds one UDP packet from 10.0.0.`src_last`.
+    fn push(fx: &mut FeatureExtractor, t_ms: u64, src_last: u8, bytes: u32, dst_port: u16) {
+        let src = IpAddr::V4(std::net::Ipv4Addr::new(10, 0, 0, src_last));
+        fx.push(SimTime::from_millis(t_ms), src, dst_port, true, bytes);
     }
 
     #[test]
     fn windows_group_by_source_and_time() {
         let mut fx = FeatureExtractor::new(Duration::from_secs(1));
-        fx.push(&record(100, 1, 540, 80));
-        fx.push(&record(200, 1, 540, 80));
-        fx.push(&record(1500, 1, 540, 80)); // next window
-        fx.push(&record(100, 2, 100, 80)); // other source
+        push(&mut fx, 100, 1, 540, 80);
+        push(&mut fx, 200, 1, 540, 80);
+        push(&mut fx, 1500, 1, 540, 80); // next window
+        push(&mut fx, 100, 2, 100, 80); // other source
         let rows = fx.finish();
         assert_eq!(rows.len(), 3);
         let first = rows
@@ -193,18 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn non_delivered_records_ignored() {
-        let mut fx = FeatureExtractor::new(Duration::from_secs(1));
-        let mut r = record(0, 1, 100, 80);
-        r.kind = TraceKind::Sent;
-        fx.push(&r);
-        assert!(fx.finish().is_empty());
-    }
-
-    #[test]
     fn vector_has_declared_dim() {
         let mut fx = FeatureExtractor::new(Duration::from_secs(1));
-        fx.push(&record(0, 1, 100, 80));
+        push(&mut fx, 0, 1, 100, 80);
         let rows = fx.finish();
         assert_eq!(rows[0].vector().len(), FlowFeatures::DIM);
     }
@@ -212,8 +193,8 @@ mod tests {
     #[test]
     fn distinct_ports_counted() {
         let mut fx = FeatureExtractor::new(Duration::from_secs(1));
-        fx.push(&record(0, 1, 100, 80));
-        fx.push(&record(10, 1, 100, 443));
+        push(&mut fx, 0, 1, 100, 80);
+        push(&mut fx, 10, 1, 100, 443);
         let rows = fx.finish();
         assert_eq!(rows[0].distinct_dst_ports, 2.0);
     }

@@ -3,9 +3,9 @@
 //! The paper's §V use cases, implemented end to end:
 //!
 //! * **ML-based DDoS defense** (§V-A): extract per-flow features from
-//!   TServer's packet trace ([`FeatureExtractor`]), label them, and train a
-//!   [`LogisticRegression`] detector or a small neural network ([`Mlp`],
-//!   the model class the paper names).
+//!   the packets a capture saw delivered at TServer ([`FeatureExtractor`]),
+//!   label them, and train a [`LogisticRegression`] detector or a small
+//!   neural network ([`Mlp`], the model class the paper names).
 //! * **Benign traffic generation**: [`BenignClient`] produces the "normal
 //!   traffic to TServer" the defense use case mixes with attack traffic.
 //! * **Deployable mitigations**: [`RateLimiter`] and [`ModelFilter`]

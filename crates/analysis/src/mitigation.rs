@@ -14,9 +14,7 @@
 
 use crate::classify::LogisticRegression;
 use crate::features::FeatureExtractor;
-use netsim::{
-    FilterVerdict, Packet, PacketFilter, SimTime, StateHasher, TraceKind, TraceRecord,
-};
+use netsim::{FilterVerdict, Packet, PacketFilter, SimTime, StateHasher, TransportProto};
 use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::time::Duration;
@@ -104,18 +102,9 @@ impl PacketFilter for ModelFilter {
                 .collect();
             self.current_window = w;
         }
-        // Record this packet for the next scoring round (as a
-        // delivered-at-this-node observation).
-        self.extractor.push(&TraceRecord {
-            time: now,
-            kind: TraceKind::Delivered,
-            node: netsim::NodeId::from_index(0),
-            packet_id: packet.id,
-            src: packet.src,
-            dst: packet.dst,
-            proto: packet.proto,
-            wire_bytes: packet.wire_bytes(),
-        });
+        // Record this packet for the next scoring round.
+        let udp = packet.proto == TransportProto::Udp;
+        self.extractor.push(now, packet.src.ip(), packet.dst.port(), udp, packet.wire_bytes());
         if self.blocked.contains(&packet.src.ip()) {
             FilterVerdict::Drop
         } else {
@@ -143,7 +132,7 @@ impl PacketFilter for ModelFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Payload, TransportProto};
+    use netsim::Payload;
     use std::net::SocketAddr;
 
     fn pkt(src_last: u8, bytes: u32) -> Packet {

@@ -12,13 +12,11 @@ use analysis::{
 use ddosim_core::experiment::{mean, run_arms, world};
 use ddosim_core::report::{fmt_f, Table};
 use ddosim_core::{AttackSpec, Ddosim, Recruitment, RunResult, SimulationBuilder};
-use netsim::{LinkConfig, NodeId, SimTime, Simulator, TraceKind, TraceRecord};
+use netsim::{LinkConfig, NodeId, SimTime, Simulator, Telemetry, TelemetryConfig};
 use scenario::{run_grid_streamed, DefenseSpec, GridCell, SweepGridPlan};
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::net::{IpAddr, SocketAddr};
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -93,7 +91,8 @@ pub fn table1(dev_counts: &[usize]) -> Output {
 pub struct FlowDataset {
     /// The run's result.
     pub result: RunResult,
-    /// Packets delivered at TServer (the Wireshark analogue).
+    /// Packets delivered at TServer, as the world's packet capture saw
+    /// them (the Wireshark analogue).
     pub delivered: usize,
     /// How many of them came from the benign clients.
     pub benign_delivered: usize,
@@ -103,9 +102,15 @@ pub struct FlowDataset {
 }
 
 /// Runs `world` with `benign` extra clients polling TServer every
-/// `mean_interval` and a tap on TServer's deliveries. `deploy` sees the
-/// world after the clients are attached and before it runs — where a
-/// defense under evaluation is scheduled.
+/// `mean_interval` and a packet capture of everything that happens at
+/// TServer's node, unbounded, whose deliveries become the dataset.
+/// `deploy` sees the world after the clients are attached and before it
+/// runs — where a defense under evaluation is scheduled.
+///
+/// # Panics
+///
+/// Panics if `world` was built with telemetry on: the capture is
+/// installed here and would replace the world's own collectors.
 pub fn flow_dataset(
     mut world: Ddosim,
     benign: usize,
@@ -125,21 +130,33 @@ pub fn flow_dataset(
         world.sim_mut().install_app(member.node, Box::new(client));
     }
     deploy(&mut world);
-    let records: Rc<RefCell<Vec<TraceRecord>>> = Rc::default();
-    let tap = Rc::clone(&records);
-    world.sim_mut().set_trace(Box::new(move |r| {
-        if r.node == tserver_node && r.kind == TraceKind::Delivered {
-            tap.borrow_mut().push(r.clone());
-        }
-    }));
+    assert!(!world.telemetry().is_enabled(), "flow_dataset installs its own capture");
+    let mut at_tserver = TelemetryConfig {
+        capture: true,
+        capture_capacity: usize::MAX,
+        ..TelemetryConfig::default()
+    };
+    at_tserver.capture_filter.node = Some(tserver_node.index() as u32);
+    let capture = Telemetry::from_config(&at_tserver);
+    world.sim_mut().set_telemetry(capture.clone());
     let result = world.run_to_completion();
-    let records = records.take();
     let mut fx = FeatureExtractor::new(Duration::from_secs(2));
-    records.iter().for_each(|r| fx.push(r));
+    let (mut delivered, mut benign_delivered) = (0, 0);
+    capture
+        .with_capture(|cap| {
+            assert_eq!(cap.matched(), cap.records().len() as u64, "the capture truncated");
+            for r in cap.records().iter().filter(|r| r.kind == "delivered") {
+                let (at, src) = (SimTime::from_nanos(r.time_nanos), r.src.ip());
+                fx.push(at, src, r.dst.port(), r.proto == "udp", r.wire_bytes);
+                delivered += 1;
+                benign_delivered += usize::from(benign_sources.contains(&src));
+            }
+        })
+        .expect("capturing");
     FlowDataset {
         result,
-        delivered: records.len(),
-        benign_delivered: records.iter().filter(|r| benign_sources.contains(&r.src.ip())).count(),
+        delivered,
+        benign_delivered,
         samples: label_samples(fx.finish(), &attack_sources),
     }
 }

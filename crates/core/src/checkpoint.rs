@@ -263,8 +263,8 @@ fn topology_from_json(v: Val<'_>) -> Result<TopologyKind, PlanError> {
 /// match-everything filter).
 fn capture_filter_expr(f: &CaptureFilter) -> String {
     let mut parts: Vec<String> = Vec::new();
-    if let Some(proto) = &f.proto {
-        parts.push(proto.clone());
+    if let Some(proto) = f.proto {
+        parts.push(proto.to_owned());
     }
     if let Some(port) = f.port {
         parts.push(format!("port {port}"));
@@ -277,6 +277,9 @@ fn capture_filter_expr(f: &CaptureFilter) -> String {
     }
     if let Some(ip) = f.host {
         parts.push(format!("host {ip}"));
+    }
+    if let Some(node) = f.node {
+        parts.push(format!("node {node}"));
     }
     parts.join(" ")
 }
@@ -732,7 +735,8 @@ mod tests {
 
     #[test]
     fn capture_filter_expression_round_trips() {
-        for expr in ["", "udp", "tcp port 23 src 10.0.0.1 dst 10.0.0.2 host 10.0.0.3"] {
+        let every = "tcp port 23 src 10.0.0.1 dst 10.0.0.2 host 10.0.0.3 node 7";
+        for expr in ["", "udp", "node 3", every] {
             let filter = CaptureFilter::parse(expr).unwrap();
             assert_eq!(capture_filter_expr(&filter), expr);
         }

@@ -1,7 +1,6 @@
 //! The simulator's event queue: a bucketed calendar queue whose drained
 //! bucket is a sorted run, with one heap for every event outside the
-//! wheel's window, plus the straightforward binary-heap reference model it
-//! replaced.
+//! wheel's window.
 //!
 //! # Why not a plain `BinaryHeap`
 //!
@@ -38,7 +37,8 @@
 //! the invariant the replaced `BinaryHeap<Reverse<Entry>>` provided and the
 //! property tests in `tests/queue_equivalence.rs` lock in: for any schedule
 //! (including same-tick ties and pushes interleaved with pops), the calendar
-//! queue pops in exactly the order of [`ReferenceQueue`].
+//! queue pops in exactly the order of a plain binary heap over `(time, seq)`,
+//! the reference model that test keeps.
 //!
 //! Structural invariant: wheel events are `>= bucket_base`, run events
 //! `< bucket_base`, heap events anywhere. `settle` stops as soon as the run
@@ -96,8 +96,8 @@ impl<T> Ord for Keyed<T> {
     }
 }
 
-/// Minimal interface both queue implementations share, so equivalence tests
-/// and benchmarks can drive either through one code path.
+/// The queue's interface, so equivalence tests and benchmarks can drive it
+/// and a reference model through one code path.
 pub trait TimeOrderedQueue<T> {
     /// Inserts an event with its `(time, seq)` key.
     fn push(&mut self, time: SimTime, seq: u64, item: T);
@@ -304,70 +304,11 @@ impl<T> TimeOrderedQueue<T> for EventQueue<T> {
     }
 }
 
-/// The pre-overhaul model: one binary heap over `(time, seq)`. Kept as the
-/// executable specification the calendar queue is tested against; the
-/// speedups over it are in EXPERIMENTS.md "Engine microbenchmarks".
-pub struct ReferenceQueue<T> {
-    heap: BinaryHeap<Reverse<Keyed<T>>>,
-    peak_len: usize,
-}
-
-impl<T> std::fmt::Debug for ReferenceQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReferenceQueue")
-            .field("len", &self.heap.len())
-            .field("peak_len", &self.peak_len)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T> Default for ReferenceQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ReferenceQueue<T> {
-    /// An empty reference queue.
-    pub fn new() -> Self {
-        ReferenceQueue { heap: BinaryHeap::new(), peak_len: 0 }
-    }
-
-    /// Largest number of events that were ever pending simultaneously.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-}
-
-impl<T> TimeOrderedQueue<T> for ReferenceQueue<T> {
-    fn push(&mut self, time: SimTime, seq: u64, item: T) {
-        self.heap.push(Reverse(Keyed { time_nanos: time.as_nanos(), seq, item }));
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
-        }
-    }
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap
-            .peek()
-            .map(|Reverse(e)| (SimTime::from_nanos(e.time_nanos), e.seq))
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let Reverse(e) = self.heap.pop()?;
-        Some((SimTime::from_nanos(e.time_nanos), e.seq, e.item))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain<Q: TimeOrderedQueue<u32>>(q: &mut Q) -> Vec<(u64, u64, u32)> {
+    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
         while let Some((t, s, v)) = q.pop() {
             out.push((t.as_nanos(), s, v));
@@ -531,12 +472,13 @@ mod tests {
     #[test]
     fn reference_queue_agrees_on_a_mixed_schedule() {
         let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
         let times = [0u64, 5, 5, 70_000, 70_000, 1 << 30, (1 << 30) + 1, 3];
+        let mut reference: Vec<(u64, u64, u32)> = Vec::new();
         for (seq, t) in times.iter().enumerate() {
             wheel.push(SimTime::from_nanos(*t), seq as u64, seq as u32);
-            reference.push(SimTime::from_nanos(*t), seq as u64, seq as u32);
+            reference.push((*t, seq as u64, seq as u32));
         }
-        assert_eq!(drain(&mut wheel), drain(&mut reference));
+        reference.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
+        assert_eq!(drain(&mut wheel), reference);
     }
 }

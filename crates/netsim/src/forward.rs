@@ -11,9 +11,9 @@ use crate::ids::{IfaceId, LinkId, NodeId};
 use crate::node::{Attachment, Iface, Route};
 use crate::packet::Packet;
 use crate::sim::{Event, Simulator};
-use crate::stats::{DropReason, TraceKind, TraceRecord};
+use crate::stats::DropReason;
 use std::net::IpAddr;
-use telemetry::{Category, Detail};
+use telemetry::{CaptureRecord, Category, Detail};
 
 /// The forwarding layer's event: a frame arrives at an interface.
 #[derive(Debug, Clone)]
@@ -94,8 +94,8 @@ impl Simulator {
 
     /// Resolves the egress route for `dst` on `node` exactly as the
     /// forwarding hot path does: through the epoch-invalidated route cache
-    /// ([`crate::node::NodeRef::route_for`] is the reference linear scan
-    /// tests compare it with).
+    /// (`tests/route_cache.rs` compares it with a linear scan of
+    /// [`crate::node::NodeRef::routes`]).
     pub fn resolve_route(&mut self, node: NodeId, dst: IpAddr) -> Option<Route> {
         self.nodes.routes[node.index()].lookup(dst)
     }
@@ -116,21 +116,24 @@ impl Simulator {
         self.addr_index.get(&addr).map(|i| self.ifaces[i.index()].node)
     }
 
-    /// Offers a packet event to the capture the telemetry handle owns,
-    /// then to the tap: the two are independent observers.
-    pub(crate) fn trace(&mut self, kind: TraceKind, node: NodeId, pkt: &Packet) {
-        if !self.telemetry.captures_packets() && self.trace.is_none() {
-            return;
-        }
-        let rec = TraceRecord::for_packet(self.now(), kind, node, pkt);
-        self.telemetry.capture_packet(|| rec.capture_record());
-        if let Some(hook) = self.trace.as_mut() {
-            hook(&rec);
-        }
+    /// Offers a packet event — `kind` is `sent`, `delivered`, `forwarded`
+    /// or `dropped:<reason>` — to the packet capture, the one packet
+    /// observer. The record is built only when a capture is live.
+    pub(crate) fn trace(&self, kind: &'static str, node: NodeId, pkt: &Packet) {
+        self.telemetry.capture_packet(|| CaptureRecord {
+            time_nanos: self.now().as_nanos(),
+            kind,
+            node: node.index() as u32,
+            packet_id: pkt.id,
+            src: pkt.src,
+            dst: pkt.dst,
+            proto: pkt.proto.as_str(),
+            wire_bytes: pkt.wire_bytes(),
+        });
     }
 
     /// The one exit an undelivered packet leaves by: counted under
-    /// `reason`, recorded, and shown to the capture and the tap.
+    /// `reason`, recorded, and shown to the capture.
     pub(crate) fn drop_packet(&mut self, reason: DropReason, node: NodeId, pkt: &Packet) {
         self.stats.record_drop(reason);
         self.telemetry.record_event(
@@ -145,7 +148,7 @@ impl Simulator {
                 wire_bytes: pkt.wire_bytes(),
             },
         );
-        self.trace(TraceKind::Dropped(reason), node, pkt);
+        self.trace(reason.capture_kind(), node, pkt);
     }
 
     /// Discards every frame waiting in the queues `iface` feeds (both
@@ -173,7 +176,7 @@ impl Simulator {
         packet.id = self.next_packet_id;
         self.next_packet_id += 1;
         self.stats.packets_sent += 1;
-        self.trace(TraceKind::Sent, node, &packet);
+        self.trace("sent", node, &packet);
         self.route_and_transmit(node, packet, None);
     }
 
@@ -270,7 +273,7 @@ impl Simulator {
             }
             if self.nodes.forward_multicast[node.index()] && packet.ttl > 1 {
                 packet.ttl -= 1;
-                self.trace(TraceKind::Forwarded, node, &packet);
+                self.trace("forwarded", node, &packet);
                 self.route_and_transmit(node, packet, Some(iface));
             }
             return;
@@ -285,7 +288,7 @@ impl Simulator {
                 return;
             }
             packet.ttl -= 1;
-            self.trace(TraceKind::Forwarded, node, &packet);
+            self.trace("forwarded", node, &packet);
             // `dst` was just probed: not ours. One `addr_index` probe a hop.
             self.transmit_via_route(node, packet);
             return;
@@ -314,7 +317,7 @@ mod tests {
     use crate::app::Application;
     use crate::link::LinkConfig;
     use crate::packet::{self, Payload};
-    use crate::sim::tests::{two_hosts, v4, Blaster, Harness, Sink};
+    use crate::sim::tests::{captured, capturing, two_hosts, v4, Blaster, Harness, Sink};
     use crate::{Ctx, SimTime};
     use std::net::{Ipv4Addr, SocketAddr};
     use std::time::Duration;
@@ -411,21 +414,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_hook_sees_packets() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let records = Rc::new(RefCell::new(Vec::new()));
-        let sink_records = Rc::clone(&records);
+    fn capture_sees_sends_and_deliveries() {
         let mut h = two_hosts(1_000_000);
-        h.sim.set_trace(Box::new(move |r| {
-            sink_records.borrow_mut().push(r.kind);
-        }));
+        h.sim.set_telemetry(capturing());
         h.sim.install_app(h.b, Box::new(Sink::default()));
         h.sim.install_app(h.a, Box::new(Blaster::new(v4(2), 1, Duration::from_millis(5))));
         h.sim.run_until(SimTime::from_secs(1));
-        let kinds = records.borrow();
-        assert!(kinds.contains(&TraceKind::Sent));
-        assert!(kinds.contains(&TraceKind::Delivered));
+        let seen = captured(&h.sim);
+        assert_eq!(seen, [("sent", 1, h.a), ("delivered", 1, h.b)]);
     }
 
     #[test]
@@ -463,27 +459,21 @@ mod tests {
     /// A flushed frame is a drop like any other: 20 frames offered at once
     /// to a 100 kbps link put one on the wire and 19 behind it; taking the
     /// sender down at 50 ms (the second is serializing by then) discards
-    /// 18, and the tap sees each of them, by packet id, at the sender.
+    /// 18, and the capture sees each of them, by packet id, at the sender.
     #[test]
     fn flushed_frames_are_traced_drops() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
         let Harness { mut sim, a, .. } = two_hosts(100_000);
-        let drops = Rc::new(RefCell::new(Vec::new()));
-        let tap = Rc::clone(&drops);
-        sim.set_trace(Box::new(move |r| {
-            if r.kind == TraceKind::Dropped(DropReason::NodeDown) {
-                tap.borrow_mut().push((r.packet_id, r.node));
-            }
-        }));
+        sim.set_telemetry(capturing());
         for _ in 0..20 {
             let (src, dst) = (SocketAddr::new(v4(1), 1000), SocketAddr::new(v4(2), 9));
             sim.send_from_node(a, Packet::udp(src, dst, Payload::empty(), 472));
         }
         sim.run_until(SimTime::from_millis(50));
         sim.set_node_admin(a, false);
-        let expected: Vec<_> = (3..=20).map(|id| (id, a)).collect();
-        assert_eq!(*drops.borrow(), expected);
+        let flushed = |r: &(&str, u64, NodeId)| r.0 == "dropped:node_down";
+        let drops: Vec<_> = captured(&sim).into_iter().filter(flushed).collect();
+        let expected: Vec<_> = (3..=20).map(|id| ("dropped:node_down", id, a)).collect();
+        assert_eq!(drops, expected);
         assert_eq!(sim.stats().dropped_node_down, 18);
         assert_eq!(sim.buffered_bytes(), 0);
     }

@@ -80,7 +80,7 @@ pub mod wifi;
 
 pub use app::{Application, Ctx, NullApp};
 pub use digest::StateHasher;
-pub use equeue::{EventQueue, ReferenceQueue, TimeOrderedQueue};
+pub use equeue::{EventQueue, TimeOrderedQueue};
 pub use fastmap::{FastBuildHasher, FastMap, FastSet};
 pub use filter::{FilterRule, FilterStack, FilterVerdict, PacketFilter, TokenBucket};
 pub use fork::{ForkClone, ForkMap, ForkableCall, ForkableFn};
@@ -89,7 +89,7 @@ pub use intern::{NameId, NameInterner};
 pub use link::LinkConfig;
 pub use packet::{Packet, Payload, TransportProto};
 pub use sim::{NetError, Simulator};
-pub use stats::{DropReason, Stats, TraceHook, TraceKind, TraceRecord};
+pub use stats::{DropReason, Stats};
 pub use tcp::{ConnId, TcpError, TcpEvent};
 pub use telemetry::{Category, Telemetry, TelemetryConfig};
 pub use time::SimTime;

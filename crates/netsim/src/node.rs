@@ -147,9 +147,9 @@ pub(crate) const EPHEMERAL_RANGE: std::ops::RangeInclusive<u16> = 49152..=u16::M
 /// on an attached link or the node itself bumps `epoch`; the next lookup
 /// notices the stale `cache_epoch`, discards every cached resolution, and
 /// re-sorts the match table if routes changed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RouteTable {
-    /// Routes in insertion order — the reference (naive) scan uses these.
+    /// Routes in insertion order — the small-table scan uses these.
     routes: Vec<Route>,
     /// Match order for the fast path: *indices* into `routes`, prefix
     /// length descending, and later insertion first among equal lengths —
@@ -166,12 +166,14 @@ pub(crate) struct RouteTable {
     /// route or two, under [`SMALL_TABLE_SCAN`]) never build one, so the
     /// arena row carries one pointer instead of a map + queue header.
     cache: Option<Box<RouteCache>>,
-    /// Eviction threshold; `ROUTE_CACHE_CAP` outside tests.
-    cache_cap: usize,
 }
 
+// One table per node in the arena: the eviction threshold is the
+// `ROUTE_CACHE_CAP` const, not a per-row field.
+const _: () = assert!(std::mem::size_of::<RouteTable>() <= 72);
+
 /// The memoized fast path of a [`RouteTable`]: destination → resolution
-/// under a given epoch, with FIFO eviction at `cache_cap`.
+/// under a given epoch, with FIFO eviction at [`ROUTE_CACHE_CAP`].
 #[derive(Debug, Clone, Default)]
 struct RouteCache {
     /// Epoch the cache (and the table's sort order) were built under.
@@ -181,19 +183,6 @@ struct RouteCache {
     /// Invariant: exactly the keys of `map`, oldest first (inserts only
     /// happen on a miss, and epoch invalidation clears both together).
     order: VecDeque<IpAddr>,
-}
-
-impl Default for RouteTable {
-    fn default() -> Self {
-        RouteTable {
-            routes: Vec::new(),
-            sorted: Vec::new(),
-            sorted_stale: false,
-            epoch: 0,
-            cache: None,
-            cache_cap: ROUTE_CACHE_CAP,
-        }
-    }
 }
 
 impl RouteTable {
@@ -228,8 +217,10 @@ impl RouteTable {
         &self.routes
     }
 
-    /// The reference resolution: linear filter + max scan. Kept as the
-    /// observable-behaviour oracle for the cached fast path.
+    /// Linear filter + max scan: the longest matching prefix, the
+    /// later-inserted route among equals. The production path for tables
+    /// of at most [`SMALL_TABLE_SCAN`] routes (every edge host, every
+    /// packet); the cached path below returns exactly what it would.
     pub(crate) fn lookup_naive(&self, dst: IpAddr) -> Option<Route> {
         self.routes
             .iter()
@@ -280,7 +271,7 @@ impl RouteTable {
             return *cached;
         }
         let resolved = Self::lookup_sorted(&self.sorted, &self.routes, dst);
-        if cache.map.len() >= self.cache_cap {
+        if cache.map.len() >= ROUTE_CACHE_CAP {
             if let Some(oldest) = cache.order.pop_front() {
                 cache.map.remove(&oldest);
             }
@@ -329,11 +320,6 @@ impl RouteTable {
             class_start = class_end;
         }
         None
-    }
-
-    #[cfg(test)]
-    fn set_cache_cap(&mut self, cap: usize) {
-        self.cache_cap = cap;
     }
 
     #[cfg(test)]
@@ -564,15 +550,6 @@ impl<'a> NodeRef<'a> {
         &self.nodes.ifaces[self.idx]
     }
 
-    /// Longest-prefix-match route lookup — the reference linear scan.
-    ///
-    /// This is the semantic oracle; the simulator's forwarding path uses
-    /// the epoch-cached `RouteTable::lookup`, which is proven
-    /// observationally identical by `tests/route_cache.rs`.
-    pub fn route_for(&self, dst: IpAddr) -> Option<Route> {
-        self.nodes.routes[self.idx].lookup_naive(dst)
-    }
-
     /// The node's routes in insertion order.
     pub fn routes(&self) -> &'a [Route] {
         self.nodes.routes[self.idx].as_slice()
@@ -734,27 +711,26 @@ mod tests {
         for i in 0..SMALL_TABLE_SCAN as u8 {
             t.push(route(v4(172, 16, 0, i), 32, 1));
         }
-        t.set_cache_cap(4);
-        let d = |i: u8| v4(10, 0, 0, i);
-        for i in 1..=4 {
+        // Distinct destinations inside the covering /8: fill the real cap.
+        let d = |i: usize| IpAddr::V4(Ipv4Addr::from(0x0A00_0000 + i as u32));
+        let cap = ROUTE_CACHE_CAP;
+        for i in 1..=cap {
             t.lookup(d(i));
         }
-        assert_eq!(t.cache_len(), 4);
+        assert_eq!(t.cache_len(), cap);
         // A cache hit must not refresh FIFO position (FIFO, not LRU).
         t.lookup(d(1));
-        assert_eq!(t.cache_len(), 4);
-        // Fifth distinct destination evicts the oldest entry — d(1), even
-        // though it was just re-probed.
-        t.lookup(d(5));
-        assert_eq!(t.cache_len(), 4);
+        assert_eq!(t.cache_len(), cap);
+        // One more distinct destination evicts the oldest entry — d(1),
+        // even though it was just re-probed.
+        t.lookup(d(cap + 1));
+        assert_eq!(t.cache_len(), cap);
         assert!(!t.cache_contains(d(1)));
-        for i in 2..=5 {
-            assert!(t.cache_contains(d(i)), "d({i}) should survive");
-        }
+        assert!((2..=cap + 1).all(|i| t.cache_contains(d(i))), "the rest survive");
         // Next insert evicts d(2), then d(3): strict insertion order.
-        t.lookup(d(6));
+        t.lookup(d(cap + 2));
         assert!(!t.cache_contains(d(2)));
-        t.lookup(d(7));
+        t.lookup(d(cap + 3));
         assert!(!t.cache_contains(d(3)));
         assert!(t.cache_contains(d(4)));
         // Evicted destinations still resolve correctly on re-probe.

@@ -21,12 +21,19 @@ pub enum TransportProto {
     Tcp,
 }
 
+impl TransportProto {
+    /// Lowercase name (`udp` / `tcp`), as the packet capture stores it.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            TransportProto::Udp => "udp",
+            TransportProto::Tcp => "tcp",
+        }
+    }
+}
+
 impl fmt::Display for TransportProto {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportProto::Udp => f.write_str("udp"),
-            TransportProto::Tcp => f.write_str("tcp"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

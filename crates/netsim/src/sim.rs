@@ -15,7 +15,7 @@ use crate::forward::ForwardEvent;
 use crate::ids::{IfaceId, NodeId};
 use crate::link::{LinkEvent, P2pLink};
 use crate::node::{Iface, NodeRef, Nodes};
-use crate::stats::{Stats, TraceHook};
+use crate::stats::Stats;
 use crate::tcp::TcpStack;
 use crate::time::SimTime;
 use crate::transport::TransportEvent;
@@ -139,7 +139,8 @@ pub struct Simulator {
     /// a link's `loss_probability` is nonzero.
     pub(crate) fault_rng: SmallRng,
     pub(crate) stats: Stats,
-    pub(crate) trace: Option<TraceHook>,
+    /// Flight recorder and packet capture: the one way anything observes
+    /// the world from outside.
     pub(crate) telemetry: Telemetry,
     /// Deployed defense rules per node; each stack sees every packet
     /// arriving at its node, transit traffic included. Kept ordered so
@@ -180,7 +181,6 @@ impl Simulator {
             rng: SmallRng::seed_from_u64(seed),
             fault_rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
             stats: Stats::default(),
-            trace: None,
             telemetry: Telemetry::disabled(),
             node_filters: BTreeMap::new(),
             blocklist: BTreeSet::new(),
@@ -222,14 +222,10 @@ impl Simulator {
         self.rng = SmallRng::seed_from_u64(seed);
     }
 
-    /// Installs a packet trace hook (a Wireshark-lite observer).
-    pub fn set_trace(&mut self, hook: TraceHook) {
-        self.trace = Some(hook);
-    }
-
     /// Installs the telemetry handle; the simulator emits flight-recorder
     /// events (drops, Wi-Fi contention, retransmits, admin transitions)
-    /// through it. The default handle is disabled and the
+    /// and packet-capture records (every send, delivery, forward and
+    /// drop) through it. The default handle is disabled and the
     /// emission sites cost one branch each.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -381,8 +377,8 @@ impl Simulator {
     /// transport stacks, both RNG streams (at their exact positions), and
     /// every pending event are duplicated; applications are cloned through
     /// their own [`Application::fork`], translating shared handles via
-    /// `map`. The fork starts with tracing and telemetry disabled — the
-    /// caller installs fresh handles (a forked recorder continues at the
+    /// `map`. The fork starts with telemetry disabled — the caller
+    /// installs a fresh handle (a forked recorder continues at the
     /// parent's event count).
     ///
     /// # Errors
@@ -408,7 +404,6 @@ impl Simulator {
             rng: self.rng.clone(),
             fault_rng: self.fault_rng.clone(),
             stats: self.stats.clone(),
-            trace: None,
             telemetry: Telemetry::disabled(),
             node_filters: self.node_filters.clone(),
             blocklist: self.blocklist.clone(),
@@ -451,6 +446,19 @@ pub(crate) mod tests {
         sim.add_default_route(a, ia);
         sim.add_default_route(b, ib);
         Harness { sim, a, b }
+    }
+
+    /// A telemetry handle with only the packet capture on, unfiltered.
+    pub(crate) fn capturing() -> Telemetry {
+        Telemetry::from_config(&telemetry::TelemetryConfig { capture: true, ..Default::default() })
+    }
+
+    /// Every captured record as `(kind, packet id, node)`, in capture order.
+    pub(crate) fn captured(sim: &Simulator) -> Vec<(&'static str, u64, NodeId)> {
+        let row = |r: &telemetry::CaptureRecord| {
+            (r.kind, r.packet_id, NodeId::from_index(r.node as usize))
+        };
+        sim.telemetry().with_capture(|c| c.records().iter().map(row).collect()).expect("capturing")
     }
 
     /// Counts what arrives on UDP port 9.

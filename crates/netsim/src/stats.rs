@@ -1,10 +1,6 @@
-//! Global simulation statistics and the packet trace hook.
+//! Global simulation statistics and the reasons a packet can be dropped.
 
 use crate::digest::StateHasher;
-use crate::ids::NodeId;
-use crate::packet::{Packet, TransportProto};
-use crate::time::SimTime;
-use std::net::SocketAddr;
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +32,7 @@ pub enum DropReason {
 impl DropReason {
     /// Every reason, in declaration order. Kept in sync with the enum by
     /// the exhaustive matches in [`Stats::record_drop`],
-    /// [`Stats::drop_count`], [`DropReason::as_str`], and the
+    /// [`Stats::drop_count`], `DropReason::capture_kind`, and the
     /// `every_reason_has_a_counter` test.
     pub const ALL: [DropReason; 10] = [
         DropReason::QueueOverflow,
@@ -51,20 +47,28 @@ impl DropReason {
         DropReason::LinkLoss,
     ];
 
+    /// The packet capture's `kind` for a drop: `dropped:<name>`. The one
+    /// table of reason names — [`DropReason::as_str`] slices the prefix
+    /// off — kept as whole `'static` strings so a capture record owns no
+    /// heap memory.
+    pub(crate) fn capture_kind(self) -> &'static str {
+        match self {
+            DropReason::QueueOverflow => "dropped:queue_overflow",
+            DropReason::NodeDown => "dropped:node_down",
+            DropReason::TtlExpired => "dropped:ttl_expired",
+            DropReason::NoRoute => "dropped:no_route",
+            DropReason::PortUnreachable => "dropped:port_unreachable",
+            DropReason::WifiRetryLimit => "dropped:wifi_retry_limit",
+            DropReason::WifiLoss => "dropped:wifi_loss",
+            DropReason::Filtered => "dropped:filtered",
+            DropReason::LinkDown => "dropped:link_down",
+            DropReason::LinkLoss => "dropped:link_loss",
+        }
+    }
+
     /// Stable lowercase name (used in telemetry traces).
     pub fn as_str(self) -> &'static str {
-        match self {
-            DropReason::QueueOverflow => "queue_overflow",
-            DropReason::NodeDown => "node_down",
-            DropReason::TtlExpired => "ttl_expired",
-            DropReason::NoRoute => "no_route",
-            DropReason::PortUnreachable => "port_unreachable",
-            DropReason::WifiRetryLimit => "wifi_retry_limit",
-            DropReason::WifiLoss => "wifi_loss",
-            DropReason::Filtered => "filtered",
-            DropReason::LinkDown => "link_down",
-            DropReason::LinkLoss => "link_loss",
-        }
+        &self.capture_kind()["dropped:".len()..]
     }
 }
 
@@ -202,78 +206,6 @@ impl Stats {
     }
 }
 
-/// What happened to a packet, for tracing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Packet handed to the network by an application.
-    Sent,
-    /// Packet delivered at its destination node.
-    Delivered,
-    /// Packet dropped.
-    Dropped(DropReason),
-    /// Packet forwarded by a transit node.
-    Forwarded,
-}
-
-/// One record in the packet trace (a Wireshark-lite view of the simulation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// When the event occurred.
-    pub time: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
-    /// Node at which the event occurred.
-    pub node: NodeId,
-    /// Packet id.
-    pub packet_id: u64,
-    /// Source address.
-    pub src: SocketAddr,
-    /// Destination address.
-    pub dst: SocketAddr,
-    /// Transport protocol.
-    pub proto: TransportProto,
-    /// Total wire bytes.
-    pub wire_bytes: u32,
-}
-
-impl TraceRecord {
-    pub(crate) fn for_packet(time: SimTime, kind: TraceKind, node: NodeId, pkt: &Packet) -> Self {
-        TraceRecord {
-            time,
-            kind,
-            node,
-            packet_id: pkt.id,
-            src: pkt.src,
-            dst: pkt.dst,
-            proto: pkt.proto,
-            wire_bytes: pkt.wire_bytes(),
-        }
-    }
-
-    /// The record as the pcap-like row the telemetry capture stores and
-    /// filters on.
-    pub(crate) fn capture_record(&self) -> telemetry::CaptureRecord {
-        telemetry::CaptureRecord {
-            time_nanos: self.time.as_nanos(),
-            kind: match self.kind {
-                TraceKind::Sent => "sent".to_owned(),
-                TraceKind::Delivered => "delivered".to_owned(),
-                TraceKind::Forwarded => "forwarded".to_owned(),
-                TraceKind::Dropped(reason) => format!("dropped:{}", reason.as_str()),
-            },
-            node: self.node.index() as u32,
-            packet_id: self.packet_id,
-            src: self.src,
-            dst: self.dst,
-            proto: self.proto.to_string(),
-            wire_bytes: self.wire_bytes,
-        }
-    }
-}
-
-/// A packet trace consumer.
-pub type TraceHook = Box<dyn FnMut(&TraceRecord)>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +249,7 @@ mod tests {
             }
             assert_eq!(s.drop_count(reason), i as u64 + 1, "{reason:?} counter wired");
             assert!(!reason.as_str().is_empty());
+            assert_eq!(reason.capture_kind(), format!("dropped:{}", reason.as_str()));
         }
         let expected: u64 = (1..=DropReason::ALL.len() as u64).sum();
         assert_eq!(s.total_dropped(), expected, "total_dropped sums every counter");

@@ -7,7 +7,7 @@ use crate::digest::StateHasher;
 use crate::ids::NodeId;
 use crate::packet::{Packet, TransportProto};
 use crate::sim::{Event, Simulator};
-use crate::stats::{DropReason, TraceKind};
+use crate::stats::DropReason;
 use crate::tcp::{TcpAction, TcpStack};
 use telemetry::{Category, Detail};
 
@@ -47,7 +47,7 @@ impl Simulator {
                     Some(app) => {
                         self.stats.packets_delivered += 1;
                         self.stats.bytes_delivered += u64::from(packet.wire_bytes());
-                        self.trace(TraceKind::Delivered, node, &packet);
+                        self.trace("delivered", node, &packet);
                         self.with_app(app, |a, ctx| a.on_packet(ctx, &packet));
                     }
                     None => self.drop_packet(DropReason::PortUnreachable, node, &packet),
@@ -56,7 +56,7 @@ impl Simulator {
             TransportProto::Tcp => {
                 self.stats.packets_delivered += 1;
                 self.stats.bytes_delivered += u64::from(packet.wire_bytes());
-                self.trace(TraceKind::Delivered, node, &packet);
+                self.trace("delivered", node, &packet);
                 let actions = self.tcp_stack_mut(node).on_segment(&packet);
                 self.process_tcp_actions(node, actions);
             }

@@ -465,8 +465,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::packet::Payload;
-    use crate::sim::tests::{v4, Blaster, Sink};
-    use crate::stats::TraceKind;
+    use crate::sim::tests::{captured, capturing, v4, Blaster, Sink};
     use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 
     fn pkt() -> Packet {
@@ -592,8 +591,6 @@ mod tests {
 
     #[test]
     fn wifi_queue_overflow_is_a_traced_drop() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
         // A station queue with room for one 528-byte frame; two sends at
         // one instant, so the second finds it full.
         let mut sim = Simulator::new(3);
@@ -608,19 +605,15 @@ mod tests {
         sim.attach_wifi(ia, chan).expect("attach");
         sim.attach_wifi(ib, chan).expect("attach");
         sim.add_default_route(a, ia);
-        let drops = Rc::new(RefCell::new(Vec::new()));
-        let tap = Rc::clone(&drops);
-        sim.set_trace(Box::new(move |r| {
-            if let TraceKind::Dropped(reason) = r.kind {
-                tap.borrow_mut().push((reason, r.packet_id, r.node));
-            }
-        }));
+        sim.set_telemetry(capturing());
         let src = SocketAddr::new(v4(1), 1000);
         let dst = SocketAddr::new(v4(2), 9);
         for _ in 0..2 {
             sim.send_from_node(a, Packet::udp(src, dst, Payload::empty(), 500));
         }
-        assert_eq!(*drops.borrow(), vec![(DropReason::QueueOverflow, 2, a)]);
+        let dropped = |r: &(&str, u64, NodeId)| r.0.starts_with("dropped");
+        let drops: Vec<_> = captured(&sim).into_iter().filter(dropped).collect();
+        assert_eq!(drops, [("dropped:queue_overflow", 2, a)]);
         assert_eq!(sim.stats().dropped_queue_overflow, 1);
     }
 }

@@ -4,7 +4,7 @@
 use netsim::topology::Fabric;
 use netsim::{
     Application, Ctx, FilterRule, FilterVerdict, LinkConfig, NodeId, Packet, PacketFilter, Payload,
-    SimTime, Simulator, StateHasher, WifiConfig,
+    SimTime, Simulator, StateHasher, Telemetry, TelemetryConfig, WifiConfig,
 };
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -250,13 +250,8 @@ fn link_jitter_spreads_arrival_times() {
         .expect("link");
         sim.add_default_route(a, ia);
         sim.add_default_route(b, ib);
-        let arrivals = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let tap = std::rc::Rc::clone(&arrivals);
-        sim.set_trace(Box::new(move |r| {
-            if r.kind == netsim::TraceKind::Delivered {
-                tap.borrow_mut().push(r.time.as_nanos() as i64);
-            }
-        }));
+        let capture = TelemetryConfig { capture: true, ..TelemetryConfig::default() };
+        sim.set_telemetry(Telemetry::from_config(&capture));
         sim.install_app(b, Box::new(Sink::default()));
         sim.install_app(
             a,
@@ -269,8 +264,15 @@ fn link_jitter_spreads_arrival_times() {
             }),
         );
         sim.run_until(SimTime::from_secs(3));
-        let times = arrivals.borrow();
-        times.windows(2).map(|w| w[1] - w[0]).collect()
+        let arrivals: Vec<i64> = sim
+            .telemetry()
+            .with_capture(|c| {
+                let delivered = c.records().iter().filter(|r| r.kind == "delivered");
+                delivered.map(|r| r.time_nanos as i64).collect()
+            })
+            .expect("capturing");
+        assert_eq!(arrivals.len(), 20);
+        arrivals.windows(2).map(|w| w[1] - w[0]).collect()
     };
     let no_jitter = gaps(0);
     let jittered = gaps(20);

@@ -1,5 +1,6 @@
 //! Property tests proving the calendar [`EventQueue`] observationally
-//! identical to the plain binary-heap [`ReferenceQueue`] it replaced.
+//! identical to the plain binary heap it replaced ([`ReferenceQueue`],
+//! kept here as the executable specification).
 //!
 //! The simulator's determinism hinges on the queue popping in exact
 //! `(time, seq)` order, so these tests drive both implementations through
@@ -11,11 +12,41 @@
 //! consumed while pushes keep landing below the cursor.
 
 use netsim::equeue::{BUCKET_SPAN_NANOS, NUM_BUCKETS};
-use netsim::{EventQueue, ReferenceQueue, SimTime, TimeOrderedQueue};
+use netsim::{EventQueue, SimTime, TimeOrderedQueue};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The pre-overhaul model: one binary heap over `(time, seq, item)`. Keys
+/// are unique, so the item never decides the order.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    peak_len: usize,
+}
+
+impl TimeOrderedQueue<u64> for ReferenceQueue {
+    fn push(&mut self, time: SimTime, seq: u64, item: u64) {
+        self.heap.push(Reverse((time.as_nanos(), seq, item)));
+        self.peak_len = self.peak_len.max(self.heap.len());
+    }
+
+    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|Reverse((time, seq, _))| (SimTime::from_nanos(*time), *seq))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+        let Reverse((time, seq, item)) = self.heap.pop()?;
+        Some((SimTime::from_nanos(time), seq, item))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// Drains both queues fully, comparing every popped `(time, seq, payload)`.
-fn assert_drain_identical(wheel: &mut EventQueue<u64>, reference: &mut ReferenceQueue<u64>) {
+fn assert_drain_identical(wheel: &mut EventQueue<u64>, reference: &mut ReferenceQueue) {
     loop {
         assert_eq!(wheel.len(), reference.len());
         assert_eq!(wheel.peek_key(), reference.peek_key());
@@ -123,7 +154,7 @@ proptest! {
         let horizon = span * NUM_BUCKETS as u64;
         let base = bucket * span;
         let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
+        let mut reference = ReferenceQueue::default();
         let mut seq = 0;
         for off in &dense {
             let off = if off % 4 == 0 { off & !1023 } else { *off };
@@ -172,13 +203,13 @@ proptest! {
             }
         }
         prop_assert!(wheel.is_empty() && clone.is_none_or(|c| c.is_empty()));
-        prop_assert_eq!(wheel.peak_len(), reference.peak_len());
+        prop_assert_eq!(wheel.peak_len(), reference.peak_len);
     }
 
     #[test]
     fn random_schedules_pop_identically(raw_times in proptest::collection::vec(any::<u64>(), 1..400)) {
         let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
+        let mut reference = ReferenceQueue::default();
         for (seq, raw) in raw_times.iter().enumerate() {
             let t = SimTime::from_nanos(shape_time(*raw));
             wheel.push(t, seq as u64, *raw);
@@ -212,7 +243,7 @@ proptest! {
         // more events at or after the popped time (the run loop clamps to
         // `now`), interleaved with further pops.
         let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
+        let mut reference = ReferenceQueue::default();
         let mut seq = 0u64;
         for raw in &initial {
             let t = SimTime::from_nanos(shape_time(*raw));
@@ -246,7 +277,7 @@ proptest! {
         pop_every in 1usize..5,
     ) {
         let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
+        let mut reference = ReferenceQueue::default();
         for (seq, raw) in raw_times.iter().enumerate() {
             let t = SimTime::from_nanos(shape_time(*raw));
             wheel.push(t, seq as u64, *raw);
@@ -255,6 +286,6 @@ proptest! {
                 prop_assert_eq!(wheel.pop(), reference.pop());
             }
         }
-        prop_assert_eq!(wheel.peak_len(), reference.peak_len());
+        prop_assert_eq!(wheel.peak_len(), reference.peak_len);
     }
 }

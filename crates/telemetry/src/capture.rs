@@ -1,10 +1,10 @@
 //! Packet capture: a pcap-like, djson-serialized record of packet
 //! events, with BPF-ish filter predicates.
 //!
-//! The capture does not tap the wire itself — netsim already has a
-//! trace hook (`stats.rs`) that sees every send/deliver/drop/forward.
-//! The core layer converts those trace records into [`CaptureRecord`]s
-//! and offers them here; the [`CaptureFilter`] decides which are kept.
+//! The capture is the one packet observer: the simulator builds a
+//! [`CaptureRecord`] at every send, delivery, forward and drop (only
+//! when a capture is live; the record owns no heap memory) and offers it
+//! here; the [`CaptureFilter`] decides which are kept.
 
 use djson::{Json, ToJson};
 use std::net::{IpAddr, SocketAddr};
@@ -19,7 +19,7 @@ pub struct CaptureRecord {
     pub time_nanos: u64,
     /// What happened: `sent`, `delivered`, `forwarded`, or
     /// `dropped:<reason>`.
-    pub kind: String,
+    pub kind: &'static str,
     /// Node index at which the event occurred.
     pub node: u32,
     /// Simulator-global packet id (follows a packet across hops).
@@ -29,7 +29,7 @@ pub struct CaptureRecord {
     /// Destination socket address.
     pub dst: SocketAddr,
     /// Transport protocol, lowercase (`udp` / `tcp`).
-    pub proto: String,
+    pub proto: &'static str,
     /// Total on-wire bytes.
     pub wire_bytes: u32,
 }
@@ -38,12 +38,12 @@ impl ToJson for CaptureRecord {
     fn to_json(&self) -> Json {
         Json::obj([
             ("t", Json::U64(self.time_nanos)),
-            ("kind", Json::Str(self.kind.clone())),
+            ("kind", Json::Str(self.kind.into())),
             ("node", Json::U64(u64::from(self.node))),
             ("packet_id", Json::U64(self.packet_id)),
             ("src", Json::Str(self.src.to_string())),
             ("dst", Json::Str(self.dst.to_string())),
-            ("proto", Json::Str(self.proto.clone())),
+            ("proto", Json::Str(self.proto.into())),
             ("wire_bytes", Json::U64(u64::from(self.wire_bytes))),
         ])
     }
@@ -51,11 +51,12 @@ impl ToJson for CaptureRecord {
 
 /// A BPF-flavoured packet predicate: every present field must match
 /// (conjunction). Addresses match either endpoint's IP as directed —
-/// `src`/`dst` match that specific direction, `host` matches either.
+/// `src`/`dst` match that specific direction, `host` matches either;
+/// `node` matches where the event happened, not who it was addressed to.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CaptureFilter {
     /// Transport protocol (`udp` / `tcp`), lowercase.
-    pub proto: Option<String>,
+    pub proto: Option<&'static str>,
     /// Matches if either endpoint uses this port.
     pub port: Option<u16>,
     /// Source IP must equal this.
@@ -64,17 +65,19 @@ pub struct CaptureFilter {
     pub dst: Option<IpAddr>,
     /// Either endpoint IP must equal this.
     pub host: Option<IpAddr>,
+    /// The event must have happened at this node index.
+    pub node: Option<u32>,
 }
 
 impl CaptureFilter {
     /// Parses a BPF-ish expression: whitespace-separated clauses from
-    /// `udp`, `tcp`, `port N`, `src IP`, `dst IP`, `host IP`.
+    /// `udp`, `tcp`, `port N`, `src IP`, `dst IP`, `host IP`, `node N`.
     /// An empty string is the match-everything filter.
     ///
     /// ```
     /// use telemetry::CaptureFilter;
     /// let f = CaptureFilter::parse("udp port 80 dst 10.0.0.9").unwrap();
-    /// assert_eq!(f.proto.as_deref(), Some("udp"));
+    /// assert_eq!(f.proto, Some("udp"));
     /// assert_eq!(f.port, Some(80));
     /// ```
     ///
@@ -86,11 +89,15 @@ impl CaptureFilter {
         let mut words = expr.split_whitespace();
         while let Some(word) = words.next() {
             match word {
-                "udp" | "tcp" => filter.proto = Some(word.to_string()),
-                "port" => {
-                    let v = words.next().ok_or("'port' needs a number")?;
-                    filter.port =
-                        Some(v.parse().map_err(|_| format!("bad port '{v}'"))?);
+                "udp" => filter.proto = Some("udp"),
+                "tcp" => filter.proto = Some("tcp"),
+                "port" | "node" => {
+                    let v = words.next().ok_or_else(|| format!("'{word}' needs a number"))?;
+                    let bad = |_| format!("bad {word} '{v}'");
+                    match word {
+                        "port" => filter.port = Some(v.parse().map_err(bad)?),
+                        _ => filter.node = Some(v.parse().map_err(bad)?),
+                    }
                 }
                 "src" | "dst" | "host" => {
                     let v = words.next().ok_or_else(|| format!("'{word}' needs an IP"))?;
@@ -110,8 +117,13 @@ impl CaptureFilter {
 
     /// Whether `rec` satisfies every clause.
     pub fn matches(&self, rec: &CaptureRecord) -> bool {
-        if let Some(proto) = &self.proto {
-            if rec.proto != *proto {
+        if let Some(node) = self.node {
+            if rec.node != node {
+                return false;
+            }
+        }
+        if let Some(proto) = self.proto {
+            if rec.proto != proto {
                 return false;
             }
         }
@@ -207,15 +219,15 @@ impl PacketCapture {
 mod tests {
     use super::*;
 
-    fn rec(src: &str, dst: &str, proto: &str) -> CaptureRecord {
+    fn rec(src: &str, dst: &str, proto: &'static str) -> CaptureRecord {
         CaptureRecord {
             time_nanos: 1,
-            kind: "sent".into(),
+            kind: "sent",
             node: 0,
             packet_id: 1,
             src: src.parse().expect("src"),
             dst: dst.parse().expect("dst"),
-            proto: proto.into(),
+            proto,
             wire_bytes: 100,
         }
     }
@@ -238,6 +250,18 @@ mod tests {
     }
 
     #[test]
+    fn node_matches_where_the_event_happened() {
+        let f = CaptureFilter::parse("node 3 udp").expect("parse");
+        assert_eq!(f.node, Some(3));
+        let mut r = rec("10.0.0.1:1", "10.0.0.2:2", "udp");
+        assert!(!f.matches(&r), "node 0");
+        r.node = 3;
+        assert!(f.matches(&r));
+        r.proto = "tcp";
+        assert!(!f.matches(&r), "clauses are a conjunction");
+    }
+
+    #[test]
     fn empty_filter_matches_all() {
         let f = CaptureFilter::parse("").expect("parse");
         assert_eq!(f, CaptureFilter::default());
@@ -250,6 +274,10 @@ mod tests {
         assert!(CaptureFilter::parse("port eighty").is_err());
         assert!(CaptureFilter::parse("src not-an-ip").is_err());
         assert!(CaptureFilter::parse("port").is_err());
+        for bad in ["node", "node x", "node -1", "node 4294967296"] {
+            let err = CaptureFilter::parse(bad).expect_err(bad);
+            assert!(err.contains("node"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

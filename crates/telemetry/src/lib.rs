@@ -189,12 +189,6 @@ impl Telemetry {
         self.records
     }
 
-    /// Whether the packet capture is live.
-    #[inline]
-    pub fn captures_packets(&self) -> bool {
-        self.captures
-    }
-
     /// Records a flight-recorder event. `detail` only runs when the
     /// recorder is live, so disabled runs build nothing; what it returns
     /// (a `String`, or a [`Detail`] of plain values at the hot sites) is
@@ -233,15 +227,22 @@ impl Telemetry {
     }
 
     /// Offers a packet event to the capture. `make` only runs when the
-    /// capture is live.
+    /// capture is live, so a world without one pays this one branch.
     #[inline]
     pub fn capture_packet(&self, make: impl FnOnce() -> CaptureRecord) {
-        if !self.captures {
-            return;
+        if self.captures {
+            self.offer(make());
         }
+    }
+
+    /// The capture's half of [`Telemetry::capture_packet`], kept out of
+    /// line: every packet event of the simulator inlines the branch above,
+    /// and worlds without a capture never take it.
+    #[cold]
+    fn offer(&self, rec: CaptureRecord) {
         if let Some(inner) = &self.inner {
             if let Some(cap) = inner.borrow_mut().capture.as_mut() {
-                cap.offer(make());
+                cap.offer(rec);
             }
         }
     }
@@ -270,11 +271,14 @@ impl Telemetry {
         self.with_recorder(FlightRecorder::events).unwrap_or_default()
     }
 
+    /// Runs `read` against the packet capture, if capturing.
+    pub fn with_capture<T>(&self, read: impl FnOnce(&PacketCapture) -> T) -> Option<T> {
+        self.inner.as_ref().and_then(|i| i.borrow().capture.as_ref().map(read))
+    }
+
     /// Serialized packet capture, if capturing.
     pub fn capture_json(&self) -> Option<Json> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().capture.as_ref().map(PacketCapture::to_json))
+        self.with_capture(PacketCapture::to_json)
     }
 
     /// Serialized metrics document, if sampling.
@@ -361,7 +365,7 @@ mod tests {
 
         let cfg = TelemetryConfig { record: true, ..TelemetryConfig::default() };
         let t = Telemetry::from_config(&cfg);
-        assert!(t.records_events() && !t.captures_packets());
+        assert!(t.records_events());
         t.record_event(5, Some(1), Category::Phase, || "init".to_string());
         assert_eq!(t.events_recorded(), 1);
         assert!(t.capture_json().is_none());

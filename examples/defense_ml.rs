@@ -14,7 +14,8 @@ use std::time::Duration;
 fn main() -> Result<(), String> {
     // The world (20 Devs, UDP-PLAIN flood at t=40s) lives in a checked-in
     // scenario plan; the shared pipeline layers ten benign smart-home
-    // clients and a packet tap at TServer on top of it.
+    // clients on top of it and reads TServer's deliveries from a packet
+    // capture restricted to TServer's node.
     let text = std::fs::read_to_string("plans/defense_ml.scenario.json")
         .map_err(|e| format!("reading plans/defense_ml.scenario.json: {e}"))?;
     let world = ScenarioPlan::parse(&text)?.build()?;

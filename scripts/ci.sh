@@ -7,7 +7,9 @@
 #                netsim file over 800 non-test lines), one-world-builder
 #                gate (links and channels are wired inside netsim only),
 #                one-document-reader gate (no hand-kept allow-list, no
-#                print -> reparse of an embedded document)
+#                print -> reparse of an embedded document), no-closure
+#                gate (no `dyn Fn` in non-test netsim code: packets are
+#                observed through the telemetry capture only)
 #   test         every package's tests (`cargo test --workspace`; the
 #                bare root command runs the root package only), then the
 #                event queue's equivalence proptests at 20,000 cases
@@ -143,6 +145,19 @@ stage_build() {
     if grep -rnE 'BuildHasherDefault|RandomState' crates/netsim/src --include='*.rs' \
         | grep -v '^crates/netsim/src/fastmap.rs:'; then
         echo "error: netsim builds its hashers in fastmap.rs only; use FastMap/FastSet" >&2
+        exit 1
+    fi
+
+    # One packet observer, and a kernel without closures: packets are seen
+    # through the telemetry capture only, and scheduled work is a `fn`
+    # pointer plus forkable data (netsim::fork). A file's test code (its
+    # `#[cfg(test)]` tail, as scripts/size.sh counts it) may use closures.
+    if find crates/netsim/src -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /dyn Fn/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }'; then
+        echo "error: netsim holds no closures; observe packets through the telemetry capture" >&2
         exit 1
     fi
 

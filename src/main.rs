@@ -213,7 +213,7 @@ const RUN: &[Flag<RunOpts>] = &[
         } },
     Flag { name: "--capture-filter", value: "EXPR", class: Collect,
         help: "keep only matching packets, e.g. \"udp port 80\"\n\
-               (clauses: udp|tcp, port N, src IP, dst IP, host IP)",
+               (clauses: udp|tcp, port N, src IP, dst IP, host IP, node N)",
         set: |o, f, v| put(&mut o.config.telemetry.capture_filter,
             CaptureFilter::parse(v).map_err(|e| format!("{f}: {e}"))) },
     Flag { name: "--metrics-interval", value: "SECS", class: Collect,
@@ -1016,7 +1016,7 @@ mod tests {
         ]);
         let t = &opts.config.telemetry;
         assert!(t.record && t.capture);
-        assert_eq!(t.capture_filter.proto.as_deref(), Some("udp"));
+        assert_eq!(t.capture_filter.proto, Some("udp"));
         assert_eq!(t.capture_filter.port, Some(80));
         assert_eq!(t.metrics_interval, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(opts.record_out.as_deref(), Some("rec.json"));
@@ -1088,7 +1088,7 @@ mod tests {
         ]);
         let t = &opts.config.telemetry;
         assert_eq!(t.metrics_interval, Some(Duration::from_secs(5)));
-        assert_eq!(t.capture_filter.proto.as_deref(), Some("udp"));
+        assert_eq!(t.capture_filter.proto, Some("udp"));
         assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
     }
 

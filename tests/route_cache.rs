@@ -1,5 +1,5 @@
 //! Property tests: the epoch-invalidated route cache is observationally
-//! identical to the naive linear `route_for` scan.
+//! identical to a naive linear scan of the node's routes.
 //!
 //! The cached fast path ([`Simulator::resolve_route`]) must return exactly
 //! what the reference scan returns — same `Route`, including the
@@ -66,9 +66,11 @@ fn build(table: &[u64]) -> (Simulator, NodeId, netsim::LinkId) {
     (sim, node, link)
 }
 
-/// The oracle: the node's naive linear scan (`filter` + `max_by_key`).
+/// The oracle: a naive linear scan of the node's routes (`filter` +
+/// `max_by_key`, which keeps the last of equal prefix lengths).
 fn oracle(sim: &Simulator, node: NodeId, dst: IpAddr) -> Option<Route> {
-    sim.node(node).route_for(dst)
+    let routes = sim.node(node).routes().iter();
+    routes.filter(|r| r.matches(dst)).max_by_key(|r| r.prefix_len).copied()
 }
 
 proptest! {

@@ -128,33 +128,20 @@ fn capture_filter_narrows_the_capture() {
         h.capture_json().and_then(|d| d.get("offered").and_then(|o| o.as_u64())).unwrap()
     };
     assert_eq!(offered(&all), offered(&only_flood));
-}
 
-#[test]
-fn a_packet_tap_leaves_the_capture_running() {
-    // The tap and the capture are separate observers of one stream: a
-    // world built with the capture on and then tapped (as `exp defense`
-    // taps TServer) must fill both, record for record.
-    let mut instance = SimulationBuilder::new()
-        .devs(3)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(5)))
-        .attack_at(Duration::from_secs(25))
-        .sim_time(Duration::from_secs(35))
-        .seed(42)
-        .telemetry(TelemetryConfig { capture: true, ..TelemetryConfig::default() })
-        .build()
-        .expect("valid configuration");
-    let tapped = std::rc::Rc::new(std::cell::Cell::new(0u64));
-    let tap = std::rc::Rc::clone(&tapped);
-    instance.sim_mut().set_trace(Box::new(move |_| tap.set(tap.get() + 1)));
-    let handle = instance.telemetry().clone();
-    instance.run_to_completion();
-    let offered = handle
-        .capture_json()
-        .and_then(|d| d.get("offered").and_then(|o| o.as_u64()))
-        .expect("capture document");
-    assert!(tapped.get() > 0, "the tap saw nothing");
-    assert_eq!(offered, tapped.get(), "capture and tap disagree on what happened");
+    // `node N` selects where a record happened: a Dev's capture is exactly
+    // the unfiltered stream's records at that Dev, cut from the same
+    // offered stream.
+    let dev = world(42, full_telemetry()).devs()[0].node.index() as u32;
+    let mut at_dev = full_telemetry();
+    at_dev.capture_filter = CaptureFilter::parse(&format!("node {dev}")).expect("valid filter");
+    let at_dev = run(42, at_dev);
+    let every = run(42, TelemetryConfig { capture_capacity: usize::MAX, ..full_telemetry() });
+    let records = |h: &Telemetry| h.with_capture(|c| c.records().to_vec()).expect("capturing");
+    let expected: Vec<_> = records(&every).into_iter().filter(|r| r.node == dev).collect();
+    assert!(!expected.is_empty(), "the Dev never sent or received a packet");
+    assert_eq!(records(&at_dev), expected);
+    assert_eq!(offered(&all), offered(&at_dev));
 }
 
 #[test]
