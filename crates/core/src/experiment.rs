@@ -227,16 +227,20 @@ struct SendWorld(Ddosim);
 unsafe impl Send for SendWorld {}
 
 /// One completed scenario-tree branch: the run's result plus — when the
-/// world records — the fork's full flight-recorder trace. The trace
-/// includes the shared prefix (a fork inherits the parent's recorder
-/// contents and sequence counter), so diffing it against a
-/// straight-through run's trace proves fork equivalence byte for byte.
+/// world records or captures — the fork's full flight-recorder trace and
+/// packet capture. Both include the shared prefix (a fork inherits the
+/// parent's collectors and the recorder's sequence counter), so diffing
+/// them against a straight-through run's documents proves fork
+/// equivalence byte for byte, and the capture shows where a reseeded
+/// branch's packets part from it.
 #[derive(Debug)]
 pub struct SuffixOutcome {
     /// The branch's run result.
     pub result: RunResult,
     /// The branch's flight-recorder document, if recording was enabled.
     pub trace: Option<djson::Json>,
+    /// The branch's packet-capture document, if capturing was enabled.
+    pub capture: Option<djson::Json>,
 }
 
 /// Fans a scenario tree's suffixes out across the worker pool: forks
@@ -279,6 +283,7 @@ pub fn run_suffixes_streamed(
             Ok(SuffixOutcome {
                 result,
                 trace: tele.recorder_json(),
+                capture: tele.capture_json(),
             })
         },
         on_row,

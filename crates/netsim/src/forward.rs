@@ -13,7 +13,7 @@ use crate::packet::Packet;
 use crate::sim::{Event, Simulator};
 use crate::stats::DropReason;
 use std::net::IpAddr;
-use telemetry::{CaptureRecord, Category, Detail};
+use telemetry::CaptureRecord;
 
 /// The forwarding layer's event: a frame arrives at an interface.
 #[derive(Debug, Clone)]
@@ -133,21 +133,9 @@ impl Simulator {
     }
 
     /// The one exit an undelivered packet leaves by: counted under
-    /// `reason`, recorded, and shown to the capture.
+    /// `reason` and shown to the capture.
     pub(crate) fn drop_packet(&mut self, reason: DropReason, node: NodeId, pkt: &Packet) {
         self.stats.record_drop(reason);
-        self.telemetry.record_event(
-            self.now().as_nanos(),
-            Some(node.index() as u32),
-            Category::LinkDrop,
-            || Detail::LinkDrop {
-                reason: reason.as_str(),
-                pkt: pkt.id,
-                src: (pkt.src.ip(), pkt.src.port()),
-                dst: (pkt.dst.ip(), pkt.dst.port()),
-                wire_bytes: pkt.wire_bytes(),
-            },
-        );
         self.trace(reason.capture_kind(), node, pkt);
     }
 

@@ -23,7 +23,7 @@ use crate::time::tx_delay;
 use rand::Rng;
 use std::collections::VecDeque;
 use std::time::Duration;
-use telemetry::{Category, Detail};
+use telemetry::Category;
 
 /// Configuration of one point-to-point link (applies to both directions).
 #[derive(Debug, Clone, PartialEq)]
@@ -339,11 +339,6 @@ impl Simulator {
             Duration::from_nanos(self.rng.gen_range(0..=jitter_max.as_nanos() as u64))
         };
         let now = self.now();
-        let pid = packet.id;
-        self.telemetry.record_event(now.as_nanos(), Some(node.index() as u32), Category::LinkTx, || {
-            let (link, side) = (link.index() as u32, side as u8);
-            Detail::LinkTx { link, side, pkt: pid, wire_bytes: wire as u32 }
-        });
         self.schedule(now + txd, Event::Link(LinkEvent::TxComplete { link, side, gen }));
         // Injected wired loss mirrors the Wi-Fi loss model: the frame
         // occupies the transmitter for its full serialization time but is

@@ -223,10 +223,9 @@ impl Simulator {
     }
 
     /// Installs the telemetry handle; the simulator emits flight-recorder
-    /// events (drops, Wi-Fi contention, retransmits, admin transitions)
-    /// and packet-capture records (every send, delivery, forward and
-    /// drop) through it. The default handle is disabled and the
-    /// emission sites cost one branch each.
+    /// events (retransmits, admin transitions) and packet-capture records
+    /// (every send, delivery, forward and drop) through it. The default
+    /// handle is disabled and the emission sites cost one branch each.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }

@@ -66,7 +66,7 @@ impl DropReason {
         }
     }
 
-    /// Stable lowercase name (used in telemetry traces).
+    /// Stable lowercase name: the capture kind without its `dropped:`.
     pub fn as_str(self) -> &'static str {
         &self.capture_kind()["dropped:".len()..]
     }

@@ -26,7 +26,6 @@ use crate::time::{tx_delay, SimTime};
 use rand::Rng;
 use std::collections::VecDeque;
 use std::time::Duration;
-use telemetry::{Category, Detail};
 
 /// Configuration of a shared Wi-Fi-like channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,19 +287,6 @@ impl Simulator {
         let st = &c.stations[station];
         let base_nanos = c.busy_until_nanos.max(now.as_nanos()).max(st.next_allowed_tx_nanos);
         let at = SimTime::from_nanos(base_nanos) + c.config.difs + c.config.slot * backoff_slots;
-        let node = self.ifaces[st.iface.index()].node;
-        self.telemetry.record_event(
-            now.as_nanos(),
-            Some(node.index() as u32),
-            Category::WifiBackoff,
-            || Detail::WifiBackoff {
-                chan: chan.index() as u32,
-                station: station as u32,
-                slots: backoff_slots,
-                cw,
-                attempt_nanos: at.as_nanos(),
-            },
-        );
         self.schedule(at, Event::Wifi(WifiEvent::Attempt { chan, station }));
     }
 
@@ -329,16 +315,6 @@ impl Simulator {
             st.retries += 1;
             let retries_exceeded = st.retries > c.config.max_retries;
             self.stats.wifi_collisions += 1;
-            self.telemetry.record_event(
-                now.as_nanos(),
-                Some(node.index() as u32),
-                Category::WifiCollision,
-                || Detail::WifiCollision {
-                    chan: chan.index() as u32,
-                    station: station as u32,
-                    retries_exceeded,
-                },
-            );
             if retries_exceeded {
                 st.retries = 0;
                 if let Some(pkt) = c.pop_head(station, &mut self.stats) {

@@ -12,20 +12,11 @@
 
 use djson::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
-use std::net::{IpAddr, SocketAddr};
 
 /// What kind of thing happened. One variant per instrumentation site
 /// class across the stack (netsim, firmware, malware, core).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Category {
-    /// A frame started serializing onto a link.
-    LinkTx,
-    /// A packet was dropped (any [`DropReason`-like] cause).
-    LinkDrop,
-    /// A Wi-Fi station drew a contention backoff.
-    WifiBackoff,
-    /// Two or more Wi-Fi stations collided on the medium.
-    WifiCollision,
     /// tcp-lite retransmitted a segment after an RTO.
     TcpRetransmit,
     /// A node was administratively brought up or down.
@@ -64,10 +55,6 @@ impl Category {
     /// Stable wire name (used in serialized traces; never reorder).
     pub fn as_str(self) -> &'static str {
         match self {
-            Category::LinkTx => "link_tx",
-            Category::LinkDrop => "link_drop",
-            Category::WifiBackoff => "wifi_backoff",
-            Category::WifiCollision => "wifi_collision",
             Category::TcpRetransmit => "tcp_retransmit",
             Category::NodeAdmin => "node_admin",
             Category::ContainerStart => "container_start",
@@ -89,10 +76,6 @@ impl Category {
     /// Inverse of [`Category::as_str`].
     pub fn parse(s: &str) -> Option<Category> {
         Some(match s {
-            "link_tx" => Category::LinkTx,
-            "link_drop" => Category::LinkDrop,
-            "wifi_backoff" => Category::WifiBackoff,
-            "wifi_collision" => Category::WifiCollision,
             "tcp_retransmit" => Category::TcpRetransmit,
             "node_admin" => Category::NodeAdmin,
             "container_start" => Category::ContainerStart,
@@ -113,55 +96,32 @@ impl Category {
     }
 }
 
-/// What an event says, as handed to the recorder. The sentences that
-/// dominate a recorded run (a flood's `link_tx`/`link_drop`, tcp-lite's
-/// retransmits, Wi-Fi contention) arrive as the plain
-/// values they are made of; `Display` is each sentence's one definition
-/// and runs only where the text is read. The rest is [`Detail::Text`].
+/// What an event says, as handed to the recorder. The one sentence that
+/// dominates a recorded run, tcp-lite's retransmit, arrives as the plain
+/// values it is made of; `Display` is its one definition and runs only
+/// where the text is read. The rest is [`Detail::Text`]. Packets are not
+/// recorder events: sends, forwards and drops are the capture's records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Detail {
     /// An already formatted sentence (every cold site).
     Text(String),
-    /// `link 2 side 0 pkt 1 58B`
-    LinkTx { link: u32, side: u8, pkt: u64, wire_bytes: u32 },
-    /// `queue_overflow pkt 37 10.0.0.7:80 -> 10.0.0.11:49153 (121136B)`;
-    /// `(ip, port)` prints as a `SocketAddr` and two are 24 bytes smaller.
-    LinkDrop { reason: &'static str, pkt: u64, src: (IpAddr, u16), dst: (IpAddr, u16), wire_bytes: u32 },
     /// `conn 2 rto fired for seq 1`
     TcpRetransmit { conn: u64, seq: u64 },
-    /// `chan 0 station 1 backoff 6/16 slots, attempt at 110088000ns`
-    WifiBackoff { chan: u32, station: u32, slots: u32, cw: u32, attempt_nanos: u64 },
-    /// `chan 0 station 2 collided (retries exceeded: false)`
-    WifiCollision { chan: u32, station: u32, retries_exceeded: bool },
 }
 
 impl fmt::Display for Detail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Detail::Text(ref s) => f.write_str(s),
-            Detail::LinkTx { link, side, pkt, wire_bytes } => {
-                write!(f, "link {link} side {side} pkt {pkt} {wire_bytes}B")
-            }
-            Detail::LinkDrop { reason, pkt, src, dst, wire_bytes } => {
-                let (src, dst) = (SocketAddr::from(src), SocketAddr::from(dst));
-                write!(f, "{reason} pkt {pkt} {src} -> {dst} ({wire_bytes}B)")
-            }
             Detail::TcpRetransmit { conn, seq } => write!(f, "conn {conn} rto fired for seq {seq}"),
-            Detail::WifiBackoff { chan, station, slots, cw, attempt_nanos: at } => {
-                write!(f, "chan {chan} station {station} backoff {slots}/{cw} slots, attempt at {at}ns")
-            }
-            Detail::WifiCollision { chan, station, retries_exceeded } => {
-                write!(f, "chan {chan} station {station} collided (retries exceeded: {retries_exceeded})")
-            }
         }
     }
 }
 
 impl Detail {
     /// The sentence; a [`Detail::Text`] gives up its string as it is.
-    /// Fields are written into room for 64 bytes — all but a v6 drop in
-    /// one allocation, where `to_string` grows 8 → 16 → 32 → 64 and read a
-    /// sixth slower under a sink.
+    /// Fields are written into room for 64 bytes — one allocation, where
+    /// `to_string` grows 8 → 16 → 32 → 64 and reads slower under a sink.
     pub(crate) fn into_text(self) -> String {
         #[cfg(test)]
         tests::RENDERS.with(|n| n.set(n.get() + 1));
@@ -259,10 +219,6 @@ pub(crate) mod tests {
     #[test]
     fn category_round_trips() {
         for cat in [
-            Category::LinkTx,
-            Category::LinkDrop,
-            Category::WifiBackoff,
-            Category::WifiCollision,
             Category::TcpRetransmit,
             Category::NodeAdmin,
             Category::ContainerStart,
@@ -285,74 +241,12 @@ pub(crate) mod tests {
     }
 
     /// Every sentence below was written by the commit before the ring
-    /// went lazy (from `--record` traces of the star, tiered, Wi-Fi and
-    /// fault-plan worlds, and netsim's unit worlds for the three drop
-    /// reasons no product world reaches): `Display` is pinned to them.
+    /// went lazy: `Display` is pinned to them.
     #[test]
     fn each_arm_renders_the_sentence_the_eager_recorder_wrote() {
-        fn drop(reason: &'static str, pkt: u64, src: &str, dst: &str, wire_bytes: u32) -> Detail {
-            let addr = |s: &str| {
-                let a: SocketAddr = s.parse().expect("socket address");
-                (a.ip(), a.port())
-            };
-            Detail::LinkDrop { reason, pkt, src: addr(src), dst: addr(dst), wire_bytes }
-        }
         let golden = [
             (Detail::Text("$ busybox wget".into()), "$ busybox wget"),
-            (Detail::LinkTx { link: 2, side: 0, pkt: 1, wire_bytes: 58 }, "link 2 side 0 pkt 1 58B"),
-            (
-                drop("queue_overflow", 37, "10.0.0.7:80", "10.0.0.11:49153", 121_136),
-                "queue_overflow pkt 37 10.0.0.7:80 -> 10.0.0.11:49153 (121136B)",
-            ),
-            (
-                drop("node_down", 1646, "[fd00::1]:546", "[ff02::1:2]:547", 66),
-                "node_down pkt 1646 [fd00::1]:546 -> [ff02::1:2]:547 (66B)",
-            ),
-            (
-                drop("ttl_expired", 2, "10.0.0.1:1000", "10.0.0.9:9", 128),
-                "ttl_expired pkt 2 10.0.0.1:1000 -> 10.0.0.9:9 (128B)",
-            ),
-            (
-                drop("no_route", 1, "10.0.0.1:1000", "10.0.0.9:9", 128),
-                "no_route pkt 1 10.0.0.1:1000 -> 10.0.0.9:9 (128B)",
-            ),
-            (
-                drop("port_unreachable", 29, "10.0.0.19:49152", "10.0.0.1:53", 58),
-                "port_unreachable pkt 29 10.0.0.19:49152 -> 10.0.0.1:53 (58B)",
-            ),
-            (
-                drop("wifi_retry_limit", 1, "10.0.0.1:1000", "10.0.0.2:9", 128),
-                "wifi_retry_limit pkt 1 10.0.0.1:1000 -> 10.0.0.2:9 (128B)",
-            ),
-            (
-                drop("wifi_loss", 60, "[fd00::2]:546", "[fd00::8]:547", 249),
-                "wifi_loss pkt 60 [fd00::2]:546 -> [fd00::8]:547 (249B)",
-            ),
-            (
-                drop("filtered", 2192, "10.0.0.19:49152", "10.0.0.3:80", 540),
-                "filtered pkt 2192 10.0.0.19:49152 -> 10.0.0.3:80 (540B)",
-            ),
-            (
-                drop("link_down", 378, "[fd00::1]:546", "[ff02::1:2]:547", 66),
-                "link_down pkt 378 [fd00::1]:546 -> [ff02::1:2]:547 (66B)",
-            ),
-            (
-                drop("link_loss", 195, "[fd00::7]:546", "[ff02::1:2]:547", 66),
-                "link_loss pkt 195 [fd00::7]:546 -> [ff02::1:2]:547 (66B)",
-            ),
             (Detail::TcpRetransmit { conn: 2, seq: 1 }, "conn 2 rto fired for seq 1"),
-            (
-                Detail::WifiBackoff { chan: 0, station: 1, slots: 6, cw: 16, attempt_nanos: 110_088_000 },
-                "chan 0 station 1 backoff 6/16 slots, attempt at 110088000ns",
-            ),
-            (
-                Detail::WifiCollision { chan: 0, station: 2, retries_exceeded: false },
-                "chan 0 station 2 collided (retries exceeded: false)",
-            ),
-            (
-                Detail::WifiCollision { chan: 0, station: 0, retries_exceeded: true },
-                "chan 0 station 0 collided (retries exceeded: true)",
-            ),
         ];
         for (detail, sentence) in golden {
             assert_eq!(detail.to_string(), sentence);

@@ -4,11 +4,12 @@
 //! byte-identical artifacts:
 //!
 //! * [`FlightRecorder`] — a ring buffer of structured [`Event`]s emitted
-//!   by every layer (netsim link/Wi-Fi/tcp internals, firmware shell and
-//!   container lifecycle, malware C&C and infection transitions, core
-//!   experiment phases).
-//! * [`PacketCapture`] — a pcap-like record of packet sends, deliveries
-//!   and drops, filtered by a BPF-ish [`CaptureFilter`].
+//!   by every layer (netsim retransmits and admin transitions, firmware
+//!   shell and container lifecycle, malware C&C and infection
+//!   transitions, core experiment phases): the botnet's story.
+//! * [`PacketCapture`] — a pcap-like record of packet sends, deliveries,
+//!   forwards and drops, filtered by a BPF-ish [`CaptureFilter`]; packets
+//!   are observed here only.
 //! * [`TimeSeries`] / [`SeriesSet`] — fixed-interval metric sampling
 //!   (queue depth, tx/rx rates, bot population) that figure pipelines
 //!   can bin directly.
@@ -425,11 +426,9 @@ mod tests {
                 conn: i,
                 seq: 1,
             }),
-            _ => t.record_event(i, Some(2), Category::LinkTx, || Detail::LinkTx {
-                link: 1,
-                side: 0,
-                pkt: i,
-                wire_bytes: 58,
+            _ => t.record_event(i, Some(2), Category::TcpRetransmit, || Detail::TcpRetransmit {
+                conn: 1,
+                seq: i,
             }),
         };
         let before = renders();

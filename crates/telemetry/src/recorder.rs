@@ -15,7 +15,7 @@ use djson::{FromJson, Json, JsonError};
 /// Schema tag written into every serialized recorder trace.
 pub const RECORDER_SCHEMA: &str = "ddosim.telemetry.recorder/1";
 
-/// One retained event: 88 bytes. Its sequence number is where it sits,
+/// One retained event. Its sequence number is where it sits,
 /// and the node's `Option` is split so its tag shares the category's word.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -27,7 +27,7 @@ struct Slot {
 }
 
 // A recorded world owns up to `capacity` of these, and `peak_rss_mb` is gated.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 96);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 40);
 
 /// Slots per storage chunk. The ring grows a chunk at a time and never
 /// moves a stored slot: as one `Vec`, doubling kept the old and the new
@@ -152,7 +152,7 @@ mod tests {
             time_nanos: t,
             seq: 0,
             node: Some(1),
-            category: Category::LinkTx,
+            category: Category::Infection,
             detail: detail.into(),
         }
     }

@@ -24,7 +24,10 @@
 #   determinism  same seed -> byte-identical traces (star, multi-hop
 #                tiered, lab Wi-Fi, fault plan, zero-fault no-op), and
 #                six of them sum to tests/golden/trace_sums.txt (taken
-#                when the event queue stopped recording sweeps); seed sweeps:
+#                when packets left the flight recorder); no trace of a CI
+#                world or a checked-in plan but http_flood wraps the
+#                recorder's ring (a wrapped ring has lost the botnet's
+#                formation); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
 #                a repeated sweep reproduces itself; hostile argv and
 #                hostile documents (truncated, 100k-deep, out-of-range)
@@ -36,9 +39,9 @@
 #                metrics documents against the original's (trace diff +
 #                cmp), plain and under a fault plan;
 #                fork == straight-through: run a scenario tree forked
-#                mid-attack and diff the identity branch's full trace
-#                against the uninterrupted run (a reseeded sibling must
-#                diverge)
+#                mid-attack and diff the identity branch's full trace and
+#                capture against the uninterrupted run (a reseeded
+#                sibling's capture must diverge)
 #   serve        serve == offline: start `ddosim serve` on an ephemeral
 #                port, submit checked-in plans (plain and defended), and
 #                byte-compare each streamed-and-reassembled recorder
@@ -219,10 +222,26 @@ stage_determinism() {
     # A run and its rerun drift together, so each world family's trace is
     # also summed against tests/golden/trace_sums.txt: these six traces are
     # the ones the recorder wrote at d339fed (its sentences unchanged since
-    # the eager recorder of 14eb8d4) minus the event queue's sweep records,
-    # with `seq` renumbered — taken when the queue stopped sweeping.
+    # the eager recorder of 14eb8d4) minus the event queue's sweep records
+    # and the four packet categories (link_tx, link_drop, wifi_backoff,
+    # wifi_collision), with `seq` renumbered — taken when packets left the
+    # recorder for the capture.
     sums=$work/trace_sums.txt
     sum_trace() { printf '%s %s\n' "$1" "$(cksum < "$2")" >> "$sums"; }
+
+    # Wrap gate: the ring holds 65,536 events, and a trace that recorded
+    # more has overwritten its oldest, which are the botnet's formation
+    # (infections, C&C registrations). The trace is one compact line that
+    # opens with its capacity and total.
+    no_wrap() {
+        counts=$(head -c 200 "$1" \
+            | sed -n 's/.*"capacity":\([0-9]*\),"total_recorded":\([0-9]*\),.*/\1 \2/p')
+        capacity=${counts% *} total=${counts#* }
+        if [ -z "$counts" ] || [ "$total" -gt "$capacity" ]; then
+            echo "error: $1 wraps the flight recorder (${total:-?} events, capacity ${capacity:-?})" >&2
+            return 1
+        fi
+    }
 
     # Identical seeds must produce byte-identical flight-recorder traces,
     # and `trace diff` must agree.
@@ -230,6 +249,7 @@ stage_determinism() {
     run_traced "$trace_b"
     $DDOSIM trace diff "$trace_a" "$trace_b"
     sum_trace star "$trace_a"
+    no_wrap "$trace_a"
 
     # The same determinism must hold across a multi-hop routed topology,
     # which exercises the forwarding fast path (route cache + sorted LPM
@@ -238,6 +258,7 @@ stage_determinism() {
     run_traced "$trace_b" --topology tiered:3:10000000
     $DDOSIM trace diff "$trace_a" "$trace_b"
     sum_trace tiered "$trace_a"
+    no_wrap "$trace_a"
 
     # And on the lab world (Fig. 4's hardware arm): a shared, lossy Wi-Fi
     # medium whose backoff, collision and frame-loss draws all come from
@@ -246,6 +267,7 @@ stage_determinism() {
     run_traced "$trace_b" --topology wifi
     $DDOSIM trace diff "$trace_a" "$trace_b"
     sum_trace wifi "$trace_a"
+    no_wrap "$trace_a"
 
     # Fault-plan smoke: a C&C outage mid-run must land in the flight
     # recorder (start and end), and the bots must re-register with the
@@ -275,6 +297,7 @@ PLAN
     run_faulted "$trace_b"
     $DDOSIM trace diff "$trace_a" "$trace_b"
     sum_trace faults "$trace_a"
+    no_wrap "$trace_a"
 
     # A zero-fault plan is a strict no-op: its trace matches a run that
     # never passed --faults at all.
@@ -309,6 +332,10 @@ PLAN
         $DDOSIM --scenario "$p" --record "$sb" > /dev/null 2>&1
         $DDOSIM trace diff "$sa" "$sb"
         mv "$sa" "$work/scn-$name.trace"
+        # http_flood is the one plan allowed to wrap: tcp-lite records a
+        # retransmit per RTO under its heavy loss (about 1.9 million), and
+        # the repo benchmark counts them through the recorder.
+        [ "$name" = http_flood ] || no_wrap "$work/scn-$name.trace"
     done
     sum_trace http_flood "$work/scn-http_flood.trace"
     sum_trace rate_limit "$work/scn-rate_limit.trace"
@@ -479,8 +506,10 @@ PLAN
     # Fork smoke: a scenario tree forked mid-attack runs its branches on
     # in-memory deep clones of the live world (no replay). The identity
     # branch (fork seed 0, no divergence) must reproduce the
-    # straight-through run's full trace byte for byte; the reseeded
-    # sibling branch in the same sweep must diverge.
+    # straight-through run's full trace and capture byte for byte; the
+    # reseeded sibling branch in the same sweep must diverge. A reseed
+    # moves only packet order here, which the recorder no longer sees, so
+    # the divergence is witnessed by the capture.
     splan=$work/suffix-plan.json
     forked=$work/fork.json
     cat > "$splan" <<'PLAN'
@@ -498,10 +527,12 @@ PLAN
   "config": null
 }
 PLAN
-    run_traced "$full.trace.json"
-    run_traced "$forked" --suffixes "$splan"
+    run_traced "$full.trace.json" --capture "$full.capture.json"
+    run_traced "$forked" --capture "$work/fork-capture.json" --suffixes "$splan"
     $DDOSIM trace diff "$full.trace.json" "$work/fork.baseline.json"
-    ! $DDOSIM trace diff "$full.trace.json" "$work/fork.reseeded.json" > /dev/null
+    $DDOSIM trace diff "$full.capture.json" "$work/fork-capture.baseline.json"
+    cmp "$full.capture.json" "$work/fork-capture.baseline.json"
+    ! $DDOSIM trace diff "$full.capture.json" "$work/fork-capture.reseeded.json" > /dev/null
 }
 
 stage_serve() {

@@ -78,10 +78,11 @@ const RULES: &[Rule] = &[
         reason: "the scenario plan composes the whole world (world, attack, faults, \
                  defenses, rivals); collection and output flags such as \
                  --metrics-interval and --record are still allowed" },
-    Rule { mode: "--suffixes", classes: &[Collect, Output], keeps: &["--record", "--json"],
-        flags: &["--resume", "--checkpoint-at"],
+    Rule { mode: "--suffixes", classes: &[Collect, Output],
+        keeps: &["--record", "--capture", "--json"], flags: &["--resume", "--checkpoint-at"],
         reason: "a scenario tree runs one prefix and many forked futures, which only \
-                 supports per-fork flight-recorder output (--record)" },
+                 supports per-fork flight-recorder and packet-capture output (--record, \
+                 --capture)" },
     Rule { mode: "--sweep-seeds", classes: &[Collect, Output], keeps: &["--json"],
         flags: &["--resume", "--checkpoint-at", "--suffixes", "--scenario"],
         reason: "a seed sweep runs the configured world many times across the worker \
@@ -200,7 +201,8 @@ const RUN: &[Flag<RunOpts>] = &[
     Flag { name: "--json", value: "", class: Output, help: "emit the full RunResult as JSON",
         set: |o, _, _| put(&mut o.json, Ok(true)) },
     Flag { name: "--record", value: "FILE", class: Output,
-        help: "write the flight-recorder trace (JSON) to FILE",
+        help: "write the flight-recorder trace (JSON) to FILE:\n\
+               the botnet's story; packets are in --capture",
         set: |o, _, v| {
             o.config.telemetry.record = true;
             put(&mut o.record_out, Ok(Some(v.to_owned())))
@@ -256,8 +258,9 @@ const RUN: &[Flag<RunOpts>] = &[
                deep-cloned in memory per suffix, and the forks\n\
                run their divergent futures in parallel; if the\n\
                plan embeds a config, world-shaping flags are\n\
-               rejected; with --record each fork's full trace\n\
-               goes to <record stem>.<suffix name>.json",
+               rejected; each fork's full trace (--record) and\n\
+               packet capture (--capture) go to\n\
+               <that flag's file stem>.<suffix name>.json",
         set: |o, _, v| put(&mut o.suffixes_path, Ok(Some(v.to_owned()))) },
     Flag { name: "--fork-at", value: "SECS", class: Mode,
         help: "override the plan's fork point (requires\n--suffixes; fractional ok)",
@@ -607,9 +610,15 @@ fn run_scenario_tree(opts: &RunOpts) -> Result<(), String> {
     let outcomes = ddosim::run_suffixes_streamed(&world, &plan.suffixes, |_, _| {});
     let mut rows = Vec::new();
     for (spec, outcome) in plan.suffixes.iter().zip(&outcomes) {
-        if let (Ok(o), Some(base)) = (outcome, &opts.record_out) {
-            let out = suffix_record_path(base, &spec.name);
-            write_doc(&out, o.trace.clone(), "flight recorder")?;
+        if let Ok(o) = outcome {
+            for (base, doc, what) in [
+                (&opts.record_out, &o.trace, "flight recorder"),
+                (&opts.capture_out, &o.capture, "packet capture"),
+            ] {
+                if let Some(base) = base {
+                    write_doc(&suffix_record_path(base, &spec.name), doc.clone(), what)?;
+                }
+            }
         }
         if opts.json {
             let payload = match outcome {
@@ -889,7 +898,6 @@ mod tests {
             (&["--fork-at", "soon", "--suffixes", "p.json"], "--fork-at"),
             (&["--suffixes", "p.json", "--resume", "cp.json"], "--resume"),
             (&["--suffixes", "p.json", "--checkpoint-at", "10"], "--checkpoint-at"),
-            (&["--suffixes", "p.json", "--capture", "c.json"], "--capture"),
             (&["--suffixes", "p.json", "--metrics-interval", "1"], "--metrics-interval"),
             (&["--suffixes", "p.json", "--metrics-out", "m.json"], "--metrics-out"),
             (&["--scenario", "p.json", "--devs", "10"], "--devs"),
@@ -1059,10 +1067,15 @@ mod tests {
 
     #[test]
     fn suffix_flags_parse() {
-        let opts = run_opts(&["--suffixes", "plan.json", "--fork-at", "12.5", "--record", "t.json"]);
+        let opts = run_opts(&[
+            "--suffixes", "plan.json", "--fork-at", "12.5", "--record", "t.json", "--capture",
+            "c.json",
+        ]);
         assert_eq!(opts.suffixes_path.as_deref(), Some("plan.json"));
         assert_eq!(opts.fork_at, Some(Duration::from_secs_f64(12.5)));
         assert_eq!(opts.record_out.as_deref(), Some("t.json"));
+        assert_eq!(opts.capture_out.as_deref(), Some("c.json"));
+        assert!(opts.config.telemetry.capture);
         assert_eq!(opts.world_flag, None);
         // World flags parse fine — a plan *without* an embedded config
         // uses them; run time rejects them otherwise.
@@ -1256,8 +1269,8 @@ mod tests {
             }
             pairs
         }
-        // --resume 16, --scenario 16, --suffixes 7, --sweep-seeds 10; --shutdown 6.
-        assert_eq!(each_command!(check), 49 + 6);
+        // --resume 16, --scenario 16, --suffixes 6, --sweep-seeds 10; --shutdown 6.
+        assert_eq!(each_command!(check), 48 + 6);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Fork equivalence: an in-memory fork taken at T with fork seed 0 must
-//! produce a flight-recorder trace byte-identical to the straight-through
-//! run — across every fabric shape and under fault injection. Distinct
-//! fork seeds must share the 0→T prefix and diverge after it, equal seeds
-//! must be byte-identical to each other, and checkpointing a fork must
-//! yield the very checkpoint the straight-through run saves.
+//! produce a flight-recorder trace and a packet capture byte-identical to
+//! the straight-through run's — across every fabric shape and under fault
+//! injection. Distinct fork seeds must share the 0→T prefix and diverge
+//! after it (a reseed moves packets, which only the capture sees), equal
+//! seeds must be byte-identical to each other, and checkpointing a fork
+//! must yield the very checkpoint the straight-through run saves.
 
-use ddosim::{AttackSpec, Ddosim, SimulationBuilder, SuffixSpec, TelemetryConfig, TopologyKind};
+use ddosim::{
+    AttackSpec, Ddosim, SimulationBuilder, SuffixSpec, Telemetry, TelemetryConfig, TopologyKind,
+};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -13,9 +16,10 @@ use std::time::Duration;
 /// floods, live C&C connections, and armed timers.
 const FORK_AT: Duration = Duration::from_secs(30);
 
-fn recording() -> TelemetryConfig {
+fn collecting() -> TelemetryConfig {
     TelemetryConfig {
         record: true,
+        capture: true,
         ..TelemetryConfig::default()
     }
 }
@@ -29,47 +33,60 @@ fn base(seed: u64, topology: TopologyKind) -> SimulationBuilder {
         .attack_ramp(Duration::from_secs(3))
         .seed(seed)
         .topology(topology)
-        .telemetry(recording())
+        .telemetry(collecting())
 }
 
-/// The uninterrupted run's full trace.
-fn straight_trace(builder: SimulationBuilder) -> String {
-    let instance = builder.build().expect("valid configuration");
-    let handle = instance.telemetry().clone();
-    instance.try_run_to_completion().expect("run succeeds");
-    handle.recorder_json().expect("recording").to_string_compact()
+/// A world's flight-recorder trace and packet capture, compact.
+#[derive(Debug, PartialEq)]
+struct Docs {
+    trace: String,
+    capture: String,
+}
+
+fn docs(handle: &Telemetry) -> Docs {
+    Docs {
+        trace: handle.recorder_json().expect("recording").to_string_compact(),
+        capture: handle.capture_json().expect("capturing").to_string_compact(),
+    }
+}
+
+/// Runs `world` to completion and returns its documents.
+fn finish(world: Ddosim) -> Docs {
+    let handle = world.telemetry().clone();
+    world.try_run_to_completion().expect("run succeeds");
+    docs(&handle)
+}
+
+/// The uninterrupted run's full documents.
+fn straight_docs(builder: SimulationBuilder) -> Docs {
+    finish(builder.build().expect("valid configuration"))
 }
 
 /// Runs the prefix to `at`, forks with `fork_seed`, runs the fork to the
-/// horizon, and returns its full trace (prefix events included — a fork
-/// inherits the parent's recorder).
-fn forked_trace(builder: SimulationBuilder, at: Duration, fork_seed: u64) -> String {
+/// horizon, and returns its full documents (prefix included — a fork
+/// inherits the parent's collectors).
+fn forked_docs(builder: SimulationBuilder, at: Duration, fork_seed: u64) -> Docs {
     let mut parent = builder.build().expect("valid configuration");
     parent.run_prefix(at).expect("prefix runs");
-    let fork = parent.fork_with_seed(fork_seed).expect("world forks");
-    let handle = fork.telemetry().clone();
-    fork.try_run_to_completion().expect("fork runs");
-    handle.recorder_json().expect("recording").to_string_compact()
+    finish(parent.fork_with_seed(fork_seed).expect("world forks"))
 }
 
-/// One compact string per recorded event, for prefix comparisons.
-fn events(trace: &str) -> Vec<String> {
-    let doc = djson::Json::parse(trace).expect("trace parses");
-    doc.get("events")
+/// One compact string per entry of a document's `key` array (`events` of
+/// a trace, `records` of a capture), for prefix comparisons.
+fn entries(doc: &str, key: &str) -> Vec<String> {
+    let doc = djson::Json::parse(doc).expect("document parses");
+    doc.get(key)
         .and_then(djson::Json::as_array)
-        .expect("events array")
+        .expect("entry array")
         .iter()
         .map(djson::Json::to_string_compact)
         .collect()
 }
 
 fn assert_fork_equals_straight_through(make: impl Fn() -> SimulationBuilder) {
-    let straight = straight_trace(make());
-    let forked = forked_trace(make(), FORK_AT, 0);
-    assert_eq!(
-        straight, forked,
-        "seed-0 fork trace differs from the straight-through run"
-    );
+    let straight = straight_docs(make());
+    let forked = forked_docs(make(), FORK_AT, 0);
+    assert_eq!(straight, forked, "seed-0 fork differs from the straight-through run");
 }
 
 #[test]
@@ -108,10 +125,10 @@ fn fault_plan_fork_is_byte_identical_to_straight_through() {
 
 /// The worker-pool path must preserve equivalence too: an identity suffix
 /// fanned out through `run_suffixes_streamed` returns the straight-through
-/// trace, while a reseeded sibling in the same sweep diverges.
+/// trace and capture, while a reseeded sibling in the same sweep diverges.
 #[test]
 fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
-    let straight = straight_trace(base(42, TopologyKind::Star));
+    let straight = straight_docs(base(42, TopologyKind::Star));
     let mut parent = base(42, TopologyKind::Star).build().expect("valid configuration");
     parent.run_prefix(FORK_AT).expect("prefix runs");
     let mut diverged = SuffixSpec::identity("diverged");
@@ -121,17 +138,15 @@ fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
         &[SuffixSpec::identity("baseline"), diverged],
         |_, _| {},
     );
-    let trace = |i: usize| {
-        rows[i]
-            .as_ref()
-            .expect("suffix runs")
-            .trace
-            .as_ref()
-            .expect("recording")
-            .to_string_compact()
+    let row = |i: usize| {
+        let row = rows[i].as_ref().expect("suffix runs");
+        Docs {
+            trace: row.trace.as_ref().expect("recording").to_string_compact(),
+            capture: row.capture.as_ref().expect("capturing").to_string_compact(),
+        }
     };
-    assert_eq!(straight, trace(0), "identity suffix diverged from the parent's future");
-    assert_ne!(straight, trace(1), "reseeded suffix failed to diverge");
+    assert_eq!(straight, row(0), "identity suffix diverged from the parent's future");
+    assert_ne!(straight.capture, row(1).capture, "reseeded suffix failed to diverge");
 }
 
 /// A resumed world is an ordinary live world: forked past its snapshot it
@@ -146,11 +161,9 @@ fn fork_of_a_resumed_world_equals_fork_of_the_straight_through_world() {
     resumed.run_prefix(FORK_AT).expect("resumed world runs on");
     for fork_seed in [0, 7] {
         let fork = resumed.fork_with_seed(fork_seed).expect("resumed world forks");
-        let handle = fork.telemetry().clone();
-        fork.try_run_to_completion().expect("fork runs");
         assert_eq!(
-            handle.recorder_json().expect("recording").to_string_compact(),
-            forked_trace(base(42, TopologyKind::Star), FORK_AT, fork_seed),
+            finish(fork),
+            forked_docs(base(42, TopologyKind::Star), FORK_AT, fork_seed),
             "fork (seed {fork_seed}) of a resumed world differs from the straight-through fork"
         );
     }
@@ -185,19 +198,20 @@ proptest! {
     /// Pausing a world at an arbitrary mark — before the attack (25 s),
     /// inside its window or in the drain — and sampling its digests there,
     /// which must be a pure read, then running on to the horizon must land
-    /// on exactly the layer digests, result and trace (its four phase marks
-    /// included) of an uninterrupted run of the same world. This pins the
-    /// struct-of-arrays arena's digest order to the simulation's observable
-    /// state, not to construction history, and the phase walk's
-    /// measurements to the boundaries, not to where a caller paused.
+    /// on exactly the layer digests, result, trace (its four phase marks
+    /// included) and capture of an uninterrupted run of the same world.
+    /// This pins the struct-of-arrays arena's digest order to the
+    /// simulation's observable state, not to construction history, and the
+    /// phase walk's measurements to the boundaries, not to where a caller
+    /// paused.
     #[test]
     fn paused_run_digests_equal_straight_rebuild(seed in 0u64..1000, mark in 5u64..44) {
-        let finish = |mut world: Ddosim| {
+        let to_horizon = |mut world: Ddosim| {
             world.run_prefix(Duration::from_secs(45)).expect("run reaches the horizon");
             let digests = world.state_digests();
             let handle = world.telemetry().clone();
             let result = world.run_to_completion().to_deterministic_json().to_string_compact();
-            (digests, result, handle.recorder_json().expect("recording").to_string_compact())
+            (digests, result, docs(&handle))
         };
         let straight = base(seed, TopologyKind::Star).build().expect("valid configuration");
 
@@ -205,10 +219,10 @@ proptest! {
         paused.run_prefix(Duration::from_secs(mark)).expect("prefix runs");
         let _probe = paused.state_digests();
 
-        let (straight, paused) = (finish(straight), finish(paused));
+        let (straight, paused) = (to_horizon(straight), to_horizon(paused));
         prop_assert_eq!(straight.0, paused.0, "digests depend on where the run paused");
         prop_assert_eq!(straight.1, paused.1, "the result depends on where the run paused");
-        prop_assert_eq!(straight.2, paused.2, "the trace depends on where the run paused");
+        prop_assert_eq!(straight.2, paused.2, "the documents depend on where the run paused");
     }
 
     /// Random fork points and seeds: equal fork seeds are byte-identical
@@ -223,39 +237,36 @@ proptest! {
         let at = Duration::from_secs(t_secs);
         let mut parent = base(seed, TopologyKind::Star).build().expect("valid configuration");
         parent.run_prefix(at).expect("prefix runs");
-        let prefix = events(
-            &parent
-                .telemetry()
-                .recorder_json()
-                .expect("recording")
-                .to_string_compact(),
-        );
-        prop_assert!(!prefix.is_empty(), "nothing recorded before the fork point");
-
-        let run = |fork_seed: u64| {
-            let fork = parent.fork_with_seed(fork_seed).expect("world forks");
-            let handle = fork.telemetry().clone();
-            fork.try_run_to_completion().expect("fork runs");
-            handle.recorder_json().expect("recording").to_string_compact()
-        };
+        let prefix = docs(parent.telemetry());
+        let run = |fork_seed: u64| finish(parent.fork_with_seed(fork_seed).expect("world forks"));
         let baseline = run(0);
         let reseeded = run(fork_seed);
         let reseeded_again = run(fork_seed);
 
         prop_assert_eq!(&reseeded, &reseeded_again, "equal fork seeds must be byte-identical");
-        prop_assert!(baseline != reseeded, "distinct fork seeds must diverge after T");
-        let baseline_events = events(&baseline);
-        let reseeded_events = events(&reseeded);
-        prop_assert_eq!(
-            &baseline_events[..prefix.len()],
-            &prefix[..],
-            "seed-0 fork rewrote the shared prefix"
+        prop_assert!(
+            baseline.capture != reseeded.capture,
+            "distinct fork seeds must diverge after T"
         );
-        prop_assert_eq!(
-            &reseeded_events[..prefix.len()],
-            &prefix[..],
-            "reseeded fork rewrote the shared prefix"
-        );
+        for (key, prefix, baseline, reseeded) in [
+            ("events", &prefix.trace, &baseline.trace, &reseeded.trace),
+            ("records", &prefix.capture, &baseline.capture, &reseeded.capture),
+        ] {
+            let prefix = entries(prefix, key);
+            prop_assert!(!prefix.is_empty(), "no {} before the fork point", key);
+            prop_assert_eq!(
+                &entries(baseline, key)[..prefix.len()],
+                &prefix[..],
+                "seed-0 fork rewrote the shared prefix's {}",
+                key
+            );
+            prop_assert_eq!(
+                &entries(reseeded, key)[..prefix.len()],
+                &prefix[..],
+                "reseeded fork rewrote the shared prefix's {}",
+                key
+            );
+        }
     }
 
     /// Forking at T and checkpointing the fork at T2 > T must save the

@@ -30,10 +30,12 @@ use std::time::Duration;
 use telemetry::{Category, Event};
 
 /// A `ddosim.checkpoint/1` file first written by a build of the commit
-/// before the one reader, and rewritten by the build whose event queue
+/// before the one reader, rewritten by the build whose event queue
 /// stopped recording its sweeps (which changed its `events_recorded`,
-/// 664 → 648, and its `netsim.stats` digest, nothing else). Either build
-/// writes its own version, byte for byte, with
+/// 664 → 648, and its `netsim.stats` digest, nothing else), and again by
+/// the build whose recorder stopped recording packets (`events_recorded`
+/// 648 → 118, nothing else). Each build writes its own version, byte for
+/// byte, with
 ///
 /// ```text
 /// ddosim --devs 6 --attack-at 20 --duration 15 --sim-time 45 --seed 7 \
@@ -183,8 +185,8 @@ fn seeds() -> &'static [(Parser, String)] {
             time_nanos: 28_000_000_000,
             seq: 70_001,
             node: Some(3),
-            category: Category::LinkDrop,
-            detail: "queue_overflow pkt 37 10.0.0.7:80 -> 10.0.0.11:49153 (121136B)".to_owned(),
+            category: Category::TcpRetransmit,
+            detail: "conn 2 rto fired for seq 1".to_owned(),
         };
         seeds.push((parser("event"), event.to_json().to_string_compact()));
         seeds
@@ -372,15 +374,18 @@ fn an_event_node_that_does_not_fit_is_refused_by_name() {
 }
 
 /// A trace written before the event queue stopped sweeping holds
-/// `queue_sweep` records: the category is refused by name, so `trace diff`
-/// on such a file says which.
+/// `queue_sweep` records, and one written before packets left the
+/// recorder holds `link_drop` records: each category is refused by name,
+/// so `trace diff` on such a file says which.
 #[test]
 fn an_event_of_a_retired_category_is_refused_by_name() {
     let (parser, text) = seeds().last().expect("the event seed");
-    let old = text.replace(r#""cat":"link_drop""#, r#""cat":"queue_sweep""#);
-    assert_ne!(&old, text);
-    let err = (parser.1)(&old).expect_err("no such category");
-    assert!(err.contains(r#"unknown event category "queue_sweep""#), "{err}");
+    for retired in ["queue_sweep", "link_drop"] {
+        let old = text.replace(r#""cat":"tcp_retransmit""#, &format!(r#""cat":"{retired}""#));
+        assert_ne!(&old, text);
+        let err = (parser.1)(&old).expect_err("no such category");
+        assert!(err.contains(&format!(r#"unknown event category "{retired}""#)), "{err}");
+    }
 }
 
 /// Property three, for each of the four printers and for `djson` itself.

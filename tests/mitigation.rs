@@ -87,7 +87,8 @@ fn clearing_the_filter_restores_traffic() {
 
 /// A deployed `ModelFilter` carries mid-window state (the features seen
 /// so far, the sources flagged at the last boundary); a seed-0 fork taken
-/// mid-window must replay the parent's verdicts exactly.
+/// mid-window must replay the parent's verdicts exactly: the same trace
+/// and the same capture, drop for drop.
 #[test]
 fn model_filter_world_forks_mid_window_onto_the_same_trace() {
     use analysis::{synthetic_dataset, LogisticRegression, ModelFilter, TrainConfig};
@@ -95,29 +96,31 @@ fn model_filter_world_forks_mid_window_onto_the_same_trace() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
     let model = LogisticRegression::train(&synthetic_dataset(200, &mut rng), TrainConfig::default());
     let defended = || {
-        let mut instance = world()
-            .telemetry(ddosim::TelemetryConfig { record: true, ..Default::default() })
-            .build()
-            .expect("valid configuration");
+        let collect = ddosim::TelemetryConfig { record: true, capture: true, ..Default::default() };
+        let mut instance = world().telemetry(collect).build().expect("valid configuration");
         let fabric = instance.fabric_node();
         instance.run_prefix(Duration::from_secs(29)).expect("prefix runs");
         let filter = ModelFilter::new(model.clone(), Duration::from_secs(2), 0.5);
         instance.sim_mut().push_node_filter(fabric, filter.into_rule());
         instance
     };
-    let trace_of = |instance: ddosim::Ddosim| {
+    let documents_of = |instance: ddosim::Ddosim| {
         let handle = instance.telemetry().clone();
         instance.run_to_completion();
-        handle.recorder_json().expect("recording").to_string_compact()
+        (
+            handle.recorder_json().expect("recording").to_string_compact(),
+            handle.capture_json().expect("capturing").to_string_compact(),
+        )
     };
-    let straight = trace_of(defended());
+    let straight = documents_of(defended());
     assert!(
-        straight.matches("\"filtered pkt").count() > 1000,
+        straight.1.matches(r#""kind":"dropped:filtered""#).count() > 1000,
         "the model never flagged the flood"
     );
 
     let mut parent = defended();
     parent.run_prefix(Duration::from_secs(45)).expect("prefix runs");
-    let forked = trace_of(parent.fork().expect("a world with a ModelFilter forks"));
-    assert!(forked == straight, "seed-0 fork trace differs from the straight-through run");
+    let forked = documents_of(parent.fork().expect("a world with a ModelFilter forks"));
+    assert!(forked.0 == straight.0, "seed-0 fork trace differs from the straight-through run");
+    assert!(forked.1 == straight.1, "seed-0 fork capture differs from the straight-through run");
 }

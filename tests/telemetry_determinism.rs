@@ -3,10 +3,13 @@
 //! the property the `trace diff` tool depends on — and a perturbed run
 //! must be pinpointed at its first diverging entry.
 
-use ddosim::{AttackSpec, Ddosim, SimulationBuilder, Telemetry, TelemetryConfig};
+use ddosim::churn::ChurnMode;
+use ddosim::{
+    AttackSpec, Ddosim, SimulationBuilder, SimulationConfig, Telemetry, TelemetryConfig,
+    TopologyKind,
+};
 use proptest::prelude::*;
 use std::cell::RefCell;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::rc::Rc;
 use std::time::Duration;
 use telemetry::{diff_strs, CaptureFilter, Category, Detail, Event, FlightRecorder};
@@ -197,31 +200,48 @@ fn disabled_telemetry_collects_nothing() {
     assert_eq!(handle.events_recorded(), 0);
 }
 
+/// The recorder keeps the botnet's story, not its packets: a 40-Dev Wi-Fi
+/// world under dynamic churn and reboots (`ddosim --devs 40 --churn
+/// dynamic --reboot-rate 0.5 --topology wifi --sim-time 200 --attack-at 60
+/// --duration 60`) fits the default ring, so every C&C registration of
+/// the run is in its trace. A per-packet recorder site wraps it.
+#[test]
+fn a_churning_wifi_world_keeps_every_registration() {
+    let mut config = SimulationConfig {
+        devs: 40,
+        churn: ChurnMode::Dynamic,
+        reboot_rate_per_min: 0.5,
+        topology: TopologyKind::Wifi,
+        sim_time: Duration::from_secs(200),
+        attack_at: Duration::from_secs(60),
+        telemetry: TelemetryConfig { record: true, ..TelemetryConfig::default() },
+        ..SimulationConfig::default()
+    };
+    config.attack.duration = Duration::from_secs(60);
+    let world = Ddosim::new(config).expect("valid configuration");
+    let handle = world.telemetry().clone();
+    let result = world.run_to_completion();
+
+    let capacity = handle.recorder_capacity().expect("recording") as u64;
+    assert!(
+        handle.events_recorded() <= capacity,
+        "{} events wrap a {capacity}-event ring",
+        handle.events_recorded()
+    );
+    let registrations = handle
+        .recorded_events()
+        .iter()
+        .filter(|e| e.category == Category::CncRegister)
+        .count() as u64;
+    assert!(result.total_registrations > 40, "churn re-registers bots");
+    assert_eq!(registrations, result.total_registrations);
+}
+
 /// One arbitrary detail per arm, from three raw draws.
 fn shape_detail(a: u64, b: u64, c: u64) -> Detail {
-    let addr = |x: u64| match x % 2 {
-        0 => (IpAddr::V4(Ipv4Addr::from(x as u32)), (x >> 32) as u16),
-        _ => (IpAddr::V6(Ipv6Addr::from(u128::from(x) << 64 | u128::from(!x))), (x >> 7) as u16),
-    };
-    match a % 6 {
+    match a % 2 {
         0 => Detail::Text(format!("text {b} \"quoted\" \\ {c}")),
-        1 => Detail::LinkTx { link: b as u32, side: (c % 2) as u8, pkt: c, wire_bytes: (b >> 32) as u32 },
-        2 => Detail::LinkDrop {
-            reason: ["queue_overflow", "node_down", "filtered"][(a / 6 % 3) as usize],
-            pkt: a,
-            src: addr(b),
-            dst: addr(c),
-            wire_bytes: b as u32,
-        },
-        3 => Detail::TcpRetransmit { conn: b, seq: c },
-        4 => Detail::WifiBackoff {
-            chan: a as u32,
-            station: b as u32,
-            slots: c as u32,
-            cw: (c >> 32) as u32,
-            attempt_nanos: b,
-        },
-        _ => Detail::WifiCollision { chan: b as u32, station: c as u32, retries_exceeded: a % 2 == 0 },
+        _ => Detail::TcpRetransmit { conn: b, seq: c },
     }
 }
 
@@ -252,7 +272,7 @@ proptest! {
             }
             let time_nanos = i as u64 * 10;
             let node = (a % 5 != 0).then_some(b as u32);
-            let category = if a % 6 == 0 { Category::Phase } else { Category::LinkDrop };
+            let category = if a % 2 == 0 { Category::Phase } else { Category::TcpRetransmit };
             lazy.record_event(time_nanos, node, category, || shape_detail(a, b, c));
             let detail = shape_detail(a, b, c).to_string();
             eager.record(Event { time_nanos, seq: u64::MAX, node, category, detail });
