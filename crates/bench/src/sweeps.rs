@@ -1,5 +1,5 @@
-//! The paper's arm lists, and the two ways the table runs them: [`sweep`]
-//! (arms × replicates, one table row per arm) and the [`crn`] variance
+//! The paper's arm lists, and the two ways the table runs them: `sweep`
+//! (arms × replicates, one table row per arm) and the `crn` variance
 //! comparison that pairs the same lists under shared noise.
 //!
 //! An arm's key is the cells its table row starts with, so a builder

@@ -11,7 +11,7 @@ use analysis::{
 };
 use ddosim_core::experiment::{mean, run_arms, world};
 use ddosim_core::report::{fmt_f, Table};
-use ddosim_core::{AttackSpec, Ddosim, Recruitment, RunResult, SimulationBuilder};
+use ddosim_core::{AttackSpec, Ddosim, Recruitment, RunResult, SimulationConfig};
 use netsim::{LinkConfig, NodeId, SimTime, Simulator, Telemetry, TelemetryConfig};
 use scenario::{run_grid_streamed, DefenseSpec, GridCell, SweepGridPlan};
 use std::collections::HashSet;
@@ -165,13 +165,14 @@ pub fn flow_dataset(
 /// logistic-regression detector trained on 70 % and scored on the rest
 /// (plus the neural network the paper names as the canonical model class).
 pub(crate) fn defense() -> Output {
-    let world = SimulationBuilder::new()
-        .devs(40)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(100)))
-        .sim_time(Duration::from_secs(200))
-        .seed(8000)
-        .build()
-        .expect("valid configuration");
+    let world = Ddosim::new(SimulationConfig {
+        devs: 40,
+        attack: AttackSpec::udp_plain(Duration::from_secs(100)),
+        sim_time: Duration::from_secs(200),
+        seed: 8000,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration");
     let FlowDataset { result, delivered, samples, .. } =
         flow_dataset(world, 20, Duration::from_millis(400), |_| {});
     let n_attack = samples.iter().filter(|s| s.label).count();
@@ -201,14 +202,15 @@ pub(crate) fn defense() -> Output {
 /// flood at t = 40 s) with `deploy` arming the upstream router's defense,
 /// one second before the attack.
 fn defended_run(deploy: impl FnOnce(&mut Simulator, SimTime, NodeId)) -> FlowDataset {
-    let world = SimulationBuilder::new()
-        .devs(40)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(60)))
-        .attack_at(Duration::from_secs(40))
-        .sim_time(Duration::from_secs(140))
-        .seed(12000)
-        .build()
-        .expect("valid configuration");
+    let world = Ddosim::new(SimulationConfig {
+        devs: 40,
+        attack: AttackSpec::udp_plain(Duration::from_secs(60)),
+        attack_at: Duration::from_secs(40),
+        sim_time: Duration::from_secs(140),
+        seed: 12000,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration");
     flow_dataset(world, 15, Duration::from_millis(250), |world| {
         let router = world.fabric_node();
         deploy(world.sim_mut(), SimTime::from_secs(39), router);
@@ -266,14 +268,16 @@ pub(crate) fn epidemic() -> Output {
     const DEVS: usize = 80;
     const DT: f64 = 1.0;
     let measure = |seed: u64, recruitment: Recruitment| {
-        let result = SimulationBuilder::new()
-            .devs(DEVS)
-            .recruitment(recruitment)
-            .attack_at(Duration::from_secs(90))
-            .sim_time(Duration::from_secs(200))
-            .seed(seed)
-            .run()
-            .expect("valid configuration");
+        let result = Ddosim::new(SimulationConfig {
+            devs: DEVS,
+            recruitment,
+            attack_at: Duration::from_secs(90),
+            sim_time: Duration::from_secs(200),
+            seed,
+            ..SimulationConfig::default()
+        })
+        .expect("valid configuration")
+        .run_to_completion();
         let observed = observed_curve(&result.infection_times_secs, DT, 60.0);
         let (beta, rmse) = fit_si_beta(&observed, DEVS as f64, 1.0, DT);
         (result, observed, beta, rmse)
@@ -315,15 +319,17 @@ pub(crate) fn epidemic() -> Output {
 /// t = 60 s. Plot the CSV for the ramp, the plateau, the drain and the
 /// churn dips; the sparkline is the quick look.
 pub(crate) fn timeseries() -> Output {
-    let result = SimulationBuilder::new()
-        .devs(80)
-        .churn(churn::ChurnMode::Dynamic)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(100)))
-        .attack_at(Duration::from_secs(60))
-        .sim_time(Duration::from_secs(220))
-        .seed(15000)
-        .run()
-        .expect("valid configuration");
+    let result = Ddosim::new(SimulationConfig {
+        devs: 80,
+        churn: churn::ChurnMode::Dynamic,
+        attack: AttackSpec::udp_plain(Duration::from_secs(100)),
+        attack_at: Duration::from_secs(60),
+        sim_time: Duration::from_secs(220),
+        seed: 15000,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration")
+    .run_to_completion();
     let mut table = Table::new("Per-second received data rate at TServer", &["t (s)", "kbits/s"]);
     for (t, kbits) in result.per_second_kbits.iter().enumerate() {
         table.push_row(vec![t.to_string(), format!("{kbits:.1}")]);

@@ -24,8 +24,7 @@ use crate::config::{
 };
 use attacker::ExploitStrategy;
 use churn::ChurnMode;
-use djson::{Json, ToJson};
-use faults::{PlanError, Read, Val};
+use djson::{Json, PlanError, Read, ToJson, Val};
 use firmware::{CommandSet, ContainerRuntime, FileKind};
 use netsim::StateHasher;
 use protocols::AttackVector;

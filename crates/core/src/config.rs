@@ -1,4 +1,4 @@
-//! Simulation configuration and the [`SimulationBuilder`].
+//! Simulation configuration: one [`SimulationConfig`] describes a world.
 
 use churn::ChurnMode;
 use firmware::CommandSet;
@@ -464,202 +464,6 @@ impl SimulationConfig {
     }
 }
 
-/// Fluent builder for a DDoSim run.
-///
-/// # Examples
-///
-/// ```
-/// use ddosim_core::{AttackSpec, SimulationBuilder};
-/// use std::time::Duration;
-///
-/// let builder = SimulationBuilder::new()
-///     .devs(25)
-///     .attack(AttackSpec::udp_plain(Duration::from_secs(100)))
-///     .seed(7);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimulationBuilder {
-    config: SimulationConfig,
-}
-
-impl SimulationBuilder {
-    /// Starts from the default (paper-like) configuration.
-    pub fn new() -> Self {
-        SimulationBuilder::default()
-    }
-
-    /// Number of Devs.
-    pub fn devs(mut self, n: usize) -> Self {
-        self.config.devs = n;
-        self
-    }
-
-    /// Daemon distribution across Devs.
-    pub fn binary_mix(mut self, mix: BinaryMix) -> Self {
-        self.config.binary_mix = mix;
-        self
-    }
-
-    /// Memory-protection distribution across Devs.
-    pub fn protections(mut self, mix: ProtectionMix) -> Self {
-        self.config.protections = mix;
-        self
-    }
-
-    /// Dev access-link rate range in kbps.
-    pub fn access_rate_kbps(mut self, range: RangeInclusive<u64>) -> Self {
-        self.config.access_rate_kbps = range;
-        self
-    }
-
-    /// Bottleneck (fabric→TServer) link rate in bps.
-    pub fn tserver_link_bps(mut self, bps: u64) -> Self {
-        self.config.tserver_link_bps = bps;
-        self
-    }
-
-    /// Churn variant.
-    pub fn churn(mut self, mode: ChurnMode) -> Self {
-        self.config.churn = mode;
-        self
-    }
-
-    /// The attack to run.
-    pub fn attack(mut self, spec: AttackSpec) -> Self {
-        self.config.attack = spec;
-        self
-    }
-
-    /// When the admin issues the attack command.
-    pub fn attack_at(mut self, at: Duration) -> Self {
-        self.config.attack_at = at;
-        self
-    }
-
-    /// Simulation horizon.
-    pub fn sim_time(mut self, t: Duration) -> Self {
-        self.config.sim_time = t;
-        self
-    }
-
-    /// Exploit strategy.
-    pub fn strategy(mut self, s: ExploitStrategy) -> Self {
-        self.config.strategy = s;
-        self
-    }
-
-    /// Dev shell command set (hardening ablations).
-    pub fn commands(mut self, commands: CommandSet) -> Self {
-        self.config.commands = commands;
-        self
-    }
-
-    /// Recruitment mechanism.
-    pub fn recruitment(mut self, r: Recruitment) -> Self {
-        self.config.recruitment = r;
-        self
-    }
-
-    /// Bot flood offered rate in bps.
-    pub fn flood_rate_bps(mut self, bps: u64) -> Self {
-        self.config.flood_rate_bps = bps;
-        self
-    }
-
-    /// Upper bound of per-bot flood ramp-up.
-    pub fn attack_ramp(mut self, ramp: Duration) -> Self {
-        self.config.attack_ramp = ramp;
-        self
-    }
-
-    /// Attack TServer over IPv6 instead of IPv4.
-    pub fn attack_over_ipv6(mut self, v6: bool) -> Self {
-        self.config.attack_over_ipv6 = v6;
-        self
-    }
-
-    /// Per-device reboot rate (reboots per minute; 0 disables).
-    pub fn reboot_rate_per_min(mut self, rate: f64) -> Self {
-        self.config.reboot_rate_per_min = rate;
-        self
-    }
-
-    /// Fabric shape (star is the paper's model).
-    pub fn topology(mut self, t: TopologyKind) -> Self {
-        self.config.topology = t;
-        self
-    }
-
-    /// Appends an extra admin telnet line at `at` (Mirai admin syntax).
-    pub fn admin_command(mut self, at: Duration, line: impl Into<String>) -> Self {
-        self.config.admin_script.push((at, line.into()));
-        self
-    }
-
-    /// Observability configuration (flight recorder / packet capture /
-    /// metric sampling).
-    pub fn telemetry(mut self, t: netsim::TelemetryConfig) -> Self {
-        self.config.telemetry = t;
-        self
-    }
-
-    /// Fault-injection plan (see the `faults` crate).
-    pub fn faults(mut self, plan: faults::FaultPlan) -> Self {
-        self.config.faults = plan;
-        self
-    }
-
-    /// Number of honeypot nodes to attach (0 = none).
-    pub fn honeypots(mut self, n: u16) -> Self {
-        self.config.honeypots = n;
-        self
-    }
-
-    /// Number of backup C&C hosts whose addresses are compiled into the
-    /// bot binaries as a takedown fallback chain (0 = none).
-    pub fn backup_cncs(mut self, n: u16) -> Self {
-        self.config.backup_cncs = n;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Per-subsystem RNG stream plan ([`RngPlan::pinned`] enables
-    /// common-random-numbers pairing; the default reproduces the plain
-    /// seed-derived streams byte for byte).
-    pub fn rng(mut self, plan: RngPlan) -> Self {
-        self.config.rng = plan;
-        self
-    }
-
-    /// The accumulated configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.config
-    }
-
-    /// Builds the simulation instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the configuration is invalid.
-    pub fn build(self) -> Result<crate::Ddosim, String> {
-        crate::Ddosim::new(self.config)
-    }
-
-    /// Builds and runs to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the configuration is invalid.
-    pub fn run(self) -> Result<crate::RunResult, String> {
-        Ok(self.build()?.run_to_completion())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,17 +549,6 @@ mod tests {
             ..SimulationConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn builder_sets_fields() {
-        let b = SimulationBuilder::new()
-            .devs(50)
-            .churn(ChurnMode::Dynamic)
-            .seed(9);
-        assert_eq!(b.config().devs, 50);
-        assert_eq!(b.config().churn, ChurnMode::Dynamic);
-        assert_eq!(b.config().seed, 9);
     }
 
     #[test]

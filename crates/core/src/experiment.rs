@@ -510,19 +510,18 @@ pub fn crn_compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimulationBuilder;
     use std::time::Duration;
 
     fn small(devs: usize, seed: u64) -> SimulationConfig {
-        SimulationBuilder::new()
-            .devs(devs)
-            .attack(crate::AttackSpec::udp_plain(Duration::from_secs(15)))
-            .attack_at(Duration::from_secs(25))
-            .sim_time(Duration::from_secs(45))
-            .attack_ramp(Duration::from_secs(2))
-            .seed(seed)
-            .config()
-            .clone()
+        SimulationConfig {
+            devs,
+            attack: crate::AttackSpec::udp_plain(Duration::from_secs(15)),
+            attack_at: Duration::from_secs(25),
+            sim_time: Duration::from_secs(45),
+            attack_ramp: Duration::from_secs(2),
+            seed,
+            ..SimulationConfig::default()
+        }
     }
 
     fn pool_threads() -> usize {

@@ -10,15 +10,17 @@
 //! # Examples
 //!
 //! ```no_run
-//! use ddosim_core::{AttackSpec, SimulationBuilder};
+//! use ddosim_core::{AttackSpec, Ddosim, SimulationConfig};
 //! use std::time::Duration;
 //!
-//! let result = SimulationBuilder::new()
-//!     .devs(50)
-//!     .attack(AttackSpec::udp_plain(Duration::from_secs(100)))
-//!     .seed(42)
-//!     .run()
-//!     .expect("valid configuration");
+//! let result = Ddosim::new(SimulationConfig {
+//!     devs: 50,
+//!     attack: AttackSpec::udp_plain(Duration::from_secs(100)),
+//!     seed: 42,
+//!     ..SimulationConfig::default()
+//! })
+//! .expect("valid configuration")
+//! .run_to_completion();
 //! println!(
 //!     "average received data rate: {:.1} kbps ({}/{} Devs recruited)",
 //!     result.avg_received_data_rate_kbps, result.infected, result.devs
@@ -41,17 +43,15 @@ pub mod suffix;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use config::{
-    AttackSpec, BinaryMix, DaemonKind, ExploitStrategy, Recruitment, RngPlan, SimulationBuilder,
-    SimulationConfig, TopologyKind,
+    AttackSpec, BinaryMix, DaemonKind, ExploitStrategy, Recruitment, RngPlan, SimulationConfig,
+    TopologyKind,
 };
 pub use experiment::{
     crn_compare, install_location_hook, panic_message, run_configs, run_suffixes_streamed,
     take_panic_location, try_run_configs_streamed, CrnComparison, SuffixOutcome,
 };
 pub use honeypot::Honeypot;
-pub use faults::{
-    checked_secs, FaultEvent, FaultKind, FaultPlan, Fields, PlanError, Read, Val, FAULT_PLAN_SCHEMA,
-};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FAULT_PLAN_SCHEMA};
 pub use instance::{Ddosim, DevInfo, ATTACKER_IMAGE_BYTES, DEV_IMAGE_BASE_BYTES};
 pub use metrics::TServerSink;
 pub use reboot::RebootController;

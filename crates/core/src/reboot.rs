@@ -2,7 +2,7 @@
 //!
 //! Mirai famously does not persist: "the malware does not survive a
 //! reboot" — which is why epidemic treatments of IoT botnets (e.g. the
-//! SEIRS work the paper cites as [55]) include a recovered→susceptible
+//! SEIRS work the paper cites as \[55\]) include a recovered→susceptible
 //! transition. This controller reboots Devs at a configurable rate: the
 //! resident bot and all downloads vanish, the device goes dark briefly,
 //! and the firmware daemon comes back up vulnerable — whereupon the

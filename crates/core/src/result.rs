@@ -1,7 +1,7 @@
 //! Results of a DDoSim run.
 
 use churn::ChurnMode;
-use djson::{FromJson, Json, JsonError, ToJson};
+use djson::{Json, ToJson};
 
 /// Churn telemetry of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,23 +22,6 @@ impl ToJson for ChurnSummary {
             ("down_at_end", self.down_at_end.to_json()),
         ])
     }
-}
-
-impl FromJson for ChurnSummary {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        Ok(ChurnSummary {
-            departures: field(value, "departures")?,
-            rejoins: field(value, "rejoins")?,
-            down_at_end: field(value, "down_at_end")?,
-        })
-    }
-}
-
-fn field<T: FromJson>(value: &Json, name: &str) -> Result<T, JsonError> {
-    let v = value
-        .get(name)
-        .ok_or_else(|| JsonError::conversion(format!("missing field {name}")))?;
-    T::from_json(v).map_err(|e| JsonError::conversion(format!("field {name}: {}", e.message)))
 }
 
 /// Everything one DDoSim run produces — the paper's measurements plus
@@ -164,40 +147,6 @@ impl ToJson for RunResult {
     }
 }
 
-impl FromJson for RunResult {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        let churn_tag: String = field(value, "churn")?;
-        Ok(RunResult {
-            devs: field(value, "devs")?,
-            churn: ChurnMode::parse(&churn_tag)
-                .ok_or_else(|| JsonError::conversion(format!("unknown churn mode {churn_tag}")))?,
-            attack_duration_secs: field(value, "attack_duration_secs")?,
-            attack_at_secs: field(value, "attack_at_secs")?,
-            seed: field(value, "seed")?,
-            avg_received_data_rate_kbps: field(value, "avg_received_data_rate_kbps")?,
-            per_second_kbits: field(value, "per_second_kbits")?,
-            infected: field(value, "infected")?,
-            infected_before_attack: field(value, "infected_before_attack")?,
-            bots_at_command: field(value, "bots_at_command")?,
-            infection_rate: field(value, "infection_rate")?,
-            infection_times_secs: field(value, "infection_times_secs")?,
-            peak_bots: field(value, "peak_bots")?,
-            total_registrations: field(value, "total_registrations")?,
-            flood_packets_received: field(value, "flood_packets_received")?,
-            flood_bytes_received: field(value, "flood_bytes_received")?,
-            pre_attack_mem_gb: field(value, "pre_attack_mem_gb")?,
-            attack_mem_gb: field(value, "attack_mem_gb")?,
-            attack_wall_clock_secs: field(value, "attack_wall_clock_secs")?,
-            packets_sent: field(value, "packets_sent")?,
-            packets_delivered: field(value, "packets_delivered")?,
-            packets_dropped: field(value, "packets_dropped")?,
-            churn_summary: field(value, "churn_summary")?,
-            scanner_successes: field(value, "scanner_successes")?,
-            scanner_attempts: field(value, "scanner_attempts")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,19 +193,6 @@ mod tests {
     #[test]
     fn peak_rate() {
         assert_eq!(result().peak_received_kbits(), 100.0);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let r = result();
-        let json = r.to_json().to_string_pretty();
-        let back = RunResult::from_json(&Json::parse(&json).expect("parses"))
-            .expect("deserializes");
-        assert_eq!(back.devs, r.devs);
-        assert_eq!(back.churn, ChurnMode::Dynamic);
-        assert_eq!(back.churn_summary, r.churn_summary);
-        assert_eq!(back.avg_received_data_rate_kbps, r.avg_received_data_rate_kbps);
-        assert_eq!(back.scanner_successes, None);
     }
 
     #[test]

@@ -12,8 +12,7 @@ use crate::checkpoint::{
     config_from_json, config_to_json, nanos, opt_nanos, timed_lines, timed_lines_to_json,
 };
 use crate::config::SimulationConfig;
-use djson::{Json, ToJson};
-use faults::{PlanError, Val};
+use djson::{Json, PlanError, ToJson, Val};
 use std::time::Duration;
 
 /// Schema tag written into every serialized suffix plan.

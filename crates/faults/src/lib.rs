@@ -16,11 +16,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod plan;
-
-pub use plan::{checked_secs, Fields, PlanError, Read, Val};
-
-use djson::{Json, ToJson};
+use djson::{Json, PlanError, ToJson, Val};
 use std::time::Duration;
 
 /// Schema tag carried by every serialized fault plan.

@@ -3,10 +3,12 @@
 //! Every declarative document in the workspace — fault plans
 //! (`ddosim.faults.plan/1`), checkpoints (`ddosim.checkpoint/1`) and the
 //! configuration document they embed, suffix trees (`ddosim.suffix/1`),
-//! scenarios (`ddosim.scenario/1`), grid sweeps (`ddosim.sweepgrid/1`) and
-//! `ddosim.serve/1` request lines — is a djson object read through the one
-//! cursor defined here ([`Val`] → [`Fields`]), with one error type
-//! ([`PlanError`]). The cursor knows three things for all of them:
+//! scenarios (`ddosim.scenario/1`), grid sweeps (`ddosim.sweepgrid/1`),
+//! `ddosim.serve/1` request lines and flight-recorder traces
+//! (`ddosim.telemetry.recorder/1`) with the events in them — is a JSON
+//! object read through the one cursor defined here ([`Val`] →
+//! [`Fields`]), with one error type ([`PlanError`]). The cursor knows
+//! three things for all of them:
 //!
 //! * **where** an object sits (`scenario.attack`, `fault #3`): a parent
 //!   link, rendered only when an error is;
@@ -21,7 +23,7 @@
 //! An embedded document ([`Val::embedded`]) goes through the same
 //! `from_json` its stand-alone form does, so it is exactly as strict.
 
-use djson::Json;
+use crate::Json;
 use std::fmt;
 use std::time::Duration;
 

@@ -3,14 +3,21 @@
 //! The build environment for this repository cannot reach crates.io, so the
 //! workspace carries its own small JSON layer instead of `serde`/`serde_json`:
 //! a [`Json`] value type with an order-preserving object representation, a
-//! deterministic writer (compact and pretty), a strict parser, and the
-//! [`ToJson`]/[`FromJson`] conversion traits result types implement by hand.
+//! deterministic writer (compact and pretty), a strict parser, the
+//! [`ToJson`] trait result types implement by hand, and the one reader of
+//! documents that arrive from outside: the [`Val`] cursor, whose
+//! [`Val::fields`] allows exactly the members it reads and whose every
+//! error ([`PlanError`]) names where it happened.
 //!
 //! Object members keep their insertion order, and the writer is fully
 //! deterministic: the same value always serializes to the same bytes. The
 //! cross-run determinism regression tests rely on that property.
 
 #![warn(missing_docs)]
+
+mod cursor;
+
+pub use cursor::{checked_secs, Fields, PlanError, Read, Val};
 
 use std::fmt;
 
@@ -240,13 +247,12 @@ fn write_pretty(v: &Json, indent: usize, out: &mut String) {
     }
 }
 
-/// A JSON syntax or conversion error.
+/// A JSON syntax error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description.
     pub message: String,
-    /// Byte offset at which the problem was detected (0 for conversion
-    /// errors).
+    /// Byte offset at which the problem was detected.
     pub offset: usize,
 }
 
@@ -257,13 +263,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-impl JsonError {
-    /// A conversion (not syntax) error.
-    pub fn conversion(message: impl Into<String>) -> Self {
-        JsonError { message: message.into(), offset: 0 }
-    }
-}
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level and the text comes from outside (a 4 MiB
@@ -547,43 +546,19 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
-/// Conversion of a [`Json`] tree back into a Rust value.
-pub trait FromJson: Sized {
-    /// Rebuilds the value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] when the tree has the wrong shape.
-    fn from_json(value: &Json) -> Result<Self, JsonError>;
-}
-
-macro_rules! impl_tofrom_uint {
+macro_rules! impl_to_uint {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json { Json::U64(*self as u64) }
         }
-        impl FromJson for $t {
-            fn from_json(value: &Json) -> Result<Self, JsonError> {
-                value
-                    .as_u64()
-                    .and_then(|v| <$t>::try_from(v).ok())
-                    .ok_or_else(|| JsonError::conversion(concat!("expected ", stringify!($t))))
-            }
-        }
     )*};
 }
 
-impl_tofrom_uint!(u8, u16, u32, u64, usize);
+impl_to_uint!(u8, u16, u32, u64, usize);
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::F64(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value.as_f64().ok_or_else(|| JsonError::conversion("expected f64"))
     }
 }
 
@@ -593,24 +568,9 @@ impl ToJson for bool {
     }
 }
 
-impl FromJson for bool {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value.as_bool().ok_or_else(|| JsonError::conversion("expected bool"))
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::conversion("expected string"))
     }
 }
 
@@ -632,32 +592,11 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_array()
-            .ok_or_else(|| JsonError::conversion("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
             None => Json::Null,
             Some(v) => v.to_json(),
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        if value.is_null() {
-            Ok(None)
-        } else {
-            T::from_json(value).map(Some)
         }
     }
 }
@@ -841,13 +780,9 @@ mod tests {
     }
 
     #[test]
-    fn tofrom_traits_roundtrip() {
-        let v: Vec<u64> = vec![1, 2, 3];
-        let json = v.to_json();
-        assert_eq!(Vec::<u64>::from_json(&json).expect("back"), v);
-        let opt: Option<f64> = Some(1.5);
-        assert_eq!(Option::<f64>::from_json(&opt.to_json()).expect("back"), opt);
-        let none: Option<f64> = None;
-        assert_eq!(Option::<f64>::from_json(&none.to_json()).expect("back"), none);
+    fn to_json_writes_containers() {
+        assert_eq!(vec![1u64, 2, 3].to_json().to_string_compact(), "[1,2,3]");
+        assert_eq!(Some(1.5).to_json().to_string_compact(), "1.5");
+        assert_eq!(None::<f64>.to_json(), Json::Null);
     }
 }

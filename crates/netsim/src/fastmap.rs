@@ -203,11 +203,9 @@ mod tests {
     fn tcp_demux_keys_spread() {
         // `by_tuple` on a server: (listening port, remote socket address),
         // every remote counting its ports up from the ephemeral base — each
-        // remote's first connection, then eight per v4 remote. (Several
-        // connections per *v6* remote are left out: `add`'s 5-bit rotate
-        // lands the `fd00::n` host byte on the port's low bits, so k ports
-        // per remote collide k-fold in all 64 bits, which no `finish` can
-        // undo. Chains of k, not of the world size; ROADMAP item 2.)
+        // remote's first connection, then eight per v4 remote. (Many
+        // connections from one remote, v4 or v6:
+        // `many_connections_from_one_remote_spread`.)
         let remotes = allocator_addrs(500);
         let tuple = |ip, port| (80u16, std::net::SocketAddr::new(ip, port));
         assert_spreads(
@@ -229,6 +227,31 @@ mod tests {
         assert_spreads("conn ids", &hashes_of(1..=10_000u64));
         // `listeners`: ports.
         assert_spreads("ports", &hashes_of(1..=u16::MAX));
+    }
+
+    /// `by_tuple` on a server holding k connections from one remote, its
+    /// ports counting up from the ephemeral base. `add`'s 5-bit rotate was
+    /// suspected of landing the `fd00::n` host byte on the port's low bits,
+    /// so that k ports collide k-fold; instead they take as many home
+    /// buckets as a random hash would, m(1 − e^(−k/m)) at the mask m a
+    /// table of k keys uses, for v6 as for v4.
+    #[test]
+    fn many_connections_from_one_remote_spread() {
+        for remote in ["fd00::7", "10.0.0.7"] {
+            let ip: std::net::IpAddr = remote.parse().expect("addr");
+            for k in [1_024u16, 16_384] {
+                let m = (u64::from(k) * 8 / 7).next_power_of_two();
+                let buckets: BTreeSet<u64> = (0..k)
+                    .map(|i| hash_of(&(80u16, std::net::SocketAddr::new(ip, 49152 + i))) & (m - 1))
+                    .collect();
+                let random = m as f64 * (1.0 - (-f64::from(k) / m as f64).exp());
+                assert!(
+                    buckets.len() as f64 >= 0.9 * random,
+                    "{k} connections from {remote} take {} home buckets of {m}; a random hash takes {random:.0}",
+                    buckets.len()
+                );
+            }
+        }
     }
 
     #[test]

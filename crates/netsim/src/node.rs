@@ -1,6 +1,6 @@
 //! Nodes, interfaces, and routing.
 //!
-//! Node state lives in a struct-of-arrays arena ([`Nodes`]): every hot
+//! Node state lives in a struct-of-arrays arena (`Nodes`): every hot
 //! field (`up`, `forwarding`, rx counters, route tables) is a dense
 //! parallel `Vec` indexed by [`NodeId::index`], so the forwarding loop
 //! walks flat arrays instead of pointer-chasing through a `Vec` of

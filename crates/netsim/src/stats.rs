@@ -31,7 +31,7 @@ pub enum DropReason {
 
 impl DropReason {
     /// Every reason, in declaration order. Kept in sync with the enum by
-    /// the exhaustive matches in [`Stats::record_drop`],
+    /// the exhaustive matches in `Stats::record_drop`,
     /// [`Stats::drop_count`], `DropReason::capture_kind`, and the
     /// `every_reason_has_a_counter` test.
     pub const ALL: [DropReason; 10] = [
@@ -189,7 +189,7 @@ impl Stats {
         }
     }
 
-    /// The counter for one reason (read side of [`Stats::record_drop`]).
+    /// The counter for one reason (read side of `Stats::record_drop`).
     pub fn drop_count(&self, reason: DropReason) -> u64 {
         match reason {
             DropReason::QueueOverflow => self.dropped_queue_overflow,

@@ -7,9 +7,16 @@
 //! transmission attempt collides with probability derived from the number of
 //! concurrently contending stations (a slotted-contention approximation).
 //! Collisions double the contention window and retry up to a limit, after
-//! which the frame is dropped. This reproduces the throughput degradation a
-//! real shared medium exhibits as station count grows, without simulating
-//! per-slot PHY state.
+//! which the frame is dropped. No per-slot PHY state is simulated.
+//!
+//! What the model does and does not reproduce: each station's goodput
+//! falls as stations are added (they share one medium), but a collision
+//! costs no airtime — only the attempting station backs off, the medium
+//! stays free and nobody else loses a frame — and every deferral draws a
+//! fresh backoff. Aggregate goodput therefore *rises* with station count
+//! (0.687 of the PHY rate at one saturated station, 0.893 at 100), where
+//! 802.11's DCF falls (Bianchi: 0.686 → 0.459). ROADMAP item 11 tracks
+//! the slot-synchronous DCF that fixes this.
 //!
 //! Backoff, collisions, shaping and frame delivery (`Attempt` and
 //! `TxComplete` are the layer's events) and the `netsim.wifi` digest live

@@ -96,6 +96,60 @@ fn packet_conservation_overload() {
     conservation_case(5_000, 10, 1_000_000);
 }
 
+/// The loss law: a medium that drops each frame with probability p drops
+/// p of its attempts, within 4σ = 4·sqrt(p(1 − p)/n). One Wi-Fi channel
+/// and one wired link, each carrying 10,000 frames at p = 0.1, paced so
+/// that every frame reaches the medium (no queue or retry-limit drops).
+#[test]
+fn lossy_wifi_and_wire_drop_their_probability_of_frames() {
+    const P: f64 = 0.1;
+    const FRAMES: u32 = 10_000;
+    let mut sim = Simulator::new(11);
+    let chan = sim.add_wifi_channel(WifiConfig {
+        rate_bps: 10_000_000,
+        loss_probability: P,
+        ..WifiConfig::default()
+    });
+    let (a, b) = (sim.add_node("wifi-tx"), sim.add_node("wifi-rx"));
+    let (ia, ib) = (sim.add_iface(a, vec![v4(1)]), sim.add_iface(b, vec![v4(2)]));
+    sim.attach_wifi(ia, chan).expect("attach");
+    sim.attach_wifi(ib, chan).expect("attach");
+    sim.add_default_route(a, ia);
+    let (c, d) = (sim.add_node("wire-tx"), sim.add_node("wire-rx"));
+    let (ic, id) = (sim.add_iface(c, vec![v4(3)]), sim.add_iface(d, vec![v4(4)]));
+    let wire = LinkConfig { loss_probability: P, ..LinkConfig::new(10_000_000, Duration::from_millis(1)) };
+    sim.connect_p2p(ic, id, wire).expect("link");
+    sim.add_default_route(c, ic);
+    let mut sinks = Vec::new();
+    for (tx, rx, dst) in [(a, b, v4(2)), (c, d, v4(4))] {
+        let blaster = Blaster {
+            dst: SocketAddr::new(dst, 9),
+            count: FRAMES,
+            interval: Duration::from_millis(1),
+            payload: 100,
+            sent: 0,
+        };
+        sim.install_app(tx, Box::new(blaster));
+        sinks.push(sim.install_app(rx, Box::new(Sink::default())));
+    }
+    sim.run_until(SimTime::from_secs(12));
+    let s = sim.stats();
+    let received = |i: usize| sim.app_ref::<Sink>(sinks[i]).expect("sink").packets;
+    let sigma = (P * (1.0 - P) / f64::from(FRAMES)).sqrt();
+    for (medium, lost, delivered) in
+        [("wifi", s.dropped_wifi_loss, received(0)), ("wire", s.dropped_link_loss, received(1))]
+    {
+        let attempts = lost + delivered;
+        assert_eq!(attempts, u64::from(FRAMES), "{medium}: every frame reached the medium");
+        let share = lost as f64 / attempts as f64;
+        assert!(
+            (share - P).abs() <= 4.0 * sigma,
+            "{medium}: lost {lost} of {attempts} ({share:.4}), p = {P} ± {:.4}",
+            4.0 * sigma
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]

@@ -148,7 +148,7 @@ impl ScenarioPlan {
     /// build-time world shape; this is checked).
     ///
     /// A plan with no defenses and no rivals schedules nothing and draws
-    /// from no RNG — a strict no-op against the plain builder path.
+    /// from no RNG — a strict no-op against a plain `Ddosim::new`.
     ///
     /// # Errors
     ///
@@ -267,7 +267,7 @@ impl ScenarioPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddosim_core::SimulationBuilder;
+    use ddosim_core::SimulationConfig;
 
     fn parse(extra: &str) -> ScenarioPlan {
         ScenarioPlan::parse(&format!(
@@ -285,22 +285,23 @@ mod tests {
     fn empty_scenario_is_a_strict_noop() {
         let plan = parse("");
         let mut scenario_world = plan.build().expect("scenario world");
-        let mut plain_world = SimulationBuilder::new()
-            .devs(4)
-            .seed(11)
-            .sim_time(Duration::from_secs(40))
-            .attack_at(Duration::from_secs(15))
-            .attack(ddosim_core::AttackSpec {
+        let mut plain_world = Ddosim::new(SimulationConfig {
+            devs: 4,
+            seed: 11,
+            sim_time: Duration::from_secs(40),
+            attack_at: Duration::from_secs(15),
+            attack: ddosim_core::AttackSpec {
                 duration: Duration::from_secs(10),
                 ..ddosim_core::AttackSpec::default()
-            })
-            .build()
-            .expect("plain world");
+            },
+            ..SimulationConfig::default()
+        })
+        .expect("plain world");
         scenario_world.run_prefix(Duration::from_secs(40)).expect("prefix runs");
         plain_world.run_prefix(Duration::from_secs(40)).expect("prefix runs");
         let a = scenario_world.state_digests();
         let b = plain_world.state_digests();
-        assert_eq!(a, b, "scenario-built world diverged from the plain builder");
+        assert_eq!(a, b, "scenario-built world diverged from the plain world");
     }
 
     /// Same plan, same seeds, two runs: digests must match layer for
@@ -391,7 +392,8 @@ mod tests {
     #[test]
     fn install_rejects_mismatched_worlds() {
         let plan = parse(r#","defenses":[{"kind":"honeypot","count":2}]"#);
-        let mut other = SimulationBuilder::new().devs(4).seed(11).build().expect("world");
+        let config = SimulationConfig { devs: 4, seed: 11, ..SimulationConfig::default() };
+        let mut other = Ddosim::new(config).expect("world");
         let err = plan.install(&mut other).expect_err("shape mismatch");
         assert!(err.contains("did not shape"), "{err}");
     }

@@ -10,7 +10,7 @@
 //! draws from the scenario's own RNG stream
 //! (`world_seed ^ plan_seed ^ SCENARIO_TAG`), leaving the simulator's
 //! streams untouched. An empty scenario is a strict no-op against the
-//! plain builder path.
+//! same world built by a plain `Ddosim::new`.
 //!
 //! # Examples
 //!

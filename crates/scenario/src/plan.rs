@@ -8,8 +8,8 @@
 
 use churn::ChurnMode;
 use ddosim_core::{AttackSpec, Recruitment, SimulationConfig, TopologyKind};
-use djson::Json;
-use faults::{FaultPlan, Fields, PlanError, Read, Val};
+use djson::{Fields, Json, PlanError, Read, Val};
+use faults::FaultPlan;
 use protocols::AttackVector;
 use std::time::Duration;
 

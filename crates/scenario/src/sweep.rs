@@ -13,8 +13,7 @@
 
 use crate::plan::{DefenseSpec, ScenarioPlan};
 use ddosim_core::{experiment::run_rows, Ddosim, RngPlan, RunResult};
-use djson::Json;
-use faults::{Fields, PlanError, Read, Val};
+use djson::{Fields, Json, PlanError, Read, Val};
 use std::time::Duration;
 
 /// One cell of a defense-parameter grid: a label naming the parameters

@@ -7,11 +7,11 @@
 //! writes offline. The reassembly mirrors the ring exactly: the client
 //! keeps only the last `recorder_capacity` streamed events (older ones
 //! scrolled off the server's ring too) and re-serializes each through
-//! the same [`Event`](telemetry::Event) writer the recorder uses.
+//! the same [`Event`] writer the recorder uses.
 
 use crate::framing::{FrameError, LineReader};
 use crate::protocol::{job_id, SERVE_SCHEMA};
-use djson::{FromJson, Json, ToJson};
+use djson::{Json, ToJson};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::net::TcpStream;

@@ -21,8 +21,8 @@
 //! exactly one of `scenario` / `config` must own the world.
 
 use ddosim_core::checkpoint::config_from_json;
-use ddosim_core::{Ddosim, PlanError, SimulationConfig, TelemetryConfig, Val};
-use djson::Json;
+use ddosim_core::{Ddosim, SimulationConfig, TelemetryConfig};
+use djson::{Json, PlanError, Val};
 use scenario::ScenarioPlan;
 use std::time::Duration;
 use telemetry::Event;
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn submit_with_config_parses() {
-        let config = ddosim_core::SimulationBuilder::new().devs(4).seed(9).config().clone();
+        let config = SimulationConfig { devs: 4, seed: 9, ..SimulationConfig::default() };
         let doc = ddosim_core::checkpoint::config_to_json(&config).to_string_compact();
         let line = format!(
             r#"{{"schema":"ddosim.serve/1","action":"submit","config":{doc},"metrics_interval_secs":2.5}}"#
@@ -303,7 +303,7 @@ mod tests {
         let world = JobSpec::Scenario(plan).build(asked.clone()).expect("plan builds");
         assert_eq!(world.config().telemetry, asked);
 
-        let mut config = ddosim_core::SimulationBuilder::new().devs(3).config().clone();
+        let mut config = SimulationConfig { devs: 3, ..SimulationConfig::default() };
         config.telemetry.capture = true;
         config.telemetry.metrics_interval = Some(Duration::from_secs(7));
         let spec = JobSpec::Config(config);
@@ -419,7 +419,7 @@ mod tests {
         let line = frame_event("j1", &ev).to_string_compact();
         let back = Json::parse(&line).expect("frame is valid JSON");
         let event = back.get("event").expect("event payload");
-        let back_ev: Event = djson::FromJson::from_json(event).expect("event parses");
+        let back_ev = Event::from_json(event).expect("event parses");
         assert_eq!(back_ev, ev);
     }
 }

@@ -3,7 +3,7 @@
 //! abuse (malformed and oversized lines), multi-job demuxing on one
 //! connection, and graceful shutdown.
 
-use ddosim_core::{SimulationBuilder, TelemetryConfig};
+use ddosim_core::{SimulationConfig, TelemetryConfig};
 use djson::Json;
 use serve::{submit, Server, ServeOptions, SubmitOptions, SubmitOutcome};
 use std::io::Write as _;
@@ -99,15 +99,15 @@ fn metrics_jobs_stream_samples() {
 fn poisoned_job_reports_an_error_and_the_server_keeps_serving() {
     // tserver_link_bps = 0 passes validation but panics mid-run (the
     // zero-rate tx_delay) — the sweep paths' canonical poison pill.
-    let poisoned = SimulationBuilder::new()
-        .devs(2)
-        .attack(ddosim_core::AttackSpec::udp_plain(Duration::from_secs(15)))
-        .attack_at(Duration::from_secs(25))
-        .sim_time(Duration::from_secs(45))
-        .seed(1)
-        .tserver_link_bps(0)
-        .config()
-        .clone();
+    let poisoned = SimulationConfig {
+        devs: 2,
+        attack: ddosim_core::AttackSpec::udp_plain(Duration::from_secs(15)),
+        attack_at: Duration::from_secs(25),
+        sim_time: Duration::from_secs(45),
+        seed: 1,
+        tserver_link_bps: 0,
+        ..SimulationConfig::default()
+    };
     let doc = ddosim_core::checkpoint::config_to_json(&poisoned).to_string_compact();
 
     let (addr, handle) = start_server(1);

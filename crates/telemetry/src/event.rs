@@ -10,7 +10,7 @@
 //! trace and `trace diff` see. What goes *into* the recorder is a
 //! [`Detail`], whose sentence is written only when someone reads it.
 
-use djson::{FromJson, Json, JsonError, ToJson};
+use djson::{Json, PlanError, ToJson, Val};
 use std::fmt;
 
 /// What kind of thing happened. One variant per instrumentation site
@@ -179,32 +179,30 @@ impl ToJson for Event {
     }
 }
 
-impl FromJson for Event {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let t = json.get("t").ok_or_else(|| JsonError::conversion("event missing 't'"))?;
-        let seq = json.get("seq").ok_or_else(|| JsonError::conversion("event missing 'seq'"))?;
-        let cat = json
-            .get("cat")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::conversion("event missing 'cat'"))?;
-        let detail = json
-            .get("detail")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::conversion("event missing 'detail'"))?;
-        let node = match json.get("node") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                u32::try_from(u64::from_json(v)?)
-                    .map_err(|_| JsonError::conversion("event 'node' exceeds 4294967295"))?,
-            ),
-        };
-        Ok(Event {
-            time_nanos: u64::from_json(t)?,
-            seq: u64::from_json(seq)?,
-            node,
-            category: Category::parse(cat)
-                .ok_or_else(|| JsonError::conversion(format!("unknown event category {cat:?}")))?,
-            detail: detail.to_string(),
+impl Event {
+    /// Reads one serialized entry, as [`ToJson::to_json`] writes it.
+    ///
+    /// # Errors
+    ///
+    /// A [`PlanError`] naming the member that is missing, mistyped,
+    /// out of range or not one an event has.
+    pub fn from_json(json: &Json) -> Result<Event, PlanError> {
+        Event::read(Val::root("event", json))
+    }
+
+    pub(crate) fn read(v: Val<'_>) -> Result<Event, PlanError> {
+        v.fields(|f| {
+            Ok(Event {
+                time_nanos: f.req("t")?,
+                seq: f.req("seq")?,
+                node: f.opt("node")?,
+                category: f.req_with("cat", |v| {
+                    v.word(|cat| {
+                        Category::parse(cat).ok_or_else(|| format!("unknown event category {cat:?}"))
+                    })
+                })?,
+                detail: f.req("detail")?,
+            })
         })
     }
 }

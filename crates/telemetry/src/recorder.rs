@@ -10,7 +10,7 @@
 //! when read. Most of a long run's events scroll off unread, unformatted.
 
 use crate::event::{Category, Detail, Event};
-use djson::{FromJson, Json, JsonError};
+use djson::{Json, PlanError, Val};
 
 /// Schema tag written into every serialized recorder trace.
 pub const RECORDER_SCHEMA: &str = "ddosim.telemetry.recorder/1";
@@ -129,16 +129,18 @@ impl FlightRecorder {
         ])
     }
 
-    /// Parses the `events` array out of a serialized recorder trace.
+    /// Reads the events back out of a serialized recorder trace.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] when the document is not a recorder trace.
-    pub fn events_from_json(json: &Json) -> Result<Vec<Event>, JsonError> {
-        let events = json
-            .get("events")
-            .ok_or_else(|| JsonError::conversion("recorder trace missing 'events'"))?;
-        Vec::<Event>::from_json(events)
+    /// A [`PlanError`] when the document is not a recorder trace.
+    pub fn events_from_json(json: &Json) -> Result<Vec<Event>, PlanError> {
+        Val::root("recorder trace", json).fields(|f| {
+            f.schema(RECORDER_SCHEMA)?;
+            f.req::<usize>("capacity")?;
+            f.req::<u64>("total_recorded")?;
+            f.req_with("events", |v| v.items("event", Event::read))
+        })
     }
 }
 
@@ -201,6 +203,23 @@ mod tests {
         assert_eq!(back[1].seq, 1);
         // Byte stability: same content serializes identically.
         assert_eq!(json.to_string_compact(), r.to_json().to_string_compact());
+    }
+
+    #[test]
+    fn a_document_that_is_not_a_recorder_trace_is_refused_by_place() {
+        let mut r = FlightRecorder::new(2);
+        r.record(ev(10, "a"));
+        let trace = r.to_json().to_string_compact();
+        for (from, to, says) in [
+            (RECORDER_SCHEMA, "other/1", "unsupported recorder trace schema 'other/1'"),
+            (r#""events""#, r#""evnets""#, "recorder trace is missing 'events'"),
+            (r#""total_recorded":1"#, r#""total_recorded":-1"#, "total_recorded must be an unsigned"),
+            (r#""seq":0"#, r#""seq":0,"extra":1"#, "unknown field 'extra' in event #0"),
+        ] {
+            let broken = Json::parse(&trace.replace(from, to)).expect("still JSON");
+            let err = FlightRecorder::events_from_json(&broken).expect_err(to).to_string();
+            assert!(err.contains(says), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use churn::ChurnMode;
 use ddosim::report::{fmt_f, Table};
-use ddosim::SimulationBuilder;
+use ddosim::{Ddosim, SimulationConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), String> {
@@ -24,12 +24,14 @@ fn main() -> Result<(), String> {
         let mut rejoins = 0u64;
         let reps = 3u64;
         for rep in 0..reps {
-            let result = SimulationBuilder::new()
-                .devs(devs)
-                .churn(mode)
-                .sim_time(Duration::from_secs(200))
-                .seed(100 + rep)
-                .run()?;
+            let result = Ddosim::new(SimulationConfig {
+                devs,
+                churn: mode,
+                sim_time: Duration::from_secs(200),
+                seed: 100 + rep,
+                ..SimulationConfig::default()
+            })?
+            .run_to_completion();
             avg += result.avg_received_data_rate_kbps / reps as f64;
             infected += result.infected as f64 / reps as f64;
             if let Some(c) = result.churn_summary {

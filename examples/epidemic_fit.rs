@@ -6,17 +6,19 @@
 //! ```
 
 use analysis::{fit_si_beta, infected_curve, observed_curve, SirParams, SirState};
-use ddosim::SimulationBuilder;
+use ddosim::{Ddosim, SimulationConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), String> {
     let devs = 50;
-    let result = SimulationBuilder::new()
-        .devs(devs)
-        .attack_at(Duration::from_secs(90))
-        .sim_time(Duration::from_secs(200))
-        .seed(77)
-        .run()?;
+    let result = Ddosim::new(SimulationConfig {
+        devs,
+        attack_at: Duration::from_secs(90),
+        sim_time: Duration::from_secs(200),
+        seed: 77,
+        ..SimulationConfig::default()
+    })?
+    .run_to_completion();
     println!(
         "measured propagation: {}/{} devices recruited between {:.1}s and {:.1}s",
         result.infected,

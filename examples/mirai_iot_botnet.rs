@@ -6,19 +6,20 @@
 //! cargo run --release --example mirai_iot_botnet
 //! ```
 
-use ddosim::{AttackSpec, SimulationBuilder};
+use ddosim::{AttackSpec, Ddosim, SimulationConfig};
 use firmware::ContainerEvent;
 use std::time::Duration;
 
 fn main() -> Result<(), String> {
     let devs = 40;
-    let mut instance = SimulationBuilder::new()
-        .devs(devs)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(100)))
-        .attack_at(Duration::from_secs(60))
-        .sim_time(Duration::from_secs(250))
-        .seed(7)
-        .build()?;
+    let mut instance = Ddosim::new(SimulationConfig {
+        devs,
+        attack: AttackSpec::udp_plain(Duration::from_secs(100)),
+        attack_at: Duration::from_secs(60),
+        sim_time: Duration::from_secs(250),
+        seed: 7,
+        ..SimulationConfig::default()
+    })?;
 
     println!("== Phase 1: initialization & infection ==");
     for t in [5u64, 10, 20, 40, 60] {

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ddosim::{AttackSpec, SimulationBuilder};
+use ddosim::{AttackSpec, Ddosim, SimulationConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), String> {
@@ -13,13 +13,15 @@ fn main() -> Result<(), String> {
     // daemons with random W^X/ASLR subsets, on 100-500 kbps access links;
     // the attacker recruits them via ROP exploits and orders Mirai's
     // UDP-PLAIN flood.
-    let result = SimulationBuilder::new()
-        .devs(25)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(100)))
-        .attack_at(Duration::from_secs(60))
-        .sim_time(Duration::from_secs(300))
-        .seed(42)
-        .run()?;
+    let result = Ddosim::new(SimulationConfig {
+        devs: 25,
+        attack: AttackSpec::udp_plain(Duration::from_secs(100)),
+        attack_at: Duration::from_secs(60),
+        sim_time: Duration::from_secs(300),
+        seed: 42,
+        ..SimulationConfig::default()
+    })?
+    .run_to_completion();
 
     println!("== DDoSim quickstart ==");
     println!(

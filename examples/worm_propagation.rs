@@ -9,22 +9,23 @@
 //! ```
 
 use analysis::{fit_si_beta, observed_curve};
-use ddosim::{AttackSpec, Recruitment, SimulationBuilder};
+use ddosim::{AttackSpec, Ddosim, Recruitment, SimulationConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), String> {
     let devs = 40;
-    let mut instance = SimulationBuilder::new()
-        .devs(devs)
-        .recruitment(Recruitment::SelfPropagating {
+    let mut instance = Ddosim::new(SimulationConfig {
+        devs,
+        recruitment: Recruitment::SelfPropagating {
             default_credential_fraction: 1.0,
             seeds: 1,
-        })
-        .attack(AttackSpec::udp_plain(Duration::from_secs(30)))
-        .attack_at(Duration::from_secs(90))
-        .sim_time(Duration::from_secs(140))
-        .seed(13)
-        .build()?;
+        },
+        attack: AttackSpec::udp_plain(Duration::from_secs(30)),
+        attack_at: Duration::from_secs(90),
+        sim_time: Duration::from_secs(140),
+        seed: 13,
+        ..SimulationConfig::default()
+    })?;
 
     println!("one seed device; every bot scans the subnet:");
     for t in [4u64, 6, 8, 10, 14, 20, 30] {

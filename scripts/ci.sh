@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 gate, split into named stages:
 #
-#   build        release + example builds under -D warnings, hot-path
+#   build        release + example builds under -D warnings, rustdoc
+#                gate (`RUSTDOCFLAGS='-D warnings' cargo doc --no-deps
+#                --workspace --offline`: a doc link to a deleted, renamed
+#                or private item fails the build), hot-path
 #                hashing gate (no bare HashMap in any netsim file but
 #                fastmap.rs, no hasher built outside it), seam gate (no
 #                netsim file over 800 non-test lines), one-world-builder
@@ -102,6 +105,7 @@ run_traced() {
 stage_build() {
     cargo build --release --offline
     cargo build --examples --offline
+    RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline
 
     # Hot-path hashing gate: the forwarding fast path (addr index, route
     # tables, TCP demux, fork map, name interner) must stay on the
@@ -173,12 +177,12 @@ stage_build() {
         exit 1
     fi
 
-    # One document reader (faults::plan): the members a parser allows are
+    # One document reader (djson::Val::fields): the members a parser allows are
     # the members it reads, so a hand-kept allow-list beside the cursor is
     # a second copy that drifts; and an embedded document goes to its
     # `from_json`, never back to text and through `parse` again.
     if grep -rn 'reject_unknown_fields' crates/*/src src --include='*.rs'; then
-        echo "error: unknown members are rejected by faults::plan::Val::fields alone" >&2
+        echo "error: unknown members are rejected by djson::Val::fields alone" >&2
         exit 1
     fi
     if find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '

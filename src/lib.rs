@@ -1,8 +1,8 @@
 //! # ddosim — facade crate
 //!
 //! Re-exports the whole DDoSim reproduction under one roof. See the
-//! README for the architecture and `ddosim_core` for the main entry point
-//! ([`SimulationBuilder`]).
+//! README for the architecture and `ddosim_core` for the main entry point:
+//! a [`SimulationConfig`] handed to [`Ddosim::new`].
 
 #![warn(missing_docs)]
 

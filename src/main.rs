@@ -111,13 +111,13 @@ fn count<T: FromStr<Err: Display> + Default + PartialEq>(f: &str, v: &str) -> Re
 
 /// Parses a `<SECS>` value (fractional ok) the simulation clock can hold.
 fn secs_flag(flag: &str, text: &str, zero_ok: bool) -> Result<Duration, String> {
-    ddosim::checked_secs(flag, num(flag, text)?, zero_ok)
+    djson::checked_secs(flag, num(flag, text)?, zero_ok)
 }
 
 /// [`secs_flag`] for the attack schedule, which is whole seconds: the C&C
 /// command line and `RunResult.attack_duration_secs` carry `as_secs()`.
 fn whole_secs_flag(flag: &str, text: &str) -> Result<Duration, String> {
-    ddosim::checked_secs(flag, num::<u64>(flag, text)? as f64, true)
+    djson::checked_secs(flag, num::<u64>(flag, text)? as f64, true)
 }
 
 /// Everything a simulation run needs from the command line.

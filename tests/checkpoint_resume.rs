@@ -4,7 +4,7 @@
 //! and under fault injection — and the snapshot format must be
 //! byte-stable and fail loudly (never panic) on corrupted input.
 
-use ddosim::{AttackSpec, Checkpoint, Ddosim, SimulationBuilder, TelemetryConfig, TopologyKind};
+use ddosim::{AttackSpec, Checkpoint, Ddosim, SimulationConfig, TelemetryConfig, TopologyKind};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -22,16 +22,18 @@ fn recording() -> TelemetryConfig {
     }
 }
 
-fn base(seed: u64, topology: TopologyKind) -> SimulationBuilder {
-    SimulationBuilder::new()
-        .devs(8)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(25))
-        .sim_time(Duration::from_secs(45))
-        .attack_ramp(Duration::from_secs(3))
-        .seed(seed)
-        .topology(topology)
-        .telemetry(recording())
+fn base(seed: u64, topology: TopologyKind) -> SimulationConfig {
+    SimulationConfig {
+        devs: 8,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(25),
+        sim_time: Duration::from_secs(45),
+        attack_ramp: Duration::from_secs(3),
+        seed,
+        topology,
+        telemetry: recording(),
+        ..SimulationConfig::default()
+    }
 }
 
 /// The recorder, capture and metrics documents of a finished run.
@@ -46,8 +48,8 @@ fn documents(handle: &ddosim::Telemetry) -> [String; 3] {
 
 /// Runs straight through with a checkpoint armed at `at`; returns the
 /// run's documents and the snapshot.
-fn run_with_checkpoint(builder: SimulationBuilder, at: Duration) -> ([String; 3], Checkpoint) {
-    let mut instance = builder.build().expect("valid configuration");
+fn run_with_checkpoint(config: SimulationConfig, at: Duration) -> ([String; 3], Checkpoint) {
+    let mut instance = Ddosim::new(config).expect("valid configuration");
     instance.set_checkpoint_at(at);
     let handle = instance.telemetry().clone();
     let (_, saved) = instance.try_run_to_completion().expect("run succeeds");
@@ -70,8 +72,8 @@ fn run_resumed(
 }
 
 /// Returns the recorder count at the snapshot.
-fn assert_resume_equals_straight_through(builder: SimulationBuilder) -> u64 {
-    let (straight, cp) = run_with_checkpoint(builder, CHECKPOINT_AT);
+fn assert_resume_equals_straight_through(config: SimulationConfig) -> u64 {
+    let (straight, cp) = run_with_checkpoint(config, CHECKPOINT_AT);
     let recorded_at_snapshot = cp.events_recorded;
     assert!(recorded_at_snapshot > 0, "nothing recorded before the snapshot");
     let (resumed, _) = run_resumed(cp, None);
@@ -110,7 +112,10 @@ fn fault_plan_resume_is_byte_identical_from_the_snapshot_on() {
         {"at_secs":28,"kind":"node_crash","node":"dev-5"},
         {"at_secs":35,"kind":"node_restore","node":"dev-5"}]}"#;
     let plan = ddosim::FaultPlan::parse_plan(plan).expect("valid plan");
-    assert_resume_equals_straight_through(base(42, TopologyKind::Star).faults(plan));
+    assert_resume_equals_straight_through(SimulationConfig {
+        faults: plan,
+        ..base(42, TopologyKind::Star)
+    });
 }
 
 /// A ring small enough to wrap long before T: the resumed ring must hold
@@ -118,8 +123,10 @@ fn fault_plan_resume_is_byte_identical_from_the_snapshot_on() {
 #[test]
 fn resume_is_byte_identical_when_the_recorder_ring_wraps_before_the_snapshot() {
     let telemetry = TelemetryConfig { recorder_capacity: 64, ..recording() };
-    let recorded_at_snapshot =
-        assert_resume_equals_straight_through(base(42, TopologyKind::Star).telemetry(telemetry));
+    let recorded_at_snapshot = assert_resume_equals_straight_through(SimulationConfig {
+        telemetry,
+        ..base(42, TopologyKind::Star)
+    });
     assert!(recorded_at_snapshot > 64, "ring did not wrap before the snapshot");
 }
 
@@ -203,7 +210,7 @@ fn checkpoint_before_the_resume_point_is_rejected() {
     let (_, cp) = run_with_checkpoint(base(42, TopologyKind::Star), CHECKPOINT_AT);
     let mut resumed = Ddosim::resume_from(cp).expect("checkpoint verifies");
     resumed.set_checkpoint_at(Duration::from_secs(10));
-    let mut parent = base(42, TopologyKind::Star).build().expect("valid configuration");
+    let mut parent = Ddosim::new(base(42, TopologyKind::Star)).expect("valid configuration");
     parent.run_prefix(Duration::from_secs(28)).expect("prefix runs");
     let mut fork = parent.fork().expect("world forks");
     fork.set_checkpoint_at(Duration::from_secs(10));

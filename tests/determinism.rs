@@ -1,19 +1,21 @@
 //! Reproducibility: identical seeds give identical worlds and results —
 //! the property that makes simulation experiments auditable.
 
-use ddosim::{AttackSpec, SimulationBuilder};
+use ddosim::{AttackSpec, Ddosim, SimulationConfig};
 use std::time::Duration;
 
 fn run(seed: u64) -> ddosim::RunResult {
-    SimulationBuilder::new()
-        .devs(12)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(25)))
-        .attack_at(Duration::from_secs(30))
-        .sim_time(Duration::from_secs(70))
-        .attack_ramp(Duration::from_secs(3))
-        .seed(seed)
-        .run()
-        .expect("valid configuration")
+    Ddosim::new(SimulationConfig {
+        devs: 12,
+        attack: AttackSpec::udp_plain(Duration::from_secs(25)),
+        attack_at: Duration::from_secs(30),
+        sim_time: Duration::from_secs(70),
+        attack_ramp: Duration::from_secs(3),
+        seed,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration")
+    .run_to_completion()
 }
 
 #[test]
@@ -43,15 +45,17 @@ fn different_seeds_diverge() {
 #[test]
 fn churn_runs_are_also_deterministic() {
     let make = || {
-        SimulationBuilder::new()
-            .devs(15)
-            .churn(churn::ChurnMode::Dynamic)
-            .attack(AttackSpec::udp_plain(Duration::from_secs(25)))
-            .attack_at(Duration::from_secs(30))
-            .sim_time(Duration::from_secs(80))
-            .seed(5)
-            .run()
-            .expect("valid configuration")
+        Ddosim::new(SimulationConfig {
+            devs: 15,
+            churn: churn::ChurnMode::Dynamic,
+            attack: AttackSpec::udp_plain(Duration::from_secs(25)),
+            attack_at: Duration::from_secs(30),
+            sim_time: Duration::from_secs(80),
+            seed: 5,
+            ..SimulationConfig::default()
+        })
+        .expect("valid configuration")
+        .run_to_completion()
     };
     let a = make();
     let b = make();
@@ -76,15 +80,16 @@ fn identical_seed_byte_identical_serialization() {
 /// The lab world (`--topology wifi`): a shared, lossy medium draws far more
 /// from the event RNG than the star does, and must be as reproducible.
 fn wifi_world(seed: u64) -> ddosim::Ddosim {
-    SimulationBuilder::new()
-        .devs(4)
-        .topology(ddosim::TopologyKind::Wifi)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(20)))
-        .attack_at(Duration::from_secs(30))
-        .sim_time(Duration::from_secs(60))
-        .seed(seed)
-        .build()
-        .expect("valid configuration")
+    Ddosim::new(SimulationConfig {
+        devs: 4,
+        topology: ddosim::TopologyKind::Wifi,
+        attack: AttackSpec::udp_plain(Duration::from_secs(20)),
+        attack_at: Duration::from_secs(30),
+        sim_time: Duration::from_secs(60),
+        seed,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration")
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! and the `exp` driver's contract. `exp` runs the paper-scale versions.
 
 use ddosim::experiment::{crn_arms, run_arms};
-use ddosim::{AttackSpec, Recruitment, RunResult, SimulationBuilder, TopologyKind};
+use ddosim::{AttackSpec, Ddosim, Recruitment, RunResult, SimulationConfig, TopologyKind};
 use ddosim_bench::sweeps::{
     ablation_arms, fig2_arms, fig3_arms, fig4_arms, infection_arms, recruitment_arms, Key,
 };
@@ -166,31 +166,33 @@ fn kitchen_sink_every_feature_at_once() {
     // Worm recruitment + dynamic churn + reboots + tiered topology +
     // an early-stopped SYN flood over IPv6: nothing panics, the books
     // balance, and the botnet still forms.
-    let r = SimulationBuilder::new()
-        .devs(15)
-        .recruitment(Recruitment::SelfPropagating {
+    let r = Ddosim::new(SimulationConfig {
+        devs: 15,
+        recruitment: Recruitment::SelfPropagating {
             default_credential_fraction: 1.0,
             seeds: 2,
-        })
-        .churn(churn::ChurnMode::Dynamic)
-        .reboot_rate_per_min(0.5)
-        .topology(TopologyKind::Tiered {
+        },
+        churn: churn::ChurnMode::Dynamic,
+        reboot_rate_per_min: 0.5,
+        topology: TopologyKind::Tiered {
             regions: 3,
             region_uplink_bps: 8_000_000,
-        })
-        .attack_over_ipv6(true)
-        .attack(AttackSpec {
+        },
+        attack_over_ipv6: true,
+        attack: AttackSpec {
             vector: protocols::AttackVector::Syn,
             duration: Duration::from_secs(30),
             payload_bytes: None,
             port: 80,
-        })
-        .admin_command(Duration::from_secs(110), "stop")
-        .attack_at(Duration::from_secs(90))
-        .sim_time(Duration::from_secs(150))
-        .seed(83)
-        .run()
-        .expect("valid configuration");
+        },
+        attack_at: Duration::from_secs(90),
+        sim_time: Duration::from_secs(150),
+        seed: 83,
+        admin_script: vec![(Duration::from_secs(110), "stop".into())],
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration")
+    .run_to_completion();
     assert!(r.infected >= 12, "the worm spreads despite churn/reboots: {}", r.infected);
     assert_eq!(
         r.packets_sent,

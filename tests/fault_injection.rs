@@ -4,7 +4,7 @@
 //! contract with and without a plan.
 
 use ddosim::{
-    AttackSpec, FaultEvent, FaultKind, FaultPlan, SimulationBuilder, TelemetryConfig,
+    AttackSpec, Ddosim, FaultEvent, FaultKind, FaultPlan, SimulationConfig, TelemetryConfig,
 };
 use std::time::Duration;
 
@@ -13,14 +13,16 @@ fn recording() -> TelemetryConfig {
 }
 
 /// The shared small scenario: 6 Devs, attack commanded at 20 s for 12 s.
-fn base(sim_secs: u64) -> SimulationBuilder {
-    SimulationBuilder::new()
-        .devs(6)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(12)))
-        .attack_at(Duration::from_secs(20))
-        .sim_time(Duration::from_secs(sim_secs))
-        .attack_ramp(Duration::from_secs(2))
-        .seed(42)
+fn base(sim_secs: u64) -> SimulationConfig {
+    SimulationConfig {
+        devs: 6,
+        attack: AttackSpec::udp_plain(Duration::from_secs(12)),
+        attack_at: Duration::from_secs(20),
+        sim_time: Duration::from_secs(sim_secs),
+        attack_ramp: Duration::from_secs(2),
+        seed: 42,
+        ..SimulationConfig::default()
+    }
 }
 
 fn fault(at_secs: u64, kind: FaultKind) -> FaultEvent {
@@ -43,7 +45,7 @@ fn category_count(doc: &djson::Json, cat: &str) -> usize {
 #[test]
 fn cnc_outage_drops_the_flood_and_recovery_restores_it() {
     // A probe instance tells us TServer's address for the admin script.
-    let tserver_v4 = base(135).build().expect("valid").tserver().1;
+    let tserver_v4 = Ddosim::new(base(135)).expect("valid").tserver().1;
 
     let plan = FaultPlan {
         seed: 0,
@@ -52,16 +54,19 @@ fn cnc_outage_drops_the_flood_and_recovery_restores_it() {
             FaultKind::CncOutage { duration: Some(Duration::from_secs(20)) },
         )],
     };
-    let instance = base(135)
-        // Issued mid-outage: the console must queue and retry it, but the
-        // restarted C&C has no live bot connections yet, so no flood.
-        .admin_command(Duration::from_secs(45), format!("udpplain {tserver_v4} 80 12"))
-        // Issued well after recovery: bots have re-registered by now.
-        .admin_command(Duration::from_secs(110), format!("udpplain {tserver_v4} 80 12"))
-        .faults(plan)
-        .telemetry(recording())
-        .build()
-        .expect("valid");
+    let instance = Ddosim::new(SimulationConfig {
+        admin_script: vec![
+            // Issued mid-outage: the console must queue and retry it, but the
+            // restarted C&C has no live bot connections yet, so no flood.
+            (Duration::from_secs(45), format!("udpplain {tserver_v4} 80 12")),
+            // Issued well after recovery: bots have re-registered by now.
+            (Duration::from_secs(110), format!("udpplain {tserver_v4} 80 12")),
+        ],
+        faults: plan,
+        telemetry: recording(),
+        ..base(135)
+    })
+    .expect("valid");
     let tele = instance.telemetry().clone();
     let result = instance.run_to_completion();
 
@@ -101,7 +106,7 @@ fn cnc_outage_drops_the_flood_and_recovery_restores_it() {
 /// traffic; the run must finish and receive strictly less than baseline.
 #[test]
 fn link_flaps_degrade_the_flood() {
-    let baseline = base(45).run().expect("valid");
+    let baseline = Ddosim::new(base(45)).expect("valid").run_to_completion();
     let plan = FaultPlan {
         seed: 0,
         faults: vec![
@@ -113,7 +118,12 @@ fn link_flaps_degrade_the_flood() {
             fault(30, FaultKind::LinkUp { node: "dev-2".into() }),
         ],
     };
-    let instance = base(45).faults(plan).telemetry(recording()).build().expect("valid");
+    let instance = Ddosim::new(SimulationConfig {
+        faults: plan,
+        telemetry: recording(),
+        ..base(45)
+    })
+    .expect("valid");
     let tele = instance.telemetry().clone();
     let flapped = instance.run_to_completion();
     assert!(
@@ -139,7 +149,7 @@ fn crash_and_container_kill_semantics() {
             fault(29, FaultKind::ContainerKill { node: "dev-1".into() }),
         ],
     };
-    let mut instance = base(90).faults(plan).build().expect("valid");
+    let mut instance = Ddosim::new(SimulationConfig { faults: plan, ..base(90) }).expect("valid");
     let dev_nodes: Vec<_> = instance.devs().iter().map(|d| d.node).collect();
     instance.run_prefix(Duration::from_secs(28)).expect("prefix runs");
     assert_eq!(instance.connected_bots(), 6, "all Devs recruited before the crash");
@@ -173,26 +183,38 @@ fn bad_plans_fail_at_build_time() {
         seed: 0,
         faults: vec![fault(5, FaultKind::LinkDown { node: "dev-99".into() })],
     };
-    let err = base(45).faults(unknown).build().expect_err("dev-99 does not exist");
+    let err = Ddosim::new(SimulationConfig {
+        faults: unknown,
+        ..base(45)
+    })
+    .expect_err("dev-99 does not exist");
     assert!(err.contains("unknown node"), "got: {err}");
 
     let no_container = FaultPlan {
         seed: 0,
         faults: vec![fault(5, FaultKind::ContainerKill { node: "tserver".into() })],
     };
-    let err = base(45).faults(no_container).build().expect_err("tserver has no container");
+    let err = Ddosim::new(SimulationConfig {
+        faults: no_container,
+        ..base(45)
+    })
+    .expect_err("tserver has no container");
     assert!(err.contains("no container"), "got: {err}");
 
     let bad_probability = FaultPlan {
         seed: 0,
         faults: vec![fault(5, FaultKind::LinkLoss { node: "dev-0".into(), probability: 2.0 })],
     };
-    let err = base(45).faults(bad_probability).build().expect_err("p > 1 is invalid");
+    let err = Ddosim::new(SimulationConfig {
+        faults: bad_probability,
+        ..base(45)
+    })
+    .expect_err("p > 1 is invalid");
     assert!(err.contains("outside [0, 1]"), "got: {err}");
 }
 
-fn recorder_doc(builder: SimulationBuilder) -> String {
-    let instance = builder.telemetry(recording()).build().expect("valid");
+fn recorder_doc(config: SimulationConfig) -> String {
+    let instance = Ddosim::new(SimulationConfig { telemetry: recording(), ..config }).expect("valid");
     let tele = instance.telemetry().clone();
     instance.run_to_completion();
     tele.recorder_json().expect("recording").to_string_compact()
@@ -209,8 +231,8 @@ fn faulted_runs_are_deterministic()  {
             fault(33, FaultKind::NodeCrash { node: "dev-2".into() }),
         ],
     };
-    let a = recorder_doc(base(45).faults(plan()));
-    let b = recorder_doc(base(45).faults(plan()));
+    let a = recorder_doc(SimulationConfig { faults: plan(), ..base(45) });
+    let b = recorder_doc(SimulationConfig { faults: plan(), ..base(45) });
     assert_eq!(a, b, "same seed + same plan must be byte-identical");
 }
 
@@ -219,7 +241,10 @@ fn faulted_runs_are_deterministic()  {
 #[test]
 fn empty_plan_is_a_noop() {
     let without = recorder_doc(base(45));
-    let with_empty = recorder_doc(base(45).faults(FaultPlan { seed: 99, faults: vec![] }));
+    let with_empty = recorder_doc(SimulationConfig {
+        faults: FaultPlan { seed: 99, faults: vec![] },
+        ..base(45)
+    });
     assert_eq!(
         telemetry::diff_strs(&without, &with_empty),
         Ok(None),

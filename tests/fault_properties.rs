@@ -5,7 +5,7 @@
 //! degrades the received flood.
 
 use ddosim::{
-    AttackSpec, FaultEvent, FaultKind, FaultPlan, SimulationBuilder, TelemetryConfig,
+    AttackSpec, Ddosim, FaultEvent, FaultKind, FaultPlan, SimulationConfig, TelemetryConfig,
 };
 use netsim::equeue::BUCKET_SPAN_NANOS;
 use proptest::prelude::*;
@@ -16,14 +16,16 @@ use std::time::Duration;
 const HORIZON_NANOS: u64 = 40_000_000_000;
 
 /// A small scenario: 3 Devs, attack commanded at 12 s for 15 s, 40 s horizon.
-fn scenario() -> SimulationBuilder {
-    SimulationBuilder::new()
-        .devs(3)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(15)))
-        .attack_at(Duration::from_secs(12))
-        .sim_time(Duration::from_secs(40))
-        .attack_ramp(Duration::from_secs(2))
-        .seed(7)
+fn scenario() -> SimulationConfig {
+    SimulationConfig {
+        devs: 3,
+        attack: AttackSpec::udp_plain(Duration::from_secs(15)),
+        attack_at: Duration::from_secs(12),
+        sim_time: Duration::from_secs(40),
+        attack_ramp: Duration::from_secs(2),
+        seed: 7,
+        ..SimulationConfig::default()
+    }
 }
 
 fn random_fault(rng: &mut SmallRng, at: Duration) -> FaultEvent {
@@ -61,11 +63,12 @@ fn random_plan(seed: u64, bucket_aligned: bool) -> FaultPlan {
 }
 
 fn recorder_doc(plan: FaultPlan) -> djson::Json {
-    let instance = scenario()
-        .faults(plan)
-        .telemetry(TelemetryConfig { record: true, ..TelemetryConfig::default() })
-        .build()
-        .expect("valid scenario");
+    let instance = Ddosim::new(SimulationConfig {
+        faults: plan,
+        telemetry: TelemetryConfig { record: true, ..TelemetryConfig::default() },
+        ..scenario()
+    })
+    .expect("valid scenario");
     let tele = instance.telemetry().clone();
     instance.run_to_completion();
     tele.recorder_json().expect("recording")
@@ -128,7 +131,8 @@ fn rising_link_loss_monotonically_degrades_the_flood() {
                     })
                     .collect(),
             };
-            scenario().faults(plan).run().expect("valid").flood_bytes_received
+            let config = SimulationConfig { faults: plan, ..scenario() };
+            Ddosim::new(config).expect("valid").run_to_completion().flood_bytes_received
         })
         .collect();
     assert!(

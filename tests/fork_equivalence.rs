@@ -7,7 +7,7 @@
 //! must yield the very checkpoint the straight-through run saves.
 
 use ddosim::{
-    AttackSpec, Ddosim, SimulationBuilder, SuffixSpec, Telemetry, TelemetryConfig, TopologyKind,
+    AttackSpec, Ddosim, SimulationConfig, SuffixSpec, Telemetry, TelemetryConfig, TopologyKind,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -24,16 +24,18 @@ fn collecting() -> TelemetryConfig {
     }
 }
 
-fn base(seed: u64, topology: TopologyKind) -> SimulationBuilder {
-    SimulationBuilder::new()
-        .devs(8)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(25))
-        .sim_time(Duration::from_secs(45))
-        .attack_ramp(Duration::from_secs(3))
-        .seed(seed)
-        .topology(topology)
-        .telemetry(collecting())
+fn base(seed: u64, topology: TopologyKind) -> SimulationConfig {
+    SimulationConfig {
+        devs: 8,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(25),
+        sim_time: Duration::from_secs(45),
+        attack_ramp: Duration::from_secs(3),
+        seed,
+        topology,
+        telemetry: collecting(),
+        ..SimulationConfig::default()
+    }
 }
 
 /// A world's flight-recorder trace and packet capture, compact.
@@ -58,15 +60,15 @@ fn finish(world: Ddosim) -> Docs {
 }
 
 /// The uninterrupted run's full documents.
-fn straight_docs(builder: SimulationBuilder) -> Docs {
-    finish(builder.build().expect("valid configuration"))
+fn straight_docs(config: SimulationConfig) -> Docs {
+    finish(Ddosim::new(config).expect("valid configuration"))
 }
 
 /// Runs the prefix to `at`, forks with `fork_seed`, runs the fork to the
 /// horizon, and returns its full documents (prefix included — a fork
 /// inherits the parent's collectors).
-fn forked_docs(builder: SimulationBuilder, at: Duration, fork_seed: u64) -> Docs {
-    let mut parent = builder.build().expect("valid configuration");
+fn forked_docs(config: SimulationConfig, at: Duration, fork_seed: u64) -> Docs {
+    let mut parent = Ddosim::new(config).expect("valid configuration");
     parent.run_prefix(at).expect("prefix runs");
     finish(parent.fork_with_seed(fork_seed).expect("world forks"))
 }
@@ -83,7 +85,7 @@ fn entries(doc: &str, key: &str) -> Vec<String> {
         .collect()
 }
 
-fn assert_fork_equals_straight_through(make: impl Fn() -> SimulationBuilder) {
+fn assert_fork_equals_straight_through(make: impl Fn() -> SimulationConfig) {
     let straight = straight_docs(make());
     let forked = forked_docs(make(), FORK_AT, 0);
     assert_eq!(straight, forked, "seed-0 fork differs from the straight-through run");
@@ -120,7 +122,10 @@ fn fault_plan_fork_is_byte_identical_to_straight_through() {
         {"at_secs":28,"kind":"node_crash","node":"dev-5"},
         {"at_secs":35,"kind":"node_restore","node":"dev-5"}]}"#;
     let plan = ddosim::FaultPlan::parse_plan(plan).expect("valid plan");
-    assert_fork_equals_straight_through(|| base(42, TopologyKind::Star).faults(plan.clone()));
+    assert_fork_equals_straight_through(|| SimulationConfig {
+        faults: plan.clone(),
+        ..base(42, TopologyKind::Star)
+    });
 }
 
 /// The worker-pool path must preserve equivalence too: an identity suffix
@@ -129,7 +134,7 @@ fn fault_plan_fork_is_byte_identical_to_straight_through() {
 #[test]
 fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
     let straight = straight_docs(base(42, TopologyKind::Star));
-    let mut parent = base(42, TopologyKind::Star).build().expect("valid configuration");
+    let mut parent = Ddosim::new(base(42, TopologyKind::Star)).expect("valid configuration");
     parent.run_prefix(FORK_AT).expect("prefix runs");
     let mut diverged = SuffixSpec::identity("diverged");
     diverged.fork_seed = 7;
@@ -153,7 +158,7 @@ fn suffix_sweep_identity_trace_is_byte_identical_to_straight_through() {
 /// yields the fork the straight-through world yields, reseeded or not.
 #[test]
 fn fork_of_a_resumed_world_equals_fork_of_the_straight_through_world() {
-    let mut straight = base(42, TopologyKind::Star).build().expect("valid configuration");
+    let mut straight = Ddosim::new(base(42, TopologyKind::Star)).expect("valid configuration");
     straight.set_checkpoint_at(Duration::from_secs(28));
     let (_, saved) = straight.try_run_to_completion().expect("run succeeds");
     let mut resumed =
@@ -175,14 +180,15 @@ fn fork_of_a_resumed_world_equals_fork_of_the_straight_through_world() {
 /// first mismatch), and the fork must remain independently runnable.
 #[test]
 fn ten_thousand_device_fork_is_digest_identical_to_parent() {
-    let mut parent = SimulationBuilder::new()
-        .devs(10_000)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(40))
-        .sim_time(Duration::from_secs(60))
-        .seed(1234)
-        .build()
-        .expect("valid configuration");
+    let mut parent = Ddosim::new(SimulationConfig {
+        devs: 10_000,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(40),
+        sim_time: Duration::from_secs(60),
+        seed: 1234,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration");
     parent.run_prefix(Duration::from_secs(1)).expect("prefix runs");
     let fork = parent.fork_with_seed(0).expect("world forks");
     assert_eq!(
@@ -213,9 +219,9 @@ proptest! {
             let result = world.run_to_completion().to_deterministic_json().to_string_compact();
             (digests, result, docs(&handle))
         };
-        let straight = base(seed, TopologyKind::Star).build().expect("valid configuration");
+        let straight = Ddosim::new(base(seed, TopologyKind::Star)).expect("valid configuration");
 
-        let mut paused = base(seed, TopologyKind::Star).build().expect("valid configuration");
+        let mut paused = Ddosim::new(base(seed, TopologyKind::Star)).expect("valid configuration");
         paused.run_prefix(Duration::from_secs(mark)).expect("prefix runs");
         let _probe = paused.state_digests();
 
@@ -235,7 +241,7 @@ proptest! {
         fork_seed in 1u64..10_000,
     ) {
         let at = Duration::from_secs(t_secs);
-        let mut parent = base(seed, TopologyKind::Star).build().expect("valid configuration");
+        let mut parent = Ddosim::new(base(seed, TopologyKind::Star)).expect("valid configuration");
         parent.run_prefix(at).expect("prefix runs");
         let prefix = docs(parent.telemetry());
         let run = |fork_seed: u64| finish(parent.fork_with_seed(fork_seed).expect("world forks"));
@@ -281,12 +287,12 @@ proptest! {
     ) {
         let (at, cp_at) = (Duration::from_secs(t_secs), Duration::from_secs(cp_secs));
 
-        let mut straight = base(seed, TopologyKind::Star).build().expect("valid configuration");
+        let mut straight = Ddosim::new(base(seed, TopologyKind::Star)).expect("valid configuration");
         straight.set_checkpoint_at(cp_at);
         let (_, saved) = straight.try_run_to_completion().expect("run succeeds");
         let straight_cp = saved.expect("checkpoint was armed");
 
-        let mut parent = base(seed, TopologyKind::Star).build().expect("valid configuration");
+        let mut parent = Ddosim::new(base(seed, TopologyKind::Star)).expect("valid configuration");
         parent.run_prefix(at).expect("prefix runs");
         let mut fork = parent.fork().expect("world forks");
         fork.set_checkpoint_at(cp_at);

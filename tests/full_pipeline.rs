@@ -3,94 +3,93 @@
 //! churn + core).
 
 use churn::ChurnMode;
-use ddosim::{AttackSpec, BinaryMix, ExploitStrategy, Recruitment, SimulationBuilder};
+use ddosim::{
+    AttackSpec, BinaryMix, Ddosim, ExploitStrategy, Recruitment, RunResult, SimulationConfig,
+};
 use firmware::CommandSet;
 use protocols::AttackVector;
 use std::time::Duration;
 use tinyvm::{ProtectionMix, Protections};
 
 /// A compact scenario that still covers infection + attack end-to-end.
-fn small() -> SimulationBuilder {
-    SimulationBuilder::new()
-        .devs(8)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(20)))
-        .attack_at(Duration::from_secs(30))
-        .sim_time(Duration::from_secs(60))
-        .attack_ramp(Duration::from_secs(2))
-        .seed(1)
+fn small() -> SimulationConfig {
+    SimulationConfig {
+        devs: 8,
+        attack: AttackSpec::udp_plain(Duration::from_secs(20)),
+        attack_at: Duration::from_secs(30),
+        sim_time: Duration::from_secs(60),
+        attack_ramp: Duration::from_secs(2),
+        seed: 1,
+        ..SimulationConfig::default()
+    }
+}
+
+fn run(config: SimulationConfig) -> RunResult {
+    Ddosim::new(config).expect("valid").run_to_completion()
 }
 
 #[test]
 fn connman_only_population_is_fully_recruited() {
-    let r = small()
-        .binary_mix(BinaryMix::ConnmanOnly)
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig { binary_mix: BinaryMix::ConnmanOnly, ..small() });
     assert_eq!(r.infected, 8, "DNS exploit path recruits every Dev");
     assert!(r.avg_received_data_rate_kbps > 100.0);
 }
 
 #[test]
 fn dnsmasq_only_population_is_fully_recruited() {
-    let r = small()
-        .binary_mix(BinaryMix::DnsmasqOnly)
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig { binary_mix: BinaryMix::DnsmasqOnly, ..small() });
     assert_eq!(r.infected, 8, "DHCPv6 multicast exploit path recruits every Dev");
     assert!(r.avg_received_data_rate_kbps > 100.0);
 }
 
 #[test]
 fn full_protections_still_fall_to_leak_rebase() {
-    let r = small()
-        .protections(ProtectionMix::Uniform(Protections::FULL))
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig {
+        protections: ProtectionMix::Uniform(Protections::FULL),
+        ..small()
+    });
     assert_eq!(r.infected, 8, "W^X+ASLR devices fall to the two-stage exploit (R2)");
 }
 
 #[test]
 fn static_chains_fail_on_aslr_only_population() {
-    let r = small()
-        .protections(ProtectionMix::Uniform(Protections::ASLR))
-        .strategy(ExploitStrategy::StaticChain)
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig {
+        protections: ProtectionMix::Uniform(Protections::ASLR),
+        strategy: ExploitStrategy::StaticChain,
+        ..small()
+    });
     assert_eq!(r.infected, 0, "static ROP chains crash ASLR'd daemons");
     assert_eq!(r.avg_received_data_rate_kbps, 0.0, "no bots, no attack");
 }
 
 #[test]
 fn code_injection_fails_against_wx() {
-    let r = small()
-        .protections(ProtectionMix::Uniform(Protections::WX))
-        .strategy(ExploitStrategy::CodeInjection)
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig {
+        protections: ProtectionMix::Uniform(Protections::WX),
+        strategy: ExploitStrategy::CodeInjection,
+        ..small()
+    });
     assert_eq!(r.infected, 0, "W^X blocks stack shellcode");
 }
 
 #[test]
 fn removing_curl_blocks_the_infection_chain() {
-    let r = small()
-        .commands(CommandSet::without(&["curl"]))
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig { commands: CommandSet::without(&["curl"]), ..small() });
     assert_eq!(r.infected, 0, "stage-1 `curl | sh` cannot run");
     assert_eq!(r.flood_packets_received, 0);
 }
 
 #[test]
 fn syn_flood_vector_reaches_tserver() {
-    let r = small()
-        .attack(AttackSpec {
+    let r = run(SimulationConfig {
+        attack: AttackSpec {
             vector: AttackVector::Syn,
             duration: Duration::from_secs(20),
             payload_bytes: None,
             port: 80,
-        })
-        .run()
-        .expect("valid");
+        },
+        ..small()
+    });
     assert_eq!(r.infected, 8);
     // SYN floods carry no payload; magnitude comes from 40-byte segments.
     // They ride TCP, so the sink's UDP flood-marker counter stays at zero —
@@ -107,16 +106,16 @@ fn custom_payload_size_changes_packet_count_not_rate() {
     // Bots pace floods by wire rate (they saturate their uplinks), so a
     // smaller payload means *more packets* at a similar byte rate — the
     // same trade-off the Mirai `len` flag exposes.
-    let big = small().run().expect("valid");
-    let tiny = small()
-        .attack(AttackSpec {
+    let big = run(small());
+    let tiny = run(SimulationConfig {
+        attack: AttackSpec {
             vector: AttackVector::UdpPlain,
             duration: Duration::from_secs(20),
             payload_bytes: Some(64),
             port: 80,
-        })
-        .run()
-        .expect("valid");
+        },
+        ..small()
+    });
     assert_eq!(tiny.infected, 8);
     assert!(
         tiny.flood_packets_received > big.flood_packets_received * 3,
@@ -133,14 +132,14 @@ fn custom_payload_size_changes_packet_count_not_rate() {
 
 #[test]
 fn credential_scanner_recruits_only_default_cred_devices() {
-    let r = small()
-        .devs(10)
-        .recruitment(Recruitment::CredentialScanner {
+    let r = run(SimulationConfig {
+        devs: 10,
+        recruitment: Recruitment::CredentialScanner {
             default_credential_fraction: 0.5,
-        })
-        .sim_time(Duration::from_secs(60))
-        .run()
-        .expect("valid");
+        },
+        sim_time: Duration::from_secs(60),
+        ..small()
+    });
     let successes = r.scanner_successes.expect("scanner ran");
     assert!(successes < 10, "hardened devices resist the dictionary");
     assert_eq!(r.infected, successes, "recruited = scanner successes");
@@ -149,25 +148,25 @@ fn credential_scanner_recruits_only_default_cred_devices() {
 
 #[test]
 fn credential_scanner_with_no_default_creds_recruits_nothing() {
-    let r = small()
-        .recruitment(Recruitment::CredentialScanner {
+    let r = run(SimulationConfig {
+        recruitment: Recruitment::CredentialScanner {
             default_credential_fraction: 0.0,
-        })
-        .run()
-        .expect("valid");
+        },
+        ..small()
+    });
     assert_eq!(r.infected, 0);
     assert_eq!(r.scanner_successes, Some(0));
 }
 
 #[test]
 fn dynamic_churn_registers_departures_and_rejoins() {
-    let r = small()
-        .devs(30)
-        .churn(ChurnMode::Dynamic)
-        .sim_time(Duration::from_secs(120))
-        .attack_at(Duration::from_secs(60))
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig {
+        devs: 30,
+        churn: ChurnMode::Dynamic,
+        sim_time: Duration::from_secs(120),
+        attack_at: Duration::from_secs(60),
+        ..small()
+    });
     let churn = r.churn_summary.expect("churn enabled");
     assert!(churn.departures > 0, "30 devices over 6 epochs must lose some");
     assert!(r.infected > 20, "most devices still recruited");
@@ -175,7 +174,7 @@ fn dynamic_churn_registers_departures_and_rejoins() {
 
 #[test]
 fn attack_window_is_where_the_traffic_is() {
-    let r = small().run().expect("valid");
+    let r = run(small());
     // Received rate before the attack command is negligible (control
     // traffic only); during the window it is orders of magnitude higher.
     let pre: f64 = r.per_second_kbits[..30].iter().sum::<f64>() / 30.0;
@@ -188,7 +187,7 @@ fn attack_window_is_where_the_traffic_is() {
 
 #[test]
 fn flood_stops_after_duration() {
-    let r = small().run().expect("valid");
+    let r = run(small());
     // Commanded window is [30, 50); by t=55 the flood must have drained.
     let tail: f64 = r.per_second_kbits[55..].iter().sum();
     assert!(tail < 100.0, "flood persists past its duration: {tail:.1} kbits");
@@ -196,34 +195,35 @@ fn flood_stops_after_duration() {
 
 #[test]
 fn builder_rejects_invalid_configs() {
-    assert!(SimulationBuilder::new().devs(0).run().is_err());
-    assert!(SimulationBuilder::new()
-        .attack_at(Duration::from_secs(590))
-        .run()
-        .is_err());
+    let refused = |config| Ddosim::new(config).is_err();
+    assert!(refused(SimulationConfig { devs: 0, ..SimulationConfig::default() }));
+    assert!(refused(SimulationConfig {
+        attack_at: Duration::from_secs(590),
+        ..SimulationConfig::default()
+    }));
 }
 
 #[test]
 fn result_serializes_for_experiment_records() {
-    let r = small().devs(3).run().expect("valid");
+    let r = run(SimulationConfig { devs: 3, ..small() });
     let json = djson::ToJson::to_json(&r).to_string_compact();
     assert!(json.contains("avg_received_data_rate_kbps"));
 }
 
 #[test]
 fn worm_mode_spreads_from_a_single_seed() {
-    let r = SimulationBuilder::new()
-        .devs(20)
-        .recruitment(Recruitment::SelfPropagating {
+    let r = run(SimulationConfig {
+        devs: 20,
+        recruitment: Recruitment::SelfPropagating {
             default_credential_fraction: 1.0,
             seeds: 1,
-        })
-        .attack(AttackSpec::udp_plain(Duration::from_secs(15)))
-        .attack_at(Duration::from_secs(60))
-        .sim_time(Duration::from_secs(90))
-        .seed(17)
-        .run()
-        .expect("valid");
+        },
+        attack: AttackSpec::udp_plain(Duration::from_secs(15)),
+        attack_at: Duration::from_secs(60),
+        sim_time: Duration::from_secs(90),
+        seed: 17,
+        ..SimulationConfig::default()
+    });
     assert_eq!(r.infected, 20, "the worm reaches every credentialed device");
     // Growth is sequential (hop by hop), unlike the attacker-parallel mode:
     // the spread takes multiple generations, visible as a spread-out curve.
@@ -235,18 +235,18 @@ fn worm_mode_spreads_from_a_single_seed() {
 
 #[test]
 fn worm_mode_respects_credential_hygiene() {
-    let r = SimulationBuilder::new()
-        .devs(20)
-        .recruitment(Recruitment::SelfPropagating {
+    let r = run(SimulationConfig {
+        devs: 20,
+        recruitment: Recruitment::SelfPropagating {
             default_credential_fraction: 0.5,
             seeds: 3,
-        })
-        .attack(AttackSpec::udp_plain(Duration::from_secs(15)))
-        .attack_at(Duration::from_secs(60))
-        .sim_time(Duration::from_secs(90))
-        .seed(18)
-        .run()
-        .expect("valid");
+        },
+        attack: AttackSpec::udp_plain(Duration::from_secs(15)),
+        attack_at: Duration::from_secs(60),
+        sim_time: Duration::from_secs(90),
+        seed: 18,
+        ..SimulationConfig::default()
+    });
     assert!(
         r.infected < 20,
         "hardened devices resist the worm: {}/20",
@@ -256,27 +256,16 @@ fn worm_mode_respects_credential_hygiene() {
 
 #[test]
 fn worm_mode_validates_seed_count() {
-    assert!(SimulationBuilder::new()
-        .devs(5)
-        .recruitment(Recruitment::SelfPropagating {
-            default_credential_fraction: 1.0,
-            seeds: 0,
-        })
-        .run()
-        .is_err());
-    assert!(SimulationBuilder::new()
-        .devs(5)
-        .recruitment(Recruitment::SelfPropagating {
-            default_credential_fraction: 1.0,
-            seeds: 6,
-        })
-        .run()
-        .is_err());
+    for seeds in [0, 6] {
+        let recruitment = Recruitment::SelfPropagating { default_credential_fraction: 1.0, seeds };
+        let config = SimulationConfig { devs: 5, recruitment, ..SimulationConfig::default() };
+        assert!(Ddosim::new(config).is_err(), "{seeds} seeds among 5 devs");
+    }
 }
 
 #[test]
 fn ipv6_attack_target_works() {
-    let r = small().devs(6).attack_over_ipv6(true).run().expect("valid");
+    let r = run(SimulationConfig { devs: 6, attack_over_ipv6: true, ..small() });
     assert_eq!(r.infected, 6);
     assert!(
         r.avg_received_data_rate_kbps > 100.0,
@@ -290,10 +279,10 @@ fn stack_canaries_defeat_even_leak_rebase() {
     // The hardening extension: canaried firmware survives the paper's
     // strongest exploit — the daemons crash-loop instead of being
     // recruited, and the attack never materializes.
-    let r = small()
-        .protections(ProtectionMix::Uniform(Protections::HARDENED))
-        .run()
-        .expect("valid");
+    let r = run(SimulationConfig {
+        protections: ProtectionMix::Uniform(Protections::HARDENED),
+        ..small()
+    });
     assert_eq!(r.infected, 0, "stack smashing detected on every attempt");
     assert_eq!(r.flood_packets_received, 0);
 }
@@ -303,15 +292,16 @@ fn reboots_clear_bots_and_the_attacker_re_recruits() {
     // High reboot churn: Mirai does not persist, so every reboot knocks a
     // bot out; the attacker's reconciler re-exploits the fresh daemon —
     // the recovered→susceptible loop of the SEIRS models the paper cites.
-    let mut instance = SimulationBuilder::new()
-        .devs(10)
-        .reboot_rate_per_min(1.0)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(160))
-        .sim_time(Duration::from_secs(180))
-        .seed(23)
-        .build()
-        .expect("valid");
+    let mut instance = Ddosim::new(SimulationConfig {
+        devs: 10,
+        reboot_rate_per_min: 1.0,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(160),
+        sim_time: Duration::from_secs(180),
+        seed: 23,
+        ..SimulationConfig::default()
+    })
+    .expect("valid");
     instance.run_prefix(Duration::from_secs(150)).expect("prefix runs");
     let total_reboots: u32 = instance
         .devs()
@@ -349,14 +339,15 @@ fn reboots_clear_bots_and_the_attacker_re_recruits() {
 
 #[test]
 fn without_reboots_each_device_is_infected_exactly_once() {
-    let mut instance = SimulationBuilder::new()
-        .devs(8)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(60))
-        .sim_time(Duration::from_secs(80))
-        .seed(24)
-        .build()
-        .expect("valid");
+    let mut instance = Ddosim::new(SimulationConfig {
+        devs: 8,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(60),
+        sim_time: Duration::from_secs(80),
+        seed: 24,
+        ..SimulationConfig::default()
+    })
+    .expect("valid");
     instance.run_prefix(Duration::from_secs(50)).expect("prefix runs");
     for dev in instance.devs() {
         assert_eq!(dev.container.state().infection_count, 1);
@@ -369,15 +360,15 @@ fn tiered_topology_works_end_to_end_and_regional_uplinks_congest() {
     use ddosim::TopologyKind;
     // 12 Devs over 3 regions with tight 1 Mbps uplinks vs the flat star:
     // recruitment still succeeds, but regional congestion caps the flood.
-    let tiered = small()
-        .devs(12)
-        .topology(TopologyKind::Tiered {
+    let tiered = run(SimulationConfig {
+        devs: 12,
+        topology: TopologyKind::Tiered {
             regions: 3,
             region_uplink_bps: 1_000_000,
-        })
-        .run()
-        .expect("valid");
-    let star = small().devs(12).run().expect("valid");
+        },
+        ..small()
+    });
+    let star = run(SimulationConfig { devs: 12, ..small() });
     assert_eq!(tiered.infected, 12, "exploit paths work through two tiers");
     assert!(
         tiered.avg_received_data_rate_kbps < star.avg_received_data_rate_kbps * 0.95,
@@ -396,25 +387,22 @@ fn tiered_topology_works_end_to_end_and_regional_uplinks_congest() {
 #[test]
 fn tiered_topology_validation() {
     use ddosim::TopologyKind;
-    assert!(SimulationBuilder::new()
-        .topology(TopologyKind::Tiered { regions: 0, region_uplink_bps: 1 })
-        .run()
-        .is_err());
-    assert!(SimulationBuilder::new()
-        .topology(TopologyKind::Tiered { regions: 2, region_uplink_bps: 0 })
-        .run()
-        .is_err());
+    for (regions, region_uplink_bps) in [(0, 1), (2, 0)] {
+        let topology = TopologyKind::Tiered { regions, region_uplink_bps };
+        let config = SimulationConfig { topology, ..SimulationConfig::default() };
+        assert!(Ddosim::new(config).is_err(), "{regions} regions at {region_uplink_bps} bps");
+    }
 }
 
 #[test]
 fn admin_script_supports_early_stop() {
     // Issue the 20 s attack at t=30 but stop it at t=38: roughly half the
     // traffic of the uninterrupted run arrives.
-    let full = small().run().expect("valid");
-    let stopped = small()
-        .admin_command(Duration::from_secs(38), "stop")
-        .run()
-        .expect("valid");
+    let full = run(small());
+    let stopped = run(SimulationConfig {
+        admin_script: vec![(Duration::from_secs(38), "stop".into())],
+        ..small()
+    });
     assert!(
         stopped.avg_received_data_rate_kbps < full.avg_received_data_rate_kbps * 0.7,
         "early stop cuts the average: {:.0} vs {:.0} kbps",

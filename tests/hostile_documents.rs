@@ -19,10 +19,10 @@ use ddosim::scenario::{ScenarioPlan, SweepGridPlan};
 use ddosim::serve::protocol::parse_request;
 use ddosim::serve::SubmitOptions;
 use ddosim::{
-    Checkpoint, Ddosim, FaultEvent, FaultKind, FaultPlan, Recruitment, SimulationBuilder,
-    SimulationConfig, SuffixPlan, SuffixSpec, TopologyKind,
+    Checkpoint, Ddosim, FaultEvent, FaultKind, FaultPlan, Recruitment, SimulationConfig,
+    SuffixPlan, SuffixSpec, TopologyKind,
 };
-use djson::{FromJson, Json, ToJson};
+use djson::{Json, ToJson};
 use proptest::prelude::*;
 use std::io::BufRead as _;
 use std::sync::OnceLock;
@@ -82,7 +82,7 @@ fn parser(name: &str) -> Parser {
 
 /// A configuration that exercises every optional shape the document has.
 fn busy_config() -> SimulationConfig {
-    let mut config = SimulationBuilder::new().devs(5).seed(11).config().clone();
+    let mut config = SimulationConfig { devs: 5, seed: 11, ..SimulationConfig::default() };
     config.topology = TopologyKind::Tiered { regions: 2, region_uplink_bps: 10_000_000 };
     config.attack.payload_bytes = Some(256);
     config.admin_script = vec![(Duration::from_secs(80), "stop".to_owned())];
@@ -369,7 +369,7 @@ fn an_event_node_that_does_not_fit_is_refused_by_name() {
         let hostile = text.replace(r#""node":3"#, &format!(r#""node":{node}"#));
         assert_ne!(&hostile, text);
         let err = (parser.1)(&hostile).expect_err("no such node");
-        assert!(err.contains("'node'"), "{err}");
+        assert!(err.contains("event.node"), "{err}");
     }
 }
 

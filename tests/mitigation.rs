@@ -2,21 +2,23 @@
 //! evaluating defense strategies *inside* the simulation (§I, §V-A).
 
 use analysis::RateLimiter;
-use ddosim::{AttackSpec, SimulationBuilder};
+use ddosim::{AttackSpec, Ddosim, SimulationConfig};
 use std::time::Duration;
 
-fn world() -> SimulationBuilder {
-    SimulationBuilder::new()
-        .devs(15)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(30)))
-        .attack_at(Duration::from_secs(30))
-        .sim_time(Duration::from_secs(80))
-        .attack_ramp(Duration::from_secs(3))
-        .seed(21)
+fn world() -> SimulationConfig {
+    SimulationConfig {
+        devs: 15,
+        attack: AttackSpec::udp_plain(Duration::from_secs(30)),
+        attack_at: Duration::from_secs(30),
+        sim_time: Duration::from_secs(80),
+        attack_ramp: Duration::from_secs(3),
+        seed: 21,
+        ..SimulationConfig::default()
+    }
 }
 
 fn scenario() -> ddosim::Ddosim {
-    world().build().expect("valid configuration")
+    Ddosim::new(world()).expect("valid configuration")
 }
 
 #[test]
@@ -97,7 +99,8 @@ fn model_filter_world_forks_mid_window_onto_the_same_trace() {
     let model = LogisticRegression::train(&synthetic_dataset(200, &mut rng), TrainConfig::default());
     let defended = || {
         let collect = ddosim::TelemetryConfig { record: true, capture: true, ..Default::default() };
-        let mut instance = world().telemetry(collect).build().expect("valid configuration");
+        let config = SimulationConfig { telemetry: collect, ..world() };
+        let mut instance = Ddosim::new(config).expect("valid configuration");
         let fabric = instance.fabric_node();
         instance.run_prefix(Duration::from_secs(29)).expect("prefix runs");
         let filter = ModelFilter::new(model.clone(), Duration::from_secs(2), 0.5);

@@ -5,7 +5,7 @@
 //! fails.
 
 use churn::{ChurnMode, FanChurnModel, DYNAMIC_CHURN_PERIOD};
-use ddosim::{SimulationBuilder, SimulationConfig};
+use ddosim::{Ddosim, SimulationConfig};
 use protocols::{AttackVector, CNC_PORT, SINGLE_INSTANCE_PORT};
 use std::time::Duration;
 
@@ -64,7 +64,7 @@ fn infection_chain_matches_the_papers_payload() {
 fn experiments_support_the_papers_scale() {
     // "we conduct experiments with up to 200 Devs" (§IV-A). A 200-Dev
     // configuration must validate (running it is `exp fig3`'s job).
-    assert!(SimulationBuilder::new().devs(200).build().is_ok());
+    assert!(Ddosim::new(SimulationConfig { devs: 200, ..SimulationConfig::default() }).is_ok());
 }
 
 #[test]

@@ -2,19 +2,20 @@
 //! obfuscation, binary deletion, and the audit trail a researcher can
 //! extract from any compromised Dev ("scrutinize compromised devices").
 
-use ddosim::{AttackSpec, SimulationBuilder};
+use ddosim::{AttackSpec, Ddosim, SimulationConfig};
 use firmware::ContainerEvent;
 use std::time::Duration;
 
 fn infected_instance() -> ddosim::Ddosim {
-    let mut instance = SimulationBuilder::new()
-        .devs(5)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(40))
-        .sim_time(Duration::from_secs(60))
-        .seed(3)
-        .build()
-        .expect("valid configuration");
+    let mut instance = Ddosim::new(SimulationConfig {
+        devs: 5,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(40),
+        sim_time: Duration::from_secs(60),
+        seed: 3,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration");
     instance.run_prefix(Duration::from_secs(30)).expect("prefix runs");
     assert_eq!(instance.infected_count(), 5, "setup: all recruited");
     instance
@@ -98,14 +99,15 @@ fn single_instance_guard_prevents_double_bots() {
     // Run long enough that the attacker's reconciler would re-exploit if a
     // device looked uninfected; the single-instance port bind must keep
     // exactly one bot alive per device.
-    let mut instance = SimulationBuilder::new()
-        .devs(4)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(80))
-        .sim_time(Duration::from_secs(100))
-        .seed(6)
-        .build()
-        .expect("valid configuration");
+    let mut instance = Ddosim::new(SimulationConfig {
+        devs: 4,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(80),
+        sim_time: Duration::from_secs(100),
+        seed: 6,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration");
     instance.run_prefix(Duration::from_secs(75)).expect("prefix runs");
     for dev in instance.devs() {
         let state = dev.container.state();

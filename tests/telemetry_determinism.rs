@@ -4,10 +4,7 @@
 //! must be pinpointed at its first diverging entry.
 
 use ddosim::churn::ChurnMode;
-use ddosim::{
-    AttackSpec, Ddosim, SimulationBuilder, SimulationConfig, Telemetry, TelemetryConfig,
-    TopologyKind,
-};
+use ddosim::{AttackSpec, Ddosim, SimulationConfig, Telemetry, TelemetryConfig, TopologyKind};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,16 +26,17 @@ fn full_telemetry() -> TelemetryConfig {
 
 /// A small scenario: 8 Devs, a 10 s flood from 25 s, a 45 s horizon.
 fn world(seed: u64, telemetry: TelemetryConfig) -> Ddosim {
-    SimulationBuilder::new()
-        .devs(8)
-        .attack(AttackSpec::udp_plain(Duration::from_secs(10)))
-        .attack_at(Duration::from_secs(25))
-        .sim_time(Duration::from_secs(45))
-        .attack_ramp(Duration::from_secs(3))
-        .seed(seed)
-        .telemetry(telemetry)
-        .build()
-        .expect("valid configuration")
+    Ddosim::new(SimulationConfig {
+        devs: 8,
+        attack: AttackSpec::udp_plain(Duration::from_secs(10)),
+        attack_at: Duration::from_secs(25),
+        sim_time: Duration::from_secs(45),
+        attack_ramp: Duration::from_secs(3),
+        seed,
+        telemetry,
+        ..SimulationConfig::default()
+    })
+    .expect("valid configuration")
 }
 
 /// Runs the small scenario and returns the live telemetry handle.
