@@ -8,7 +8,9 @@
 //! One world shape at three sizes: a tiered fabric of 500-strong regions,
 //! every device a periodic UDP sender routed dev → region router →
 //! backbone → sink. The traffic is synthetic on purpose — what is gated is
-//! whether a per-device structure stopped being O(1), not throughput.
+//! whether a per-device structure stopped being O(1), not throughput — and
+//! no link saturates at any size: a world that drops a packet measures its
+//! queues, not its structures, so any drop fails the gate naming the size.
 
 use netsim::topology::Fabric;
 use netsim::{Application, Ctx, LinkConfig, Packet, Payload, SimTime, Simulator};
@@ -24,11 +26,17 @@ const BUDGET_BYTES_PER_DEVICE: u64 = 2048;
 
 /// World sizes and the simulated seconds each runs for. A device sends 4
 /// packets/s, each counted once sent and once delivered, so a timed run
-/// moves about 160,000 packets (the large one 1,595,121): 45–100 ms of
+/// moves about 160,000 packets (the large one 1,595,076): 45–100 ms of
 /// wall at the least, never a 2 ms burst.
 const LARGE: (usize, u64) = (100_000, 2);
 const MEDIUM: (usize, u64) = (10_000, 2);
 const SMALL: (usize, u64) = (500, 40);
+
+/// The sink's backbone link. The large world offers it 100,000 devices ×
+/// 4 packets/s × 540 wire bytes ≈ 1.73 Gbit/s; a 1 Gbit/s backbone
+/// dropped 335,019 packets of its 2 s run. Regions offer their 100 Mbit/s
+/// uplinks 8.6 Mbit/s each.
+const BACKBONE_BPS: u64 = 10_000_000_000;
 
 /// Repetitions per size; each rate is the best seen (the slower ones
 /// measure the host's other tenants).
@@ -86,7 +94,7 @@ fn build(devices: usize, mut stage: impl FnMut(&str)) -> (World, f64) {
     let uplink = LinkConfig::new(100_000_000, Duration::from_millis(2));
     let mut net = Fabric::tiered(&mut sim, "net", regions, uplink);
     let tserver = sim.add_node("tserver");
-    let backbone_link = LinkConfig::new(1_000_000_000, Duration::from_millis(1));
+    let backbone_link = LinkConfig::new(BACKBONE_BPS, Duration::from_millis(1));
     let sink = net.attach_core(&mut sim, tserver, backbone_link);
     let dst = SocketAddr::new(sink.addr_v4, 9);
     sim.install_app(tserver, Box::new(Sink));
@@ -111,13 +119,14 @@ fn build(devices: usize, mut stage: impl FnMut(&str)) -> (World, f64) {
     (World { sim, _net: net }, devices as f64 / start.elapsed().as_secs_f64().max(1e-9))
 }
 
-/// Runs the world for `secs` simulated seconds; packets per wall second.
-fn packets_per_sec(world: &mut World, secs: u64) -> f64 {
+/// Runs the world for `secs` simulated seconds; packets per wall second
+/// and packets dropped.
+fn packets_per_sec(world: &mut World, secs: u64) -> (f64, u64) {
     let start = Instant::now();
     world.sim.run_until(SimTime::from_secs(secs));
     let s = world.sim.stats();
     let packets = s.packets_sent + s.packets_delivered + s.total_dropped();
-    packets as f64 / start.elapsed().as_secs_f64().max(1e-9)
+    (packets as f64 / start.elapsed().as_secs_f64().max(1e-9), s.total_dropped())
 }
 
 /// A `/proc/self/status` field in kB; `None` where there is no such file.
@@ -127,8 +136,17 @@ fn status_kb(field: &str) -> Option<u64> {
 }
 
 /// The lines of every verdict that failed; empty means the gate passes.
-fn verdict(bytes_per_device: Option<u64>, run_flatness: f64, build_flatness: f64) -> Vec<String> {
+/// `drops` is each size's most packets dropped in one run.
+fn verdict(
+    bytes_per_device: Option<u64>,
+    run_flatness: f64,
+    build_flatness: f64,
+    drops: &[(usize, u64)],
+) -> Vec<String> {
     let mut failed = Vec::new();
+    for &(devices, dropped) in drops.iter().filter(|(_, dropped)| *dropped > 0) {
+        failed.push(format!("drops: the {devices}-device world dropped {dropped} packets"));
+    }
     match bytes_per_device {
         None => failed.push("budget not measurable: no VmHWM in /proc/self/status".to_owned()),
         Some(b) if b > BUDGET_BYTES_PER_DEVICE => failed.push(format!(
@@ -178,7 +196,7 @@ fn main() -> ExitCode {
         last = now;
     };
     let (mut world, first_build) = build(LARGE.0, &mut stage);
-    let large_pps = packets_per_sec(&mut world, LARGE.1);
+    let (large_pps, large_drops) = packets_per_sec(&mut world, LARGE.1);
     stage("run");
     drop(world);
     let bytes_per_device = status_kb("VmHWM:").map(|kb| kb * 1024 / LARGE.0 as u64);
@@ -194,11 +212,14 @@ fn main() -> ExitCode {
     // The three sizes take turns inside each repetition, so a host that
     // speeds up or slows down mid-run moves both sides of a ratio together.
     let (mut large_build, mut medium, mut small) = (0.0f64, (0.0f64, 0.0f64), (0.0f64, 0.0f64));
+    let mut drops = [(LARGE.0, large_drops), (MEDIUM.0, 0), (SMALL.0, 0)];
     for _ in 0..REPS {
         large_build = large_build.max(build(LARGE.0, |_| {}).1);
-        for (best, (devices, secs)) in [(&mut medium, MEDIUM), (&mut small, SMALL)] {
+        for (i, best, (devices, secs)) in [(1, &mut medium, MEDIUM), (2, &mut small, SMALL)] {
             let (mut world, built) = build(devices, |_| {});
-            *best = (best.0.max(built), best.1.max(packets_per_sec(&mut world, secs)));
+            let (pps, dropped) = packets_per_sec(&mut world, secs);
+            *best = (best.0.max(built), best.1.max(pps));
+            drops[i].1 = drops[i].1.max(dropped);
         }
     }
     let (l, m, s) = (LARGE.0, MEDIUM.0, SMALL.0);
@@ -210,7 +231,8 @@ fn main() -> ExitCode {
          build devices/s {build_flatness:.2} (floor {BUILD_FLOOR})"
     );
 
-    let failed = verdict(bytes_per_device, run_flatness, build_flatness);
+    println!("packets dropped (most in one run): {drops:?}");
+    let failed = verdict(bytes_per_device, run_flatness, build_flatness, &drops);
     for line in &failed {
         eprintln!("scale: FAILED {line}");
     }
@@ -228,30 +250,44 @@ mod tests {
 
     #[test]
     fn the_budget_passes_at_2048_and_fails_at_2049() {
-        assert_eq!(verdict(Some(2048), 1.0, 1.0), Vec::<String>::new());
-        let failed = verdict(Some(2049), 1.0, 1.0);
+        assert_eq!(verdict(Some(2048), 1.0, 1.0, &[]), Vec::<String>::new());
+        let failed = verdict(Some(2049), 1.0, 1.0, &[]);
         assert_eq!(failed.len(), 1);
         assert!(failed[0].starts_with("budget: 2049 bytes/device"), "{failed:?}");
     }
 
     #[test]
     fn each_floor_passes_at_the_floor_and_fails_below_it() {
-        assert!(verdict(Some(0), RUN_FLOOR, BUILD_FLOOR).is_empty());
-        let failed = verdict(Some(0), RUN_FLOOR - 0.01, BUILD_FLOOR);
+        assert!(verdict(Some(0), RUN_FLOOR, BUILD_FLOOR, &[]).is_empty());
+        let failed = verdict(Some(0), RUN_FLOOR - 0.01, BUILD_FLOOR, &[]);
         assert_eq!(failed.len(), 1);
         assert!(failed[0].starts_with("flatness: packets/s at 10000 devices is 0.34"), "{failed:?}");
-        let failed = verdict(Some(0), RUN_FLOOR, BUILD_FLOOR - 0.01);
+        let failed = verdict(Some(0), RUN_FLOOR, BUILD_FLOOR - 0.01, &[]);
         assert_eq!(failed.len(), 1);
         let expected = "flatness: build devices/s at 100000 devices is 0.29";
         assert!(failed[0].starts_with(expected), "{failed:?}");
         // The hash bug's own readings fail both, and a NaN ratio passes neither.
-        assert_eq!(verdict(Some(1904), 0.25, 0.13).len(), 2);
-        assert_eq!(verdict(Some(1904), f64::NAN, f64::NAN).len(), 2);
+        assert_eq!(verdict(Some(1904), 0.25, 0.13, &[]).len(), 2);
+        assert_eq!(verdict(Some(1904), f64::NAN, f64::NAN, &[]).len(), 2);
+    }
+
+    #[test]
+    fn a_drop_at_any_size_fails_naming_it() {
+        let none = [(LARGE.0, 0), (MEDIUM.0, 0), (SMALL.0, 0)];
+        assert!(verdict(Some(0), 1.0, 1.0, &none).is_empty());
+        let failed = verdict(Some(0), 1.0, 1.0, &[(LARGE.0, 503_538), (MEDIUM.0, 0), (SMALL.0, 1)]);
+        assert_eq!(
+            failed,
+            [
+                "drops: the 100000-device world dropped 503538 packets",
+                "drops: the 500-device world dropped 1 packets",
+            ]
+        );
     }
 
     #[test]
     fn a_host_that_cannot_measure_the_budget_fails_rather_than_passes() {
-        let failed = verdict(None, 1.0, 1.0);
+        let failed = verdict(None, 1.0, 1.0, &[]);
         assert_eq!(failed.len(), 1);
         assert!(failed[0].starts_with("budget not measurable"), "{failed:?}");
         if cfg!(target_os = "linux") {

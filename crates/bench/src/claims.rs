@@ -241,6 +241,63 @@ pub(crate) fn fig2_churn_ordering(text: &str) -> Verdict {
     })
 }
 
+/// How far the implied steady rates of one Dev count may spread across
+/// attack durations, as a share of the smallest: set before it was first
+/// measured (0.07 % at 50 Devs, 0.05 % at 100 when this was written).
+const RAMP_LAW_TOLERANCE: f64 = 0.005;
+
+/// Fig. 3's ramp law. Each bot starts flooding after a uniform delay of up
+/// to the attack ramp, so an `n`-second attack that does not fill the
+/// bottleneck averages `steady × (1 − ramp / 2n)`. On every Dev count
+/// whose mean offered rate (Devs × the access-rate draw's mean) is below
+/// the TServer link, `avg / (1 − ramp / 2n)` — the steady rate — is the
+/// same at every duration within [`RAMP_LAW_TOLERANCE`]. The ramp, the
+/// access rates and the link are `SimulationConfig::default()`'s, the
+/// world every Fig. 3 arm starts from.
+pub(crate) fn fig3_ramp_law(text: &str) -> Verdict {
+    let world = ddosim_core::SimulationConfig::default();
+    let rates = &world.access_rate_kbps;
+    let mean_bps = (*rates.start() as f64 + *rates.end() as f64) / 2.0 * 1000.0;
+    let ramp = world.attack_ramp.as_secs_f64();
+    let sheet = Sheet::parse(text)?;
+    let devs = sheet.col("devs")?;
+    let mut counts: Vec<&str> = Vec::new();
+    for row in &sheet.rows {
+        let offered = row[devs].parse::<f64>().unwrap_or(f64::NAN) * mean_bps;
+        // A NaN (non-numeric Dev count) is no unsaturated row.
+        if offered < world.tserver_link_bps as f64 && !counts.contains(&row[devs].as_str()) {
+            counts.push(&row[devs]);
+        }
+    }
+    let mut spreads = Vec::new();
+    for count in &counts {
+        let points = sheet.points("duration (s)", "avg kbps", |row| row[devs] == *count)?;
+        let steady = |(secs, avg): &Point| match secs.parse::<f64>() {
+            Ok(n) if n > ramp / 2.0 => Ok((secs.clone(), avg / (1.0 - ramp / (2.0 * n)))),
+            _ => Err(format!("at {count} Devs '{secs}' is no duration longer than half the ramp")),
+        };
+        let steady = points.iter().map(steady).collect::<Result<Vec<_>, _>>()?;
+        let low = steady.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+        let high = steady.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
+        let spread = (high - low) / low;
+        if steady.len() < 2 || spread.is_nan() || spread > RAMP_LAW_TOLERANCE {
+            let rates: Vec<String> = steady.iter().map(|(n, r)| format!("{r:.1} at {n} s")).collect();
+            return Err(format!(
+                "at {count} Devs the implied steady rate spreads {:.2}% across durations ({}), \
+                 not within {}%",
+                spread * 100.0,
+                rates.join(", "),
+                RAMP_LAW_TOLERANCE * 100.0
+            ));
+        }
+        spreads.push(format!("{count} Devs {:.2}%", spread * 100.0));
+    }
+    if spreads.is_empty() {
+        return Err("no Dev count offers less than the bottleneck: the ramp law checks nothing".into());
+    }
+    Ok(format!("steady-rate spread {}", spreads.join(", ")))
+}
+
 /// The exported series: silence for the first `quiet` seconds (until the
 /// attack command), then the peak second within the next `window`.
 pub(crate) fn quiet_then_peak(text: &str, quiet: usize, window: usize) -> Verdict {
@@ -344,6 +401,20 @@ mod tests {
     fn fig3_fig4_table1_violations_fail() {
         let fig3 = "devs,duration (s),avg kbps\n50,150,13000.0\n50,200,12900.0\n150,150,1.0\n150,200,2.0\n";
         assert!(violation("fig3", fig3).contains("devs = 50: 12900 at 200 is not above 13000 at 150"));
+        // Rising, but faster than the ramp explains: 14444.4 vs 15135.1.
+        let fig3 = "devs,duration (s),avg kbps\n50,150,13000.0\n50,200,14000.0\n150,150,1.0\n150,200,2.0\n";
+        assert!(
+            violation("fig3", fig3)
+                .contains("at 50 Devs the implied steady rate spreads 4.78% across durations"),
+            "{}",
+            violation("fig3", fig3)
+        );
+        // Only saturated counts: the law has nothing to check, which fails.
+        let saturated = "devs,duration (s),avg kbps\n150,150,1.0\n150,200,2.0\n";
+        assert!(violation("fig3", saturated).contains("checks nothing"));
+        let committed = include_str!("../../../results/fig3.csv");
+        let held = fig3_ramp_law(committed).expect("the committed Fig. 3 holds the law");
+        assert_eq!(held, "steady-rate spread 50 Devs 0.07%, 100 Devs 0.05%");
         let fig4 = |errors: [f64; 10]| {
             let rows = errors.iter().enumerate().map(|(i, e)| format!("{},1.0,1.0,{e:.1}%\n", 2 * i + 1));
             format!("devs,ddosim,hardware-ref,relative error\n{}", rows.collect::<String>())

@@ -45,10 +45,15 @@ impl ChurnMode {
     }
 
     /// Parses a spec name written by [`ChurnMode::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
+    ///
+    /// # Errors
+    ///
+    /// A message quoting `s` when it names no mode.
+    pub fn parse(s: &str) -> Result<Self, String> {
         [ChurnMode::None, ChurnMode::Static, ChurnMode::Dynamic]
             .into_iter()
             .find(|m| m.as_str() == s)
+            .ok_or_else(|| format!("unknown churn mode '{s}'"))
     }
 }
 

@@ -83,15 +83,14 @@ pub enum Recruitment {
     },
 }
 
-impl Recruitment {
-    /// Parses the spec string the `--recruitment` flag and scenario plans
-    /// share: `memory-error`, `scanner:<cred-fraction>`, or
-    /// `worm:<cred-fraction>:<seeds>`.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the part of `spec` that does not parse.
-    pub fn parse(spec: &str) -> Result<Self, String> {
+/// The spec string the `--recruitment` flag and the world document share:
+/// `memory-error`, `scanner:<cred-fraction>`, or
+/// `worm:<cred-fraction>:<seeds>`; an error names the part that does not
+/// parse. [`Display`](std::fmt::Display) writes it back.
+impl std::str::FromStr for Recruitment {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
         let fraction = |mode: &str, f: &str| {
             f.parse::<f64>()
                 .map_err(|e| format!("{mode}: bad credential fraction in '{spec}': {e}"))
@@ -108,6 +107,20 @@ impl Recruitment {
                     .map_err(|e| format!("worm: bad seed count in '{spec}': {e}"))?,
             }),
             _ => Err(format!("unknown recruitment spec: {spec}")),
+        }
+    }
+}
+
+impl std::fmt::Display for Recruitment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Recruitment::MemoryError => f.write_str("memory-error"),
+            Recruitment::CredentialScanner { default_credential_fraction } => {
+                write!(f, "scanner:{default_credential_fraction}")
+            }
+            Recruitment::SelfPropagating { default_credential_fraction, seeds } => {
+                write!(f, "worm:{default_credential_fraction}:{seeds}")
+            }
         }
     }
 }
@@ -136,14 +149,13 @@ pub enum TopologyKind {
     Wifi,
 }
 
-impl TopologyKind {
-    /// Parses the spec string the `--topology` flag and scenario plans
-    /// share: `star`, `wifi`, or `tiered:<regions>:<uplink-bps>`.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the part of `spec` that does not parse.
-    pub fn parse(spec: &str) -> Result<Self, String> {
+/// The spec string the `--topology` flag and the world document share:
+/// `star`, `wifi`, or `tiered:<regions>:<uplink-bps>`; an error names the
+/// part that does not parse. [`Display`](std::fmt::Display) writes it back.
+impl std::str::FromStr for TopologyKind {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
         match spec.split(':').collect::<Vec<_>>()[..] {
             ["star"] => Ok(TopologyKind::Star),
             ["wifi"] => Ok(TopologyKind::Wifi),
@@ -156,6 +168,18 @@ impl TopologyKind {
                     .map_err(|e| format!("tiered: bad uplink rate in '{spec}': {e}"))?,
             }),
             _ => Err(format!("unknown topology spec: {spec}")),
+        }
+    }
+}
+
+impl std::fmt::Display for TopologyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TopologyKind::Star => f.write_str("star"),
+            TopologyKind::Wifi => f.write_str("wifi"),
+            TopologyKind::Tiered { regions, region_uplink_bps } => {
+                write!(f, "tiered:{regions}:{region_uplink_bps}")
+            }
         }
     }
 }
@@ -422,6 +446,16 @@ impl SimulationConfig {
                 self.attack_at.as_secs(),
                 self.sim_time.as_secs()
             ));
+        }
+        // The world document spells these in seconds: one that would not
+        // read back to the nanosecond is refused here, so the writer never
+        // loses one. Only a fractional duration past 2^23 s (about 97
+        // days) can, where a double's spacing exceeds 1 ns.
+        for (member, d) in crate::world::durations(self) {
+            let secs = d.as_secs_f64();
+            if djson::checked_secs(member, secs, true) != Ok(d) {
+                return Err(format!("{member} {d:?} does not read back from its spelling {secs}"));
+            }
         }
         if let BinaryMix::Mixed { connman_fraction } = self.binary_mix {
             if !(0.0..=1.0).contains(&connman_fraction) {

@@ -40,6 +40,7 @@ pub mod reboot;
 pub mod report;
 pub mod result;
 pub mod suffix;
+pub mod world;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use config::{

@@ -8,9 +8,7 @@
 //! prefix-sharing analogue of KV-cache reuse. A [`SuffixPlan`] is the
 //! serialized form: the fork point plus one [`SuffixSpec`] per branch.
 
-use crate::checkpoint::{
-    config_from_json, config_to_json, nanos, opt_nanos, timed_lines, timed_lines_to_json,
-};
+use crate::world::{self, nanos, opt_nanos, timed_lines, timed_lines_to_json};
 use crate::config::SimulationConfig;
 use djson::{Json, PlanError, ToJson, Val};
 use std::time::Duration;
@@ -100,7 +98,7 @@ impl SuffixPlan {
                 "config",
                 match &self.config {
                     None => Json::Null,
-                    Some(c) => config_to_json(c),
+                    Some(c) => world::to_json(c),
                 },
             ),
         ])
@@ -124,7 +122,7 @@ impl SuffixPlan {
                 fork_at: f.req("fork_at_nanos")?,
                 suffixes: f.req_with("suffixes", |v| v.items("suffix", SuffixSpec::read))?,
                 config: f.req_with("config", |v| {
-                    v.nullable().map(|v| v.embedded(config_from_json)).transpose()
+                    v.nullable().map(|v| v.embedded(world::from_json)).transpose()
                 })?,
             })
         })
@@ -232,7 +230,11 @@ mod tests {
             ),
             (plan(r#","typo":1"#, "", "null"), "unknown field 'typo' in suffix #0"),
             (plan(r#","fork_seed":1"#, "", "null"), "suffix #0.fork_seed appears twice"),
-            (plan("", "", r#"{"devs":3}"#), "suffix plan.config: config: config is missing 'binary_mix'"),
+            (plan("", "", r#"{"devs":3}"#), "suffix plan.config: config: unknown field 'devs' in config"),
+            (
+                plan("", "", r#"{"world":{"devs":"3"}}"#),
+                "suffix plan.config: config: config.world.devs must be an unsigned integer",
+            ),
             (plan("", "", "7"), "suffix plan.config: config: config must be an object"),
             (
                 plan("", "", "null").replace(r#""admin_lines":[]"#, r#""admin_lines":[{"at_nanos":-1,"line":"x"}]"#),

@@ -1,7 +1,7 @@
 //! Shared plumbing for schema-tagged documents that arrive from outside.
 //!
 //! Every declarative document in the workspace — fault plans
-//! (`ddosim.faults.plan/1`), checkpoints (`ddosim.checkpoint/1`) and the
+//! (`ddosim.faults.plan/1`), checkpoints (`ddosim.checkpoint/2`) and the
 //! configuration document they embed, suffix trees (`ddosim.suffix/1`),
 //! scenarios (`ddosim.scenario/1`), grid sweeps (`ddosim.sweepgrid/1`),
 //! `ddosim.serve/1` request lines and flight-recorder traces

@@ -99,20 +99,14 @@ impl AttackVector {
     }
 
     /// Parses the Mirai command name (`udpplain`, `udp`, `syn`, `ack`,
-    /// `greip`, `vse`, `dns`, `http`, `dnsamp`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "udpplain" => Some(AttackVector::UdpPlain),
-            "udp" => Some(AttackVector::Udp),
-            "syn" => Some(AttackVector::Syn),
-            "ack" => Some(AttackVector::Ack),
-            "greip" => Some(AttackVector::GreIp),
-            "vse" => Some(AttackVector::Vse),
-            "dns" => Some(AttackVector::Dns),
-            "http" => Some(AttackVector::Http),
-            "dnsamp" => Some(AttackVector::DnsAmp),
-            _ => None,
-        }
+    /// `greip`, `vse`, `dns`, `http`, `dnsamp`) — the spelling of the
+    /// `--vector` flag and of a world document's `attack.vector`.
+    ///
+    /// # Errors
+    ///
+    /// A message quoting `s` when it names no vector.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        Self::ALL.into_iter().find(|v| v.to_string() == s).ok_or_else(|| format!("unknown vector '{s}'"))
     }
 }
 
@@ -222,9 +216,9 @@ mod tests {
     #[test]
     fn vector_roundtrip_through_names() {
         for v in AttackVector::ALL {
-            assert_eq!(AttackVector::parse(&v.to_string()), Some(v));
+            assert_eq!(AttackVector::parse(&v.to_string()), Ok(v));
         }
-        assert_eq!(AttackVector::parse("teardrop"), None);
+        assert_eq!(AttackVector::parse("teardrop"), Err("unknown vector 'teardrop'".to_owned()));
     }
 
     #[test]

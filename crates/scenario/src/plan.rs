@@ -6,11 +6,8 @@
 //! unknown fields at every object level, and out-of-range values are all
 //! rejected with a typed [`PlanError`] before any world is built.
 
-use churn::ChurnMode;
-use ddosim_core::{AttackSpec, Recruitment, SimulationConfig, TopologyKind};
+use ddosim_core::{world, SimulationConfig};
 use djson::{Fields, Json, PlanError, Read, Val};
-use faults::FaultPlan;
-use protocols::AttackVector;
 use std::time::Duration;
 
 /// Schema tag every scenario plan must carry.
@@ -119,63 +116,13 @@ pub struct ScenarioPlan {
     /// [`crate::SCENARIO_TAG`] into the scenario's own RNG stream.
     pub seed: u64,
     /// The composed world configuration (defaults overridden by the
-    /// plan's `world`, `attack`, `faults`, and defense-implied knobs).
+    /// plan's `world`, `attack` and `faults`, read by
+    /// [`ddosim_core::world::read`], and defense-implied knobs).
     config: SimulationConfig,
     /// Scheduled defenses, in plan order.
     pub defenses: Vec<DefenseSpec>,
     /// Rival-botnet pressure, if any.
     pub rivals: Option<RivalSpec>,
-}
-
-/// Overrides `slot` when the plan gave the member.
-fn set<T>(slot: &mut T, given: Option<T>) {
-    if let Some(value) = given {
-        *slot = value;
-    }
-}
-
-fn churn_mode(word: &str) -> Result<ChurnMode, String> {
-    ChurnMode::parse(word).ok_or_else(|| format!("unknown churn mode '{word}'"))
-}
-
-fn vector(word: &str) -> Result<AttackVector, String> {
-    AttackVector::parse(word).ok_or_else(|| format!("unknown vector '{word}'"))
-}
-
-/// Applies `scenario.world` overrides onto the default configuration.
-fn apply_world(config: &mut SimulationConfig, world: Val<'_>) -> Result<(), PlanError> {
-    world.fields(|f| {
-        set(&mut config.devs, f.opt("devs")?);
-        set(&mut config.seed, f.opt("seed")?);
-        set(&mut config.sim_time, f.secs("sim_time_secs")?);
-        set(&mut config.attack_at, f.secs("attack_at_secs")?);
-        set(&mut config.recruitment, f.opt_with("recruitment", |v| v.word(Recruitment::parse))?);
-        set(&mut config.churn, f.opt_with("churn", |v| v.word(churn_mode))?);
-        set(&mut config.topology, f.opt_with("topology", |v| v.word(TopologyKind::parse))?);
-        if let Some(rate) = f.opt::<f64>("reboot_rate_per_min")? {
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(f.invalid(
-                    "reboot_rate_per_min",
-                    format_args!("must be non-negative, got {rate}"),
-                ));
-            }
-            config.reboot_rate_per_min = rate;
-        }
-        Ok(())
-    })
-}
-
-/// Reads `scenario.attack` over the default attack spec.
-fn parse_attack(attack: Val<'_>) -> Result<AttackSpec, PlanError> {
-    let defaults = AttackSpec::default();
-    attack.fields(|f| {
-        Ok(AttackSpec {
-            vector: f.opt_with("vector", |v| v.word(vector))?.unwrap_or(defaults.vector),
-            duration: f.secs("duration_secs")?.unwrap_or(defaults.duration),
-            port: f.opt("port")?.unwrap_or(defaults.port),
-            payload_bytes: f.opt("payload_bytes")?,
-        })
-    })
 }
 
 /// Parses one `defenses[i]` entry.
@@ -284,11 +231,7 @@ impl ScenarioPlan {
             let name = f.req("name")?;
             f.opt_with("description", |v| v.str().map(drop))?;
             let seed = f.opt("seed")?.unwrap_or(0);
-            f.opt_with("world", |v| apply_world(&mut config, v))?;
-            set(&mut config.attack, f.opt_with("attack", parse_attack)?);
-            // A full embedded ddosim.faults.plan/1 document, as strict as
-            // a stand-alone one.
-            set(&mut config.faults, f.opt_with("faults", |v| v.embedded(FaultPlan::from_json))?);
+            world::read(f, &mut config)?;
             let defenses: Vec<DefenseSpec> =
                 f.opt_with("defenses", |v| v.items("defense", parse_defense))?.unwrap_or_default();
             Ok((name, seed, defenses, f.opt_with("rivals", parse_rivals)?))
@@ -354,6 +297,9 @@ impl ScenarioPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use churn::ChurnMode;
+    use ddosim_core::Recruitment;
+    use protocols::AttackVector;
 
     fn minimal(extra: &str) -> String {
         format!(r#"{{"schema":"ddosim.scenario/1","name":"t"{extra}}}"#)
@@ -370,9 +316,8 @@ mod tests {
         // SimulationConfig has no PartialEq; its canonical JSON form is
         // the stable equality surface the checkpoint layer already uses.
         assert_eq!(
-            ddosim_core::checkpoint::config_to_json(&plan.config()).to_string_compact(),
-            ddosim_core::checkpoint::config_to_json(&SimulationConfig::default())
-                .to_string_compact()
+            world::to_json(&plan.config()).to_string_compact(),
+            world::to_json(&SimulationConfig::default()).to_string_compact()
         );
     }
 
@@ -520,6 +465,16 @@ mod tests {
             (minimal(r#","rivals":{"count":0}"#), "at least 1"),
             (minimal(r#","world":{"devs":0}"#), "scenario"),
             (minimal(r#","world":{"attack_at_secs":-3}"#), "non-negative"),
+            (minimal(r#","world":{"reboot_rate_per_min":-1}"#), "reboot rate must be a finite"),
+            (minimal(r#","world":{"access_rate_kbps":"500"}"#), "world.access_rate_kbps: expected LO-HI"),
+            (minimal(r#","world":{"arch":"z80"}"#), "scenario.world.arch: unknown arch 'z80'"),
+            (minimal(r#","world":{"commands":["sh",7]}"#), "command #1 must be a string"),
+            (
+                minimal(r#","world":{"protections":{"kind":"uniform","wx":true}}"#),
+                "scenario.world.protections is missing 'aslr'",
+            ),
+            (minimal(r#","telemetry":{"record":true}"#), "unknown field 'telemetry' in scenario"),
+            (minimal(r#","honeypots":1"#), "unknown field 'honeypots' in scenario"),
         ];
         for (text, fragment) in cases {
             match ScenarioPlan::parse(text) {

@@ -22,10 +22,8 @@ use telemetry::{Event, RECORDER_SCHEMA};
 pub struct SubmitOptions {
     /// Server address, e.g. `127.0.0.1:47001`.
     pub addr: String,
-    /// Scenario plan text (`ddosim.scenario/1`) — the `--scenario` path.
+    /// Scenario plan text (`ddosim.scenario/1`) to run.
     pub scenario: Option<String>,
-    /// Resolved configuration document text — the `--config` path.
-    pub config: Option<String>,
     /// Ask the server to drain and stop instead of submitting a job.
     pub shutdown: bool,
     /// Client-chosen job id.
@@ -70,26 +68,12 @@ fn build_request(opts: &SubmitOptions) -> Result<String, String> {
         ])
         .to_string_compact());
     }
-    let payload = match (&opts.scenario, &opts.config) {
-        (Some(_), Some(_)) => {
-            return Err("submit exactly one of a scenario or a config, not both".to_owned())
-        }
-        (None, None) => {
-            return Err("nothing to submit: provide a scenario or a config".to_owned())
-        }
-        (Some(text), None) => (
-            "scenario",
-            Json::parse(text).map_err(|e| format!("scenario is not valid JSON: {e}"))?,
-        ),
-        (None, Some(text)) => (
-            "config",
-            Json::parse(text).map_err(|e| format!("config is not valid JSON: {e}"))?,
-        ),
-    };
+    let text = opts.scenario.as_deref().ok_or("nothing to submit: provide a scenario")?;
+    let plan = Json::parse(text).map_err(|e| format!("scenario is not valid JSON: {e}"))?;
     let mut members = vec![
         ("schema".to_owned(), Json::Str(SERVE_SCHEMA.into())),
         ("action".to_owned(), Json::Str("submit".into())),
-        (payload.0.to_owned(), payload.1),
+        ("scenario".to_owned(), plan),
     ];
     if let Some(id) = &opts.id {
         members.push(("id".to_owned(), Json::Str(id.clone())));
@@ -281,12 +265,6 @@ mod tests {
 
     #[test]
     fn nonsense_option_combinations_are_rejected_locally() {
-        let both = SubmitOptions {
-            scenario: Some("{}".to_owned()),
-            config: Some("{}".to_owned()),
-            ..SubmitOptions::default()
-        };
-        assert!(build_request(&both).expect_err("both").contains("not both"));
         assert!(build_request(&SubmitOptions::default())
             .expect_err("neither")
             .contains("nothing to submit"));

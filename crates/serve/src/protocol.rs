@@ -5,7 +5,7 @@
 //!
 //! ```json
 //! {"schema":"ddosim.serve/1","action":"submit","scenario":{...},"record":true}
-//! {"schema":"ddosim.serve/1","action":"submit","config":{...},"metrics_interval_secs":2.0}
+//! {"schema":"ddosim.serve/1","action":"submit","scenario":{...},"metrics_interval_secs":2.0}
 //! {"schema":"ddosim.serve/1","action":"shutdown"}
 //! ```
 //!
@@ -16,13 +16,18 @@
 //! new time-series sample), `result` (the final deterministic
 //! [`RunResult`](ddosim_core::RunResult) row), `error`, and `shutdown`.
 //!
+//! A job is a `ddosim.scenario/1` plan. A resolved configuration is
+//! submitted as a plan without defenses: the plan's `world`, `attack` and
+//! `faults` are the world document's members of the same names (DESIGN.md,
+//! "Scenario schema"). The other three are not the plan's to spell: it
+//! sets `honeypots` and `backup_cncs` only through its `honeypot` and
+//! `cnc_takedown` defenses, and the request's `record` and
+//! `metrics_interval_secs` set its `telemetry`.
+//!
 //! Parsing is strict in the same spirit as every other schema in this
-//! workspace: the version is pinned, unknown fields are rejected, and
-//! exactly one of `scenario` / `config` must own the world.
+//! workspace: the version is pinned and unknown fields are rejected.
 
-use ddosim_core::checkpoint::config_from_json;
-use ddosim_core::{Ddosim, SimulationConfig, TelemetryConfig};
-use djson::{Json, PlanError, Val};
+use djson::{Json, Val};
 use scenario::ScenarioPlan;
 use std::time::Duration;
 use telemetry::Event;
@@ -30,45 +35,14 @@ use telemetry::Event;
 /// Pinned schema tag carried by every request and every frame.
 pub const SERVE_SCHEMA: &str = "ddosim.serve/1";
 
-/// What a submitted job runs: a declarative scenario plan (the
-/// `--scenario` path) or a fully resolved simulation configuration (the
-/// checkpoint-style embedded-config path).
+/// What a submitted job runs: a declarative scenario plan, built by
+/// [`ScenarioPlan::build_with_telemetry`] — the call `ddosim --scenario`
+/// makes, which is what makes "serve builds exactly what offline builds"
+/// hold by construction.
 #[derive(Debug)]
 pub enum JobSpec {
     /// A strict `ddosim.scenario/1` plan; the plan owns the world.
     Scenario(ScenarioPlan),
-    /// A resolved configuration document (`config_to_json` shape).
-    Config(SimulationConfig),
-}
-
-impl JobSpec {
-    /// Builds the world this spec owns, with `telemetry` layered on top —
-    /// the one call behind `ddosim --scenario`, a suffix plan's embedded
-    /// configuration and every `serve` job, which is what makes "serve
-    /// builds exactly what offline builds" hold by construction.
-    ///
-    /// A plan carries no telemetry of its own and takes `telemetry`
-    /// whole. An embedded configuration owns its telemetry
-    /// (checkpoint-style); `telemetry` can only add to it: the recorder
-    /// is ORed in and a metrics interval, when given, replaces the
-    /// embedded one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the plan or configuration fails validation.
-    pub fn build(&self, telemetry: TelemetryConfig) -> Result<Ddosim, String> {
-        match self {
-            JobSpec::Scenario(plan) => plan.build_with_telemetry(telemetry),
-            JobSpec::Config(config) => {
-                let mut config = config.clone();
-                config.telemetry.record |= telemetry.record;
-                if telemetry.metrics_interval.is_some() {
-                    config.telemetry.metrics_interval = telemetry.metrics_interval;
-                }
-                Ddosim::new(config)
-            }
-        }
-    }
 }
 
 /// A validated submission.
@@ -99,8 +73,8 @@ pub enum Action {
 /// # Errors
 ///
 /// Returns a message naming the first problem: bad JSON, missing or
-/// mismatched schema, unknown action or field, both or neither of
-/// `scenario`/`config`, or an invalid embedded document.
+/// mismatched schema, unknown action or field, a missing or invalid
+/// `scenario`.
 pub fn parse_request(line: &str) -> Result<Action, String> {
     const DOC: &str = "request";
     let json = Json::parse(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
@@ -118,29 +92,9 @@ pub fn parse_request(line: &str) -> Result<Action, String> {
                 if metrics_interval.is_some_and(|interval| interval.is_zero()) {
                     return Err(f.invalid("metrics_interval_secs", "must be positive"));
                 }
-                // Decided before either document is read, so a request
-                // with both is told so, not what is wrong with one.
-                let spec = match (f.has("scenario"), f.has("config")) {
-                    (true, true) => {
-                        return Err(PlanError::invalid(
-                            DOC,
-                            "submit request has both 'scenario' and 'config'; \
-                             exactly one must own the world",
-                        ))
-                    }
-                    (true, false) => JobSpec::Scenario(
-                        f.req_with("scenario", |v| v.embedded(ScenarioPlan::from_json))?,
-                    ),
-                    (false, true) => {
-                        JobSpec::Config(f.req_with("config", |v| v.embedded(config_from_json))?)
-                    }
-                    (false, false) => {
-                        return Err(PlanError::invalid(
-                            DOC,
-                            "submit request needs exactly one of 'scenario' or 'config'",
-                        ))
-                    }
-                };
+                let spec = JobSpec::Scenario(
+                    f.req_with("scenario", |v| v.embedded(ScenarioPlan::from_json))?,
+                );
                 Ok(Action::Submit(SubmitRequest { id, spec, record, metrics_interval }))
             }
             other => Err(f.invalid("action", format_args!("is an unknown action '{other}'"))),
@@ -271,48 +225,48 @@ mod tests {
         assert_eq!(req.id.as_deref(), Some("a1"));
         assert!(req.record);
         assert!(req.metrics_interval.is_none());
-        let JobSpec::Scenario(plan) = req.spec else { panic!("expected scenario") };
+        let JobSpec::Scenario(plan) = req.spec;
         assert_eq!(plan.config().devs, 3);
     }
 
+    /// A resolved configuration is a plan without defenses: its world
+    /// document's `world`, `attack` and `faults` members, verbatim.
     #[test]
-    fn submit_with_config_parses() {
-        let config = SimulationConfig { devs: 4, seed: 9, ..SimulationConfig::default() };
-        let doc = ddosim_core::checkpoint::config_to_json(&config).to_string_compact();
-        let line = format!(
-            r#"{{"schema":"ddosim.serve/1","action":"submit","config":{doc},"metrics_interval_secs":2.5}}"#
-        );
-        let Action::Submit(req) = parse_request(&line).expect("valid") else {
+    fn a_configuration_submits_as_a_plan() {
+        let config = ddosim_core::SimulationConfig { devs: 4, seed: 9, ..Default::default() };
+        let Json::Obj(members) = ddosim_core::world::to_json(&config) else { panic!("an object") };
+        let mut plan = vec![
+            ("schema".to_owned(), Json::Str("ddosim.scenario/1".into())),
+            ("name".to_owned(), Json::Str("config".into())),
+        ];
+        plan.extend(members.into_iter().take(3));
+        let line = Json::obj([
+            ("schema", Json::Str(SERVE_SCHEMA.into())),
+            ("action", Json::Str("submit".into())),
+            ("scenario", Json::Obj(plan)),
+            ("metrics_interval_secs", Json::F64(2.5)),
+        ]);
+        let Action::Submit(req) = parse_request(&line.to_string_compact()).expect("valid") else {
             panic!("expected submit")
         };
         assert_eq!(req.metrics_interval, Some(Duration::from_secs_f64(2.5)));
-        let JobSpec::Config(c) = req.spec else { panic!("expected config") };
-        assert_eq!((c.devs, c.seed), (4, 9));
+        let JobSpec::Scenario(plan) = req.spec;
+        let print = |c: &ddosim_core::SimulationConfig| ddosim_core::world::to_json(c).to_string_compact();
+        assert_eq!(print(&plan.config()), print(&config));
     }
 
-    /// `build` layers telemetry the same way for every caller: a plan
-    /// takes it whole, an embedded configuration only gains from it.
+    /// A plan owns no telemetry: the job's request gives it whole.
     #[test]
-    fn build_layers_telemetry_per_spec() {
+    fn a_plan_takes_the_requested_telemetry_whole() {
+        use telemetry::TelemetryConfig;
         let asked = TelemetryConfig {
             record: true,
             metrics_interval: Some(Duration::from_secs(2)),
             ..TelemetryConfig::default()
         };
         let plan = ScenarioPlan::parse(&plan_json()).expect("valid plan");
-        let world = JobSpec::Scenario(plan).build(asked.clone()).expect("plan builds");
+        let world = plan.build_with_telemetry(asked.clone()).expect("plan builds");
         assert_eq!(world.config().telemetry, asked);
-
-        let mut config = SimulationConfig { devs: 3, ..SimulationConfig::default() };
-        config.telemetry.capture = true;
-        config.telemetry.metrics_interval = Some(Duration::from_secs(7));
-        let spec = JobSpec::Config(config);
-        let kept = spec.build(TelemetryConfig::default()).expect("config builds");
-        assert!(kept.config().telemetry.capture && !kept.config().telemetry.record);
-        assert_eq!(kept.config().telemetry.metrics_interval, Some(Duration::from_secs(7)));
-        let layered = spec.build(asked).expect("config builds");
-        assert!(layered.config().telemetry.capture && layered.config().telemetry.record);
-        assert_eq!(layered.config().telemetry.metrics_interval, Some(Duration::from_secs(2)));
     }
 
     #[test]
@@ -342,9 +296,9 @@ mod tests {
             (r#"{"schema":"ddosim.serve/1","action":"dance"}"#.into(), "unknown action"),
             (
                 r#"{"schema":"ddosim.serve/1","action":"submit"}"#.into(),
-                "exactly one of 'scenario' or 'config'",
+                "request is missing 'scenario'",
             ),
-            (submit_line(r#","config":{}"#), "both 'scenario' and 'config'"),
+            (submit_line(r#","config":{}"#), "unknown field 'config' in request"),
             (submit_line(r#","frobnicate":1"#), "unknown field 'frobnicate'"),
             (submit_line(r#","id":"""#), "1..=128 characters"),
             (submit_line(r#","id":"a","id":"b""#), "request.id appears twice"),
@@ -354,13 +308,8 @@ mod tests {
                 "request.scenario: scenario: scenario.world.devs appears twice",
             ),
             (
-                format!(
-                    r#"{{"schema":"ddosim.serve/1","action":"submit","config":{}}}"#,
-                    ddosim_core::checkpoint::config_to_json(&SimulationConfig::default())
-                        .to_string_compact()
-                        .replace(r#""port":80"#, r#""port":65616"#)
-                ),
-                "request.config: config: config.attack.port 65616 exceeds 65535",
+                submit_line("").replace(r#""duration_secs": 15"#, r#""duration_secs": 15, "port": 65616"#),
+                "request.scenario: scenario: scenario.attack.port 65616 exceeds 65535",
             ),
             (format!("{}0{}", "[".repeat(100_000), "]".repeat(100_000)), "nested deeper than 128 levels"),
             (submit_line(r#","record":"yes""#), "request.record must be a boolean"),
@@ -378,7 +327,7 @@ mod tests {
             ),
             (
                 r#"{"schema":"ddosim.serve/1","action":"submit","config":{"devs":3}}"#.into(),
-                "config:",
+                "request is missing 'scenario'",
             ),
         ];
         for (line, fragment) in table {

@@ -354,9 +354,10 @@ fn run_one(job: &Job) {
     }
 }
 
-/// Builds the world through [`JobSpec::build`] — the call the offline
-/// `--scenario` path makes — attaches the streaming sink, runs, and emits
-/// the final frame.
+/// Builds the world through
+/// [`ScenarioPlan::build_with_telemetry`](scenario::ScenarioPlan::build_with_telemetry)
+/// — the call the offline `--scenario` path makes — attaches the
+/// streaming sink, runs, and emits the final frame.
 ///
 /// Determinism: the sink and the `run_prefix` stepping are both proven
 /// observers (the sink never touches the ring's contents; the resumable
@@ -365,7 +366,8 @@ fn run_one(job: &Job) {
 /// seed+plan equals the offline trace byte for byte; the CI serve stage
 /// diffs exactly that.
 fn run_job(job: &Job) -> Result<(), String> {
-    let mut world = job.spec.build(TelemetryConfig {
+    let JobSpec::Scenario(plan) = &job.spec;
+    let mut world = plan.build_with_telemetry(TelemetryConfig {
         record: job.record,
         metrics_interval: job.metrics_interval,
         ..TelemetryConfig::default()

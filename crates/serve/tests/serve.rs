@@ -3,7 +3,7 @@
 //! abuse (malformed and oversized lines), multi-job demuxing on one
 //! connection, and graceful shutdown.
 
-use ddosim_core::{SimulationConfig, TelemetryConfig};
+use ddosim_core::TelemetryConfig;
 use djson::Json;
 use serve::{submit, Server, ServeOptions, SubmitOptions, SubmitOutcome};
 use std::io::Write as _;
@@ -99,21 +99,14 @@ fn metrics_jobs_stream_samples() {
 fn poisoned_job_reports_an_error_and_the_server_keeps_serving() {
     // tserver_link_bps = 0 passes validation but panics mid-run (the
     // zero-rate tx_delay) — the sweep paths' canonical poison pill.
-    let poisoned = SimulationConfig {
-        devs: 2,
-        attack: ddosim_core::AttackSpec::udp_plain(Duration::from_secs(15)),
-        attack_at: Duration::from_secs(25),
-        sim_time: Duration::from_secs(45),
-        seed: 1,
-        tserver_link_bps: 0,
-        ..SimulationConfig::default()
-    };
-    let doc = ddosim_core::checkpoint::config_to_json(&poisoned).to_string_compact();
+    let poisoned = r#"{"schema":"ddosim.scenario/1","name":"poisoned",
+        "world":{"devs":2,"seed":1,"sim_time_secs":45,"attack_at_secs":25,"tserver_link_bps":0},
+        "attack":{"duration_secs":15}}"#;
 
     let (addr, handle) = start_server(1);
     let err = submit(&SubmitOptions {
         addr: addr.to_string(),
-        config: Some(doc),
+        scenario: Some(poisoned.to_owned()),
         ..SubmitOptions::default()
     })
     .expect_err("a poisoned job must fail");
@@ -143,14 +136,14 @@ fn invalid_submissions_are_rejected_without_killing_the_connection() {
     })
     .expect_err("bad schema must be rejected");
     assert!(err.contains("scenario"), "got: {err}");
-    // An invalid config likewise.
+    // A plan whose world member does not fit likewise, naming the member.
     let err = submit(&SubmitOptions {
         addr: addr.to_string(),
-        config: Some(r#"{"devs": 3}"#.to_owned()),
+        scenario: Some(r#"{"schema":"ddosim.scenario/1","name":"t","attack":{"port":65616}}"#.to_owned()),
         ..SubmitOptions::default()
     })
-    .expect_err("truncated config must be rejected");
-    assert!(err.contains("config"), "got: {err}");
+    .expect_err("an out-of-range port must be rejected");
+    assert!(err.contains("scenario.attack.port 65616 exceeds 65535"), "got: {err}");
     stop_server(addr, handle);
 }
 

@@ -60,6 +60,10 @@
 #                seed-determined count) byte-equal to
 #                tests/golden/bench_exact.txt: work done is gated by
 #                equality, wall time by nothing here
+#   mutants      the mutant catalogue (scripts/mutants.sh): every
+#                tests/mutants/*.patch still applies, compiles, and fails
+#                the one test its header names — so each gate shown to
+#                catch a bug keeps catching it
 #
 #   usage: scripts/ci.sh [stage ...]    (no args = all stages, in order)
 #
@@ -86,12 +90,8 @@ DDOSIM="cargo run --release --offline -p ddosim --bin ddosim --"
 EXP="cargo run --release --offline -p ddosim-bench --bin exp --"
 
 # The checkpoint fixture tests/hostile_documents.rs resumes (the recipe
-# that writes it is on its PARENT_CHECKPOINT) and the configuration
-# document embedded in it, as `submit --config` takes one.
+# that writes it is on its PARENT_CHECKPOINT).
 CK=tests/fixtures/checkpoint_parent.json
-config_of_ck() {
-    awk '/^  "config": \{/ { print "{"; on = 1; next } on && /^}/ { exit } on' "$CK"
-}
 
 # Small deterministic scenario shared by the determinism and checkpoint
 # stages; extra flags append.
@@ -417,7 +417,6 @@ PLAN
     bad=$work/hostile-doc.json
     deep=$work/hostile-deep.json
     awk 'BEGIN { for (i = 0; i < 100000; i++) printf "["; print "" }' > "$deep"
-    config_of_ck > "$work/config.json"
     cat > "$work/suffixes.json" <<'PLAN'
 { "schema": "ddosim.suffix/1", "fork_at_nanos": 28000000000, "config": null,
   "suffixes": [ { "name": "lossy", "fork_seed": 0, "admin_lines": [], "horizon_nanos": null,
@@ -443,9 +442,10 @@ PLAN
     hostile_doc "$CK" '"port": 80' '"port": 65616' --resume
     hostile_doc "$CK" '"record": true' '"recrod": true, "record": true' --resume
     hostile_doc "$work/suffixes.json" '0\.5' '7.5, "oops": 1' --devs 2 --suffixes
-    head -c 500 "$work/config.json" > "$bad"
-    hostile submit 127.0.0.1:1 --config "$bad"
-    hostile submit 127.0.0.1:1 --config "$deep"
+    head -c "$(($(wc -c < plans/layered_defense.scenario.json) / 2))" \
+        plans/layered_defense.scenario.json > "$bad"
+    hostile submit 127.0.0.1:1 --scenario "$bad"
+    hostile submit 127.0.0.1:1 --scenario "$deep"
 
     # A scenario plan owns the world, not what is collected from it: CLI
     # collection flags layer onto the plan, deterministically.
@@ -570,11 +570,12 @@ stage_serve() {
     # frame, not the server: the next submission still completes.
     printf '{ "schema": "ddosim.scenario/1" }\n' > "$work/bad-plan.json"
     ! $DDOSIM submit "$addr" --scenario "$work/bad-plan.json" > /dev/null 2> /dev/null
-    # So does a configuration whose port does not fit 16 bits (it used to
-    # run, attacking port 65616 mod 65536 = 80): the error names the member.
-    config_of_ck | sed 's/"port": 80/"port": 65616/' > "$work/bad-config.json"
-    ! $DDOSIM submit "$addr" --config "$work/bad-config.json" > /dev/null 2> "$work/bad-config.err"
-    grep -q 'config.attack.port 65616 exceeds 65535' "$work/bad-config.err"
+    # So does a plan whose port does not fit 16 bits (it used to run,
+    # attacking port 65616 mod 65536 = 80): the error names the member.
+    printf '{ "schema": "ddosim.scenario/1", "name": "bad-port", "attack": { "port": 65616 } }\n' \
+        > "$work/bad-port.json"
+    ! $DDOSIM submit "$addr" --scenario "$work/bad-port.json" > /dev/null 2> "$work/bad-port.err"
+    grep -q 'scenario.attack.port 65616 exceeds 65535' "$work/bad-port.err"
     $DDOSIM submit "$addr" --scenario plans/baseline.scenario.json > /dev/null 2> /dev/null
 
     # A protocol shutdown drains the server to a clean exit.
@@ -598,7 +599,11 @@ stage_bench() {
     cmp "$work/bench_exact.txt" tests/golden/bench_exact.txt
 }
 
-ALL_STAGES="build test scale determinism checkpoint serve bench"
+stage_mutants() {
+    scripts/mutants.sh
+}
+
+ALL_STAGES="build test scale determinism checkpoint serve bench mutants"
 summary=""
 
 run_stage() {

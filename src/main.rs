@@ -11,14 +11,14 @@
 //! the argv loop, the `--help` text and the mode conflicts read those rows.
 
 use churn::ChurnMode;
-use ddosim::serve::{JobSpec, ServeOptions, SubmitOptions, SubmitOutcome};
+use ddosim::serve::{ServeOptions, SubmitOptions, SubmitOutcome};
 use ddosim::{Ddosim, Recruitment, SimulationConfig};
 use protocols::AttackVector;
 use std::fmt::Display;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
-use telemetry::CaptureFilter;
+use telemetry::{CaptureFilter, TelemetryConfig};
 
 /// What a flag decides. Mode conflicts are stated over classes, so a new
 /// flag is refused (or kept) by every mode according to its class alone.
@@ -88,7 +88,7 @@ const RULES: &[Rule] = &[
         reason: "a seed sweep runs the configured world many times across the worker \
                  pool and only reports per-row results" },
     Rule { mode: "--shutdown", classes: &[Collect, Output], keeps: &["--follow"],
-        flags: &["--scenario", "--config", "--id"],
+        flags: &["--scenario", "--id"],
         reason: "a shutdown request carries no job" },
 ];
 
@@ -154,12 +154,11 @@ const RUN: &[Flag<RunOpts>] = &[
         set: |o, f, v| put(&mut o.config.devs, num(f, v)) },
     Flag { name: "--churn", value: "MODE", class: World,
         help: "none | static | dynamic (default none)",
-        set: |o, _, v| put(&mut o.config.churn,
-            ChurnMode::parse(v).ok_or(format!("unknown churn mode: {v}"))) },
+        set: |o, f, v| put(&mut o.config.churn, ChurnMode::parse(v).map_err(|e| format!("{f}: {e}"))) },
     Flag { name: "--vector", value: "V", class: World,
         help: "udpplain | udp | syn | ack | greip (default udpplain)",
-        set: |o, _, v| put(&mut o.config.attack.vector,
-            AttackVector::parse(v).ok_or(format!("unknown vector: {v}"))) },
+        set: |o, f, v| put(&mut o.config.attack.vector,
+            AttackVector::parse(v).map_err(|e| format!("{f}: {e}"))) },
     Flag { name: "--duration", value: "SECS", class: World, help: "attack duration (default 100)",
         set: |o, f, v| put(&mut o.config.attack.duration, whole_secs_flag(f, v)) },
     Flag { name: "--attack-at", value: "SECS", class: World,
@@ -173,19 +172,16 @@ const RUN: &[Flag<RunOpts>] = &[
         set: |o, f, v| put(&mut o.config.attack.payload_bytes, num(f, v).map(Some)) },
     Flag { name: "--access-rate", value: "LO-HI", class: World,
         help: "Dev uplink range in kbps (default 100-500)",
-        set: |o, f, v| {
-            let (lo, hi) = v.split_once('-').ok_or("expected LO-HI, e.g. 100-500")?;
-            o.config.access_rate_kbps = num(f, lo)?..=num(f, hi)?;
-            Ok(())
-        } },
+        set: |o, f, v| put(&mut o.config.access_rate_kbps,
+            ddosim::world::access_rate(v).map_err(|e| format!("{f}: {e}"))) },
     Flag { name: "--recruitment", value: "R", class: World,
         help: "memory-error (default)\n| scanner:<cred-fraction>\n| worm:<cred-fraction>:<seeds>",
         set: |o, f, v| put(&mut o.config.recruitment,
-            Recruitment::parse(v).map_err(|e| format!("{f} {e}"))) },
+            v.parse::<Recruitment>().map_err(|e| format!("{f} {e}"))) },
     Flag { name: "--topology", value: "T", class: World,
         help: "star (default) | wifi | tiered:<regions>:<uplink-bps>",
         set: |o, f, v| put(&mut o.config.topology,
-            ddosim::TopologyKind::parse(v).map_err(|e| format!("{f} {e}"))) },
+            v.parse::<ddosim::TopologyKind>().map_err(|e| format!("{f} {e}"))) },
     Flag { name: "--reboot-rate", value: "R", class: World,
         help: "per-device reboots per minute (default 0)",
         set: |o, f, v| put(&mut o.config.reboot_rate_per_min, num(f, v)) },
@@ -227,7 +223,7 @@ const RUN: &[Flag<RunOpts>] = &[
         set: |o, _, v| put(&mut o.metrics_out, Ok(Some(v.to_owned()))) },
     Flag { name: "--checkpoint-at", value: "SECS", class: Mode,
         help: "snapshot the full world state when the run\n\
-               crosses SECS (schema ddosim.checkpoint/1)",
+               crosses SECS (schema ddosim.checkpoint/2)",
         set: |o, f, v| put(&mut o.checkpoint_at, secs_flag(f, v, true).map(Some)) },
     Flag { name: "--checkpoint-out", value: "FILE", class: Output,
         help: "checkpoint output file (default ddosim-checkpoint.json)",
@@ -293,15 +289,14 @@ const SERVE: &[Flag<ServeOptions>] = &[
         set: |o, f, v| put(&mut o.workers, count(f, v).map(Some)) },
 ];
 
-/// Everything `ddosim submit` needs from the command line. Plan/config
-/// files are read at run time, so parsing alone accepts any path.
+/// Everything `ddosim submit` needs from the command line. Plan files are
+/// read at run time, so parsing alone accepts any path.
 #[derive(Default)]
 struct SubmitCli {
-    /// What goes on the wire; its `scenario`/`config` texts are read from
-    /// the paths below when the command runs.
+    /// What goes on the wire; its `scenario` text is read from the path
+    /// below when the command runs.
     req: SubmitOptions,
     scenario_path: Option<String>,
-    config_path: Option<String>,
     record_out: Option<String>,
     json: bool,
 }
@@ -310,9 +305,6 @@ const SUBMIT: &[Flag<SubmitCli>] = &[
     Flag { name: "--scenario", value: "FILE", class: Mode,
         help: "submit a ddosim.scenario/1 plan file",
         set: |o, _, v| put(&mut o.scenario_path, Ok(Some(v.to_owned()))) },
-    Flag { name: "--config", value: "FILE", class: Mode,
-        help: "submit a resolved configuration document",
-        set: |o, _, v| put(&mut o.config_path, Ok(Some(v.to_owned()))) },
     Flag { name: "--shutdown", value: "", class: Mode, help: "ask the server to drain and stop",
         set: |o, _, _| put(&mut o.req.shutdown, Ok(true)) },
     Flag { name: "--id", value: "NAME", class: Mode,
@@ -401,16 +393,14 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
         Some("submit") => {
             let Some(addr) = args.get(1).filter(|a| !a.starts_with('-')) else {
-                return Err("usage: ddosim submit <ADDR> (--scenario <F> | --config <F> \
-                            | --shutdown)".to_owned());
+                return Err("usage: ddosim submit <ADDR> (--scenario <F> | --shutdown)".to_owned());
             };
             let mut cli = SubmitCli::default();
             cli.req.addr = addr.clone();
             parse_flags("submit: ", SUBMIT, false, &args[2..], &mut cli)?;
-            // `--shutdown` already refused both; a job needs exactly one.
-            if !cli.req.shutdown && cli.scenario_path.is_some() == cli.config_path.is_some() {
-                return Err("submit: provide exactly one of --scenario, --config, or --shutdown"
-                    .to_owned());
+            // `--shutdown` already refused `--scenario`; a job needs one.
+            if !cli.req.shutdown && cli.scenario_path.is_none() {
+                return Err("submit: provide exactly one of --scenario or --shutdown".to_owned());
             }
             Ok(Cli::Submit(Box::new(cli)))
         }
@@ -446,7 +436,7 @@ USAGE:
     ddosim [OPTIONS]
     ddosim trace diff <A.json> <B.json>
     ddosim serve [--listen <ADDR>] [--idle-timeout <SECS>] [--workers <N>]
-    ddosim submit <ADDR> (--scenario <F> | --config <F> | --shutdown) [OPTIONS]
+    ddosim submit <ADDR> (--scenario <F> | --shutdown) [OPTIONS]
 
 OPTIONS:
 ";
@@ -558,17 +548,20 @@ fn cli_config(opts: &RunOpts) -> Result<SimulationConfig, String> {
 /// the scenario tree and (through [`cli_config`]) the sweep get theirs. One
 /// source owns it — the `--resume` checkpoint, the `--scenario` plan, the
 /// suffix plan's `embedded` configuration, or the world flags ([`RULES`]
-/// refused any mix). Plans and embedded configurations go through
-/// [`JobSpec::build`], the call a `serve` job makes, CLI telemetry on top.
+/// refused any mix). A plan takes the CLI telemetry whole, through the call
+/// a `serve` job makes; an embedded configuration owns its telemetry
+/// (checkpoint-style), which the CLI's can only add to: the recorder is ORed
+/// in and a metrics interval, when given, replaces the embedded one.
 fn build_world(opts: &RunOpts, embedded: Option<SimulationConfig>) -> Result<Ddosim, String> {
     let telemetry = opts.config.telemetry.clone();
     let mut world = if let Some(path) = &opts.resume_path {
         Ddosim::resume_from(ddosim::Checkpoint::parse(&read_file(path)?)?)?
     } else if let Some(path) = &opts.scenario_path {
         let plan = ddosim::scenario::ScenarioPlan::parse(&read_file(path)?)?;
-        JobSpec::Scenario(plan).build(telemetry)?
-    } else if let Some(config) = embedded {
-        JobSpec::Config(config).build(telemetry)?
+        plan.build_with_telemetry(telemetry)?
+    } else if let Some(mut config) = embedded {
+        layer_telemetry(&mut config.telemetry, &telemetry);
+        Ddosim::new(config)?
     } else {
         Ddosim::new(cli_config(opts)?)?
     };
@@ -576,6 +569,16 @@ fn build_world(opts: &RunOpts, embedded: Option<SimulationConfig>) -> Result<Ddo
         world.set_checkpoint_at(at);
     }
     Ok(world)
+}
+
+/// Layers the CLI's telemetry over an embedded configuration's own: the
+/// recorder is ORed in, a metrics interval, when given, replaces the
+/// embedded one, and everything else (capture included) stays embedded.
+fn layer_telemetry(embedded: &mut TelemetryConfig, cli: &TelemetryConfig) {
+    embedded.record |= cli.record;
+    if cli.metrics_interval.is_some() {
+        embedded.metrics_interval = cli.metrics_interval;
+    }
 }
 
 /// Runs a scenario tree: one shared prefix to the fork point, then every
@@ -770,7 +773,6 @@ fn run_serve(opts: ServeOptions) -> Result<(), String> {
 /// Submits one job (or a shutdown) and reports its outcome.
 fn run_submit(mut cli: SubmitCli) -> Result<(), String> {
     cli.req.scenario = cli.scenario_path.as_deref().map(read_file).transpose()?;
-    cli.req.config = cli.config_path.as_deref().map(read_file).transpose()?;
     match ddosim::serve::submit(&cli.req)? {
         SubmitOutcome::ShutdownAcknowledged => {
             eprintln!("server acknowledged shutdown");
@@ -927,10 +929,6 @@ mod tests {
             (&["submit", "--scenario", "p.json"], "usage: ddosim submit"),
             (&["submit", "127.0.0.1:1"], "exactly one of"),
             (
-                &["submit", "127.0.0.1:1", "--scenario", "a.json", "--config", "b.json"],
-                "exactly one of",
-            ),
-            (
                 &["submit", "127.0.0.1:1", "--shutdown", "--scenario", "a.json"],
                 "--shutdown",
             ),
@@ -1012,6 +1010,25 @@ mod tests {
         let opts = run_opts(&["--faults", "plan.json"]);
         assert_eq!(opts.faults_path.as_deref(), Some("plan.json"));
         assert!(opts.config.faults.is_empty(), "plan loads later");
+    }
+
+    /// A suffix plan's embedded configuration keeps its own telemetry;
+    /// the CLI's adds the recorder and, when it gives one, replaces the
+    /// metrics interval.
+    #[test]
+    fn cli_telemetry_layers_over_an_embedded_configuration() {
+        let mut config = SimulationConfig { devs: 3, ..SimulationConfig::default() };
+        config.telemetry.capture = true;
+        config.telemetry.metrics_interval = Some(Duration::from_secs(7));
+        let kept = build_world(&run_opts(&[]), Some(config.clone())).expect("config builds");
+        let t = &kept.config().telemetry;
+        assert!(t.capture && !t.record);
+        assert_eq!(t.metrics_interval, Some(Duration::from_secs(7)));
+        let cli = run_opts(&["--record", "r.json", "--metrics-interval", "2"]);
+        let layered = build_world(&cli, Some(config)).expect("config builds");
+        let t = &layered.config().telemetry;
+        assert!(t.capture && t.record);
+        assert_eq!(t.metrics_interval, Some(Duration::from_secs(2)));
     }
 
     #[test]
@@ -1174,7 +1191,6 @@ mod tests {
         };
         assert_eq!(cli.req.addr, "127.0.0.1:47001");
         assert_eq!(cli.scenario_path.as_deref(), Some("plan.json"));
-        assert_eq!(cli.config_path, None);
         assert!(!cli.req.shutdown);
         assert_eq!(cli.req.id.as_deref(), Some("a1"));
         assert_eq!(cli.record_out.as_deref(), Some("t.json"));
@@ -1185,11 +1201,6 @@ mod tests {
             _ => panic!("submit --shutdown did not parse"),
         };
         assert!(cli.req.shutdown);
-        let cli = match parse(&["submit", "127.0.0.1:47001", "--config", "c.json"]) {
-            Ok(Cli::Submit(cli)) => cli,
-            _ => panic!("submit --config did not parse"),
-        };
-        assert_eq!(cli.config_path.as_deref(), Some("c.json"));
     }
 
     /// A value that parses for `flag`, so a generated argv gets past the
@@ -1246,7 +1257,7 @@ mod tests {
                 })
                 .count()
         }
-        assert_eq!(each_command!(check), 26 + 3 + 5);
+        assert_eq!(each_command!(check), 26 + 3 + 4);
     }
 
     #[test]
@@ -1269,8 +1280,8 @@ mod tests {
             }
             pairs
         }
-        // --resume 16, --scenario 16, --suffixes 6, --sweep-seeds 10; --shutdown 6.
-        assert_eq!(each_command!(check), 48 + 6);
+        // --resume 16, --scenario 16, --suffixes 6, --sweep-seeds 10; --shutdown 5.
+        assert_eq!(each_command!(check), 48 + 5);
     }
 
     #[test]
@@ -1303,7 +1314,7 @@ mod tests {
         assert_listed(run, 4, RUN);
         assert_listed(serve, 8, SERVE);
         assert_listed(submit, 8, SUBMIT);
-        assert_eq!((RUN.len(), SERVE.len(), SUBMIT.len()), (28, 3, 8));
+        assert_eq!((RUN.len(), SERVE.len(), SUBMIT.len()), (28, 3, 7));
     }
 
     /// A change to the help text shows up in review as a diff of the golden.

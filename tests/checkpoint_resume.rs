@@ -160,7 +160,7 @@ fn corrupted_checkpoint_fails_with_a_clear_error() {
     assert!(err.contains("JSON"), "unhelpful truncation error: {err}");
 
     // Arbitrary corruption of the schema tag.
-    let wrong_schema = text.replace("ddosim.checkpoint/1", "ddosim.checkpoint/9");
+    let wrong_schema = text.replace(ddosim::CHECKPOINT_SCHEMA, "ddosim.checkpoint/9");
     let err = parse_err(&wrong_schema, "wrong schema accepted");
     assert!(err.contains("schema"), "unhelpful schema error: {err}");
 

@@ -3,9 +3,10 @@
 //! files) and `djson` under them survive hostile input.
 //!
 //! Seeds are the 13 checked-in `plans/*` and one each of a checkpoint, a
-//! suffix plan, a fault plan, a configuration document, a `serve`
-//! submit line and a recorder event, all printed by the product. Three
-//! properties:
+//! suffix plan, a fault plan, a world document, a recorder event and two
+//! `serve` submit lines (a checked-in plan, and a world document's
+//! `world`/`attack`/`faults` submitted as a plan), all printed by the
+//! product. Three properties:
 //!
 //! * a mutated seed — a key deleted, renamed or duplicated; a value
 //!   replaced by a wrong-typed, negative, huge or empty one; the text
@@ -14,7 +15,7 @@
 //! * every `Err` says where: a byte offset, a member path or a quoted name;
 //! * print ∘ parse ∘ print is the identity on every unmutated seed.
 
-use ddosim::checkpoint::{config_from_json, config_to_json};
+use ddosim::world;
 use ddosim::scenario::{ScenarioPlan, SweepGridPlan};
 use ddosim::serve::protocol::parse_request;
 use ddosim::serve::SubmitOptions;
@@ -29,13 +30,16 @@ use std::sync::OnceLock;
 use std::time::Duration;
 use telemetry::{Category, Event};
 
-/// A `ddosim.checkpoint/1` file first written by a build of the commit
-/// before the one reader, rewritten by the build whose event queue
+/// A checkpoint file first written by a build of the commit before the
+/// one reader, rewritten by the build whose event queue
 /// stopped recording its sweeps (which changed its `events_recorded`,
-/// 664 → 648, and its `netsim.stats` digest, nothing else), and again by
+/// 664 → 648, and its `netsim.stats` digest, nothing else), again by
 /// the build whose recorder stopped recording packets (`events_recorded`
-/// 648 → 118, nothing else). Each build writes its own version, byte for
-/// byte, with
+/// 648 → 118, nothing else), and again by the build whose `config` became
+/// the world document (`crates/core/src/world.rs`: the configuration's
+/// spelling and the schema tag, `ddosim.checkpoint/1` → `/2`, no digest or
+/// count). Each build writes its own version, byte
+/// for byte, with
 ///
 /// ```text
 /// ddosim --devs 6 --attack-at 20 --duration 15 --sim-time 45 --seed 7 \
@@ -67,7 +71,7 @@ const PARSERS: [Parser; 9] = [
     ("checkpoint", |t| Checkpoint::parse(t).map(drop).map_err(String::from)),
     ("config", |t| {
         let json = Json::parse(t).map_err(|e| e.to_string())?;
-        config_from_json(&json).map(drop).map_err(String::from)
+        world::from_json(&json).map(drop).map_err(String::from)
     }),
     ("serve", |t| parse_request(t).map(drop)),
     ("event", |t| {
@@ -158,7 +162,7 @@ fn seeds() -> &'static [(Parser, String)] {
         seeds.push((parser("checkpoint"), PARENT_CHECKPOINT.trim_end().to_owned()));
         seeds.push((parser("suffix"), suffixes.to_string_pretty()));
         seeds.push((parser("faults"), busy_faults().to_doc()));
-        seeds.push((parser("config"), config_to_json(&busy_config()).to_string_pretty()));
+        seeds.push((parser("config"), world::to_json(&busy_config()).to_string_pretty()));
         let plan = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/plans/layered_defense.scenario.json"
@@ -174,10 +178,16 @@ fn seeds() -> &'static [(Parser, String)] {
                 ..SubmitOptions::default()
             }),
         ));
+        let Json::Obj(members) = world::to_json(&busy_config()) else { unreachable!() };
+        let mut busy_plan = vec![
+            ("schema".to_owned(), Json::Str("ddosim.scenario/1".to_owned())),
+            ("name".to_owned(), Json::Str("busy".to_owned())),
+        ];
+        busy_plan.extend(members.into_iter().take(3));
         seeds.push((
             parser("serve"),
             submit_line(SubmitOptions {
-                config: Some(config_to_json(&busy_config()).to_string_compact()),
+                scenario: Some(Json::Obj(busy_plan).to_string_compact()),
                 ..SubmitOptions::default()
             }),
         ));
@@ -400,7 +410,7 @@ fn print_parse_print_is_the_identity_on_every_seed() {
             "checkpoint" => Checkpoint::parse(text).expect("parses").to_string_pretty(),
             "suffix" => SuffixPlan::parse(text).expect("parses").to_string_pretty(),
             "faults" => FaultPlan::parse_plan(text).expect("parses").to_doc(),
-            "config" => config_to_json(&config_from_json(&json).expect("parses")).to_string_pretty(),
+            "config" => world::to_json(&world::from_json(&json).expect("parses")).to_string_pretty(),
             // Scenario, grid and request documents are only ever read.
             _ => continue,
         };
@@ -411,8 +421,8 @@ fn print_parse_print_is_the_identity_on_every_seed() {
     assert_eq!(FaultPlan::from_json(&plan.to_json()).expect("parses"), plan);
 }
 
-/// A checkpoint written before the one reader still parses, reprints to
-/// the same bytes and resumes: the verified re-run reaches the snapshot
+/// The checkpoint fixture still parses, reprints to the same bytes and
+/// resumes: the verified re-run reaches the snapshot
 /// with every layer digest matching, then runs on to the horizon.
 #[test]
 fn a_checkpoint_written_by_the_parent_commit_still_parses_and_resumes() {
@@ -424,4 +434,14 @@ fn a_checkpoint_written_by_the_parent_commit_still_parses_and_resumes() {
     let result = world.run_to_completion();
     assert_eq!((result.devs, result.infected), (6, 6));
     assert_eq!(result.flood_packets_received, 532, "what the parent's own resume printed");
+}
+
+/// A checkpoint written before the world document carries the old tag and
+/// is refused by it, not by whichever member its old spelling trips first.
+#[test]
+fn a_checkpoint_of_the_old_schema_is_refused_as_a_schema_mismatch() {
+    let old = PARENT_CHECKPOINT.replace(ddosim::CHECKPOINT_SCHEMA, "ddosim.checkpoint/1");
+    let err = Checkpoint::parse(&old).expect_err("the old tag is refused").to_string();
+    let expected = "unsupported checkpoint schema 'ddosim.checkpoint/1' (expected 'ddosim.checkpoint/2')";
+    assert!(err.contains(expected), "got: {err}");
 }
