@@ -22,6 +22,7 @@ use protocols::{mirai_dictionary, DNS_PORT};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, SocketAddr};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 use tinyvm::catalog;
@@ -488,6 +489,10 @@ impl<'c> Site<'c> {
     }
 }
 
+/// Every Dev the reconciler checks, with its two addresses: one list,
+/// shared by every tick (a fork shares one translated copy).
+type ReconcileList = Rc<[(ContainerHandle, IpAddr, IpAddr)]>;
+
 /// Stage 7, after the fault plan: the attacker-operator reconciliation
 /// loop. Every 10 s until the attack ends, devices whose bot is gone get
 /// their "exploited" mark cleared so the exploit exchange restarts (covers
@@ -496,7 +501,7 @@ fn schedule_reconciler(sim: &mut Simulator, h: &Handles, config: &SimulationConf
     let (Some(dns), Some(dhcp)) = (h.dns_server, h.dhcp_injector) else {
         return;
     };
-    let devs: Vec<(ContainerHandle, IpAddr, IpAddr)> = h
+    let devs: ReconcileList = h
         .devs
         .iter()
         .map(|d| (d.container.clone(), d.addr_v4, d.addr_v6))
@@ -513,19 +518,16 @@ fn schedule_reconciler(sim: &mut Simulator, h: &Handles, config: &SimulationConf
         sim.schedule_forkable_call(
             SimTime::ZERO + t,
             "attacker.reconcile",
-            (dns, dhcp, devs.clone()),
+            (dns, dhcp, Rc::clone(&devs)),
             reconcile_tick,
         );
         t += Duration::from_secs(10);
     }
 }
 
-fn reconcile_tick(
-    sim: &mut Simulator,
-    data: (AppId, AppId, Vec<(ContainerHandle, IpAddr, IpAddr)>),
-) {
+fn reconcile_tick(sim: &mut Simulator, data: (AppId, AppId, ReconcileList)) {
     let (dns, dhcp, devs) = data;
-    for (container, v4, v6) in &devs {
+    for (container, v4, v6) in devs.iter() {
         if !container.bot_alive() {
             if let Some(srv) = sim.app_mut::<MaliciousDnsServer>(dns) {
                 srv.forget(*v4);

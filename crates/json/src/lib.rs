@@ -20,6 +20,7 @@ mod cursor;
 pub use cursor::{checked_secs, Fields, PlanError, Read, Val};
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,7 +153,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -165,9 +166,9 @@ fn write_f64(v: f64, out: &mut String) {
         // Shortest round-trip formatting; integral floats keep a ".0" so
         // the parser can preserve the float/int distinction.
         if v == v.trunc() && v.abs() < 1e15 {
-            out.push_str(&format!("{v:.1}"));
+            let _ = write!(out, "{v:.1}");
         } else {
-            out.push_str(&format!("{v}"));
+            let _ = write!(out, "{v}");
         }
     } else {
         // JSON has no NaN/inf; encode as null like serde_json does.
@@ -179,8 +180,12 @@ fn write_compact(v: &Json, out: &mut String) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::U64(n) => out.push_str(&n.to_string()),
-        Json::I64(n) => out.push_str(&n.to_string()),
+        Json::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Json::I64(n) => {
+            let _ = write!(out, "{n}");
+        }
         Json::F64(n) => write_f64(*n, out),
         Json::Str(s) => write_escaped(s, out),
         Json::Arr(items) => {

@@ -1,6 +1,6 @@
-//! The simulator's event queue: a bucketed calendar queue whose drained
-//! bucket is a sorted run, with one heap for every event outside the
-//! wheel's window.
+//! The simulator's event queue: a two-level hierarchical timing wheel
+//! whose drained bucket is a sorted run, with one heap for what neither
+//! level can hold.
 //!
 //! # Why not a plain `BinaryHeap`
 //!
@@ -10,24 +10,29 @@
 //! large botnet scenario produces (as the whole queue it read +70 % `wall_s`
 //! on `flood_star`: EXPERIMENTS.md "Closing the queue question"). Most
 //! events, however, are scheduled a short, bounded time into the future
-//! (transmission completions, MAC slots, per-packet timers), which is the
-//! access pattern calendar queues exploit:
+//! (transmission completions, MAC slots, per-packet timers), and nearly all
+//! of the rest a bounded few seconds ahead (retransmission timeouts, flood
+//! ticks, C&C pings, churn timers), which is the access pattern timing
+//! wheels exploit (Varghese & Lauck's hierarchical wheel):
 //!
-//! * a ring of [`NUM_BUCKETS`] buckets, each spanning [`BUCKET_SPAN_NANOS`]
-//!   nanoseconds, covers the near future — pushes into the wheel are a plain
-//!   `Vec::push`, `O(1)` and cache-friendly;
+//! * **level 0**, a ring of [`NUM_BUCKETS`] buckets, each spanning
+//!   [`BUCKET_SPAN_NANOS`] nanoseconds, holds the ≈ 67 ms from the cursor
+//!   on — pushes are a plain `Vec::push`, `O(1)` and cache-friendly;
 //! * when the cursor reaches a bucket its events become the **run**: sorted
 //!   once by `(time, seq)`, popped from one end, never inserted into — one
-//!   small sort and `O(1)` pops where a heap would sift every event twice
-//!   (61–98 % of a benchmark workload's events come this way, 2–6 a bucket);
-//! * one **heap** holds everything outside the wheel's window: a push below
-//!   the cursor (into the span of the bucket being consumed — so a dense
-//!   burst stays `O(log n)` an event; binary-inserting these into the run
-//!   was measured, EXPERIMENTS.md "Where a flood packet's time goes": a
-//!   link-saturation replay fell 64 %) and a push beyond the wheel horizon
-//!   (long RTOs, churn timers). `peek_key`/`pop` take the smaller of the
-//!   run's head and the heap's, so an event never moves between regions
-//!   once pushed.
+//!   small sort and `O(1)` pops where a heap would sift every event twice;
+//! * **level 1**, a ring of [`NUM_SLOTS`] slots, each spanning
+//!   [`SLOT_SPAN_NANOS`] (one whole level 0, ≈ 67 ms), holds what lies
+//!   beyond level 0, up to ≈ 68.7 s past the end of the cursor's slot.
+//!   Pushes are `O(1)` too; when the cursor enters a slot, its events
+//!   **cascade** into level-0 buckets, each event once;
+//! * one **heap** holds the rest: a push below the cursor (into the span
+//!   of the bucket being consumed — so a dense burst stays `O(log n)` an
+//!   event; binary-inserting these into the run was measured,
+//!   EXPERIMENTS.md "Where a flood packet's time goes": a link-saturation
+//!   replay fell 64 %) and a push beyond level 1's horizon.
+//!   `peek_key`/`pop` take the smaller of the run's head and the heap's,
+//!   so a heap event never moves once pushed.
 //!
 //! # Determinism
 //!
@@ -36,22 +41,53 @@
 //! events at the same tick therefore pop in the order they were scheduled —
 //! the invariant the replaced `BinaryHeap<Reverse<Entry>>` provided and the
 //! property tests in `tests/queue_equivalence.rs` lock in: for any schedule
-//! (including same-tick ties and pushes interleaved with pops), the calendar
-//! queue pops in exactly the order of a plain binary heap over `(time, seq)`,
+//! (including same-tick ties and pushes interleaved with pops), the wheel
+//! pops in exactly the order of a plain binary heap over `(time, seq)`,
 //! the reference model that test keeps.
 //!
-//! Structural invariant: wheel events are `>= bucket_base`, run events
-//! `< bucket_base`, heap events anywhere. `settle` stops as soon as the run
-//! is non-empty or the heap's minimum is below `bucket_base`: every wheel
-//! event then sorts after one of the two heads, so the smaller head is the
-//! global minimum. Otherwise it drains the next non-empty bucket into the
-//! run. `bucket_base` is always a bucket-span multiple and only advances.
+//! Structural invariant: level-0 events lie in
+//! `[bucket_base, bucket_base + SLOT_SPAN_NANOS)`, level-1 events in
+//! `[bucket_base + SLOT_SPAN_NANOS, slot_base + NUM_SLOTS · SLOT_SPAN_NANOS)`,
+//! run events below `bucket_base`, heap events anywhere; `slot_base` is
+//! the end of the slot that holds `bucket_base`. Buckets and slots are
+//! indexed by absolute time (`time >> 16` and `time >> 26`, modulo 1024),
+//! so a window that moves never re-files what it holds. `settle` stops as
+//! soon as the run is non-empty or the heap's minimum is below
+//! `bucket_base`: every wheel event then sorts after one of the two heads,
+//! so the smaller head is the global minimum. Otherwise it drains the next
+//! non-empty bucket into the run. A slot is cascaded when the cursor
+//! enters it, before any bucket of it is drained: level 0 may already hold
+//! the slot's early part, and what level 1 holds of the slot, pushed when
+//! that part was further off, can sort before a bucket pushed since. The
+//! cursor never passes a non-empty slot, so a cascade always takes exactly
+//! the slot the cursor enters.
+//! `bucket_base` is always a bucket-span multiple (or saturated at
+//! `u64::MAX`) and only advances.
 //!
-//! Placement rule: when the wheel is empty, `settle` moves the cursor just
-//! past the heap's minimum rather than leaving it behind. Order does not
-//! need it; speed does — what is scheduled a few ms after that event then
-//! lands in the wheel, not the heap (without it `flood_star` read 0.43 →
-//! 0.70 s). `wheel_empty_move_keeps_near_pushes_in_the_wheel` pins it.
+//! Placement rule: when level 0 is empty, `settle` moves the cursor to the
+//! earlier of two points, the start of the next non-empty slot (which
+//! cascades) or just past the heap's minimum, rather than leaving it
+//! behind. Order needs neither; speed does — what is scheduled a few ms
+//! after that event then lands in level 0, and what is scheduled seconds
+//! after it in level 1, not the heap (without the move `flood_star` read
+//! 0.43 → 0.70 s). `wheel_empty_move_keeps_near_pushes_in_the_wheel` and
+//! `timers_of_a_quarter_to_a_whole_second_land_in_level_one` pin it.
+//!
+//! # Buffers
+//!
+//! What the queue holds is bounded by what is pending, not by its history.
+//! Level 1 keeps its events in `CHUNK`-event chunks of one arena: a
+//! cascaded slot's chunks go to a free list that any slot reuses, so the
+//! arena grows like a heap's buffer, to the most events level 1 ever held
+//! at once. (A buffer per slot, dropped on each cascade, read +2 MB peak
+//! RSS on `http_recorded`; one kept by every slot grows with the busiest
+//! turn of each of 1024 slots.) Level 1 is not allocated until its first
+//! push, so a world that never schedules past 67 ms — and a fork of one —
+//! pays nothing for it. A drained bucket gives its buffer back when the
+//! buffer could hold more than twice what the bucket just held (and more
+//! than `2 * BUCKET_KEEP`): a cascade or an idle world's first burst can
+//! drop thousands of events into one bucket, and a bucket that kept its
+//! largest turn would keep it for the rest of the run.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -59,12 +95,59 @@ use std::collections::BinaryHeap;
 
 /// log2 of the bucket width: buckets span 2^16 ns ≈ 65.5 µs.
 const BUCKET_BITS: u32 = 16;
-/// Width of one calendar bucket in nanoseconds.
+/// Width of one level-0 bucket in nanoseconds.
 pub const BUCKET_SPAN_NANOS: u64 = 1 << BUCKET_BITS;
-/// Number of buckets in the ring (must stay a power of two); the wheel
-/// covers ≈ 67 ms of near future.
+/// Number of buckets in level 0 (must stay a power of two); together they
+/// span exactly one level-1 slot, ≈ 67 ms.
 pub const NUM_BUCKETS: usize = 1024;
 const BUCKET_MASK: usize = NUM_BUCKETS - 1;
+/// log2 of the slot width: a slot spans all of level 0, 2^26 ns.
+const SLOT_BITS: u32 = BUCKET_BITS + NUM_BUCKETS.trailing_zeros();
+/// Width of one level-1 slot in nanoseconds (≈ 67.1 ms).
+pub const SLOT_SPAN_NANOS: u64 = 1 << SLOT_BITS;
+/// Number of slots in level 1 (must stay a power of two); level 1 covers
+/// the ≈ 68.7 s after the current slot.
+pub const NUM_SLOTS: usize = 1024;
+const SLOT_MASK: usize = NUM_SLOTS - 1;
+/// How far level 1 reaches past `slot_base`.
+const LEVEL1_SPAN_NANOS: u64 = SLOT_SPAN_NANOS * NUM_SLOTS as u64;
+/// `u64` words of the level-0 occupancy bitmap.
+const BUCKET_WORDS: usize = NUM_BUCKETS / 64;
+/// `u64` words of the level-1 occupancy bitmap.
+const SLOT_WORDS: usize = NUM_SLOTS / 64;
+/// Events per level-1 chunk.
+const CHUNK: usize = 4;
+/// A drained bucket keeps its buffer unless that could hold more than
+/// twice this many events and more than twice what the bucket just held.
+const BUCKET_KEEP: usize = 16;
+/// The end of a chunk list.
+const NO_CHUNK: u32 = u32::MAX;
+
+fn bucket_index(nanos: u64) -> usize {
+    (nanos >> BUCKET_BITS) as usize & BUCKET_MASK
+}
+
+fn slot_index(nanos: u64) -> usize {
+    (nanos >> SLOT_BITS) as usize & SLOT_MASK
+}
+
+/// Index of the first set bit of `words` at or after bit `from`.
+fn first_set(words: &[u64], from: usize) -> Option<usize> {
+    let mut word = from / 64;
+    let mut bits = words.get(word)? & (u64::MAX << (from % 64));
+    while bits == 0 {
+        word += 1;
+        bits = *words.get(word)?;
+    }
+    Some(word * 64 + bits.trailing_zeros() as usize)
+}
+
+/// Files `e` into its level-0 bucket.
+fn push_bucket<T>(buckets: &mut [Vec<Keyed<T>>], filled: &mut [u64; BUCKET_WORDS], e: Keyed<T>) {
+    let index = bucket_index(e.time_nanos);
+    buckets[index].push(e);
+    filled[index / 64] |= 1 << (index % 64);
+}
 
 /// An event plus its total-order key. Ordering ignores the payload.
 struct Keyed<T> {
@@ -113,19 +196,160 @@ pub trait TimeOrderedQueue<T> {
     }
 }
 
-/// The production event queue: calendar wheel + sorted run + one heap.
+/// One level-1 slot: a list of chunks, filled in order.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot { head: NO_CHUNK, tail: NO_CHUNK, len: 0 };
+
+/// Level 1's storage: every slot's events in fixed-size chunks of one
+/// arena, so level 1 holds one buffer that grows like a heap's and is
+/// reused chunk by chunk, whichever slots are busy.
+struct Slots<T> {
+    /// Chunk `c` is `chunks[c * CHUNK..][..CHUNK]`; a free chunk and the
+    /// unfilled end of a slot's last chunk hold `None`.
+    chunks: Vec<Option<Keyed<T>>>,
+    /// The chunk after `c` in its slot's list, or in the free list.
+    next: Vec<u32>,
+    /// Head of the free-chunk list.
+    free: u32,
+    /// `NUM_SLOTS` slots, or none before the first push.
+    slots: Vec<Slot>,
+    /// Bit `i` is set iff `slots[i]` is non-empty.
+    occupied: [u64; SLOT_WORDS],
+    /// Events in all slots.
+    len: usize,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            chunks: Vec::new(),
+            next: Vec::new(),
+            free: NO_CHUNK,
+            slots: Vec::new(),
+            occupied: [0; SLOT_WORDS],
+            len: 0,
+        }
+    }
+}
+
+impl<T> Slots<T> {
+    /// Files an event into its slot.
+    fn push(&mut self, e: Keyed<T>) {
+        if self.slots.is_empty() {
+            self.slots = vec![EMPTY_SLOT; NUM_SLOTS];
+        }
+        let index = slot_index(e.time_nanos);
+        let at = self.slots[index].len as usize % CHUNK;
+        if at == 0 {
+            let chunk = self.new_chunk();
+            let slot = &mut self.slots[index];
+            match slot.tail {
+                NO_CHUNK => slot.head = chunk,
+                tail => self.next[tail as usize] = chunk,
+            }
+            slot.tail = chunk;
+        }
+        let slot = &mut self.slots[index];
+        self.chunks[slot.tail as usize * CHUNK + at] = Some(e);
+        slot.len += 1;
+        self.occupied[index / 64] |= 1 << (index % 64);
+        self.len += 1;
+    }
+
+    /// A chunk from the free list, or a new one at the arena's end.
+    fn new_chunk(&mut self) -> u32 {
+        let chunk = match self.free {
+            NO_CHUNK => {
+                self.chunks.resize_with(self.chunks.len() + CHUNK, || None);
+                self.next.push(NO_CHUNK);
+                u32::try_from(self.next.len() - 1).expect("fewer than 2^32 chunks")
+            }
+            free => {
+                self.free = self.next[free as usize];
+                free
+            }
+        };
+        self.next[chunk as usize] = NO_CHUNK;
+        chunk
+    }
+
+    /// Empties slot `index` through `f`, in push order, freeing its
+    /// chunks. Returns how many events it held.
+    fn cascade(&mut self, index: usize, mut f: impl FnMut(Keyed<T>)) -> usize {
+        let Some(slot) = self.slots.get_mut(index) else {
+            return 0;
+        };
+        let Slot { head, len, .. } = std::mem::replace(slot, EMPTY_SLOT);
+        self.occupied[index / 64] &= !(1 << (index % 64));
+        self.len -= len as usize;
+        let (mut chunk, mut left) = (head, len as usize);
+        while left > 0 {
+            let entries = &mut self.chunks[chunk as usize * CHUNK..][..left.min(CHUNK)];
+            for e in entries {
+                f(e.take().expect("a slot's chunks are filled in order"));
+            }
+            left = left.saturating_sub(CHUNK);
+            let next = self.next[chunk as usize];
+            self.next[chunk as usize] = self.free;
+            self.free = chunk;
+            chunk = next;
+        }
+        len as usize
+    }
+
+    /// A copy holding the same events in the same slots, in the same
+    /// order within each, packed into as few chunks as that takes.
+    fn clone_with(&self, mut f: impl FnMut(&Keyed<T>) -> Keyed<T>) -> Self {
+        let mut clone = Slots::default();
+        for slot in &self.slots {
+            let (mut chunk, mut left) = (slot.head, slot.len as usize);
+            while left > 0 {
+                for e in self.chunks[chunk as usize * CHUNK..][..left.min(CHUNK)].iter().flatten() {
+                    clone.push(f(e));
+                }
+                left = left.saturating_sub(CHUNK);
+                chunk = self.next[chunk as usize];
+            }
+        }
+        clone
+    }
+
+    /// Start of the first non-empty slot at or after `base`, the start of
+    /// level 1. The ring wraps: the slots below `base`'s index come last.
+    fn next_start(&self, base: u64) -> Option<u64> {
+        let first = slot_index(base);
+        let index = first_set(&self.occupied, first).or_else(|| first_set(&self.occupied, 0))?;
+        let ahead = index.wrapping_sub(first) & SLOT_MASK;
+        Some(base + ahead as u64 * SLOT_SPAN_NANOS)
+    }
+}
+
+/// The production event queue: two wheel levels + sorted run + one heap.
 pub struct EventQueue<T> {
     /// The last drained bucket, sorted *descending* by `(time, seq)` so that
     /// `Vec::pop` yields its minimum; never inserted into.
     run: Vec<Keyed<T>>,
-    /// Ring of near-future buckets; `buckets[head]` starts at `bucket_base`.
+    /// Level 0: `buckets[bucket_index(t)]` holds the events at `t` in
+    /// `[bucket_base, bucket_base + SLOT_SPAN_NANOS)`.
     buckets: Vec<Vec<Keyed<T>>>,
-    head: usize,
-    /// Start (nanos) of the bucket at `head`; multiple of the bucket span.
+    /// Start (nanos) of the bucket at the cursor; multiple of the bucket span.
     bucket_base: u64,
-    /// Total events currently in `buckets`.
-    wheel_len: usize,
-    /// Events pushed below `bucket_base` or beyond the wheel horizon.
+    /// Events currently in `buckets`.
+    buckets_len: usize,
+    /// Bit `i` is set iff `buckets[i]` is non-empty.
+    filled: [u64; BUCKET_WORDS],
+    /// Level 1: the events at `t` past level 0 and before
+    /// `slot_base + LEVEL1_SPAN_NANOS`, by `slot_index(t)`.
+    slots: Slots<T>,
+    /// End (nanos) of the slot holding `bucket_base`: where level 1 starts.
+    slot_base: u64,
+    /// Events pushed below `bucket_base` or beyond level 1's horizon.
     heap: BinaryHeap<Reverse<Keyed<T>>>,
     len: usize,
     peak_len: usize,
@@ -155,9 +379,11 @@ impl<T> EventQueue<T> {
         EventQueue {
             run: Vec::new(),
             buckets,
-            head: 0,
             bucket_base: 0,
-            wheel_len: 0,
+            buckets_len: 0,
+            filled: [0; BUCKET_WORDS],
+            slots: Slots::default(),
+            slot_base: SLOT_SPAN_NANOS,
             heap: BinaryHeap::new(),
             len: 0,
             peak_len: 0,
@@ -170,46 +396,66 @@ impl<T> EventQueue<T> {
     }
 
     /// Visits every pending entry as `(time_nanos, seq, &item)`, in
-    /// arbitrary order (run, wheel buckets, then the heap).
+    /// arbitrary order (run, level 0, level 1, then the heap).
     /// Checkpoint digests collect the entries and sort by `(time, seq)`;
     /// the queue's own pop order is never derived from this.
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, u64, &T)) {
+        let slots = self.slots.chunks.iter().flatten();
         let heap = self.heap.iter().map(|Reverse(e)| e);
-        for e in self.run.iter().chain(self.buckets.iter().flatten()).chain(heap) {
+        for e in self.run.iter().chain(self.buckets.iter().flatten()).chain(slots).chain(heap) {
             f(e.time_nanos, e.seq, &e.item);
         }
     }
 
     /// Structural clone: maps every pending item through `f`, keeping the
-    /// cursor (`head`, `bucket_base`), the run, per-bucket placement and
-    /// `peak_len` exactly, so the fork's future pushes land where the
-    /// parent's would.
+    /// cursor (`bucket_base`, `slot_base`), the run, per-bucket and per-slot
+    /// placement and `peak_len` exactly, so the fork's future pushes land
+    /// where the parent's would.
     pub fn clone_with(&self, mut f: impl FnMut(&T) -> T) -> Self {
         let mut clone_keyed = |e: &Keyed<T>| Keyed {
             time_nanos: e.time_nanos,
             seq: e.seq,
             item: f(&e.item),
         };
-        // The heap's internal arrangement after re-pushing may differ from
-        // the parent's, but keys are unique (the simulator never reuses a
-        // seq), so pop order — the only observable — is identical.
-        let run = self.run.iter().map(&mut clone_keyed).collect();
         let buckets = self
             .buckets
             .iter()
             .map(|bucket| bucket.iter().map(&mut clone_keyed).collect())
             .collect();
+        let slots = self.slots.clone_with(&mut clone_keyed);
+        // The heap's internal arrangement after re-pushing may differ from
+        // the parent's, but keys are unique (the simulator never reuses a
+        // seq), so pop order — the only observable — is identical.
+        let run = self.run.iter().map(&mut clone_keyed).collect();
         let heap = self.heap.iter().map(|Reverse(e)| Reverse(clone_keyed(e))).collect();
         EventQueue {
             run,
             buckets,
-            head: self.head,
             bucket_base: self.bucket_base,
-            wheel_len: self.wheel_len,
+            buckets_len: self.buckets_len,
+            filled: self.filled,
+            slots,
+            slot_base: self.slot_base,
             heap,
             len: self.len,
             peak_len: self.peak_len,
         }
+    }
+
+    /// Moves the cursor forward to `base`. Crossing into a later slot
+    /// cascades that slot into buckets; the slots in between must be empty.
+    fn advance_to(&mut self, base: u64) {
+        self.bucket_base = base;
+        if base < self.slot_base {
+            return;
+        }
+        let slot_start = base & !(SLOT_SPAN_NANOS - 1);
+        self.slot_base = slot_start.saturating_add(SLOT_SPAN_NANOS);
+        let (buckets, filled, slot_base) = (&mut self.buckets, &mut self.filled, self.slot_base);
+        self.buckets_len += self.slots.cascade(slot_index(slot_start), |e| {
+            debug_assert!(e.time_nanos >= base && e.time_nanos < slot_base);
+            push_bucket(buckets, filled, e);
+        });
     }
 
     /// Makes the smaller of the run's head and the heap's the global
@@ -219,32 +465,47 @@ impl<T> EventQueue<T> {
         if !self.run.is_empty() || heap_min.is_some_and(|t| t < self.bucket_base) {
             return true;
         }
-        if self.wheel_len == 0 {
-            // The placement rule. A `bucket_base` saturated at u64::MAX may
-            // not pass the minimum; it is still the smallest event left.
-            let Some(min) = heap_min else {
-                return false;
-            };
-            self.bucket_base = (min & !(BUCKET_SPAN_NANOS - 1)).saturating_add(BUCKET_SPAN_NANOS);
-            return true;
-        }
-        // Advance the cursor to the next populated bucket and make it the
-        // run (copied: the bucket keeps its own buffer). Bounded by
-        // NUM_BUCKETS steps.
-        loop {
-            let bucket = &mut self.buckets[self.head];
-            let drained = !bucket.is_empty();
-            if drained {
-                self.wheel_len -= bucket.len();
-                self.run.append(bucket);
-                self.run.sort_unstable_by(|a, b| b.cmp(a));
-            }
-            self.head = (self.head + 1) & BUCKET_MASK;
-            self.bucket_base = self.bucket_base.saturating_add(BUCKET_SPAN_NANOS);
-            if drained {
-                return true;
+        if self.buckets_len == 0 {
+            // The placement rule: the earlier of the next non-empty slot
+            // and just past the heap's minimum. A `bucket_base` saturated
+            // at u64::MAX may not pass the minimum; it is still the
+            // smallest event left.
+            match (self.slots.next_start(self.slot_base), heap_min) {
+                (None, None) => return false,
+                (Some(slot), None) => self.advance_to(slot),
+                (Some(slot), Some(min)) if min >= slot => self.advance_to(slot),
+                (_, Some(min)) => {
+                    let past = (min & !(BUCKET_SPAN_NANOS - 1)).saturating_add(BUCKET_SPAN_NANOS);
+                    self.advance_to(past);
+                    return true;
+                }
             }
         }
+        // Make the next populated bucket the run (copied: the bucket keeps
+        // its buffer unless it is far larger than what it held) and move
+        // the cursor past it. Bits from the cursor's index up are the rest
+        // of its slot; the bits below it, the next slot.
+        let index = match first_set(&self.filled, bucket_index(self.bucket_base)) {
+            Some(index) => index,
+            None => {
+                // What level 0 holds lies in the next slot: enter it, and
+                // cascade it, before draining any of it.
+                self.advance_to(self.slot_base);
+                first_set(&self.filled, 0).expect("level 0 holds an event")
+            }
+        };
+        self.filled[index / 64] &= !(1 << (index % 64));
+        let bucket = &mut self.buckets[index];
+        let held = bucket.len();
+        self.buckets_len -= held;
+        self.run.append(bucket);
+        if bucket.capacity() > 2 * held.max(BUCKET_KEEP) {
+            *bucket = Vec::new();
+        }
+        self.run.sort_unstable_by(|a, b| b.cmp(a));
+        let start = (self.bucket_base & !(SLOT_SPAN_NANOS - 1)) + index as u64 * BUCKET_SPAN_NANOS;
+        self.advance_to(start.saturating_add(BUCKET_SPAN_NANOS));
+        true
     }
 
     /// Whether the run's head sorts before the heap's (keys are unique).
@@ -259,13 +520,14 @@ impl<T> EventQueue<T> {
 impl<T> TimeOrderedQueue<T> for EventQueue<T> {
     fn push(&mut self, time: SimTime, seq: u64, item: T) {
         let e = Keyed { time_nanos: time.as_nanos(), seq, item };
-        let offset = e.time_nanos.checked_sub(self.bucket_base).map(|d| d >> BUCKET_BITS);
-        match offset {
-            Some(offset) if offset < NUM_BUCKETS as u64 => {
-                self.buckets[(self.head + offset as usize) & BUCKET_MASK].push(e);
-                self.wheel_len += 1;
-            }
-            _ => self.heap.push(Reverse(e)),
+        let t = e.time_nanos;
+        if t >= self.bucket_base && t < self.bucket_base.saturating_add(SLOT_SPAN_NANOS) {
+            push_bucket(&mut self.buckets, &mut self.filled, e);
+            self.buckets_len += 1;
+        } else if t >= self.slot_base && t < self.slot_base.saturating_add(LEVEL1_SPAN_NANOS) {
+            self.slots.push(e);
+        } else {
+            self.heap.push(Reverse(e));
         }
         self.len += 1;
         if self.len > self.peak_len {
@@ -328,18 +590,21 @@ mod tests {
     }
 
     #[test]
-    fn spans_buckets_and_heap() {
+    fn spans_buckets_slots_and_heap() {
         let mut q = EventQueue::new();
-        // One event per region: run (once the cursor reaches it), wheel, heap.
-        let far = BUCKET_SPAN_NANOS * (NUM_BUCKETS as u64) * 3 + 17;
+        // One event per region: run (once the cursor reaches it), level 0,
+        // level 1, heap.
+        let slot = SLOT_SPAN_NANOS * 3 + 17;
+        let far = LEVEL1_SPAN_NANOS * 3 + 17;
         q.push(SimTime::from_nanos(far), 0, 0u32);
-        q.push(SimTime::from_nanos(5), 1, 1);
-        q.push(SimTime::from_nanos(BUCKET_SPAN_NANOS * 4 + 3), 2, 2);
-        assert_eq!(q.len(), 3);
+        q.push(SimTime::from_nanos(slot), 1, 1);
+        q.push(SimTime::from_nanos(5), 2, 2);
+        q.push(SimTime::from_nanos(BUCKET_SPAN_NANOS * 4 + 3), 3, 3);
+        assert_eq!((q.len(), q.buckets_len, q.slots.len, q.heap.len()), (4, 2, 1, 1));
         let popped = drain(&mut q);
         assert_eq!(
             popped,
-            vec![(5, 1, 1), (BUCKET_SPAN_NANOS * 4 + 3, 2, 2), (far, 0, 0)]
+            vec![(5, 2, 2), (BUCKET_SPAN_NANOS * 4 + 3, 3, 3), (slot, 1, 1), (far, 0, 0)]
         );
         assert!(q.is_empty());
     }
@@ -360,20 +625,16 @@ mod tests {
     #[test]
     fn far_events_pop_in_order() {
         let mut q = EventQueue::new();
-        let span = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64;
-        // All far beyond the initial wheel horizon, in reverse order.
-        for (i, t) in [span * 9 + 100, span * 5 + 7, span * 5 + 3].iter().enumerate() {
+        // All beyond level 0 (three in level 1, two beyond its horizon), in
+        // reverse order.
+        let (span, level1) = (SLOT_SPAN_NANOS, LEVEL1_SPAN_NANOS);
+        let times = [level1 * 2 + 1, level1 + 9, span * 9 + 100, span * 5 + 7, span * 5 + 3];
+        for (i, t) in times.iter().enumerate() {
             q.push(SimTime::from_nanos(*t), i as u64, i as u32);
         }
         let popped = drain(&mut q);
-        assert_eq!(
-            popped,
-            vec![
-                (span * 5 + 3, 2, 2),
-                (span * 5 + 7, 1, 1),
-                (span * 9 + 100, 0, 0)
-            ]
-        );
+        let expected: Vec<_> = (0..5u32).rev().map(|i| (times[i as usize], u64::from(i), i)).collect();
+        assert_eq!(popped, expected);
     }
 
     #[test]
@@ -418,17 +679,19 @@ mod tests {
 
     #[test]
     fn overdue_overflow_pops_before_later_wheel_events() {
-        // Regression: X parks beyond the wheel horizon; the cursor moves on,
-        // so a later push Y > X fits the wheel; draining Y's bucket carries
-        // the cursor past X. X must still pop first.
-        let wheel_span = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64;
+        // Regression: X parks beyond level 1's horizon, in the heap; the
+        // cursor moves on, so a later push Y > X fits level 1; cascading
+        // and draining Y's slot carries the cursor past X. X must still
+        // pop first.
         let mut q = EventQueue::new();
-        let x = wheel_span + 5;
-        q.push(SimTime::from_nanos(x), 0, 0u32); // beyond horizon → heap
-        q.push(SimTime::from_nanos(BUCKET_SPAN_NANOS * 10), 1, 1);
+        let x = SLOT_SPAN_NANOS + LEVEL1_SPAN_NANOS + 5;
+        q.push(SimTime::from_nanos(x), 0, 0u32); // beyond the horizon → heap
+        q.push(SimTime::from_nanos(SLOT_SPAN_NANOS * 10), 1, 1);
+        assert_eq!(q.heap.len(), 1);
         assert_eq!(q.pop().map(|(.., v)| v), Some(1));
-        // The horizon is now 11 buckets further out: Y lands in the wheel.
+        // The horizon is now nine slots further out: Y lands in level 1.
         q.push(SimTime::from_nanos(x + BUCKET_SPAN_NANOS * 5), 2, 2);
+        assert_eq!(q.slots.len, 1);
         assert_eq!(q.pop().map(|(.., v)| v), Some(0), "X pops before Y");
         assert_eq!(q.pop().map(|(.., v)| v), Some(2));
     }
@@ -436,20 +699,24 @@ mod tests {
     #[test]
     fn clone_with_preserves_order_and_counters() {
         let mut q = EventQueue::new();
-        let far = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64 * 2;
-        for (seq, t) in [far, 5, BUCKET_SPAN_NANOS * 3, far + 9, 1].iter().enumerate() {
+        let slot = SLOT_SPAN_NANOS * 2;
+        let far = LEVEL1_SPAN_NANOS * 2;
+        for (seq, t) in [far, 5, BUCKET_SPAN_NANOS * 3, slot + 9, 1].iter().enumerate() {
             q.push(SimTime::from_nanos(*t), seq as u64, seq as u32);
         }
         // Pop a couple to advance the cursor, then push more so every region
-        // (heap below the cursor and beyond the horizon, wheel) is populated.
+        // (heap below the cursor and beyond the horizon, both levels) is
+        // populated.
         q.pop();
         q.pop();
         q.push(SimTime::from_nanos(2), 10, 10);
         q.push(SimTime::from_nanos(far * 3), 11, 11);
+        q.push(SimTime::from_nanos(slot * 7), 12, 12);
 
         let mut cloned = q.clone_with(|v| *v);
         assert_eq!(cloned.len(), q.len());
         assert_eq!(cloned.peak_len(), q.peak_len());
+        assert_eq!(cloned.slots.occupied, q.slots.occupied);
         assert_eq!(drain(&mut cloned), drain(&mut q));
     }
 
@@ -457,16 +724,38 @@ mod tests {
     fn wheel_empty_move_keeps_near_pushes_in_the_wheel() {
         // A far event pops from an otherwise empty queue — an idle world's
         // next churn timer. What it schedules a few ms later must land in
-        // the wheel: left at zero, the cursor would send it to the heap.
+        // level 0: left at zero, the cursor would send it to the heap.
         let mut q = EventQueue::new();
-        let far = BUCKET_SPAN_NANOS * NUM_BUCKETS as u64 * 40 + 12_345;
+        let far = LEVEL1_SPAN_NANOS * 3 + 12_345;
         q.push(SimTime::from_nanos(far), 0, 0u32);
         assert_eq!(q.pop().map(|(t, ..)| t.as_nanos()), Some(far));
         for (seq, ms) in [1u64, 3, 20, 60].into_iter().enumerate() {
             q.push(SimTime::from_nanos(far + ms * 1_000_000), seq as u64 + 1, 0);
         }
-        assert_eq!((q.wheel_len, q.heap.len()), (4, 0));
+        assert_eq!((q.buckets_len, q.slots.len, q.heap.len()), (4, 0, 0));
         assert_eq!(drain(&mut q).len(), 4);
+    }
+
+    #[test]
+    fn timers_of_a_quarter_to_a_whole_second_land_in_level_one() {
+        // A flood tick (250 ms), a tcp-lite RTO (1 s) and one a slot after
+        // the tick go to level 1, from time zero and after the cursor has
+        // moved past a far event, and pop in order through their cascades.
+        let far = LEVEL1_SPAN_NANOS * 3 + 12_345;
+        for now in [0, far] {
+            let mut q = EventQueue::new();
+            if now > 0 {
+                q.push(SimTime::from_nanos(now), 0, 0u32);
+                q.pop();
+            }
+            let ms = [1_000u64, 250, 250 + 67];
+            for (seq, ms) in ms.into_iter().enumerate() {
+                q.push(SimTime::from_nanos(now + ms * 1_000_000), seq as u64 + 1, 0);
+            }
+            assert_eq!((q.buckets_len, q.slots.len, q.heap.len()), (0, 3, 0));
+            let popped: Vec<u64> = drain(&mut q).into_iter().map(|(t, ..)| (t - now) / 1_000_000).collect();
+            assert_eq!(popped, [250, 317, 1_000]);
+        }
     }
 
     #[test]

@@ -30,7 +30,9 @@ use crate::sim::Simulator;
 use crate::tcp::ConnId;
 use crate::time::SimTime;
 use std::any::Any;
+use std::cell::RefCell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,12 +47,12 @@ use std::time::Duration;
 /// [`get`]: ForkMap::get
 #[derive(Default)]
 pub struct ForkMap {
-    entries: FastMap<usize, Box<dyn Any>>,
+    entries: RefCell<FastMap<usize, Box<dyn Any>>>,
 }
 
 impl std::fmt::Debug for ForkMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForkMap").field("entries", &self.entries.len()).finish()
+        f.debug_struct("ForkMap").field("entries", &self.len()).finish()
     }
 }
 
@@ -63,23 +65,36 @@ impl ForkMap {
     /// Registers `value` as the fork's replacement for the parent handle
     /// identified by `key`. Later registrations overwrite earlier ones.
     pub fn register<T: Any>(&mut self, key: usize, value: T) {
-        self.entries.insert(key, Box::new(value));
+        self.entries.get_mut().insert(key, Box::new(value));
     }
 
     /// Looks up the replacement handle registered under `key`, cloning it
     /// out. `None` when the key is unknown or registered at another type.
     pub fn get<T: Any + Clone>(&self, key: usize) -> Option<T> {
-        self.entries.get(&key).and_then(|v| v.downcast_ref::<T>()).cloned()
+        self.entries.borrow().get(&key).and_then(|v| v.downcast_ref::<T>()).cloned()
+    }
+
+    /// Looks up `key`, or registers what `make` returns under it first:
+    /// state that several pending events share forks to one shared copy,
+    /// made by whichever of them is cloned first.
+    pub fn get_or_register<T: Any + Clone>(&self, key: usize, make: impl FnOnce() -> T) -> T {
+        if let Some(value) = self.get(key) {
+            return value;
+        }
+        // `make` may look other handles up, so no borrow is held across it.
+        let value = make();
+        self.entries.borrow_mut().insert(key, Box::new(value.clone()));
+        value
     }
 
     /// Number of registered translations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.borrow().len()
     }
 
     /// Whether no translations are registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -134,6 +149,17 @@ plain_fork_clone!(
 impl<T: ?Sized> ForkClone for Arc<T> {
     fn fork_clone(&self, _map: &ForkMap) -> Self {
         Arc::clone(self)
+    }
+}
+
+// An `Rc`-shared list is read-only by convention, like `Arc` data above,
+// but may hold handles: it forks to one translated copy per world, which
+// every holder in the fork shares.
+impl<T: ForkClone + 'static> ForkClone for Rc<[T]> {
+    fn fork_clone(&self, map: &ForkMap) -> Self {
+        map.get_or_register(Rc::as_ptr(self).cast::<()>() as usize, || {
+            self.iter().map(|v| v.fork_clone(map)).collect()
+        })
     }
 }
 
@@ -230,7 +256,6 @@ impl<T: ForkClone + 'static> ForkableCall for ForkableFn<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Handle(Rc<u32>);
@@ -263,6 +288,19 @@ mod tests {
         assert_eq!(v.fork_clone(&map), v);
         let o: Option<(bool, f64, u32)> = Some((true, 0.5, 9));
         assert_eq!(o.fork_clone(&map), o);
+    }
+
+    #[test]
+    fn a_shared_list_forks_to_one_translated_copy() {
+        let old = Handle(Rc::new(7));
+        let new = Handle(Rc::new(7));
+        let mut map = ForkMap::new();
+        map.register(Rc::as_ptr(&old.0) as usize, new.clone());
+        let list: Rc<[Handle]> = vec![old.clone(), old].into();
+        let (a, b) = (list.fork_clone(&map), Rc::clone(&list).fork_clone(&map));
+        assert!(Rc::ptr_eq(&a, &b), "every holder in the fork shares one copy");
+        assert!(!Rc::ptr_eq(&a, &list), "the copy is the fork's own");
+        assert!(a.iter().all(|h| Rc::ptr_eq(&h.0, &new.0)), "elements translate");
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Property tests proving the calendar [`EventQueue`] observationally
+//! Property tests proving the timing-wheel [`EventQueue`] observationally
 //! identical to the plain binary heap it replaced ([`ReferenceQueue`],
 //! kept here as the executable specification).
 //!
 //! The simulator's determinism hinges on the queue popping in exact
 //! `(time, seq)` order, so these tests drive both implementations through
 //! the same schedules — including same-tick ties, pushes interleaved with
-//! pops (events scheduled while the simulation runs), bucket-boundary
-//! times, and far-future times beyond the wheel — and require identical
-//! pop sequences. A drained bucket is a sorted run beside the heap that
-//! takes late arrivals, so one generator aims at that seam: dense buckets
-//! consumed while pushes keep landing below the cursor.
+//! pops (events scheduled while the simulation runs), bucket- and
+//! slot-boundary times, level-1 offsets, times either side of level 1's
+//! horizon, and far-future times — and require identical pop sequences.
+//! A drained bucket is a sorted run beside the heap that takes late
+//! arrivals, so one generator aims at that seam: dense buckets consumed
+//! while pushes keep landing below the cursor.
 
-use netsim::equeue::{BUCKET_SPAN_NANOS, NUM_BUCKETS};
+use netsim::equeue::{BUCKET_SPAN_NANOS, NUM_BUCKETS, NUM_SLOTS, SLOT_SPAN_NANOS};
 use netsim::{EventQueue, SimTime, TimeOrderedQueue};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -58,22 +59,30 @@ fn assert_drain_identical(wheel: &mut EventQueue<u64>, reference: &mut Reference
     }
 }
 
-/// Widens a raw u64 into an interesting time: most weight on wheel-scale
-/// values, some on bucket boundaries and far-future times.
+/// Widens a raw u64 into an interesting time: most weight on level-0
+/// values, some on bucket and slot boundaries, level-1 offsets, both
+/// horizons and far-future times.
 fn shape_time(raw: u64) -> u64 {
     let span = BUCKET_SPAN_NANOS;
     let wheel = span * NUM_BUCKETS as u64;
-    match raw % 8 {
+    let level1 = SLOT_SPAN_NANOS * NUM_SLOTS as u64;
+    match raw % 12 {
         // Dense near-term cluster: many same-tick ties.
         0 | 1 => raw % 64,
         // Within one bucket.
         2 => raw % span,
-        // Across the wheel.
+        // Across level 0.
         3 | 4 => raw % wheel,
         // Exactly on bucket boundaries.
         5 => (raw % (NUM_BUCKETS as u64 * 4)) * span,
-        // Just beyond the wheel horizon.
+        // Just beyond level 0: the next few slots.
         6 => wheel + raw % (4 * wheel),
+        // Anywhere in level 1.
+        7 => raw % level1,
+        // Exactly on a slot boundary, or one nanosecond before it.
+        8 => ((raw >> 8) % (NUM_SLOTS as u64 * 2) * SLOT_SPAN_NANOS).saturating_sub((raw >> 4) % 2),
+        // Either side of level 1's horizon.
+        9 => level1 - 2 * wheel + raw % (4 * wheel),
         // Far beyond it.
         _ => raw % (u64::MAX / 2) + wheel,
     }
@@ -98,12 +107,13 @@ fn push_all(queues: &mut [&mut dyn TimeOrderedQueue<u64>], seq: &mut u64, nanos:
 #[test]
 fn for_each_entry_and_clone_cover_run_wheel_and_heap() {
     let span = BUCKET_SPAN_NANOS;
-    let far = span * NUM_BUCKETS as u64 * 2;
+    let slot = SLOT_SPAN_NANOS * 2;
+    let beyond = SLOT_SPAN_NANOS * NUM_SLOTS as u64 * 2;
     let mut q = EventQueue::new();
     let mut seq = 0;
-    // Ten events in bucket 3 (latest first), one further round the wheel,
-    // one beyond the horizon.
-    for off in (0..10).rev().map(|i| 100 * i).chain([37 * span, far]) {
+    // Ten events in bucket 3 (latest first), one further round level 0,
+    // one in a level-1 slot and one beyond level 1's horizon.
+    for off in (0..10).rev().map(|i| 100 * i).chain([37 * span, slot, beyond]) {
         push_all(&mut [&mut q], &mut seq, 3 * span + off);
     }
     // Three pops make bucket 3 the run and leave seven of it; two pushes
@@ -120,9 +130,9 @@ fn for_each_entry_and_clone_cover_run_wheel_and_heap() {
     let offsets: Vec<(u64, u64)> = pending.iter().map(|&(t, seq, _)| (t - 3 * span, seq)).collect();
     assert_eq!(
         offsets,
-        [(250, 12), (300, 6), (300, 13), (400, 5), (500, 4), (600, 3), (700, 2), (800, 1), (900, 0)]
+        [(250, 13), (300, 6), (300, 14), (400, 5), (500, 4), (600, 3), (700, 2), (800, 1), (900, 0)]
             .into_iter()
-            .chain([(37 * span, 10), (far, 11)])
+            .chain([(37 * span, 10), (slot, 11), (beyond, 12)])
             .collect::<Vec<_>>()
     );
 
@@ -149,7 +159,7 @@ proptest! {
     ) {
         // Hundreds of events inside one 65 µs bucket span (a burst through a
         // saturated link; every fourth offset rounded to 1024 ns for
-        // same-tick ties), one further round the wheel, one beyond it.
+        // same-tick ties), one further round level 0, one in level 1.
         let span = BUCKET_SPAN_NANOS;
         let horizon = span * NUM_BUCKETS as u64;
         let base = bucket * span;
@@ -167,8 +177,8 @@ proptest! {
         // after `now`, as the simulator does: at exactly `now` (a tie between
         // the heap and what is left of the run), a little ahead (inside
         // the span being consumed, so still below the cursor), into later
-        // buckets, or beyond the horizon. After `clone_after` pops a
-        // structural clone joins in and must agree from then on.
+        // buckets, into level 1 or beyond its horizon. After `clone_after`
+        // pops a structural clone joins in and must agree from then on.
         let mut late = late.iter();
         let mut clone: Option<EventQueue<u64>> = None;
         let mut popped = 0;
@@ -195,7 +205,9 @@ proptest! {
                     0 | 1 => 0,
                     2..=5 => rest % (span / 4),
                     6 => rest % (16 * span),
-                    _ => horizon + rest,
+                    // Into level 1, or beyond its horizon.
+                    _ if rest % 2 == 0 => horizon + rest,
+                    _ => SLOT_SPAN_NANOS * NUM_SLOTS as u64 + rest,
                 };
                 let mut queues: Vec<&mut dyn TimeOrderedQueue<u64>> = vec![&mut wheel, &mut reference];
                 queues.extend(clone.as_mut().map(|c| c as &mut dyn TimeOrderedQueue<u64>));
