@@ -4,6 +4,8 @@
 //! and per-device cost stays flat as the world grows. Takes no argument,
 //! reads no environment, writes no file; exits 1 naming each verdict that
 //! failed. Speed against the parent commit is `bench/`'s job, not this one's.
+//! After its table it prints every reading as one NDJSON line
+//! (`ddosim.scale/1`), so runs can be kept and compared by machine.
 //!
 //! One world shape at three sizes: a tiered fabric of 500-strong regions,
 //! every device a periodic UDP sender routed dev → region router →
@@ -12,6 +14,7 @@
 //! no link saturates at any size: a world that drops a packet measures its
 //! queues, not its structures, so any drop fails the gate naming the size.
 
+use djson::{Json, ToJson};
 use netsim::topology::Fabric;
 use netsim::{Application, Ctx, LinkConfig, Packet, Payload, SimTime, Simulator};
 use std::net::SocketAddr;
@@ -38,8 +41,8 @@ const SMALL: (usize, u64) = (500, 40);
 /// uplinks 8.6 Mbit/s each.
 const BACKBONE_BPS: u64 = 10_000_000_000;
 
-/// Repetitions per size; each rate is the best seen (the slower ones
-/// measure the host's other tenants).
+/// Repetitions per size; each verdict reads the best rate seen (the slower
+/// ones measure the host's other tenants).
 const REPS: usize = 5;
 
 /// Floor of packets/s at [`MEDIUM`] ÷ packets/s at [`SMALL`]. Ten runs at
@@ -129,6 +132,39 @@ fn packets_per_sec(world: &mut World, secs: u64) -> (f64, u64) {
     (packets as f64 / start.elapsed().as_secs_f64().max(1e-9), s.total_dropped())
 }
 
+/// One world size's rates, one per repetition.
+#[derive(Default)]
+struct Readings {
+    build_devices_per_s: Vec<f64>,
+    packets_per_s: Vec<f64>,
+}
+
+/// The best of `rates`; 0 for none.
+fn best(rates: &[f64]) -> f64 {
+    rates.iter().copied().fold(0.0, f64::max)
+}
+
+/// The NDJSON line: the host's parallelism, the budget reading and every
+/// size's rates, rounded to whole units. The large world runs once, as the
+/// process's first; its build rates are the repetitions'.
+fn ndjson(nproc: usize, bytes_per_device: Option<u64>, sizes: &[(usize, &Readings)]) -> String {
+    let rounded = |rates: &[f64]| rates.iter().map(|r| r.round() as u64).collect::<Vec<_>>();
+    let sizes = sizes.iter().map(|(devices, r)| {
+        Json::obj([
+            ("devices", devices.to_json()),
+            ("packets_per_s", rounded(&r.packets_per_s).to_json()),
+            ("build_devices_per_s", rounded(&r.build_devices_per_s).to_json()),
+        ])
+    });
+    Json::obj([
+        ("schema", "ddosim.scale/1".to_json()),
+        ("nproc", nproc.to_json()),
+        ("bytes_per_device", bytes_per_device.to_json()),
+        ("sizes", Json::Arr(sizes.collect())),
+    ])
+    .to_string_compact()
+}
+
 /// A `/proc/self/status` field in kB; `None` where there is no such file.
 fn status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -211,27 +247,35 @@ fn main() -> ExitCode {
 
     // The three sizes take turns inside each repetition, so a host that
     // speeds up or slows down mid-run moves both sides of a ratio together.
-    let (mut large_build, mut medium, mut small) = (0.0f64, (0.0f64, 0.0f64), (0.0f64, 0.0f64));
+    let mut large = Readings { packets_per_s: vec![large_pps], ..Readings::default() };
+    let (mut medium, mut small) = (Readings::default(), Readings::default());
     let mut drops = [(LARGE.0, large_drops), (MEDIUM.0, 0), (SMALL.0, 0)];
     for _ in 0..REPS {
-        large_build = large_build.max(build(LARGE.0, |_| {}).1);
-        for (i, best, (devices, secs)) in [(1, &mut medium, MEDIUM), (2, &mut small, SMALL)] {
+        large.build_devices_per_s.push(build(LARGE.0, |_| {}).1);
+        for (i, readings, (devices, secs)) in [(1, &mut medium, MEDIUM), (2, &mut small, SMALL)] {
             let (mut world, built) = build(devices, |_| {});
             let (pps, dropped) = packets_per_sec(&mut world, secs);
-            *best = (best.0.max(built), best.1.max(pps));
+            readings.build_devices_per_s.push(built);
+            readings.packets_per_s.push(pps);
             drops[i].1 = drops[i].1.max(dropped);
         }
     }
     let (l, m, s) = (LARGE.0, MEDIUM.0, SMALL.0);
-    println!("best of {REPS}, devices/s built: {large_build:.0} at {l}, {:.0} at {m}", medium.0);
-    println!("best of {REPS}, packets/s: {:.0} at {m}, {:.0} at {s}", medium.1, small.1);
-    let (run_flatness, build_flatness) = (medium.1 / small.1, large_build / medium.0);
+    let (large_build, medium_build) =
+        (best(&large.build_devices_per_s), best(&medium.build_devices_per_s));
+    let (medium_pps, small_pps) = (best(&medium.packets_per_s), best(&small.packets_per_s));
+    println!("best of {REPS}, devices/s built: {large_build:.0} at {l}, {medium_build:.0} at {m}");
+    println!("best of {REPS}, packets/s: {medium_pps:.0} at {m}, {small_pps:.0} at {s}");
+    let (run_flatness, build_flatness) = (medium_pps / small_pps, large_build / medium_build);
     println!(
         "flatness: packets/s {run_flatness:.2} (floor {RUN_FLOOR}) | \
          build devices/s {build_flatness:.2} (floor {BUILD_FLOOR})"
     );
 
     println!("packets dropped (most in one run): {drops:?}");
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    let sizes = [(l, &large), (m, &medium), (s, &small)];
+    println!("{}", ndjson(nproc, bytes_per_device, &sizes));
     let failed = verdict(bytes_per_device, run_flatness, build_flatness, &drops);
     for line in &failed {
         eprintln!("scale: FAILED {line}");
@@ -294,6 +338,29 @@ mod tests {
             assert!(status_kb("VmHWM:").expect("VmHWM parses on Linux") > 0);
         }
         assert_eq!(status_kb("NoSuchField:"), None);
+    }
+
+    #[test]
+    fn the_ndjson_line_holds_every_repetition() {
+        let medium = Readings {
+            build_devices_per_s: vec![120_000.4, 118_000.6],
+            packets_per_s: vec![700_000.0, 690_000.0],
+        };
+        let line = ndjson(2, Some(1787), &[(MEDIUM.0, &medium), (SMALL.0, &Readings::default())]);
+        assert!(!line.contains('\n'), "{line}");
+        let doc = Json::parse(&line).expect("the line is JSON");
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("ddosim.scale/1"));
+        assert_eq!(doc.get("nproc").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("bytes_per_device").and_then(Json::as_u64), Some(1787));
+        let sizes = doc.get("sizes").and_then(Json::as_array).expect("sizes");
+        assert_eq!(sizes.len(), 2);
+        assert_eq!(sizes[0].get("devices").and_then(Json::as_u64), Some(10_000));
+        let rates = |key| sizes[0].get(key).and_then(Json::as_array).expect(key).to_vec();
+        assert_eq!(rates("build_devices_per_s"), [Json::U64(120_000), Json::U64(118_001)]);
+        assert_eq!(rates("packets_per_s"), [Json::U64(700_000), Json::U64(690_000)]);
+        assert_eq!(best(&medium.packets_per_s), 700_000.0);
+        let unmeasured = Json::parse(&ndjson(1, None, &[])).expect("JSON");
+        assert!(unmeasured.get("bytes_per_device").is_some_and(Json::is_null));
     }
 
     #[test]

@@ -189,12 +189,9 @@ impl Simulator {
         if self.nodes.up[idx] == up {
             return;
         }
+        // Route resolution reads the route list alone, so a flap leaves the
+        // node's route index as it is.
         self.nodes.up[idx] = up;
-        // Admin flaps invalidate the node's route cache: resolution itself
-        // does not read admin state today, but keeping the cache's epoch in
-        // lockstep with topology-affecting changes is cheap and means a
-        // future admin-aware lookup cannot silently serve stale entries.
-        self.nodes.routes[idx].invalidate();
         self.telemetry.record_event(
             self.now().as_nanos(),
             Some(node.index() as u32),

@@ -86,17 +86,17 @@ impl Simulator {
     }
 
     /// Removes every route on `node` matching `prefix`/`prefix_len` exactly,
-    /// returning how many were removed. The node's route cache is
-    /// invalidated if anything changed.
+    /// returning how many were removed. The node's route index is rebuilt
+    /// on its next lookup.
     pub fn remove_route(&mut self, node: NodeId, prefix: IpAddr, prefix_len: u8) -> usize {
         self.nodes.routes[node.index()].remove(prefix, prefix_len)
     }
 
     /// Resolves the egress route for `dst` on `node` exactly as the
-    /// forwarding hot path does: through the epoch-invalidated route cache
+    /// forwarding hot path does: through the node's exact route index
     /// (`tests/route_cache.rs` compares it with a linear scan of
     /// [`crate::node::NodeRef::routes`]).
-    pub fn resolve_route(&mut self, node: NodeId, dst: IpAddr) -> Option<Route> {
+    pub fn resolve_route(&self, node: NodeId, dst: IpAddr) -> Option<Route> {
         self.nodes.routes[node.index()].lookup(dst)
     }
 

@@ -250,11 +250,6 @@ impl Simulator {
             l.epoch += 1;
         }
         let endpoints = l.endpoints;
-        // Invalidate both endpoint nodes' route caches (see set_node_admin).
-        for iface in endpoints {
-            let node = self.ifaces[iface.index()].node;
-            self.nodes.routes[node.index()].invalidate();
-        }
         // Either endpoint names the link: the flush empties both directions.
         let flushed = if up { 0 } else { self.flush_iface(endpoints[0], DropReason::LinkDown) };
         self.telemetry.record_event(

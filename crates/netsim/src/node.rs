@@ -8,10 +8,11 @@
 //! per-node `String`s. See DESIGN.md "Memory layout at scale".
 
 use crate::digest::StateHasher;
-use crate::fastmap::FastMap;
+use crate::fastmap::FastBuildHasher;
 use crate::ids::{AppId, ChannelId, IfaceId, LinkId, NodeId};
 use crate::intern::{NameId, NameInterner};
-use std::collections::VecDeque;
+use std::cell::OnceCell;
+use std::hash::BuildHasher;
 use std::net::IpAddr;
 
 /// How an interface is attached to the fabric.
@@ -123,73 +124,108 @@ pub fn prefix_contains(prefix: IpAddr, len: u8, addr: IpAddr) -> bool {
     }
 }
 
-/// Largest number of cached destination resolutions per node. At the cap
-/// the cache evicts its *oldest* entry (FIFO) instead of growing without
-/// bound — a scanner sweeping the whole address space churns the cache but
-/// never thrashes the steady-state working set the way the old
-/// clear-everything policy did on 100k-node routers.
-const ROUTE_CACHE_CAP: usize = 65_536;
-
-/// Tables at or below this size skip the cache and scan directly: edge
-/// hosts (one default route per family) dominate the node count, and
-/// matching their handful of prefixes costs what a cache probe would
-/// (11-15 ns against 12-14 ns) without allocating a cache per host.
-const SMALL_TABLE_SCAN: usize = 8;
-
 /// Ephemeral UDP port range (IANA dynamic ports).
 pub(crate) const EPHEMERAL_RANGE: std::ops::RangeInclusive<u16> = 49152..=u16::MAX;
 
-/// A node's routing state: the route list, a lazily-sorted
-/// longest-prefix-match table, and an epoch-invalidated resolution cache.
+/// A node's routing state: the route list, and an exact index derived from
+/// it on the first lookup after an edit.
 ///
-/// Steady-state forwarding resolves a destination with a single
-/// [`FastMap`] probe. Any mutation (route add/remove) or admin transition
-/// on an attached link or the node itself bumps `epoch`; the next lookup
-/// notices the stale `cache_epoch`, discards every cached resolution, and
-/// re-sorts the match table if routes changed.
+/// The index answers what the naive `filter(..).max_by_key(prefix_len)`
+/// scan of `routes` answers, for any table: the longest matching prefix,
+/// the later insertion among equals. Resolution reads nothing but the
+/// routes, so only `push` and `remove` reset it; admin flaps leave it be.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteTable {
-    /// Routes in insertion order — the small-table scan uses these.
+    /// Routes in insertion order: what the table is.
     routes: Vec<Route>,
-    /// Match order for the fast path: *indices* into `routes`, prefix
-    /// length descending, and later insertion first among equal lengths —
-    /// the first matching entry is exactly what the naive
-    /// `filter(..).max_by_key(prefix_len)` scan returns (`max_by_key`
-    /// keeps the *last* maximal element on ties). Indices instead of
-    /// cloned `Route`s: a backbone router's table holds one entry per
-    /// device, and duplicating it doubled route memory at 100k devices.
-    sorted: Vec<u32>,
-    sorted_stale: bool,
-    /// Bumped on every route mutation and relevant admin change.
-    epoch: u64,
-    /// Resolution cache, allocated on first use. Edge hosts (a default
-    /// route or two, under [`SMALL_TABLE_SCAN`]) never build one, so the
-    /// arena row carries one pointer instead of a map + queue header.
-    cache: Option<Box<RouteCache>>,
+    /// Built by the first lookup after an edit. `None` inside the cell for
+    /// a table with no full-length route (every edge host: a default route
+    /// or two), whose lookup scans `routes`.
+    index: OnceCell<Option<Box<RouteIndex>>>,
 }
 
-// One table per node in the arena: the eviction threshold is the
-// `ROUTE_CACHE_CAP` const, not a per-row field.
-const _: () = assert!(std::mem::size_of::<RouteTable>() <= 72);
+// One table per node in the arena; edge hosts pay for the cell, not an index.
+const _: () = assert!(std::mem::size_of::<RouteTable>() <= 40);
 
-/// The memoized fast path of a [`RouteTable`]: destination → resolution
-/// under a given epoch, with FIFO eviction at [`ROUTE_CACHE_CAP`].
-#[derive(Debug, Clone, Default)]
-struct RouteCache {
-    /// Epoch the cache (and the table's sort order) were built under.
-    epoch: u64,
-    map: FastMap<IpAddr, Option<Route>>,
-    /// Cached destinations in insertion order: the FIFO eviction queue.
-    /// Invariant: exactly the keys of `map`, oldest first (inserts only
-    /// happen on a miss, and epoch invalidation clears both together).
-    order: VecDeque<IpAddr>,
+/// Positions into a [`RouteTable`]'s `routes`, split by prefix length.
+#[derive(Debug, Clone)]
+struct RouteIndex {
+    /// Open-addressed and linearly probed, at most half full: for each
+    /// address with a full-length route (/32 for v4, /128 for v6), the
+    /// position of the last one inserted, in the slot its `FastHasher`
+    /// hash picks or the first free one after it; `EMPTY` elsewhere.
+    hosts: Box<[u32]>,
+    /// Positions of every other route, in insertion order: a lookup scans
+    /// them.
+    others: Box<[u32]>,
+}
+
+/// A free slot of [`RouteIndex::hosts`].
+const EMPTY: u32 = u32::MAX;
+
+/// Whether `route` is full-length (/32 for v4, /128 for v6): it matches
+/// its own prefix address alone, so one hash probe finds it. An over-width
+/// route (a v4 /40) matches one address too but outranks it, so it stays
+/// with the others.
+fn is_host_route(route: &Route) -> bool {
+    let full = if route.prefix.is_ipv4() { 32 } else { 128 };
+    route.prefix_len == full
+}
+
+impl RouteIndex {
+    /// The index of `routes`, or `None` when none is full-length.
+    fn build(routes: &[Route]) -> Option<Box<RouteIndex>> {
+        let host_count = routes.iter().filter(|r| is_host_route(r)).count();
+        if host_count == 0 {
+            return None;
+        }
+        assert!(routes.len() < EMPTY as usize, "positions fit below the free-slot mark");
+        let mut hosts = vec![EMPTY; (2 * host_count).next_power_of_two()].into_boxed_slice();
+        let mut others = Vec::with_capacity(routes.len() - host_count);
+        for (pos, route) in routes.iter().enumerate() {
+            if is_host_route(route) {
+                // A later route on the same address takes the slot over.
+                hosts[slot(&hosts, routes, route.prefix)] = pos as u32;
+            } else {
+                others.push(pos as u32);
+            }
+        }
+        Some(Box::new(RouteIndex { hosts, others: others.into_boxed_slice() }))
+    }
+
+    /// The longer of `dst`'s host route and its best other match; the
+    /// later insertion where they tie.
+    fn lookup(&self, routes: &[Route], dst: IpAddr) -> Option<u32> {
+        let rank = |pos: u32| (routes[pos as usize].prefix_len, pos);
+        let mut best = self.hosts[slot(&self.hosts, routes, dst)];
+        for &pos in self.others.iter() {
+            if (best == EMPTY || rank(pos) > rank(best)) && routes[pos as usize].matches(dst) {
+                best = pos;
+            }
+        }
+        (best != EMPTY).then_some(best)
+    }
+}
+
+/// The slot of `hosts` holding `addr`'s host route, or the free slot it
+/// would go in. The table is at most half full, so a free slot always
+/// ends the probe.
+fn slot(hosts: &[u32], routes: &[Route], addr: IpAddr) -> usize {
+    let mask = hosts.len() - 1;
+    let mut slot = FastBuildHasher::default().hash_one(addr) as usize & mask;
+    loop {
+        let pos = hosts[slot];
+        if pos == EMPTY || routes[pos as usize].prefix == addr {
+            return slot;
+        }
+        slot = (slot + 1) & mask;
+    }
 }
 
 impl RouteTable {
     pub(crate) fn push(&mut self, route: Route) {
         self.routes.push(route);
-        self.sorted_stale = true;
-        self.invalidate();
+        self.index.take();
     }
 
     /// Removes every route matching (prefix, prefix_len); returns how many
@@ -198,18 +234,8 @@ impl RouteTable {
         let before = self.routes.len();
         self.routes
             .retain(|r| !(r.prefix == prefix && r.prefix_len == prefix_len));
-        let removed = before - self.routes.len();
-        if removed > 0 {
-            self.sorted_stale = true;
-            self.invalidate();
-        }
-        removed
-    }
-
-    /// Discards cached resolutions (epoch bump). Called on route mutation
-    /// and on node/link admin transitions.
-    pub(crate) fn invalidate(&mut self) {
-        self.epoch += 1;
+        self.index.take();
+        before - self.routes.len()
     }
 
     /// The routes in insertion order.
@@ -217,75 +243,21 @@ impl RouteTable {
         &self.routes
     }
 
-    /// Linear filter + max scan: the longest matching prefix, the
-    /// later-inserted route among equals. The production path for tables
-    /// of at most [`SMALL_TABLE_SCAN`] routes (every edge host, every
-    /// packet); the cached path below returns exactly what it would.
-    pub(crate) fn lookup_naive(&self, dst: IpAddr) -> Option<Route> {
-        self.routes
-            .iter()
-            .filter(|r| r.matches(dst))
-            .max_by_key(|r| r.prefix_len)
-            .copied()
+    /// The route packets for `dst` leave by: the longest matching prefix,
+    /// the later-inserted route among equals. One hash probe plus a scan
+    /// of the table's other routes once an index exists; a scan of the
+    /// whole table when it has no full-length route.
+    pub(crate) fn lookup(&self, dst: IpAddr) -> Option<Route> {
+        let routes = &self.routes;
+        match self.index.get_or_init(|| RouteIndex::build(routes)) {
+            Some(index) => index.lookup(routes, dst).map(|pos| routes[pos as usize]),
+            None => routes.iter().filter(|r| r.matches(dst)).max_by_key(|r| r.prefix_len).copied(),
+        }
     }
 
-    /// The fast path: one cache probe in steady state; on miss, a scan of
-    /// the sorted match table memoized under the current epoch. Small
-    /// tables bypass the cache entirely — see [`SMALL_TABLE_SCAN`]. At
-    /// capacity the oldest cached resolution is evicted (deterministic
-    /// FIFO over the insertion queue).
-    pub(crate) fn lookup(&mut self, dst: IpAddr) -> Option<Route> {
-        if self.routes.len() <= SMALL_TABLE_SCAN {
-            return self.lookup_naive(dst);
-        }
-        let epoch = self.epoch;
-        let cache = self.cache.get_or_insert_with(|| {
-            // A fresh cache's epoch deliberately mismatches the table's so
-            // the first probe takes the rebuild path below.
-            Box::new(RouteCache {
-                epoch: epoch.wrapping_add(1),
-                ..RouteCache::default()
-            })
-        });
-        if cache.epoch != self.epoch {
-            cache.map.clear();
-            cache.order.clear();
-            if self.sorted_stale {
-                self.sorted.clear();
-                self.sorted.extend(0..self.routes.len() as u32);
-                // Stable sort by descending prefix length preserves
-                // insertion order inside each length class; scanning in
-                // reverse therefore prefers later-inserted routes, the
-                // naive scan's tie-break.
-                let routes = &self.routes;
-                self.sorted.sort_by(|&a, &b| {
-                    routes[b as usize]
-                        .prefix_len
-                        .cmp(&routes[a as usize].prefix_len)
-                });
-                self.sorted_stale = false;
-            }
-            cache.epoch = self.epoch;
-        }
-        if let Some(cached) = cache.map.get(&dst) {
-            return *cached;
-        }
-        let resolved = Self::lookup_sorted(&self.sorted, &self.routes, dst);
-        if cache.map.len() >= ROUTE_CACHE_CAP {
-            if let Some(oldest) = cache.order.pop_front() {
-                cache.map.remove(&oldest);
-            }
-        }
-        cache.map.insert(dst, resolved);
-        cache.order.push_back(dst);
-        resolved
-    }
-
-    /// Folds the behavior-bearing routing state into a checkpoint digest:
-    /// the route list (in insertion order, which fixes the tie-break) and
-    /// the invalidation epoch. The memoized cache is deliberately excluded
-    /// — it is observationally transparent, and its contents follow
-    /// deterministically from the lookups performed.
+    /// Folds the routing state into a checkpoint digest: the route list,
+    /// in insertion order, which fixes the tie-break. The index is left
+    /// out: it follows from the list.
     pub(crate) fn state_digest(&self, h: &mut StateHasher) {
         h.write_usize(self.routes.len());
         for r in &self.routes {
@@ -293,43 +265,6 @@ impl RouteTable {
             h.write_bytes(&[r.prefix_len]);
             h.write_usize(r.iface.index());
         }
-        h.write_u64(self.epoch);
-    }
-
-    /// Longest-prefix match over the sorted index table: within each
-    /// prefix length class (descending), the later-inserted route wins.
-    /// An associated fn over the two slices so `lookup` can call it while
-    /// holding a mutable borrow of the cache.
-    fn lookup_sorted(sorted: &[u32], routes: &[Route], dst: IpAddr) -> Option<Route> {
-        let mut class_start = 0;
-        while class_start < sorted.len() {
-            let len = routes[sorted[class_start] as usize].prefix_len;
-            let class_end = class_start
-                + sorted[class_start..]
-                    .iter()
-                    .take_while(|&&i| routes[i as usize].prefix_len == len)
-                    .count();
-            if let Some(hit) = sorted[class_start..class_end]
-                .iter()
-                .rev()
-                .map(|&i| routes[i as usize])
-                .find(|r| r.matches(dst))
-            {
-                return Some(hit);
-            }
-            class_start = class_end;
-        }
-        None
-    }
-
-    #[cfg(test)]
-    fn cache_contains(&self, dst: IpAddr) -> bool {
-        self.cache.as_ref().is_some_and(|c| c.map.contains_key(&dst))
-    }
-
-    #[cfg(test)]
-    fn cache_len(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.map.len())
     }
 }
 
@@ -620,20 +555,52 @@ mod tests {
         assert!(!prefix_contains(v4(0, 0, 0, 0), 0, p6));
     }
 
+    fn iface_of(t: &RouteTable, dst: IpAddr) -> Option<usize> {
+        t.lookup(dst).map(|r| r.iface.index())
+    }
+
     #[test]
     fn longest_prefix_wins() {
         let mut t = RouteTable::default();
         t.push(route(v4(10, 0, 0, 0), 8, 0));
         t.push(route(v4(10, 0, 5, 0), 24, 1));
-        assert_eq!(
-            t.lookup_naive(v4(10, 0, 5, 9)).map(|r| r.iface),
-            Some(IfaceId::from_index(1))
-        );
-        assert_eq!(
-            t.lookup_naive(v4(10, 0, 6, 9)).map(|r| r.iface),
-            Some(IfaceId::from_index(0))
-        );
-        assert!(t.lookup_naive(v4(192, 168, 0, 1)).is_none());
+        assert_eq!(iface_of(&t, v4(10, 0, 5, 9)), Some(1));
+        assert_eq!(iface_of(&t, v4(10, 0, 6, 9)), Some(0));
+        assert_eq!(iface_of(&t, v4(192, 168, 0, 1)), None);
+        // No full-length route, so no index: the lookup scanned.
+        assert!(t.index.get().is_some_and(Option::is_none));
+    }
+
+    #[test]
+    fn the_index_ranks_host_routes_among_the_others() {
+        let mut t = RouteTable::default();
+        t.push(route(v4(10, 0, 0, 0), 8, 0));
+        t.push(route(v4(10, 0, 5, 9), 32, 1));
+        t.push(route(v4(10, 0, 5, 0), 24, 2));
+        // The host route outranks the covering prefixes inserted around it.
+        assert_eq!(iface_of(&t, v4(10, 0, 5, 9)), Some(1));
+        assert_eq!(iface_of(&t, v4(10, 0, 5, 8)), Some(2));
+        let index = t.index.get().and_then(Option::as_deref).expect("a host route builds one");
+        assert_eq!(index.others[..], [0, 2]);
+        assert_eq!(index.hosts.len(), 2, "one host route, at most half full");
+        // An over-width route on the address outranks it; removing it
+        // hands the address back.
+        t.push(route(v4(10, 0, 5, 9), 40, 3));
+        assert_eq!(iface_of(&t, v4(10, 0, 5, 9)), Some(3));
+        assert_eq!(t.remove(v4(10, 0, 5, 9), 40), 1);
+        assert_eq!(iface_of(&t, v4(10, 0, 5, 9)), Some(1));
+    }
+
+    #[test]
+    fn the_last_of_equal_host_routes_wins_until_removed() {
+        let mut t = RouteTable::default();
+        let host = IpAddr::V6(Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, 7));
+        for i in 0..3 {
+            t.push(route(host, 128, i));
+            assert_eq!(iface_of(&t, host), Some(i), "an edit resets the index");
+        }
+        assert_eq!(t.remove(host, 128), 3);
+        assert_eq!(iface_of(&t, host), None);
     }
 
     #[test]
@@ -664,77 +631,6 @@ mod tests {
             nodes.udp_binds[idx].insert(p, owner);
         }
         let _ = nodes.alloc_ephemeral_port(idx);
-    }
-
-    #[test]
-    fn cached_lookup_matches_naive_and_survives_invalidation() {
-        let mut t = RouteTable::default();
-        t.push(route(v4(10, 0, 0, 0), 8, 0));
-        t.push(route(v4(10, 0, 5, 0), 24, 1));
-        let probes = [v4(10, 0, 5, 9), v4(10, 0, 6, 9), v4(192, 168, 0, 1)];
-        for dst in probes {
-            assert_eq!(t.lookup(dst), t.lookup_naive(dst), "{dst}");
-            // Second probe exercises the cache-hit path.
-            assert_eq!(t.lookup(dst), t.lookup_naive(dst), "{dst} (hit)");
-        }
-        // A more specific route inserted later must evict stale resolutions.
-        t.push(route(v4(10, 0, 5, 9), 32, 2));
-        assert_eq!(
-            t.lookup(v4(10, 0, 5, 9)).map(|r| r.iface),
-            Some(IfaceId::from_index(2))
-        );
-        // Removing it restores the previous resolution.
-        assert_eq!(t.remove(v4(10, 0, 5, 9), 32), 1);
-        assert_eq!(
-            t.lookup(v4(10, 0, 5, 9)).map(|r| r.iface),
-            Some(IfaceId::from_index(1))
-        );
-    }
-
-    #[test]
-    fn equal_length_tie_break_prefers_later_insertion_like_naive() {
-        let mut t = RouteTable::default();
-        for i in 0..3usize {
-            t.push(route(v4(10, 0, 0, 0), 8, i));
-        }
-        let naive = t.lookup_naive(v4(10, 1, 2, 3));
-        assert_eq!(naive.map(|r| r.iface), Some(IfaceId::from_index(2)));
-        assert_eq!(t.lookup(v4(10, 1, 2, 3)), naive);
-    }
-
-    #[test]
-    fn cache_evicts_oldest_entry_first_in_fifo_order() {
-        let mut t = RouteTable::default();
-        // One covering route plus filler /32s to exceed SMALL_TABLE_SCAN so
-        // the cache actually engages.
-        t.push(route(v4(10, 0, 0, 0), 8, 0));
-        for i in 0..SMALL_TABLE_SCAN as u8 {
-            t.push(route(v4(172, 16, 0, i), 32, 1));
-        }
-        // Distinct destinations inside the covering /8: fill the real cap.
-        let d = |i: usize| IpAddr::V4(Ipv4Addr::from(0x0A00_0000 + i as u32));
-        let cap = ROUTE_CACHE_CAP;
-        for i in 1..=cap {
-            t.lookup(d(i));
-        }
-        assert_eq!(t.cache_len(), cap);
-        // A cache hit must not refresh FIFO position (FIFO, not LRU).
-        t.lookup(d(1));
-        assert_eq!(t.cache_len(), cap);
-        // One more distinct destination evicts the oldest entry — d(1),
-        // even though it was just re-probed.
-        t.lookup(d(cap + 1));
-        assert_eq!(t.cache_len(), cap);
-        assert!(!t.cache_contains(d(1)));
-        assert!((2..=cap + 1).all(|i| t.cache_contains(d(i))), "the rest survive");
-        // Next insert evicts d(2), then d(3): strict insertion order.
-        t.lookup(d(cap + 2));
-        assert!(!t.cache_contains(d(2)));
-        t.lookup(d(cap + 3));
-        assert!(!t.cache_contains(d(3)));
-        assert!(t.cache_contains(d(4)));
-        // Evicted destinations still resolve correctly on re-probe.
-        assert_eq!(t.lookup(d(1)), t.lookup_naive(d(1)));
     }
 
     #[test]

@@ -256,8 +256,8 @@ stage_determinism() {
     no_wrap "$trace_a"
 
     # The same determinism must hold across a multi-hop routed topology,
-    # which exercises the forwarding fast path (route cache + sorted LPM
-    # tables) on every forwarded packet.
+    # which exercises the forwarding fast path (each router's exact route
+    # index) on every forwarded packet.
     run_traced "$trace_a" --topology tiered:3:10000000
     run_traced "$trace_b" --topology tiered:3:10000000
     $DDOSIM trace diff "$trace_a" "$trace_b"

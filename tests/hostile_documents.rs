@@ -38,7 +38,9 @@ use telemetry::{Category, Event};
 /// 648 → 118, nothing else), and again by the build whose `config` became
 /// the world document (`crates/core/src/world.rs`: the configuration's
 /// spelling and the schema tag, `ddosim.checkpoint/1` → `/2`, no digest or
-/// count). Each build writes its own version, byte
+/// count), and again by the build whose routers resolve through an exact
+/// route index (the route epoch left the `netsim.nodes` digest, nothing
+/// else moved). Each build writes its own version, byte
 /// for byte, with
 ///
 /// ```text
