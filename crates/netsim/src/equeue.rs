@@ -17,7 +17,7 @@
 //!
 //! * **level 0**, a ring of [`NUM_BUCKETS`] buckets, each spanning
 //!   [`BUCKET_SPAN_NANOS`] nanoseconds, holds the ≈ 67 ms from the cursor
-//!   on — pushes are a plain `Vec::push`, `O(1)` and cache-friendly;
+//!   on — a push appends to its bucket's list, `O(1)`;
 //! * when the cursor reaches a bucket its events become the **run**: sorted
 //!   once by `(time, seq)`, popped from one end, never inserted into — one
 //!   small sort and `O(1)` pops where a heap would sift every event twice;
@@ -49,13 +49,14 @@
 //! `[bucket_base, bucket_base + SLOT_SPAN_NANOS)`, level-1 events in
 //! `[bucket_base + SLOT_SPAN_NANOS, slot_base + NUM_SLOTS · SLOT_SPAN_NANOS)`,
 //! run events below `bucket_base`, heap events anywhere; `slot_base` is
-//! the end of the slot that holds `bucket_base`. Buckets and slots are
-//! indexed by absolute time (`time >> 16` and `time >> 26`, modulo 1024),
-//! so a window that moves never re-files what it holds. `settle` stops as
-//! soon as the run is non-empty or the heap's minimum is below
-//! `bucket_base`: every wheel event then sorts after one of the two heads,
-//! so the smaller head is the global minimum. Otherwise it drains the next
-//! non-empty bucket into the run. A slot is cascaded when the cursor
+//! the end of the slot that holds `bucket_base`. Each level is a ring of
+//! 1024 lists, one per bucket or slot, indexed by absolute time
+//! (`time >> 16` and `time >> 26`, modulo 1024), so a window that moves
+//! never re-files what it holds. `settle` stops as soon as the run is
+//! non-empty or the heap's minimum is below `bucket_base`: every wheel
+//! event then sorts after one of the two heads, so the smaller head is the
+//! global minimum. Otherwise it drains the next non-empty bucket into the
+//! run. A slot is cascaded when the cursor
 //! enters it, before any bucket of it is drained: level 0 may already hold
 //! the slot's early part, and what level 1 holds of the slot, pushed when
 //! that part was further off, can sort before a bucket pushed since. The
@@ -76,18 +77,19 @@
 //! # Buffers
 //!
 //! What the queue holds is bounded by what is pending, not by its history.
-//! Level 1 keeps its events in `CHUNK`-event chunks of one arena: a
-//! cascaded slot's chunks go to a free list that any slot reuses, so the
-//! arena grows like a heap's buffer, to the most events level 1 ever held
-//! at once. (A buffer per slot, dropped on each cascade, read +2 MB peak
-//! RSS on `http_recorded`; one kept by every slot grows with the busiest
-//! turn of each of 1024 slots.) Level 1 is not allocated until its first
-//! push, so a world that never schedules past 67 ms — and a fork of one —
-//! pays nothing for it. A drained bucket gives its buffer back when the
-//! buffer could hold more than twice what the bucket just held (and more
-//! than `2 * BUCKET_KEEP`): a cascade or an idle world's first burst can
-//! drop thousands of events into one bucket, and a bucket that kept its
-//! largest turn would keep it for the rest of the run.
+//! Both levels keep their events in `CHUNK`-event chunks of one arena, a
+//! bucket's or slot's list of chunks filled in order. Draining a bucket
+//! into the run and cascading a slot into buckets are one operation: each
+//! event leaves its chunk, and each emptied chunk goes to the one free
+//! list, which any bucket or slot reuses — a cascade refills the chunks it
+//! has just freed. So the arena grows like a heap's buffer, to the most
+//! chunks the wheel ever held at once, whichever buckets and slots were
+//! busy, and no list keeps a buffer sized by its busiest turn. (A `Vec` per
+//! bucket had to give a large buffer back after each drain, and still kept
+//! about 6,300 entries of capacity in a world that never held 1,000
+//! events: EXPERIMENTS.md "One ring for both wheel levels".) The lists
+//! are not allocated until a level's first push, so a world that never
+//! schedules past 67 ms — and a fork of one — pays nothing for level 1.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -111,17 +113,13 @@ pub const NUM_SLOTS: usize = 1024;
 const SLOT_MASK: usize = NUM_SLOTS - 1;
 /// How far level 1 reaches past `slot_base`.
 const LEVEL1_SPAN_NANOS: u64 = SLOT_SPAN_NANOS * NUM_SLOTS as u64;
-/// `u64` words of the level-0 occupancy bitmap.
-const BUCKET_WORDS: usize = NUM_BUCKETS / 64;
-/// `u64` words of the level-1 occupancy bitmap.
-const SLOT_WORDS: usize = NUM_SLOTS / 64;
-/// Events per level-1 chunk.
+/// Events per chunk of the arena.
 const CHUNK: usize = 4;
-/// A drained bucket keeps its buffer unless that could hold more than
-/// twice this many events and more than twice what the bucket just held.
-const BUCKET_KEEP: usize = 16;
 /// The end of a chunk list.
 const NO_CHUNK: u32 = u32::MAX;
+
+// One `Ring` type serves both levels, so they have as many lists.
+const _: () = assert!(NUM_SLOTS == NUM_BUCKETS);
 
 fn bucket_index(nanos: u64) -> usize {
     (nanos >> BUCKET_BITS) as usize & BUCKET_MASK
@@ -140,13 +138,6 @@ fn first_set(words: &[u64], from: usize) -> Option<usize> {
         bits = *words.get(word)?;
     }
     Some(word * 64 + bits.trailing_zeros() as usize)
-}
-
-/// Files `e` into its level-0 bucket.
-fn push_bucket<T>(buckets: &mut [Vec<Keyed<T>>], filled: &mut [u64; BUCKET_WORDS], e: Keyed<T>) {
-    let index = bucket_index(e.time_nanos);
-    buckets[index].push(e);
-    filled[index / 64] |= 1 << (index % 64);
 }
 
 /// An event plus its total-order key. Ordering ignores the payload.
@@ -196,73 +187,27 @@ pub trait TimeOrderedQueue<T> {
     }
 }
 
-/// One level-1 slot: a list of chunks, filled in order.
-#[derive(Clone, Copy)]
-struct Slot {
-    head: u32,
-    tail: u32,
-    len: u32,
-}
-
-const EMPTY_SLOT: Slot = Slot { head: NO_CHUNK, tail: NO_CHUNK, len: 0 };
-
-/// Level 1's storage: every slot's events in fixed-size chunks of one
-/// arena, so level 1 holds one buffer that grows like a heap's and is
-/// reused chunk by chunk, whichever slots are busy.
-struct Slots<T> {
+/// Every wheel event's storage: fixed-size chunks of one buffer, reused
+/// through one free list whichever bucket or slot is busy, so the buffer
+/// grows like a heap's, to the most chunks the wheel ever held at once.
+struct Arena<T> {
     /// Chunk `c` is `chunks[c * CHUNK..][..CHUNK]`; a free chunk and the
-    /// unfilled end of a slot's last chunk hold `None`.
+    /// unfilled end of a list's last chunk hold `None`.
     chunks: Vec<Option<Keyed<T>>>,
-    /// The chunk after `c` in its slot's list, or in the free list.
+    /// The chunk after `c` in its list, or in the free list.
     next: Vec<u32>,
-    /// Head of the free-chunk list.
+    /// Head of the free list.
     free: u32,
-    /// `NUM_SLOTS` slots, or none before the first push.
-    slots: Vec<Slot>,
-    /// Bit `i` is set iff `slots[i]` is non-empty.
-    occupied: [u64; SLOT_WORDS],
-    /// Events in all slots.
-    len: usize,
 }
 
-impl<T> Default for Slots<T> {
+impl<T> Default for Arena<T> {
     fn default() -> Self {
-        Slots {
-            chunks: Vec::new(),
-            next: Vec::new(),
-            free: NO_CHUNK,
-            slots: Vec::new(),
-            occupied: [0; SLOT_WORDS],
-            len: 0,
-        }
+        Arena { chunks: Vec::new(), next: Vec::new(), free: NO_CHUNK }
     }
 }
 
-impl<T> Slots<T> {
-    /// Files an event into its slot.
-    fn push(&mut self, e: Keyed<T>) {
-        if self.slots.is_empty() {
-            self.slots = vec![EMPTY_SLOT; NUM_SLOTS];
-        }
-        let index = slot_index(e.time_nanos);
-        let at = self.slots[index].len as usize % CHUNK;
-        if at == 0 {
-            let chunk = self.new_chunk();
-            let slot = &mut self.slots[index];
-            match slot.tail {
-                NO_CHUNK => slot.head = chunk,
-                tail => self.next[tail as usize] = chunk,
-            }
-            slot.tail = chunk;
-        }
-        let slot = &mut self.slots[index];
-        self.chunks[slot.tail as usize * CHUNK + at] = Some(e);
-        slot.len += 1;
-        self.occupied[index / 64] |= 1 << (index % 64);
-        self.len += 1;
-    }
-
-    /// A chunk from the free list, or a new one at the arena's end.
+impl<T> Arena<T> {
+    /// A chunk from the free list, or a new one at the end.
     fn new_chunk(&mut self) -> u32 {
         let chunk = match self.free {
             NO_CHUNK => {
@@ -278,55 +223,92 @@ impl<T> Slots<T> {
         self.next[chunk as usize] = NO_CHUNK;
         chunk
     }
+}
 
-    /// Empties slot `index` through `f`, in push order, freeing its
-    /// chunks. Returns how many events it held.
-    fn cascade(&mut self, index: usize, mut f: impl FnMut(Keyed<T>)) -> usize {
-        let Some(slot) = self.slots.get_mut(index) else {
-            return 0;
+/// One bucket's or slot's events: a list of arena chunks, filled in order.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const EMPTY_LIST: List = List { head: NO_CHUNK, tail: NO_CHUNK, len: 0 };
+
+/// One wheel level: a ring of lists over the arena, list `i` holding the
+/// events of bucket (or slot) `i`.
+#[derive(Default)]
+struct Ring {
+    /// `NUM_BUCKETS` lists, or none before the first push.
+    lists: Vec<List>,
+    /// Bit `i` is set iff `lists[i]` is non-empty.
+    occupied: [u64; NUM_BUCKETS / 64],
+    /// Events in all lists.
+    len: usize,
+}
+
+impl Ring {
+    /// Appends `e` to list `index`.
+    fn push<T>(&mut self, arena: &mut Arena<T>, index: usize, e: Keyed<T>) {
+        if self.lists.is_empty() {
+            self.lists = vec![EMPTY_LIST; NUM_BUCKETS];
+        }
+        let list = &mut self.lists[index];
+        let at = list.len as usize % CHUNK;
+        if at == 0 {
+            let chunk = arena.new_chunk();
+            match list.tail {
+                NO_CHUNK => list.head = chunk,
+                tail => arena.next[tail as usize] = chunk,
+            }
+            list.tail = chunk;
+        }
+        arena.chunks[list.tail as usize * CHUNK + at] = Some(e);
+        list.len += 1;
+        self.occupied[index / 64] |= 1 << (index % 64);
+        self.len += 1;
+    }
+
+    /// Empties list `index` through `f`, in push order: each event straight
+    /// from its chunk, and each chunk to the free list once it is handed
+    /// on, so what `f` pushes into the other ring may reuse it.
+    fn take<T>(&mut self, arena: &mut Arena<T>, index: usize, mut f: impl FnMut(&mut Arena<T>, Keyed<T>)) {
+        let Some(list) = self.lists.get_mut(index) else {
+            return;
         };
-        let Slot { head, len, .. } = std::mem::replace(slot, EMPTY_SLOT);
+        let List { head, len, .. } = std::mem::replace(list, EMPTY_LIST);
         self.occupied[index / 64] &= !(1 << (index % 64));
         self.len -= len as usize;
         let (mut chunk, mut left) = (head, len as usize);
         while left > 0 {
-            let entries = &mut self.chunks[chunk as usize * CHUNK..][..left.min(CHUNK)];
-            for e in entries {
-                f(e.take().expect("a slot's chunks are filled in order"));
+            let start = chunk as usize * CHUNK;
+            for at in start..start + left.min(CHUNK) {
+                let e = arena.chunks[at].take().expect("a list's chunks are filled in order");
+                f(arena, e);
             }
             left = left.saturating_sub(CHUNK);
-            let next = self.next[chunk as usize];
-            self.next[chunk as usize] = self.free;
-            self.free = chunk;
+            let next = arena.next[chunk as usize];
+            arena.next[chunk as usize] = arena.free;
+            arena.free = chunk;
             chunk = next;
         }
-        len as usize
     }
 
-    /// A copy holding the same events in the same slots, in the same
-    /// order within each, packed into as few chunks as that takes.
-    fn clone_with(&self, mut f: impl FnMut(&Keyed<T>) -> Keyed<T>) -> Self {
-        let mut clone = Slots::default();
-        for slot in &self.slots {
-            let (mut chunk, mut left) = (slot.head, slot.len as usize);
+    /// A copy holding the same events in the same lists, in the same order
+    /// within each, pushed into `to` through `f`.
+    fn clone_into<T>(&self, from: &Arena<T>, to: &mut Arena<T>, mut f: impl FnMut(&Keyed<T>) -> Keyed<T>) -> Ring {
+        let mut clone = Ring::default();
+        for (index, list) in self.lists.iter().enumerate() {
+            let (mut chunk, mut left) = (list.head, list.len as usize);
             while left > 0 {
-                for e in self.chunks[chunk as usize * CHUNK..][..left.min(CHUNK)].iter().flatten() {
-                    clone.push(f(e));
+                for e in from.chunks[chunk as usize * CHUNK..][..left.min(CHUNK)].iter().flatten() {
+                    clone.push(to, index, f(e));
                 }
                 left = left.saturating_sub(CHUNK);
-                chunk = self.next[chunk as usize];
+                chunk = from.next[chunk as usize];
             }
         }
         clone
-    }
-
-    /// Start of the first non-empty slot at or after `base`, the start of
-    /// level 1. The ring wraps: the slots below `base`'s index come last.
-    fn next_start(&self, base: u64) -> Option<u64> {
-        let first = slot_index(base);
-        let index = first_set(&self.occupied, first).or_else(|| first_set(&self.occupied, 0))?;
-        let ahead = index.wrapping_sub(first) & SLOT_MASK;
-        Some(base + ahead as u64 * SLOT_SPAN_NANOS)
     }
 }
 
@@ -335,20 +317,18 @@ pub struct EventQueue<T> {
     /// The last drained bucket, sorted *descending* by `(time, seq)` so that
     /// `Vec::pop` yields its minimum; never inserted into.
     run: Vec<Keyed<T>>,
-    /// Level 0: `buckets[bucket_index(t)]` holds the events at `t` in
+    /// Level 0: list `bucket_index(t)` holds the events at `t` in
     /// `[bucket_base, bucket_base + SLOT_SPAN_NANOS)`.
-    buckets: Vec<Vec<Keyed<T>>>,
+    buckets: Ring,
     /// Start (nanos) of the bucket at the cursor; multiple of the bucket span.
     bucket_base: u64,
-    /// Events currently in `buckets`.
-    buckets_len: usize,
-    /// Bit `i` is set iff `buckets[i]` is non-empty.
-    filled: [u64; BUCKET_WORDS],
-    /// Level 1: the events at `t` past level 0 and before
-    /// `slot_base + LEVEL1_SPAN_NANOS`, by `slot_index(t)`.
-    slots: Slots<T>,
+    /// Level 1: list `slot_index(t)` holds the events at `t` past level 0
+    /// and before `slot_base + LEVEL1_SPAN_NANOS`.
+    slots: Ring,
     /// End (nanos) of the slot holding `bucket_base`: where level 1 starts.
     slot_base: u64,
+    /// Both levels' events.
+    arena: Arena<T>,
     /// Events pushed below `bucket_base` or beyond level 1's horizon.
     heap: BinaryHeap<Reverse<Keyed<T>>>,
     len: usize,
@@ -374,16 +354,13 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue with its wheel positioned at time zero.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(NUM_BUCKETS);
-        buckets.resize_with(NUM_BUCKETS, Vec::new);
         EventQueue {
             run: Vec::new(),
-            buckets,
+            buckets: Ring::default(),
             bucket_base: 0,
-            buckets_len: 0,
-            filled: [0; BUCKET_WORDS],
-            slots: Slots::default(),
+            slots: Ring::default(),
             slot_base: SLOT_SPAN_NANOS,
+            arena: Arena::default(),
             heap: BinaryHeap::new(),
             len: 0,
             peak_len: 0,
@@ -396,13 +373,13 @@ impl<T> EventQueue<T> {
     }
 
     /// Visits every pending entry as `(time_nanos, seq, &item)`, in
-    /// arbitrary order (run, level 0, level 1, then the heap).
+    /// arbitrary order (run, both wheel levels, then the heap).
     /// Checkpoint digests collect the entries and sort by `(time, seq)`;
     /// the queue's own pop order is never derived from this.
     pub fn for_each_entry(&self, mut f: impl FnMut(u64, u64, &T)) {
-        let slots = self.slots.chunks.iter().flatten();
+        let wheel = self.arena.chunks.iter().flatten();
         let heap = self.heap.iter().map(|Reverse(e)| e);
-        for e in self.run.iter().chain(self.buckets.iter().flatten()).chain(slots).chain(heap) {
+        for e in self.run.iter().chain(wheel).chain(heap) {
             f(e.time_nanos, e.seq, &e.item);
         }
     }
@@ -417,12 +394,9 @@ impl<T> EventQueue<T> {
             seq: e.seq,
             item: f(&e.item),
         };
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|bucket| bucket.iter().map(&mut clone_keyed).collect())
-            .collect();
-        let slots = self.slots.clone_with(&mut clone_keyed);
+        let mut arena = Arena::default();
+        let buckets = self.buckets.clone_into(&self.arena, &mut arena, &mut clone_keyed);
+        let slots = self.slots.clone_into(&self.arena, &mut arena, &mut clone_keyed);
         // The heap's internal arrangement after re-pushing may differ from
         // the parent's, but keys are unique (the simulator never reuses a
         // seq), so pop order — the only observable — is identical.
@@ -432,14 +406,23 @@ impl<T> EventQueue<T> {
             run,
             buckets,
             bucket_base: self.bucket_base,
-            buckets_len: self.buckets_len,
-            filled: self.filled,
             slots,
             slot_base: self.slot_base,
+            arena,
             heap,
             len: self.len,
             peak_len: self.peak_len,
         }
+    }
+
+    /// Start of the first non-empty slot at or after `slot_base`, the start
+    /// of level 1. The ring wraps: the slots below `slot_base`'s index come
+    /// last.
+    fn next_slot_start(&self) -> Option<u64> {
+        let (first, occupied) = (slot_index(self.slot_base), &self.slots.occupied);
+        let index = first_set(occupied, first).or_else(|| first_set(occupied, 0))?;
+        let ahead = index.wrapping_sub(first) & SLOT_MASK;
+        Some(self.slot_base + ahead as u64 * SLOT_SPAN_NANOS)
     }
 
     /// Moves the cursor forward to `base`. Crossing into a later slot
@@ -451,10 +434,10 @@ impl<T> EventQueue<T> {
         }
         let slot_start = base & !(SLOT_SPAN_NANOS - 1);
         self.slot_base = slot_start.saturating_add(SLOT_SPAN_NANOS);
-        let (buckets, filled, slot_base) = (&mut self.buckets, &mut self.filled, self.slot_base);
-        self.buckets_len += self.slots.cascade(slot_index(slot_start), |e| {
+        let (buckets, slot_base) = (&mut self.buckets, self.slot_base);
+        self.slots.take(&mut self.arena, slot_index(slot_start), |arena, e| {
             debug_assert!(e.time_nanos >= base && e.time_nanos < slot_base);
-            push_bucket(buckets, filled, e);
+            buckets.push(arena, bucket_index(e.time_nanos), e);
         });
     }
 
@@ -465,12 +448,12 @@ impl<T> EventQueue<T> {
         if !self.run.is_empty() || heap_min.is_some_and(|t| t < self.bucket_base) {
             return true;
         }
-        if self.buckets_len == 0 {
+        if self.buckets.len == 0 {
             // The placement rule: the earlier of the next non-empty slot
             // and just past the heap's minimum. A `bucket_base` saturated
             // at u64::MAX may not pass the minimum; it is still the
             // smallest event left.
-            match (self.slots.next_start(self.slot_base), heap_min) {
+            match (self.next_slot_start(), heap_min) {
                 (None, None) => return false,
                 (Some(slot), None) => self.advance_to(slot),
                 (Some(slot), Some(min)) if min >= slot => self.advance_to(slot),
@@ -481,27 +464,20 @@ impl<T> EventQueue<T> {
                 }
             }
         }
-        // Make the next populated bucket the run (copied: the bucket keeps
-        // its buffer unless it is far larger than what it held) and move
-        // the cursor past it. Bits from the cursor's index up are the rest
-        // of its slot; the bits below it, the next slot.
-        let index = match first_set(&self.filled, bucket_index(self.bucket_base)) {
+        // Make the next populated bucket the run and move the cursor past
+        // it. Bits from the cursor's index up are the rest of its slot; the
+        // bits below it, the next slot.
+        let index = match first_set(&self.buckets.occupied, bucket_index(self.bucket_base)) {
             Some(index) => index,
             None => {
                 // What level 0 holds lies in the next slot: enter it, and
                 // cascade it, before draining any of it.
                 self.advance_to(self.slot_base);
-                first_set(&self.filled, 0).expect("level 0 holds an event")
+                first_set(&self.buckets.occupied, 0).expect("level 0 holds an event")
             }
         };
-        self.filled[index / 64] &= !(1 << (index % 64));
-        let bucket = &mut self.buckets[index];
-        let held = bucket.len();
-        self.buckets_len -= held;
-        self.run.append(bucket);
-        if bucket.capacity() > 2 * held.max(BUCKET_KEEP) {
-            *bucket = Vec::new();
-        }
+        let run = &mut self.run;
+        self.buckets.take(&mut self.arena, index, |_, e| run.push(e));
         self.run.sort_unstable_by(|a, b| b.cmp(a));
         let start = (self.bucket_base & !(SLOT_SPAN_NANOS - 1)) + index as u64 * BUCKET_SPAN_NANOS;
         self.advance_to(start.saturating_add(BUCKET_SPAN_NANOS));
@@ -522,10 +498,9 @@ impl<T> TimeOrderedQueue<T> for EventQueue<T> {
         let e = Keyed { time_nanos: time.as_nanos(), seq, item };
         let t = e.time_nanos;
         if t >= self.bucket_base && t < self.bucket_base.saturating_add(SLOT_SPAN_NANOS) {
-            push_bucket(&mut self.buckets, &mut self.filled, e);
-            self.buckets_len += 1;
+            self.buckets.push(&mut self.arena, bucket_index(t), e);
         } else if t >= self.slot_base && t < self.slot_base.saturating_add(LEVEL1_SPAN_NANOS) {
-            self.slots.push(e);
+            self.slots.push(&mut self.arena, slot_index(t), e);
         } else {
             self.heap.push(Reverse(e));
         }
@@ -600,7 +575,7 @@ mod tests {
         q.push(SimTime::from_nanos(slot), 1, 1);
         q.push(SimTime::from_nanos(5), 2, 2);
         q.push(SimTime::from_nanos(BUCKET_SPAN_NANOS * 4 + 3), 3, 3);
-        assert_eq!((q.len(), q.buckets_len, q.slots.len, q.heap.len()), (4, 2, 1, 1));
+        assert_eq!((q.len(), q.buckets.len, q.slots.len, q.heap.len()), (4, 2, 1, 1));
         let popped = drain(&mut q);
         assert_eq!(
             popped,
@@ -732,7 +707,7 @@ mod tests {
         for (seq, ms) in [1u64, 3, 20, 60].into_iter().enumerate() {
             q.push(SimTime::from_nanos(far + ms * 1_000_000), seq as u64 + 1, 0);
         }
-        assert_eq!((q.buckets_len, q.slots.len, q.heap.len()), (4, 0, 0));
+        assert_eq!((q.buckets.len, q.slots.len, q.heap.len()), (4, 0, 0));
         assert_eq!(drain(&mut q).len(), 4);
     }
 
@@ -752,10 +727,47 @@ mod tests {
             for (seq, ms) in ms.into_iter().enumerate() {
                 q.push(SimTime::from_nanos(now + ms * 1_000_000), seq as u64 + 1, 0);
             }
-            assert_eq!((q.buckets_len, q.slots.len, q.heap.len()), (0, 3, 0));
+            assert_eq!((q.buckets.len, q.slots.len, q.heap.len()), (0, 3, 0));
             let popped: Vec<u64> = drain(&mut q).into_iter().map(|(t, ..)| (t - now) / 1_000_000).collect();
             assert_eq!(popped, [250, 317, 1_000]);
         }
+    }
+
+    #[test]
+    fn the_arena_follows_what_is_pending() {
+        // 100,000 events pass through both levels in groups of `CHUNK + 1`
+        // at one tick each, eight groups pending at once: every fifth pop
+        // schedules a group 3 ms on (level 0) or 300 ms on (level 1, so it
+        // cascades), and the wheel reuses the chunks of what it drained.
+        const GROUP: usize = CHUNK + 1;
+        let mut q = EventQueue::new();
+        let mut seq = 0u64;
+        let mut push_group = |q: &mut EventQueue<u32>, nanos: u64| {
+            for _ in 0..GROUP {
+                q.push(SimTime::from_nanos(nanos), seq, 0);
+                seq += 1;
+            }
+        };
+        for g in 0..8 {
+            push_group(&mut q, g * 1_000_000);
+        }
+        for popped in 1..=100_000 {
+            let (t, ..) = q.pop().expect("eight groups stay pending");
+            if popped % GROUP == 0 {
+                let ahead = if popped % (2 * GROUP) == 0 { 3_000_000 } else { 300_000_000 };
+                push_group(&mut q, t.as_nanos() + ahead);
+            }
+        }
+        // A list of n events takes n / CHUNK full chunks and at most one
+        // part-filled one. Every non-empty list holds at least one whole
+        // group, so at most peak / GROUP lists hold a part-filled chunk. A
+        // take adds two: the chunk it has drained but not yet freed, and
+        // the group it is moving, which straddles two lists meanwhile.
+        let peak = q.peak_len();
+        assert_eq!(peak, 8 * GROUP);
+        let bound = peak / CHUNK + peak / GROUP + 2;
+        let chunks = q.arena.next.len();
+        assert!(chunks <= bound, "{chunks} chunks for at most {peak} pending events (bound {bound})");
     }
 
     #[test]

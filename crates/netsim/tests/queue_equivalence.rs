@@ -10,7 +10,8 @@
 //! horizon, and far-future times — and require identical pop sequences.
 //! A drained bucket is a sorted run beside the heap that takes late
 //! arrivals, so one generator aims at that seam: dense buckets consumed
-//! while pushes keep landing below the cursor.
+//! while pushes keep landing below the cursor. Another cascades a slot of
+//! more events than a chunk holds and clones the queue straight after.
 
 use netsim::equeue::{BUCKET_SPAN_NANOS, NUM_BUCKETS, NUM_SLOTS, SLOT_SPAN_NANOS};
 use netsim::{EventQueue, SimTime, TimeOrderedQueue};
@@ -216,6 +217,47 @@ proptest! {
         }
         prop_assert!(wheel.is_empty() && clone.is_none_or(|c| c.is_empty()));
         prop_assert_eq!(wheel.peak_len(), reference.peak_len);
+    }
+
+    #[test]
+    fn a_clone_right_after_a_cascade_drains_like_its_parent(
+        slot in 1u64..(NUM_SLOTS as u64),
+        offsets in proptest::collection::vec(any::<u32>(), 5..40),
+        near in proptest::collection::vec(any::<u32>(), 0..8),
+        pops_before_clone in 1usize..4,
+    ) {
+        // One level-1 slot holds more events than a chunk (four), spread
+        // over its buckets, so its cascade refills chunks it has just
+        // freed; a few level-0 events go first. The clone is taken from
+        // the first pop inside that slot on, and must drain like the
+        // parent and the reference.
+        let start = slot * SLOT_SPAN_NANOS;
+        let mut wheel = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        let mut seq = 0;
+        for off in &near {
+            push_all(&mut [&mut wheel, &mut reference], &mut seq, u64::from(*off) % SLOT_SPAN_NANOS);
+        }
+        for off in &offsets {
+            push_all(&mut [&mut wheel, &mut reference], &mut seq, start + u64::from(*off) % SLOT_SPAN_NANOS);
+        }
+        let mut popped_in_slot = 0;
+        while popped_in_slot < pops_before_clone {
+            let next = reference.pop();
+            prop_assert_eq!(&wheel.pop(), &next);
+            let Some((time, ..)) = next else { break };
+            popped_in_slot += usize::from(time.as_nanos() >= start);
+        }
+        let mut clone = wheel.clone_with(|item| *item);
+        prop_assert_eq!(entries(&clone), entries(&wheel));
+        loop {
+            let next = reference.pop();
+            prop_assert_eq!(&wheel.pop(), &next);
+            prop_assert_eq!(&clone.pop(), &next);
+            if next.is_none() {
+                break;
+            }
+        }
     }
 
     #[test]

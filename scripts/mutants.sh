@@ -5,8 +5,9 @@
 #   # kills: <package> <test target> <test name>
 #   # why: <what only that test checks>
 #
-# where <test target> is an integration test file's stem, or `lib` for a
-# package's unit tests. For every patch, on one temporary copy of the
+# where <test target> is an integration test file's stem, `lib` for a
+# package's unit tests, or `bin:<name>` for the unit tests of its binary
+# <name>. For every patch, on one temporary copy of the
 # working tree, this script
 #
 #   * checks that the patch still applies (`git apply --check`): a stale
@@ -57,6 +58,7 @@ for name in "$@"; do
     package=$1 test=$3
     case $2 in
         lib) target=--lib ;;
+        bin:*) target="--bin ${2#bin:}" ;;
         *) target="--test $2" ;;
     esac
     if ! (cd "$tree" && git apply --check "$patch" 2> "$work/apply.err"); then
